@@ -10,7 +10,9 @@ stable, machine-readable report:
 
 Reports carry one verdict per check item (pass / fail / unknown); the overall
 status is pass only when nothing failed and nothing stayed unknown, and the
-exit code is 0 (pass), 1 (fail), 2 (inconclusive), or 64 (usage error).
+exit code is 0 (pass), 1 (fail), 2 (inconclusive), 64 (usage error), or 70
+(internal error).  A check that outgrows the rewriting degree bound ends in
+an unknown item naming the bound, never in a traceback.
 JSON output is schema-versioned and byte-deterministic apart from the
 elapsed-time field.
 """
@@ -21,7 +23,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import PoleError, UnsupportedAlgebraError
+from .errors import DegreeBoundExceeded, PoleError, UnsupportedAlgebraError
 from .hopf import (
     build_hopf,
     check_antipode,
@@ -29,6 +31,7 @@ from .hopf import (
     check_counit,
 )
 from .presentations import (
+    DEFAULT_DEGREE_BOUND,
     build_yangian_sl2,
     compare_presentations,
     get_presentation,
@@ -53,6 +56,7 @@ TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "all")
 MAX_TWIST_ORDER = 4
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 64
+EXIT_INTERNAL = 70  # EX_SOFTWARE: a defect, not a verdict
 
 
 class UsageError(ValueError):
@@ -139,6 +143,32 @@ def _rows_to_items(rows, prefix):
     return items
 
 
+def _unknown_item(label, exc):
+    return (label, "unknown", "%s: %s" % (type(exc).__name__, exc))
+
+
+def _check_items(prefix, run_check):
+    """Items of the check run_check() returns rows of; a degree-bound hit
+    anywhere in it becomes a single unknown item that names the check and
+    the bound."""
+    try:
+        return _rows_to_items(run_check(), prefix)
+    except DegreeBoundExceeded as exc:
+        return [_unknown_item(prefix, exc)]
+
+
+def _zero_item(label, p, z, witnesses=()):
+    """Item for 'z vanishes in p', decided by Presentation.decide_zero."""
+    verdict, evidence = p.decide_zero(z, witnesses)
+    if verdict == "zero":
+        return (label, "pass", None)
+    if verdict == "nonzero":
+        return (label, "fail", "nonzero in %s" % evidence.label)
+    if isinstance(evidence, DegreeBoundExceeded):
+        return _unknown_item(label, evidence)
+    return (label, "unknown", str(evidence))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -156,24 +186,19 @@ def cmd_verify(algebra, suite="all", degree_bound=None, reps=None):
         _named_rep(spec, p) for spec in reps]
     items = []
     if suite in ("relations", "all"):
-        for rel in p.relations:
-            z = rel.zero_form(p.alphabet)
-            if p.normal_form(z).is_zero():
-                items.append(("relation:%s" % rel.label, "pass", None))
-                continue
-            nonzero = next((r for r in witnesses
-                            if not r.evaluate(z).is_zero()), None)
-            if nonzero is not None:
-                items.append(("relation:%s" % rel.label, "fail",
-                              "nonzero in %s" % nonzero.label))
-            else:
-                items.append(("relation:%s" % rel.label, "unknown",
-                              str(p.normal_form(z))))
+        items.extend(_zero_item("relation:%s" % rel.label, p,
+                                rel.zero_form(p.alphabet), witnesses)
+                     for rel in p.relations)
     if suite in ("hopf", "all"):
-        H = build_hopf(p)
-        for fn, tag in ((check_coassoc, "coassoc"), (check_counit, "counit"),
-                        (check_antipode, "antipode")):
-            items.extend(_rows_to_items(fn(H), tag))
+        try:
+            H = build_hopf(p)
+        except DegreeBoundExceeded as exc:
+            items.append(_unknown_item("hopf", exc))
+        else:
+            for fn, tag in ((check_coassoc, "coassoc"),
+                            (check_counit, "counit"),
+                            (check_antipode, "antipode")):
+                items.extend(_check_items(tag, lambda: fn(H)))
     config = {"algebra": algebra, "suite": suite,
               "degree_bound": p.degree_bound,
               "reps": [r.label for r in witnesses]}
@@ -212,8 +237,8 @@ def cmd_limit(algebra, assignments, degree_bound=None):
     notes = []
     try:
         sp = specialize(p, parsed)
-    except PoleError as exc:
-        items = [("specialize", "unknown", "PoleError: %s" % exc)]
+    except (PoleError, DegreeBoundExceeded) as exc:
+        items = [_unknown_item("specialize", exc)]
         return VerificationReport(algebra, "limit", items, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -222,17 +247,16 @@ def cmd_limit(algebra, assignments, degree_bound=None):
     if (algebra == "drinfeldian-sl2" and parsed.get("q") == 1
             and parsed.get("kdelta") == 1):
         target = build_yangian_sl2()
+        target.degree_bound = p.degree_bound
         rows = compare_presentations(sp, target,
                                      reps2=default_reps(target))
         for direction, label, verdict in rows:
             items.append(("compare-%s:%s" % (direction, label),
                           _verdict(verdict), None))
     else:
-        for rel in sp.relations:
-            red = sp.normal_form(rel.zero_form(sp.alphabet))
-            items.append(("self-check:%s" % rel.label,
-                          "pass" if red.is_zero() else "unknown",
-                          None if red.is_zero() else str(red)))
+        items.extend(_zero_item("self-check:%s" % rel.label, sp,
+                                rel.zero_form(sp.alphabet))
+                     for rel in sp.relations)
         if parsed.get("eta") == 0:
             for rel in sp.relations:
                 free = all(c.var_degree_range("eta") == (0, 0)
@@ -245,7 +269,8 @@ def cmd_limit(algebra, assignments, degree_bound=None):
     return VerificationReport(algebra, "limit", items, config, notes)
 
 
-def cmd_twist(order=DEFAULT_ORDER, check="all", max_order=MAX_TWIST_ORDER):
+def cmd_twist(order=DEFAULT_ORDER, check="all", max_order=MAX_TWIST_ORDER,
+              degree_bound=None):
     """Twist suites for the eta-deformation at the given truncation order."""
     if check not in TWIST_CHECKS:
         raise UsageError("unknown twist check %r (have: %s)"
@@ -253,20 +278,25 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", max_order=MAX_TWIST_ORDER):
     if not 0 <= order <= max_order:
         raise UsageError("twist order %d outside [0, %d]" % (order, max_order))
     p = build_yangian_sl2()
+    # twisted words grow with the order: orders 0-4 need bounds 4, 5, 7, 10, 13
+    p.degree_bound = (max(DEFAULT_DEGREE_BOUND, 4 * order)
+                      if degree_bound is None else degree_bound)
     H = build_hopf(p)
     items = []
     if check in ("cocycle", "all"):
-        items.extend(_rows_to_items(check_cocycle(order, p=p), "cocycle"))
+        items.extend(_check_items(
+            "cocycle", lambda: check_cocycle(order, p=p)))
     if check in ("coassoc", "all"):
-        items.extend(_rows_to_items(check_twisted_coassoc(H, order),
-                                    "coassoc"))
+        items.extend(_check_items(
+            "coassoc", lambda: check_twisted_coassoc(H, order)))
     if check in ("homomorphism", "all"):
-        items.extend(_rows_to_items(check_twisted_homomorphism(H, order),
-                                    "homomorphism"))
+        items.extend(_check_items(
+            "homomorphism", lambda: check_twisted_homomorphism(H, order)))
     if check == "all":
-        items.extend(_rows_to_items(check_twisted_antipode(H, order),
-                                    "antipode"))
-        items.extend(_rows_to_items(check_twist_counit(order, p=p), "counit"))
+        items.extend(_check_items(
+            "antipode", lambda: check_twisted_antipode(H, order)))
+        items.extend(_check_items(
+            "counit", lambda: check_twist_counit(order, p=p)))
     config = {"order": order, "check": check, "max_order": max_order}
     return VerificationReport("twisted-yangian-sl2", "twist", items, config)
 
@@ -403,8 +433,11 @@ def run(args):
         if order is None:
             order = int(cfg.get("order", DEFAULT_ORDER))
         check = args.check or cfg.get("check", "all")
-        return cmd_twist(order, check)
+        return cmd_twist(order, check, degree_bound=degree_bound)
     if args.command == "cybe":
+        if degree_bound is not None:
+            raise UsageError("cybe does no rewriting; --degree-bound and the "
+                             "degree-bound config key do not apply")
         return cmd_cybe(args.rkind)
     raise UsageError("unknown command %r" % args.command)
 
@@ -418,6 +451,10 @@ def main(argv=None):
     except (UsageError, UnsupportedAlgebraError, OSError) as exc:
         print("loopdeform: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print("loopdeform: internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EXIT_INTERNAL
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     sys.stdout.write(report.to_text())
     if args.json:

@@ -1,14 +1,13 @@
 """Free associative algebra over Q(q, eta, zeta, u, v, w).
 
 Letters carry a weight vector (coordinates over the simple roots), an integer
-loop degree, a parity bit (reserved for super extensions; all shipped algebras
-use parity 0), and optionally the name of an inverse letter.  Words are tuples
+loop degree, and optionally the name of an inverse letter.  Words are tuples
 of letter ids; adjacent inverse pairs contract automatically, so group-like
 generators and their inverses never pile up.
 
 NCPoly is a finite linear combination of words with RatFunc coefficients;
 TensorPoly is the same over n-fold tensor words.  Multiplication of tensor
-elements is slotwise with a Koszul sign determined by parities.
+elements is slotwise; every letter is even, so no sign arises.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ from .ratfunc import RatFunc, rf
 
 @dataclass(frozen=True)
 class GenSymbol:
-    """One generator letter: name, root-lattice weight, loop degree, parity."""
+    """One generator letter: name, root-lattice weight, loop degree."""
 
     name: str
     weight: tuple
     loop_degree: int = 0
-    parity: int = 0
     inv_name: str | None = None
 
 
@@ -106,9 +104,6 @@ class Alphabet:
     def word_loop_degree(self, word):
         return sum(self.symbols[i].loop_degree for i in word)
 
-    def word_parity(self, word):
-        return sum(self.symbols[i].parity for i in word) % 2
-
     def contract(self, word):
         """Cancel adjacent mutually-inverse letters (stack pass)."""
         out = []
@@ -134,6 +129,17 @@ def _check_same_alphabet(a, b):
         raise AlphabetMismatchError("elements live over different alphabets")
 
 
+def add_term(terms, key, c):
+    """terms[key] += c in a sparse dict of RatFunc coefficients; a sum that
+    cancels removes the key."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 def _coerce_scalar(c):
     if isinstance(c, RatFunc):
         return c
@@ -150,16 +156,8 @@ class NCPoly:
         clean = {}
         if terms:
             for word, c in terms.items():
-                c = _coerce_scalar(c)
-                if c.is_zero():
-                    continue
-                w = alphabet.contract(tuple(word))
-                acc = clean.get(w)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    clean.pop(w, None)
-                else:
-                    clean[w] = c
+                add_term(clean, alphabet.contract(tuple(word)),
+                         _coerce_scalar(c))
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
@@ -228,12 +226,7 @@ class NCPoly:
         _check_same_alphabet(self.alphabet, other.alphabet)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            add_term(out, w, c)
         res = NCPoly.__new__(NCPoly)
         res.alphabet = self.alphabet
         res.terms = out
@@ -253,14 +246,7 @@ class NCPoly:
         contract = self.alphabet.contract
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = contract(w1 + w2)
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                add_term(out, contract(w1 + w2), c1 * c2)
         res = NCPoly.__new__(NCPoly)
         res.alphabet = self.alphabet
         res.terms = out
@@ -339,20 +325,12 @@ class TensorPoly:
         clean = {}
         if terms:
             for key, c in terms.items():
-                c = _coerce_scalar(c)
-                if c.is_zero():
-                    continue
                 if len(key) != self.arity:
                     raise ArityMismatchError(
                         "tensor word of arity %d in arity-%d element" % (len(key), self.arity)
                     )
-                k = tuple(alphabet.contract(tuple(w)) for w in key)
-                acc = clean.get(k)
-                c = c if acc is None else acc + c
-                if c.is_zero():
-                    clean.pop(k, None)
-                else:
-                    clean[k] = c
+                add_term(clean, tuple(alphabet.contract(tuple(w)) for w in key),
+                         _coerce_scalar(c))
         self.terms = clean
 
     @classmethod
@@ -399,12 +377,7 @@ class TensorPoly:
         self._check_compat(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, k, c)
         res = TensorPoly.__new__(TensorPoly)
         res.alphabet, res.arity = self.alphabet, self.arity
         res.terms = out
@@ -421,27 +394,11 @@ class TensorPoly:
                 return NotImplemented
         self._check_compat(other)
         contract = self.alphabet.contract
-        parity = self.alphabet.word_parity
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                # Koszul sign: move each right-factor slot past the tail of the
-                # left factor; with all parities 0 the sign is always +1
-                sign = 0
-                for j, w2 in enumerate(k2):
-                    p2 = parity(w2)
-                    if p2:
-                        sign += p2 * sum(parity(k1[i]) for i in range(j + 1, len(k1)))
-                k = tuple(contract(a + b) for a, b in zip(k1, k2))
-                c = c1 * c2
-                if sign % 2:
-                    c = -c
-                s = out.get(k)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                add_term(out, tuple(contract(a + b) for a, b in zip(k1, k2)),
+                         c1 * c2)
         res = TensorPoly.__new__(TensorPoly)
         res.alphabet, res.arity = self.alphabet, self.arity
         res.terms = out
@@ -473,19 +430,16 @@ class TensorPoly:
         res.terms = out
         return res
 
-    def slot(self, key, i):
-        return key[i]
-
     def map_slot(self, i, word_fn):
         """Replace slot i of every term by word_fn(word) (an NCPoly); linear."""
-        acc = TensorPoly.zero(self.alphabet, self.arity)
+        out = {}
         for k, c in self.terms.items():
-            img = word_fn(k[i])
-            piece = {}
-            for w, c2 in img.terms.items():
-                piece[k[:i] + (w,) + k[i + 1 :]] = c * c2
-            acc = acc + TensorPoly(self.alphabet, self.arity, piece)
-        return acc
+            for w, c2 in word_fn(k[i]).terms.items():
+                add_term(out, k[:i] + (w,) + k[i + 1 :], c * c2)
+        res = TensorPoly.__new__(TensorPoly)
+        res.alphabet, res.arity = self.alphabet, self.arity
+        res.terms = out
+        return res
 
     def support(self):
         return sorted(self.terms)

@@ -23,6 +23,7 @@ from .errors import UnknownGeneratorError, UnsupportedAlgebraError
 from .freealg import (
     NCPoly,
     TensorPoly,
+    add_term,
     apply_antihom,
     apply_hom,
     tensor,
@@ -129,12 +130,7 @@ def apply_in_slot(t: TensorPoly, slot: int, hopf: HopfData) -> TensorPoly:
     for words, c in t.terms.items():
         img = hopf.coproduct(NCPoly(A, {words[slot]: rf(1)}))
         for pair, c2 in img.terms.items():
-            key = words[:slot] + pair + words[slot + 1:]
-            val = out.get(key, rf(0)) + c * c2
-            if val.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = val
+            add_term(out, words[:slot] + pair + words[slot + 1:], c * c2)
     return TensorPoly(A, t.arity + 1, out)
 
 
@@ -150,18 +146,13 @@ def counit_in_slot(t: TensorPoly, slot: int, hopf: HopfData):
                 break
         if eps.is_zero():
             continue
-        key = words[:slot] + words[slot + 1:]
-        val = out.get(key, rf(0)) + c * eps
-        if val.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = val
+        add_term(out, words[:slot] + words[slot + 1:], c * eps)
     if t.arity == 2:
         return NCPoly(A, {k[0]: v for k, v in out.items()})
     return TensorPoly(A, t.arity - 1, out)
 
 
-def _mult_with_map(t: TensorPoly, hopf: HopfData, antipode_slot: int) -> NCPoly:
+def _mult_with_map(t: TensorPoly, antipode_slot: int, hopf: HopfData) -> NCPoly:
     """m((S(x)id) delta) / m((id(x)S) delta) helper: apply the antipode to one
     slot of an arity-2 element, then multiply the slots together."""
     A = t.alphabet
@@ -303,35 +294,33 @@ def check_coassoc(hopf: HopfData):
     return out
 
 
-def check_counit(hopf: HopfData):
-    """Per generator: (eps (x) id) delta == id == (id (x) eps) delta."""
+def _two_sided_rows(hopf: HopfData, slot_map, target):
+    """Per generator x: slot_map(delta x, slot, hopf) must reduce to
+    target(x, name) for slot 0 and for slot 1."""
     p = hopf.presentation
     out = []
     for s in p.alphabet.symbols:
         x = p.gen(s.name)
         d = hopf.coproduct(x)
-        left = p.normal_form(counit_in_slot(d, 0, hopf)) - x
-        right = p.normal_form(counit_in_slot(d, 1, hopf)) - x
+        want = target(x, s.name)
+        left = p.normal_form(slot_map(d, 0, hopf)) - want
+        right = p.normal_form(slot_map(d, 1, hopf)) - want
         ok = left.is_zero() and right.is_zero()
         out.append((s.name, "zero" if ok else "nonzero",
                     None if ok else "%s | %s" % (left, right)))
     return out
+
+
+def check_counit(hopf: HopfData):
+    """Per generator: (eps (x) id) delta == id == (id (x) eps) delta."""
+    return _two_sided_rows(hopf, counit_in_slot, lambda x, name: x)
 
 
 def check_antipode(hopf: HopfData):
     """Per generator: m(S (x) id) delta == eps * 1 == m(id (x) S) delta."""
-    p = hopf.presentation
-    out = []
-    for s in p.alphabet.symbols:
-        x = p.gen(s.name)
-        d = hopf.coproduct(x)
-        target = p.unit().scale(hopf.epsilon[s.name])
-        left = p.normal_form(_mult_with_map(d, hopf, 0)) - target
-        right = p.normal_form(_mult_with_map(d, hopf, 1)) - target
-        ok = left.is_zero() and right.is_zero()
-        out.append((s.name, "zero" if ok else "nonzero",
-                    None if ok else "%s | %s" % (left, right)))
-    return out
+    unit = hopf.presentation.unit()
+    return _two_sided_rows(hopf, _mult_with_map,
+                           lambda x, name: unit.scale(hopf.epsilon[name]))
 
 
 def check_homomorphism(hopf: HopfData, reps=()):
@@ -408,17 +397,16 @@ def convention_search(p: Presentation, loop_builder=None):
 
 
 def _drop_central_slotwise(t: TensorPoly, p: Presentation) -> TensorPoly:
+    """Send the central group-like letters to 1 in every slot."""
     A = p.alphabet
     drop = {A.id_of("kd+"), A.id_of("kd-")}
-    out = {}
-    for words, c in t.terms.items():
-        key = tuple(tuple(i for i in w if i not in drop) for w in words)
-        val = out.get(key, rf(0)) + c
-        if val.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = val
-    return TensorPoly(A, t.arity, out)
+
+    def drop_word(w):
+        return NCPoly(A, {tuple(i for i in w if i not in drop): rf(1)})
+
+    for i in range(t.arity):
+        t = t.map_slot(i, drop_word)
+    return t
 
 
 def loop_hopf_limit(hopf: HopfData, target: Presentation = None):

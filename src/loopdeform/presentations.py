@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .errors import (
     DegreeBoundExceeded,
@@ -40,10 +41,11 @@ from .freealg import (
     NCPoly,
     TensorPoly,
     ad_q_power,
+    add_term,
     commutator,
     q_commutator,
 )
-from .ratfunc import RatFunc, laurent_coeffs, q_power, rf, rf_limit
+from .ratfunc import RatFunc, laurent_coeffs, q_power, rf
 
 DEFAULT_DEGREE_BOUND = 12
 
@@ -91,9 +93,6 @@ class CartanData:
             tuple(self.symmetrizers[i] * self.matrix[i][j] for j in range(self.rank))
             for i in range(self.rank)
         )
-
-    def root_pairing(self, i, j):
-        return self.pairing_matrix[i][j]
 
     def theta_pairing(self, i):
         """(alpha_i, theta) for the highest root theta."""
@@ -262,25 +261,33 @@ class Presentation:
             out = out.map_slot(i, lambda w: self.word_normal_form(w, bound))
         return out
 
-    def is_zero_mod(self, x: NCPoly, reps=(), bound=None) -> str:
-        """'zero' / 'nonzero' / 'unknown' for x in the presented algebra.
+    def decide_zero(self, x: NCPoly, reps=(), bound=None):
+        """(verdict, evidence) for x in the presented algebra.
 
         'zero' means the rewrite system reduces x to 0 (a proof, since every
-        rule is a consequence of the relations).  A nonzero normal form is
-        *not* a disproof -- confluence of the rule system is not established
-        -- so 'nonzero' is only returned when a supplied representation
-        evaluates x to a nonzero matrix; otherwise the verdict is 'unknown'.
-        Each rep must expose evaluate(NCPoly) -> matrix with .is_zero()."""
+        rule is a consequence of the relations); its evidence is None.  A
+        nonzero normal form is *not* a disproof -- confluence of the rule
+        system is not established -- so 'nonzero' is only returned when a
+        supplied representation evaluates x to a nonzero matrix, and that
+        rep is the evidence.  Otherwise the verdict is 'unknown', with the
+        nonzero normal form as evidence, or the DegreeBoundExceeded that
+        stopped the rewriting.  Each rep must expose evaluate(NCPoly) ->
+        matrix with .is_zero()."""
         try:
-            nf = self.normal_form(x, bound=bound)
-        except DegreeBoundExceeded:
-            nf = None
-        if nf is not None and nf.is_zero():
-            return "zero"
+            evidence = self.normal_form(x, bound=bound)
+        except DegreeBoundExceeded as exc:
+            evidence = exc
+        else:
+            if evidence.is_zero():
+                return "zero", None
         for rep in reps:
             if not rep.evaluate(x).is_zero():
-                return "nonzero"
-        return "unknown"
+                return "nonzero", rep
+        return "unknown", evidence
+
+    def is_zero_mod(self, x: NCPoly, reps=(), bound=None) -> str:
+        """'zero' / 'nonzero' / 'unknown' for x (see decide_zero)."""
+        return self.decide_zero(x, reps, bound)[0]
 
     # -- construction helpers ---------------------------------------------------
 
@@ -745,9 +752,7 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
             raise ValueError("q can only be sent to 1")
         if out.family == "drinfeldian":
             out = _structural_q1_limit(out)
-        elif out.family in ("yangian", "classical"):
-            out = _substitute_coefficients(out, "q", 1, "%s[q->1]" % out.name)
-        elif out.family == "uq":
+        elif out.family in ("uq", "yangian", "classical"):
             out = _substitute_coefficients(out, "q", 1, "%s[q->1]" % out.name)
         else:
             raise UnsupportedAlgebraError("no q->1 path for family %r" % out.family)
@@ -806,42 +811,36 @@ def _binom_poly(c, m):
             if j:
                 nxt[d] = nxt.get(d, Fraction(0)) - x * j
         poly = {d: x for d, x in nxt.items() if x}
-        if not poly:
-            return {}
-    fact = 1
-    for j in range(2, m + 1):
-        fact *= j
-    return {d: x / fact for d, x in poly.items()}
+    return {d: x / factorial(m) for d, x in poly.items()}
 
 
-def _h_expansion(cexp, mmax):
-    """Expansion of prod_i k_i^(c_i) with k_i = q^(h_i), q = 1 + s.
+def _k_tails_expansion(cexps, mmax):
+    """Expansion of the group-like tails of one tensor term: the product over
+    slots and roots of k_i^(c_i) with k_i = q^(h_i), q = 1 + s.
 
-    Returns {s-power m: {h-monomial tuple: Fraction}} truncated at s^mmax."""
-    acc = {0: {tuple([0] * len(cexp)): Fraction(1)}}
-    for i, c in enumerate(cexp):
-        if not c:
-            continue
-        factor = {}
-        for m in range(mmax + 1):
-            bp = _binom_poly(c, m)
-            if bp:
-                factor[m] = bp
-        nxt = {}
-        for m1, mono1 in acc.items():
-            for m2, bp in factor.items():
-                if m1 + m2 > mmax:
-                    continue
-                dst = nxt.setdefault(m1 + m2, {})
-                for hmono, x1 in mono1.items():
-                    for d, x2 in bp.items():
-                        key = hmono[:i] + (hmono[i] + d,) + hmono[i + 1:]
-                        val = dst.get(key, Fraction(0)) + x1 * x2
-                        if val:
-                            dst[key] = val
-                        else:
-                            dst.pop(key, None)
-        acc = nxt
+    cexps holds one exponent vector (c_1, ..., c_rank) per slot.  Returns
+    {s-power m: {per-slot h-exponent tuples: Fraction}} truncated at s^mmax."""
+    acc = {0: {tuple((0,) * len(c) for c in cexps): Fraction(1)}}
+    for slot, cexp in enumerate(cexps):
+        for i, c in enumerate(cexp):
+            if not c:
+                continue
+            factor = [_binom_poly(c, m) for m in range(mmax + 1)]
+            nxt = {}
+            for m1, monos in acc.items():
+                for m2 in range(mmax + 1 - m1):
+                    dst = nxt.setdefault(m1 + m2, {})
+                    for mt, x1 in monos.items():
+                        head, mono, tail = mt[:slot], mt[slot], mt[slot + 1:]
+                        for d, x2 in factor[m2].items():
+                            key = head + ((mono[:i] + (mono[i] + d,)
+                                           + mono[i + 1:]),) + tail
+                            val = dst.get(key, Fraction(0)) + x1 * x2
+                            if val:
+                                dst[key] = val
+                            else:
+                                dst.pop(key, None)
+            acc = nxt
     return acc
 
 
@@ -863,7 +862,8 @@ def _structural_q1_limit(p: Presentation) -> Presentation:
         syms += [GenSymbol("kd+", zero, inv_name="kd-"), GenSymbol("kd-", zero, inv_name="kd+")]
     newA = Alphabet(syms, cd.pairing_matrix)
     out = Presentation("%s[q->1]" % p.name, "yangian" if "eta" in p.params else "classical",
-                       cd, newA, params=tuple(x for x in p.params if x != "q"))
+                       cd, newA, degree_bound=p.degree_bound,
+                       params=tuple(x for x in p.params if x != "q"))
 
     # Cartan letters commute among themselves
     for i in range(rank):
@@ -972,44 +972,19 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
         groups.setdefault((tuple(cores), tuple(ds)), []).append(
             (tuple(cexps), coeff))
 
-    zero_mono = tuple([0] * rank)
     terms = {}
     for (cores, ds), entries in groups.items():
         acc = {}  # (t, per-slot h-monomials) -> RatFunc
         for cexps, coeff in entries:
             ord0, coeffs = laurent_coeffs(coeff, "q", 1, 0)
-            mmax = max(0, -ord0)
-            # fold the per-slot expansions into {s-power: {mono tuple: Fraction}}
-            combined = {0: {(zero_mono,) * len(cexps): Fraction(1)}}
-            for slot, cexp in enumerate(cexps):
-                hexp = _h_expansion(cexp, mmax)
-                nxt = {}
-                for m1, monos1 in combined.items():
-                    for m2, hpolys in hexp.items():
-                        if m1 + m2 > mmax:
-                            continue
-                        dst_m = nxt.setdefault(m1 + m2, {})
-                        for mt, x1 in monos1.items():
-                            for hmono, x2 in hpolys.items():
-                                key = mt[:slot] + (hmono,) + mt[slot + 1:]
-                                val = dst_m.get(key, Fraction(0)) + x1 * x2
-                                if val:
-                                    dst_m[key] = val
-                                else:
-                                    dst_m.pop(key, None)
-                combined = nxt
-            for m, monos in combined.items():
+            expansion = _k_tails_expansion(cexps, max(0, -ord0))
+            for m, monos in expansion.items():
                 for j, fc in enumerate(coeffs):
                     t = ord0 + j + m
                     if t > 0 or fc.is_zero():
                         continue
                     for mt, bc in monos.items():
-                        key = (t, mt)
-                        val = acc.get(key, RatFunc.zero()) + fc * bc
-                        if val.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = val
+                        add_term(acc, (t, mt), fc * bc)
         for (t, mt), val in acc.items():
             if t < 0:
                 raise PoleError(
@@ -1028,12 +1003,7 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
                     kd = dstA.id_of("kd+") if d > 0 else dstA.id_of("kd-")
                     word.extend([kd] * abs(d))
                 out_words.append(tuple(word))
-            w = tuple(out_words)
-            cur = terms.get(w, RatFunc.zero()) + val
-            if cur.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = cur
+            add_term(terms, tuple(out_words), val)
     return TensorPoly(dstA, z.arity, terms)
 
 

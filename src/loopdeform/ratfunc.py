@@ -203,22 +203,6 @@ class MultiPoly:
                 out.pop(e, None)
         return MultiPoly(out)
 
-    def shift_var(self, i):
-        """Substitute x_i -> x_i + 1 (exact binomial expansion)."""
-        out = MultiPoly()
-        for exp, c in self.terms.items():
-            n = exp[i]
-            base = exp[:i] + (0,) + exp[i + 1 :]
-            # (x+1)^n = sum binom(n,m) x^m
-            binom = 1
-            row = {}
-            for m in range(n + 1):
-                e = base[:i] + (m,) + base[i + 1 :]
-                row[e] = row.get(e, Fraction(0)) + c * binom
-                binom = binom * (n - m) // (m + 1)
-            out = out + MultiPoly(row)
-        return out
-
     def to_univariate(self, i):
         """View as a polynomial in variable i: {degree: MultiPoly in the rest}."""
         out = {}

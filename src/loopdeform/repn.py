@@ -435,27 +435,22 @@ def _solve_affine(rows):
 # ---------------------------------------------------------------------------
 
 
-def uq_spin_half(p: Presentation = None) -> Rep:
-    """2x2 oracle for the rank-1 q-deformation: k = diag(q, 1/q)."""
-    if p is None:
-        p = get_presentation("uq-sl2")
+def _uq_sl2_images():
+    """The 2x2 q-side images: k = diag(q, 1/q)."""
     q = rf("q")
-    images = {
+    return {
         "e+a1": MatrixRF.unit_entry(2, 0, 1),
         "e-a1": MatrixRF.unit_entry(2, 1, 0),
         "k+a1": MatrixRF.diagonal([q, rf(1) / q]),
         "k-a1": MatrixRF.diagonal([rf(1) / q, q]),
     }
-    return Rep(p, images, "q-spin(1/2)")
 
 
-def uq_fundamental_sl3(p: Presentation = None) -> Rep:
-    """3x3 oracle for the rank-2 q-deformation."""
-    if p is None:
-        p = get_presentation("uq-sl3")
+def _uq_sl3_images():
+    """The 3x3 q-side images of the fundamental representation."""
     q = rf("q")
     qi = rf(1) / q
-    images = {
+    return {
         "e+a1": MatrixRF.unit_entry(3, 0, 1),
         "e+a2": MatrixRF.unit_entry(3, 1, 2),
         "e-a1": MatrixRF.unit_entry(3, 1, 0),
@@ -465,7 +460,20 @@ def uq_fundamental_sl3(p: Presentation = None) -> Rep:
         "k+a2": MatrixRF.diagonal([rf(1), q, qi]),
         "k-a2": MatrixRF.diagonal([rf(1), qi, q]),
     }
-    return Rep(p, images, "q-fund(sl3)")
+
+
+def uq_spin_half(p: Presentation = None) -> Rep:
+    """2x2 oracle for the rank-1 q-deformation."""
+    if p is None:
+        p = get_presentation("uq-sl2")
+    return Rep(p, _uq_sl2_images(), "q-spin(1/2)")
+
+
+def uq_fundamental_sl3(p: Presentation = None) -> Rep:
+    """3x3 oracle for the rank-2 q-deformation."""
+    if p is None:
+        p = get_presentation("uq-sl3")
+    return Rep(p, _uq_sl3_images(), "q-fund(sl3)")
 
 
 def _loop_rep(p: Presentation, base_images: dict, label: str,
@@ -491,21 +499,13 @@ def _loop_rep(p: Presentation, base_images: dict, label: str,
 def drinfeldian_sl2_rep(p: Presentation = None, central=1) -> Rep:
     if p is None:
         p = get_presentation("drinfeldian-sl2")
-    q = rf("q")
-    base = {
-        "e+a1": MatrixRF.unit_entry(2, 0, 1),
-        "e-a1": MatrixRF.unit_entry(2, 1, 0),
-        "k+a1": MatrixRF.diagonal([q, rf(1) / q]),
-        "k-a1": MatrixRF.diagonal([rf(1) / q, q]),
-    }
-    return _loop_rep(p, base, "q-eval(sl2)", central)
+    return _loop_rep(p, _uq_sl2_images(), "q-eval(sl2)", central)
 
 
 def drinfeldian_sl3_rep(p: Presentation = None, central=1) -> Rep:
     if p is None:
         p = get_presentation("drinfeldian-sl3")
-    base = dict(uq_fundamental_sl3().images)
-    return _loop_rep(p, base, "q-eval(sl3)", central)
+    return _loop_rep(p, _uq_sl3_images(), "q-eval(sl3)", central)
 
 
 def default_reps(p: Presentation):

@@ -11,7 +11,7 @@ dependence enters through the variables u, v, w.
 
 from fractions import Fraction
 
-from .freealg import TensorPoly
+from .freealg import TensorPoly, add_term
 from .ratfunc import RatFunc, rf
 from .repn import MatrixRF, spin_rep
 
@@ -43,13 +43,7 @@ class RMatrix:
             if left not in BASIS or right not in BASIS:
                 raise ValueError("unknown basis letter in (%s, %s)"
                                  % (left, right))
-            c = _coerce(c)
-            key = (left, right)
-            s = acc.get(key, rf(0)) + c
-            if s.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            add_term(acc, (left, right), _coerce(c))
         order = {b: i for i, b in enumerate(BASIS)}
         self.terms = tuple(
             (acc[k], k[0], k[1])
@@ -85,9 +79,6 @@ class RMatrix:
     def __eq__(self, other):
         return isinstance(other, RMatrix) and self.terms == other.terms
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -105,13 +96,8 @@ class RMatrix:
         names = names or GENERATOR_NAMES
         out = {}
         for c, left, right in self.terms:
-            key = ((p.alphabet.id_of(names[left]),),
-                   (p.alphabet.id_of(names[right]),))
-            s = out.get(key, rf(0)) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, ((p.alphabet.id_of(names[left]),),
+                           (p.alphabet.id_of(names[right]),)), c)
         return TensorPoly(p.alphabet, 2, out)
 
 

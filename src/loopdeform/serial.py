@@ -8,7 +8,7 @@ The format is deliberately plain so diffs stay reviewable:
     params <comma-list or ->
     degree-bound <int>
     shift <NCPoly>                      (loop deformations only)
-    gen <name> weight=<ints> degree=<int> parity=<0|1> [inverse=<name>]
+    gen <name> weight=<ints> degree=<int> parity=0 [inverse=<name>]
     rel <label>: <word or NCPoly> => <NCPoly>
     delta <gen>: <two-slot TensorPoly>  (Hopf appendix, optional)
     antipode <gen>: <NCPoly>
@@ -24,11 +24,12 @@ reconstructs relations as plain rewrite rules; the structural metadata that
 drives parameter limits is not part of the text format, so loaded
 presentations verify and rewrite but are not inputs to the limit machinery.
 Hopf maps are re-validated for generator coverage and representations replay
-their full relation check on load.
+their full relation check on load.  Every letter is even: dumps write
+``parity=0``, and loading rejects any other value (a missing one reads as 0).
 """
 
 from .errors import UnsupportedAlgebraError
-from .freealg import NCPoly, TensorPoly
+from .freealg import NCPoly, TensorPoly, add_term
 from .hopf import HopfData
 from .presentations import (
     Presentation,
@@ -107,12 +108,7 @@ def parse_ncpoly(text, alphabet) -> NCPoly:
     for part in _split_sum(text):
         coeff_text, word_text = _split_coeff(part.strip())
         c = rf(1) if coeff_text is None else parse_ratfunc(coeff_text)
-        w = alphabet.parse_word(word_text)
-        s = terms.get(w, rf(0)) + c
-        if s.is_zero():
-            terms.pop(w, None)
-        else:
-            terms[w] = s
+        add_term(terms, alphabet.parse_word(word_text), c)
     return NCPoly(alphabet, terms)
 
 
@@ -146,12 +142,7 @@ def parse_tensorpoly(text, alphabet, arity) -> TensorPoly:
         if len(slots) != arity:
             raise ValueError("expected %d slots, got %d in %r"
                              % (arity, len(slots), part))
-        key = tuple(alphabet.parse_word(s) for s in slots)
-        s = terms.get(key, rf(0)) + c
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        add_term(terms, tuple(alphabet.parse_word(s) for s in slots), c)
     return TensorPoly(alphabet, arity, terms)
 
 
@@ -181,9 +172,8 @@ def dump_presentation(p: Presentation) -> str:
     if p.shift_element is not None:
         lines.append("shift %s" % p.shift_element)
     for s in p.alphabet.symbols:
-        line = "gen %s weight=%s degree=%d parity=%d" % (
-            s.name, ",".join(str(x) for x in s.weight),
-            s.loop_degree, s.parity)
+        line = "gen %s weight=%s degree=%d parity=0" % (
+            s.name, ",".join(str(x) for x in s.weight), s.loop_degree)
         if s.inv_name is not None:
             line += " inverse=%s" % s.inv_name
         lines.append(line)
@@ -257,7 +247,7 @@ def _parse_gen_line(lineno, rest, alphabet):
     weight = tuple(int(x) for x in attrs.get("weight", "").split(","))
     if (weight != sym.weight
             or int(attrs.get("degree", "0")) != sym.loop_degree
-            or int(attrs.get("parity", "0")) != sym.parity
+            or int(attrs.get("parity", "0")) != 0
             or attrs.get("inverse") != sym.inv_name):
         raise FormatError(lineno, "gen %s does not match the rebuilt alphabet"
                           % name)

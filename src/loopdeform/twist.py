@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ArityMismatchError, NotUnitLeadingError
-from .freealg import NCPoly, TensorPoly, tensor
+from .freealg import NCPoly, TensorPoly, add_term, tensor
 from .hopf import HopfData, apply_in_slot, build_hopf, counit_in_slot
 from .presentations import Presentation, build_yangian_sl2
 from .ratfunc import rf
@@ -81,10 +81,6 @@ class TwistSeries:
             acc = acc + t
         return acc
 
-    def at_zeta_zero(self) -> TensorPoly:
-        """Specialization zeta=0: only the order-0 term survives the grading."""
-        return self.terms[0]
-
     def swap_slots(self) -> "TwistSeries":
         """Flip the two tensor slots of every term (two-slot series only)."""
         if self.arity != 2:
@@ -110,9 +106,6 @@ class TwistSeries:
         return (isinstance(other, TwistSeries)
                 and self.arity == other.arity
                 and self.terms == other.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __str__(self):
         lines = ["order %d: %s" % (k, t) for k, t in enumerate(self.terms)]
@@ -238,16 +231,27 @@ def series_inverse(X: TwistSeries) -> TwistSeries:
 # ---------------------------------------------------------------------------
 
 
+def _twisted_delta(H, F, Fi, x, N):
+    """Graded coefficients of F Delta(x) Fi, truncated at N."""
+    p = H.presentation
+    return _conjugate(p, F, Fi, _order_zero_list(H.coproduct(x), N), N)
+
+
+def _twisted_S(H, u, ui, x, N):
+    """Graded coefficients of u S(x) ui as algebra elements, truncated at N."""
+    p = H.presentation
+    mid = _order_zero_list(H.antipode_of(x).tensor(), N)
+    return [_as_ncpoly(t) for t in _conjugate(p, u, ui, mid, N)]
+
+
 def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
     """Coproduct of x conjugated by the twisting element, truncated at N.
 
     Returns the list of graded coefficients of F Delta(x) F^{-1}; entry k is
     a two-slot tensor element carrying exactly zeta^k, entry 0 is the
     untwisted coproduct in normal form."""
-    p = H.presentation
-    F = twist_F(N, p)
-    return _conjugate(p, F, series_inverse(F),
-                      _order_zero_list(H.coproduct(x), N), N)
+    F = twist_F(N, H.presentation)
+    return _twisted_delta(H, F, series_inverse(F), x, N)
 
 
 def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
@@ -255,11 +259,8 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
 
     Returns the list of graded coefficients of u S(x) u^{-1} as plain
     algebra elements; entry 0 is the untwisted antipode in normal form."""
-    p = H.presentation
-    u = twist_u(N, p)
-    mid = _order_zero_list(H.antipode_of(x).tensor(), N)
-    out = _conjugate(p, u, series_inverse(u), mid, N)
-    return [_as_ncpoly(t) for t in out]
+    u = twist_u(N, H.presentation)
+    return _twisted_S(H, u, series_inverse(u), x, N)
 
 
 # ---------------------------------------------------------------------------
@@ -349,35 +350,36 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
     return rows
 
 
-def _conj_delta_word(p, H, F, Fi, word, N, memo):
-    """Graded coefficients of the twisted coproduct of a single word, memoized."""
-    if word not in memo:
-        x = NCPoly(p.alphabet, {word: rf(1)})
-        memo[word] = _conjugate(p, F, Fi, _order_zero_list(H.coproduct(x), N), N)
-    return memo[word]
+def _per_word(twisted, H, left, right, N):
+    """word -> twisted(H, left, right, word, N) on single words, memoized."""
+    memo = {}
+    A = H.presentation.alphabet
+
+    def of_word(word):
+        if word not in memo:
+            memo[word] = twisted(H, left, right, NCPoly(A, {word: rf(1)}), N)
+        return memo[word]
+
+    return of_word
 
 
-def _twisted_delta_in_slot(p, H, F, Fi, series, slot, N, memo):
-    """Apply the twisted coproduct inside one slot of a graded two-slot list,
-    producing a graded three-slot list."""
+def _twisted_delta_in_slot(p, delta_of, series, slot, N):
+    """Apply the twisted coproduct (delta_of, on single words) inside one
+    slot of a graded two-slot list, producing a graded three-slot list."""
     acc = [dict() for _ in range(N + 1)]
     for j, t in enumerate(series):
         if j > N or t.is_zero():
             continue
         for words, c in t.terms.items():
-            sub = _conj_delta_word(p, H, F, Fi, words[slot], N, memo)
+            sub = delta_of(words[slot])
             for i in range(N + 1 - j):
                 for pair, c2 in sub[i].terms.items():
-                    key = words[:slot] + pair + words[slot + 1:]
-                    val = acc[i + j].get(key, rf(0)) + c * c2
-                    if val.is_zero():
-                        acc[i + j].pop(key, None)
-                    else:
-                        acc[i + j][key] = val
+                    add_term(acc[i + j], words[:slot] + pair + words[slot + 1:],
+                             c * c2)
     return [p.normal_form_tensor(TensorPoly(p.alphabet, 3, d)) for d in acc]
 
 
-def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER, gens=None):
+def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
     """Coassociativity of the twisted coproduct modulo zeta^{N+1}.
 
     For each generator x the two iterated expansions of the twisted
@@ -386,13 +388,12 @@ def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER, gens=None):
     p = H.presentation
     F = twist_F(N, p)
     Fi = series_inverse(F)
-    memo = {}
+    delta_of = _per_word(_twisted_delta, H, F, Fi, N)
     rows = []
     for name in H.delta:
-        d = _conjugate(p, F, Fi,
-                       _order_zero_list(H.coproduct(p.gen(name)), N), N)
-        left = _twisted_delta_in_slot(p, H, F, Fi, d, 0, N, memo)
-        right = _twisted_delta_in_slot(p, H, F, Fi, d, 1, N, memo)
+        d = _twisted_delta(H, F, Fi, p.gen(name), N)
+        left = _twisted_delta_in_slot(p, delta_of, d, 0, N)
+        right = _twisted_delta_in_slot(p, delta_of, d, 1, N)
         bad = []
         for k in range(N + 1):
             r = p.normal_form_tensor(left[k] - right[k])
@@ -414,21 +415,11 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     Fi = series_inverse(F)
     rows = []
     for rel in p.relations:
-        z = rel.zero_form(p.alphabet)
-        out = _conjugate(p, F, Fi, _order_zero_list(H.coproduct(z), N), N)
+        out = _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N)
         bad = [(k, str(t)) for k, t in enumerate(out) if not t.is_zero()]
         rows.append((rel.label, "zero" if not bad else "nonzero",
                      None if not bad else bad))
     return rows
-
-
-def _twisted_antipode_word(p, H, u, ui, word, N, memo):
-    """Graded coefficients of the twisted antipode of a single word, memoized."""
-    if word not in memo:
-        x = NCPoly(p.alphabet, {word: rf(1)})
-        mid = _order_zero_list(H.antipode_of(x).tensor(), N)
-        memo[word] = [_as_ncpoly(t) for t in _conjugate(p, u, ui, mid, N)]
-    return memo[word]
 
 
 def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
@@ -443,12 +434,11 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
     F = twist_F(N, p)
     Fi = series_inverse(F)
     u = twist_u(N, p)
-    ui = series_inverse(u)
-    memo = {}
+    antipode_of = _per_word(_twisted_S, H, u, series_inverse(u), N)
     rows = []
     for name in H.delta:
         x = p.gen(name)
-        d = _conjugate(p, F, Fi, _order_zero_list(H.coproduct(x), N), N)
+        d = _twisted_delta(H, F, Fi, x, N)
         for side, label in ((0, "antipode-left"), (1, "antipode-right")):
             acc = [NCPoly.zero(A) for _ in range(N + 1)]
             for j, t in enumerate(d):
@@ -457,7 +447,7 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
                 for (w0, w1), c in t.terms.items():
                     tw = w0 if side == 0 else w1
                     other = NCPoly(A, {(w1 if side == 0 else w0): rf(1)})
-                    sx = _twisted_antipode_word(p, H, u, ui, tw, N, memo)
+                    sx = antipode_of(tw)
                     for i in range(N + 1 - j):
                         if sx[i].is_zero():
                             continue

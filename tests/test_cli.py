@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from loopdeform import cli
 from loopdeform.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     UsageError,
@@ -20,6 +22,7 @@ from loopdeform.cli import (
     load_config_file,
     main,
 )
+from loopdeform.presentations import Relation
 
 ALL_ALGEBRAS = ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
                 "yangian-sl2", "twisted-yangian-sl2")
@@ -99,6 +102,53 @@ def test_verify_rep_selector():
         cmd_verify("yangian-sl2", "relations", reps=["spin:w"])
 
 
+class _Separating:
+    """A stand-in witness that sees every element as nonzero."""
+
+    label = "separating"
+
+    def evaluate(self, x):
+        return self
+
+    def is_zero(self):
+        return False
+
+
+def _add_shadow_rule(p):
+    """Append a rule that shadows p's first one: same lead, replacement
+    shifted by the unit, so its zero form reduces to the nonzero scalar -1
+    through the rule listed before it."""
+    first = p.relations[0]
+    p.relations.append(Relation("shadow", first.lead, first.repl + p.unit(),
+                                "test"))
+    p._rules_version += 1
+    return p
+
+
+def _with_shadow_rule(monkeypatch, witnesses):
+    """Make cmd_verify see its algebra plus a shadow rule, with the given
+    witnesses in place of the shipped ones."""
+    real = cli.get_presentation
+    monkeypatch.setattr(cli, "get_presentation",
+                        lambda name: _add_shadow_rule(real(name)))
+    monkeypatch.setattr(cli, "default_reps", lambda p: witnesses)
+
+
+def test_verify_relation_witness_payload(monkeypatch):
+    _with_shadow_rule(monkeypatch, [_Separating()])
+    rep = cmd_verify("yangian-sl2", "relations")
+    assert rep.items[-1] == ("relation:shadow", "fail",
+                             "nonzero in separating")
+    assert rep.exit_code == EXIT_FAIL
+
+
+def test_verify_relation_unknown_payload_is_normal_form(monkeypatch):
+    _with_shadow_rule(monkeypatch, [])
+    rep = cmd_verify("yangian-sl2", "relations")
+    assert rep.items[-1] == ("relation:shadow", "unknown", "-1*1")
+    assert rep.exit_code == EXIT_INCONCLUSIVE
+
+
 def test_verify_bad_suite_is_usage_error():
     with pytest.raises(UsageError):
         cmd_verify("yangian-sl2", "nosuch")
@@ -142,6 +192,15 @@ def test_limit_pole_is_reported_not_crashed():
     assert "PoleError" in payload
     # the offending relation is named in the diagnostic
     assert "cross:e+a1,e-a1" in payload
+
+
+def test_limit_self_check_unknown_payload_is_normal_form(monkeypatch):
+    real = cli.specialize
+    monkeypatch.setattr(cli, "specialize",
+                        lambda p, a: _add_shadow_rule(real(p, a)))
+    rep = cmd_limit("drinfeldian-sl2", ["eta=0"])
+    assert ("self-check:shadow", "unknown", "-1*1") in rep.items
+    assert rep.exit_code == EXIT_INCONCLUSIVE
 
 
 def test_limit_rejects_bad_assignments():
@@ -307,6 +366,85 @@ def test_degree_bound_flag_lands_in_config(tmp_path, capsys):
           "--json", str(out)])
     capsys.readouterr()
     assert json.loads(out.read_text())["config"]["degree_bound"] == 10
+
+
+# ---------------------------------------------------------------------------
+# degree bounds and internal errors
+# ---------------------------------------------------------------------------
+
+
+def test_twist_order_four_passes(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["twist", "--order", "4", "--json", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert len(doc["items"]) == 27
+    assert all(i["verdict"] == "pass" for i in doc["items"])
+    # the bound is derived from the order, not recorded in the config
+    assert doc["config"] == {"order": 4, "check": "all", "max_order": 4}
+
+
+def test_twist_honours_degree_bound(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["twist", "--order", "3", "--degree-bound", "8",
+                 "--json", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_INCONCLUSIVE
+    unknown = [i for i in json.loads(out.read_text())["items"]
+               if i["verdict"] == "unknown"]
+    # one item for the whole check, naming the check and the bound
+    assert [i["label"] for i in unknown] == ["antipode"]
+    assert unknown[0]["residual"].startswith("DegreeBoundExceeded: ")
+    assert "bound 8" in unknown[0]["residual"]
+    # the config key reaches twist too
+    cfg = tmp_path / "twist.cfg"
+    cfg.write_text("order=3\ndegree-bound=8\n")
+    assert main(["twist", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+
+
+def test_verify_degree_bound_hit_is_inconclusive(capsys):
+    code = main(["verify", "drinfeldian-sl2", "relations",
+                 "--degree-bound", "3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_INCONCLUSIVE
+    assert "Traceback" not in out + err
+    assert "DegreeBoundExceeded: " in out and "bound 3" in out
+
+
+def test_verify_hopf_degree_bound_hit_is_one_item():
+    rep = cmd_verify("drinfeldian-sl2", "hopf", degree_bound=3)
+    assert rep.items == [("hopf", "unknown", "DegreeBoundExceeded: word of "
+                          "length 4 exceeds bound 3 during rewriting")]
+
+
+def test_limit_degree_bound_hit_is_inconclusive():
+    rep = cmd_limit("drinfeldian-sl2", ["q->1", "kdelta=1"], degree_bound=3)
+    assert rep.exit_code == EXIT_INCONCLUSIVE
+    label, verdict, payload = rep.items[0]
+    assert (label, verdict) == ("specialize", "unknown")
+    assert payload.startswith("DegreeBoundExceeded: ")
+
+
+def test_cybe_rejects_degree_bound(tmp_path, capsys):
+    assert main(["cybe", "--r", "rational", "--degree-bound", "3"]) \
+        == EXIT_USAGE
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("degree-bound=3\n")
+    assert main(["cybe", "--r", "rational", "--config", str(cfg)]) \
+        == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(kind):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_cybe", broken)
+    assert main(["cybe", "--r", "rational"]) == EXIT_INTERNAL == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "loopdeform: internal error: RuntimeError: boom\n"
 
 
 def test_console_entry_point_runs():

@@ -131,3 +131,31 @@ def test_comments_and_blank_lines_are_skipped():
     noisy = "# header comment\n\n" + text.replace(
         "degree-bound", "# inline note\ndegree-bound")
     assert dump_presentation(load_presentation(noisy)) == text
+
+
+# ---------------------------------------------------------------------------
+# the parity attribute: written as 0, only 0 accepted
+# ---------------------------------------------------------------------------
+
+
+def test_dumps_write_parity_zero_on_every_gen_line():
+    text = dump_presentation(build_drinfeldian("sl2"))
+    gens = [l for l in text.splitlines() if l.startswith("gen ")]
+    assert gens and all(" parity=0" in l for l in gens)
+
+
+def test_gen_line_with_odd_parity_is_rejected():
+    text = dump_presentation(build_yangian_sl2())
+    bad = text.replace("gen xi weight=-1 degree=1 parity=0",
+                       "gen xi weight=-1 degree=1 parity=1")
+    assert bad != text
+    with pytest.raises(FormatError):
+        load_presentation(bad)
+
+
+def test_gen_line_without_parity_loads():
+    text = dump_presentation(build_yangian_sl2())
+    bare = text.replace(" parity=0", "")
+    assert "parity" not in bare
+    q = load_presentation(bare)
+    assert dump_presentation(q) == text
