@@ -33,7 +33,7 @@ from .hopf import (
 from .presentations import (
     DEFAULT_DEGREE_BOUND,
     build_yangian_sl2,
-    compare_presentations,
+    comparison_cases,
     get_presentation,
     specialize,
 )
@@ -169,6 +169,22 @@ def _zero_item(label, p, z, witnesses=()):
     return (label, "unknown", str(evidence))
 
 
+def _compare_items(p, target):
+    """Items for the relations of p decided in target and back, with the
+    target's shipped witnesses; a relation using a letter the other side
+    lacks is unknown and names it."""
+    items = []
+    for direction, label, other, z, reps in comparison_cases(
+            p, target, reps2=default_reps(target)):
+        label = "compare-%s:%s" % (direction, label)
+        if isinstance(z, str):
+            items.append((label, "unknown", "missing generator %s in %s"
+                          % (z, other.name)))
+        else:
+            items.append(_zero_item(label, other, z, reps))
+    return items
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -248,11 +264,7 @@ def cmd_limit(algebra, assignments, degree_bound=None):
             and parsed.get("kdelta") == 1):
         target = build_yangian_sl2()
         target.degree_bound = p.degree_bound
-        rows = compare_presentations(sp, target,
-                                     reps2=default_reps(target))
-        for direction, label, verdict in rows:
-            items.append(("compare-%s:%s" % (direction, label),
-                          _verdict(verdict), None))
+        items.extend(_compare_items(sp, target))
     else:
         items.extend(_zero_item("self-check:%s" % rel.label, sp,
                                 rel.zero_form(sp.alphabet))

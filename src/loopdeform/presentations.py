@@ -1012,23 +1012,41 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
 # ---------------------------------------------------------------------------
 
 
+def translate(z: NCPoly, alphabet):
+    """z with each letter replaced by the letter of the same name in
+    alphabet, or the name of the first letter alphabet lacks."""
+    src = z.alphabet
+    terms = {}
+    for w, c in z.terms.items():
+        word = []
+        for i in w:
+            name = src.name_of(i)
+            j = alphabet.index.get(name)
+            if j is None:
+                return name
+            word.append(j)
+        terms[tuple(word)] = c
+    return NCPoly(alphabet, terms)
+
+
+def comparison_cases(p1: Presentation, p2: Presentation, reps1=(), reps2=()):
+    """The relations of each presentation, to be decided in the other:
+    (direction, label, other presentation, translated zero form or missing
+    letter name, witnesses for the other) per relation."""
+    for a, b, tag, reps in ((p1, p2, "forward", reps2),
+                            (p2, p1, "backward", reps1)):
+        for rel in a.relations:
+            yield (tag, rel.label, b,
+                   translate(rel.zero_form(a.alphabet), b.alphabet), reps)
+
+
 def compare_presentations(p1: Presentation, p2: Presentation,
                           reps1=(), reps2=()):
     """Mutual reduction check: every relation of each presentation must be
     zero in the other.  Generators are matched by name.  Returns a list of
     (direction, label, verdict) triples; reps1/reps2 are nonzero witnesses
     for p1/p2 respectively (see is_zero_mod)."""
-    out = []
-    for a, b, tag, reps in ((p1, p2, "forward", reps2),
-                            (p2, p1, "backward", reps1)):
-        for rel in a.relations:
-            z = rel.zero_form(a.alphabet)
-            try:
-                zb = NCPoly(b.alphabet, {
-                    tuple(b.alphabet.id_of(a.alphabet.name_of(i)) for i in w): c
-                    for w, c in z.terms.items()})
-            except KeyError:
-                out.append((tag, rel.label, "unknown"))
-                continue
-            out.append((tag, rel.label, b.is_zero_mod(zb, reps=reps)))
-    return out
+    return [(tag, label,
+             "unknown" if isinstance(z, str) else b.is_zero_mod(z, reps=reps))
+            for tag, label, b, z, reps
+            in comparison_cases(p1, p2, reps1, reps2)]

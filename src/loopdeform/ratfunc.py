@@ -5,11 +5,25 @@ in graded-lexicographic order, so equal polynomials have identical storage.
 Rational functions are kept fully reduced (gcd cancelled) with the
 denominator's leading coefficient normalized to 1, which makes equality
 structural.
+
+Every denominator the shipped presentations, Hopf maps and representations
+produce is c*q^a*(q-1)^b*(q+1)^d.  So mp_gcd first tries to split one
+argument completely over the known factors q, q-1, q+1; when that works, the
+gcd is read off the other argument: q divides it when every term carries q,
+and q-r divides it when substituting q=r gives 0, each factor taken up to its
+multiplicity.  Only the splittings that succeed are memoized (keyed by the
+monic polynomial, O(deg^3) of them).  Any other pair goes through the
+primitive-PRS Euclid algorithm, which gives the same monic gcd.
+
+Nothing mutates a MultiPoly or a RatFunc after construction, so the
+constants zero and one are shared instances (MultiPoly.zero/one,
+RatFunc.zero/one, and rf(0), rf(1)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import PoleError
 
@@ -49,16 +63,16 @@ class MultiPoly:
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _ZERO_POLY
 
     @classmethod
     def const(cls, c):
         c = _as_fraction(c)
-        return cls({_ZEXP: c}) if c else cls()
+        return cls({_ZEXP: c}) if c else _ZERO_POLY
 
     @classmethod
     def one(cls):
-        return cls.const(1)
+        return _ONE_POLY
 
     @classmethod
     def var(cls, name, power=1):
@@ -143,12 +157,10 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                # the constructor drops the sums that cancel
+                out[e] = c1 * c2 if s is None else s + c1 * c2
         return MultiPoly(out)
 
     __rmul__ = __mul__
@@ -249,6 +261,11 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
+# nothing mutates a MultiPoly after construction, so the constants are shared
+_ZERO_POLY = MultiPoly()
+_ONE_POLY = MultiPoly({_ZEXP: Fraction(1)})
+
+
 def _coeff_str(c: Fraction):
     return str(c.numerator) if c.denominator == 1 else "(%d/%d)" % (c.numerator, c.denominator)
 
@@ -268,16 +285,23 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     q = {}
-    r = f
+    r = dict(f.terms)
     gexp, gc = g.leading()
-    while not r.is_zero():
-        rexp, rc = r.leading()
-        diff = tuple(a - b for a, b in zip(rexp, gexp))
+    while r:
+        rexp = max(r, key=_grlex_key)
+        diff = tuple(map(sub, rexp, gexp))
         if any(d < 0 for d in diff):
             raise ValueError("non-exact polynomial division")
-        c = rc / gc
+        c = r[rexp] / gc
         q[diff] = c
-        r = r - MultiPoly.monomial(diff, c) * g
+        # r -= c * x^diff * g, which cancels the leading term of r
+        for e, k in g.terms.items():
+            e = tuple(map(add, diff, e))
+            s = r.get(e, 0) - c * k
+            if s:
+                r[e] = s
+            else:
+                del r[e]
     return MultiPoly(q)
 
 
@@ -312,6 +336,89 @@ def _content_in(f: MultiPoly, i) -> MultiPoly:
     return _monic(g)
 
 
+# -- gcd through the known factors q, q-1, q+1 --------------------------------
+
+# the roots of the known factors q - r, in the order their multiplicities
+# are listed
+_ROOTS = (0, 1, -1)
+
+# monic q-only polynomial (as its terms) -> multiplicities over _ROOTS, and
+# back; only polynomials that split completely are stored, so both memos
+# have O(deg^3) keys
+_Q_SPLIT = {}
+_Q_PRODUCT = {}
+
+
+def _q_split(p: MultiPoly):
+    """Multiplicities (a, b, d) with p = c*q^a*(q-1)^b*(q+1)^d, or None when
+    p involves another variable or another factor."""
+    terms = p.terms
+    for e in terms:
+        if any(e[1:]):
+            return None
+    lc = next(iter(terms.values()))
+    key = tuple(terms.items()) if lc == 1 else tuple(
+        (e, c / lc) for e, c in terms.items())
+    hit = _Q_SPLIT.get(key)
+    if hit is None:
+        hit = _root_multiplicities({e[0]: c for e, c in terms.items()})
+        if hit is None:
+            return None
+        _Q_SPLIT[key] = hit
+    return hit
+
+
+def _root_multiplicities(coeffs, caps=None):
+    """Multiplicities of the roots _ROOTS in the univariate polynomial
+    {degree: coefficient}, each capped at caps; with caps None, None unless
+    the polynomial splits completely over them."""
+    a = min(coeffs)
+    if caps is not None:
+        a = min(a, caps[0])
+    top = max(coeffs)
+    # descending coefficients of p / q^a
+    desc = [coeffs.get(k, 0) for k in range(top, a - 1, -1)]
+    out = [a]
+    for k, r in enumerate(_ROOTS[1:], 1):
+        m = 0
+        while len(desc) > 1 and (caps is None or m < caps[k]):
+            # synthetic division by q - r; its last value is the remainder
+            quo = [desc[0]]
+            for c in desc[1:]:
+                quo.append(c + quo[-1] if r == 1 else c - quo[-1])
+            if quo.pop():
+                break
+            desc = quo
+            m += 1
+        out.append(m)
+    if caps is None and len(desc) > 1:
+        return None
+    return tuple(out)
+
+
+def _known_factor_gcd(mult, g: MultiPoly) -> MultiPoly:
+    """Monic gcd of q^a*(q-1)^b*(q+1)^d, (a, b, d) = mult, with g.
+
+    q - r divides g exactly when it divides the q-polynomial beside each
+    monomial in the other variables, so the multiplicity of each factor in
+    g is the least over those polynomials."""
+    rows = {}
+    for e, c in g.terms.items():
+        rows.setdefault(e[1:], {})[e[0]] = c
+    caps = mult
+    for row in rows.values():
+        caps = _root_multiplicities(row, caps)
+        if not any(caps):
+            return _ONE_POLY
+    out = _Q_PRODUCT.get(caps)
+    if out is None:
+        out = _ONE_POLY
+        for r, m in zip(_ROOTS, caps):
+            out = out * (MultiPoly.var("q") + MultiPoly.const(-r)) ** m
+        _Q_PRODUCT[caps] = out
+    return out
+
+
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Gcd over Q[VARIABLES], normalized to leading coefficient 1."""
     if f.is_zero():
@@ -330,10 +437,17 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             for e in p.terms:
                 exps = e if exps is None else tuple(map(min, exps, e))
         return MultiPoly({exps: Fraction(1)})
-    used = f.vars_used() | g.vars_used()
-    i = min(used)
+    mult = _q_split(f)
+    if mult is not None:
+        return _known_factor_gcd(mult, g)
+    mult = _q_split(g)
+    if mult is not None:
+        return _known_factor_gcd(mult, f)
+    fv, gv = f.vars_used(), g.vars_used()
+    # prefer a variable that only one of them uses: the gcd then lives in
+    # that one's coefficients, and no pseudo-remainder sequence is needed
+    i = min(fv ^ gv) if fv != gv else min(fv)
     if f.degree(i) == 0 or g.degree(i) == 0:
-        # variable i occurs in only one of them: gcd lives in the coefficients
         fc = _content_in(f, i) if f.degree(i) else f
         gc = _content_in(g, i) if g.degree(i) else g
         return mp_gcd(fc, gc)
@@ -367,16 +481,17 @@ class RatFunc:
 
     def __init__(self, num: MultiPoly, den: MultiPoly = None):
         if den is None:
-            den = MultiPoly.one()
+            den = _ONE_POLY
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num = MultiPoly()
-            self.den = MultiPoly.one()
+            self.num = _ZERO_POLY
+            self.den = _ONE_POLY
             return
         if den.is_const():
-            self.num = num.scale(Fraction(1) / den.const_value())
-            self.den = MultiPoly.one()
+            c = den.const_value()
+            self.num = num if c == 1 else num.scale(Fraction(1) / c)
+            self.den = _ONE_POLY
             return
         g = mp_gcd(num, den)
         if not (g.is_const() and g.const_value() == 1):
@@ -398,11 +513,11 @@ class RatFunc:
 
     @classmethod
     def zero(cls):
-        return cls(MultiPoly())
+        return _ZERO
 
     @classmethod
     def one(cls):
-        return cls(MultiPoly.one())
+        return _ONE
 
     @classmethod
     def var(cls, name, power=1):
@@ -462,7 +577,7 @@ class RatFunc:
             out.num = self.num * d2 + other.num * d1
             out.den = d1 * d2
             if out.num.is_zero():
-                out.den = MultiPoly.one()
+                out.den = _ONE_POLY
             return out
         d2g = divexact(d2, g)
         t = self.num * d2g + other.num * divexact(d1, g)
@@ -474,7 +589,7 @@ class RatFunc:
         out.num = t
         out.den = d1 * d2g
         if out.num.is_zero():
-            out.den = MultiPoly.one()
+            out.den = _ONE_POLY
         return out
 
     __radd__ = __add__
@@ -498,7 +613,7 @@ class RatFunc:
         if d1.is_const() and d2.is_const():
             out = RatFunc.__new__(RatFunc)
             out.num = n1 * n2
-            out.den = MultiPoly.one()
+            out.den = _ONE_POLY
             return out
         # cross-cancel: with both inputs reduced, the product of the
         # cross-reduced pieces is reduced
@@ -587,6 +702,11 @@ class RatFunc:
         return "RatFunc(%s)" % self
 
 
+# nothing mutates a RatFunc after construction, so the constants are shared
+_ZERO = RatFunc(_ZERO_POLY)
+_ONE = RatFunc(_ONE_POLY)
+
+
 def _paren_poly(p: MultiPoly):
     s = str(p)
     return "(%s)" % s if (" " in s) else s
@@ -596,6 +716,10 @@ def _coerce(x):
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, (int, Fraction)):
+        if x == 0:
+            return _ZERO
+        if x == 1:
+            return _ONE
         return RatFunc.const(x)
     if isinstance(x, MultiPoly):
         return RatFunc(x)

@@ -9,6 +9,13 @@ The rank-1 loop algebras act on the usual (2j+1)-dimensional weight ladders
 extended by an evaluation image of the loop generator; the correction term of
 that image is *solved for*, not assumed, so representation existence is a
 computed fact.
+
+Evaluation stays exact and symbolic, but sparse: Rep.evaluate and
+evaluate_tensor add into a dict keyed by (i, j), using only the nonzero
+entries of each word's matrix (memoized per word, next to the word-matrix
+cache), and form Kronecker products of several slots from those entries.
+The dense MatrixRF is built once, at the end.  Field sums are canonical, so
+the entries equal those of the dense kron / scale / + evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .errors import (
     UnknownGeneratorError,
     UnsupportedAlgebraError,
 )
-from .freealg import NCPoly, TensorPoly
+from .freealg import NCPoly, TensorPoly, add_term
 from .presentations import (
     Presentation,
     build_classical_sl2,
@@ -216,10 +223,16 @@ class Rep:
                         % (label, rel.label, res))
 
     def evaluate(self, x: NCPoly) -> MatrixRF:
-        acc = MatrixRF.zeros(self.dimension)
-        for word, c in x.terms.items():
-            acc = acc + self._word_matrix(word).scale(c)
-        return acc
+        return _evaluate_sparse(
+            (((word,), c) for word, c in x.terms.items()), (self,))
+
+    def _word_entries(self, word):
+        """The nonzero (i, j, entry) of the word's matrix, memoized."""
+        cache = self.__dict__.setdefault("_entry_cache", {})
+        hit = cache.get(word)
+        if hit is None:
+            hit = cache[word] = tuple(self._word_matrix(word).nonzero_entries())
+        return hit
 
     def _word_matrix(self, word) -> MatrixRF:
         # images never change after construction, so word products memoize
@@ -249,18 +262,29 @@ def evaluate_tensor(x: TensorPoly, reps) -> MatrixRF:
     if x.arity != len(reps):
         raise ArityMismatchError(
             "tensor arity %d vs %d representations" % (x.arity, len(reps)))
+    return _evaluate_sparse(x.terms.items(), reps)
+
+
+def _evaluate_sparse(terms, reps) -> MatrixRF:
+    """Sum of c * (Kronecker product over slots k of reps[k] on words[k])
+    over (words, c) in terms, accumulated in a dict keyed by (i, j)."""
     dim = 1
     for r in reps:
         dim *= r.dimension
-    acc = MatrixRF.zeros(dim)
-    A = x.alphabet
-    for words, c in x.terms.items():
-        m = None
+    acc = {}
+    for words, c in terms:
+        prod = [(0, 0, c)]
         for word, r in zip(words, reps):
-            piece = r.evaluate(NCPoly(A, {word: rf(1)}))
-            m = piece if m is None else m.kron(piece)
-        acc = acc + m.scale(c)
-    return acc
+            d = r.dimension
+            prod = [(i * d + k, j * d + l, a * b) for i, j, a in prod
+                    for k, l, b in r._word_entries(word)]
+        for i, j, a in prod:
+            add_term(acc, (i, j), a)
+    zero = rf(0)
+    rows = [[zero] * dim for _ in range(dim)]
+    for (i, j), a in acc.items():
+        rows[i][j] = a
+    return MatrixRF(rows)
 
 
 def check_relations_in_rep(p: Presentation, r: Rep):

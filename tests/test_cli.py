@@ -22,7 +22,11 @@ from loopdeform.cli import (
     load_config_file,
     main,
 )
-from loopdeform.presentations import Relation
+from loopdeform.presentations import (
+    Relation,
+    build_yangian_sl2,
+    get_presentation,
+)
 
 ALL_ALGEBRAS = ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
                 "yangian-sl2", "twisted-yangian-sl2")
@@ -201,6 +205,35 @@ def test_limit_self_check_unknown_payload_is_normal_form(monkeypatch):
     rep = cmd_limit("drinfeldian-sl2", ["eta=0"])
     assert ("self-check:shadow", "unknown", "-1*1") in rep.items
     assert rep.exit_code == EXIT_INCONCLUSIVE
+
+
+def test_limit_compare_unknown_names_the_bound(monkeypatch):
+    real = cli._compare_items
+
+    def bounded(p, target):
+        target.degree_bound = 3
+        return real(p, target)
+
+    monkeypatch.setattr(cli, "_compare_items", bounded)
+    rep = cmd_limit("drinfeldian-sl2", ["q->1", "kdelta=1"])
+    bound_hit = ("DegreeBoundExceeded: word of length 4 exceeds bound 3 "
+                 "during rewriting")
+    serre = [i for i in rep.items
+             if i[0].startswith("compare-forward:loop-serre-")]
+    assert [i[0] for i in serre] == ["compare-forward:loop-serre-e:e+a1",
+                                     "compare-forward:loop-serre-xi:e+a1"]
+    assert all(i[1:] == ("unknown", bound_hit) for i in serre)
+    assert all(i[2] is None for i in rep.items if i[1] == "pass")
+    assert rep.exit_code == EXIT_INCONCLUSIVE
+
+
+def test_compare_item_names_the_missing_generator():
+    items = cli._compare_items(get_presentation("uq-sl2"),
+                               build_yangian_sl2())
+    assert ("compare-forward:conj:k+a1,e-a1", "unknown",
+            "missing generator k+a1 in yangian-sl2") in items
+    assert ("compare-backward:loop-comm:e-a1", "unknown",
+            "missing generator xi in uq-sl2") in items
 
 
 def test_limit_rejects_bad_assignments():

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopdeform import ratfunc
 from loopdeform.errors import PoleError
 from loopdeform.ratfunc import (
     MultiPoly,
@@ -272,3 +273,74 @@ def test_series_of_polynomial_is_its_coefficient(p, k):
         p.den,
     )
     assert rf_series_coeff(p, "q", k) == expect
+
+
+# ---------------------------------------------------------------------------
+# gcd through the known factors q, q-1, q+1 against the generic path
+# ---------------------------------------------------------------------------
+
+# cofactors h of f = c*q^a*(q-1)^b*(q+1)^d*h; all but 1 must fall back
+_COFACTORS = ["1", "q - 2", "q^2 + 1", "u + v"]
+
+
+def _generic_gcd(f, g):
+    """mp_gcd with the known-factor path switched off: Euclid throughout."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratfunc, "_q_split", lambda p: None)
+        return mp_gcd(f, g)
+
+
+_g_term = st.tuples(
+    st.integers(min_value=-3, max_value=3),
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.sampled_from([Fraction(n), Fraction(-1, n)])),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.sampled_from(_COFACTORS),
+    st.lists(_g_term, min_size=1, max_size=4),
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+)
+def test_known_factor_gcd_matches_generic_path(c, mult, cofactor, g_terms,
+                                               g_mult):
+    a, b, d = mult
+    known = Q**a * (Q - 1)**b * (Q + 1)**d
+    f = (rf(c) * known * rf(cofactor)).num
+    # g: a random polynomial in q, eta, u, v times some of the same factors
+    g0 = MultiPoly({(e[0], e[1], 0, e[2], e[3], 0): k for k, e in g_terms})
+    if g0.is_zero():
+        g0 = MultiPoly.one()
+    ga, gb, gd = g_mult
+    g = g0 * (Q**ga * (Q - 1)**gb * (Q + 1)**gd).num
+    if cofactor == "1" and not f.is_const() and len(f.terms) > 1:
+        assert ratfunc._q_split(f) == mult
+    elif cofactor != "1":
+        assert ratfunc._q_split(f) is None
+    ours = mp_gcd(f, g)
+    assert ours == _generic_gcd(f, g)
+    assert mp_gcd(g, f) == ours
+    theirs = sympy.gcd(_to_sympy(f), _to_sympy(g))
+    ratio = sympy.cancel(_to_sympy(ours) / theirs)
+    assert ratio.is_Rational, (ours, theirs)
+
+
+@pytest.mark.parametrize("text", ["q - 2", "q^2 + 1", "u + v", "q*(u + v)",
+                                  "(q - 1)*(q - 2)"])
+def test_unknown_factors_fall_back_to_euclid(text):
+    f = rf(text).num
+    g = rf("(%s)*(q + 1)*(eta - q)" % text).num
+    assert ratfunc._q_split(f) is None
+    ours = mp_gcd(f, g)
+    assert ours == _generic_gcd(f, g) == ratfunc._monic(f)
+
+
+def test_euclid_takes_a_one_sided_variable_first():
+    # f is univariate in q, g also involves eta, u, v: the gcd is found among
+    # g's coefficients (a pseudo-remainder sequence in q ran for minutes)
+    f = (3 * Q * (Q - 1)**2 * (Q + 1)**3 * rf("q^2 + 1")).num
+    g = rf("(q^2*eta^2*u*v + q*u*v^2 - 2*eta*v + 3*q)*(q + 1)").num
+    assert _generic_gcd(f, g) == mp_gcd(f, g) == rf("q + 1").num

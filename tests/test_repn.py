@@ -5,6 +5,8 @@ f = unit lower shift, e_(i,i+1) = (i+1)(2j-i); every derived expectation
 below is computed by hand from those entries before being asserted.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -309,3 +311,105 @@ def test_is_zero_mod_nonzero_witness():
     e = p.gen("e+a1")
     assert p.is_zero_mod(commutator(e, p.gen("e-a1")), reps=reps) == "nonzero"
     assert p.is_zero_mod(e - e, reps=reps) == "zero"
+
+
+# ---------------------------------------------------------------------------
+# sparse evaluation against the dense kron / scale / + reference
+# ---------------------------------------------------------------------------
+
+_ALGEBRAS = ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
+             "yangian-sl2", "twisted-yangian-sl2", "classical-sl2")
+_COEFFS = ("1", "-2", "1/3", "q", "eta", "v", "(q-1)/(q+1)", "1/q^2",
+           "eta*q - u")
+
+
+def _dense_word(rep, word):
+    A = rep.presentation.alphabet
+    m = MatrixRF.identity(rep.dimension)
+    for i in word:
+        m = m * rep.images[A.name_of(i)]
+    return m
+
+
+def _dense_evaluate(rep, x):
+    acc = MatrixRF.zeros(rep.dimension)
+    for word, c in x.terms.items():
+        acc = acc + _dense_word(rep, word).scale(c)
+    return acc
+
+
+def _dense_evaluate_tensor(x, reps):
+    dim = 1
+    for r in reps:
+        dim *= r.dimension
+    acc = MatrixRF.zeros(dim)
+    for words, c in x.terms.items():
+        m = None
+        for word, r in zip(words, reps):
+            piece = _dense_word(r, word)
+            m = piece if m is None else m.kron(piece)
+        acc = acc + m.scale(c)
+    return acc
+
+
+def _random_word(rng, A):
+    return tuple(rng.randrange(len(A.symbols))
+                 for _ in range(rng.randint(0, 3)))
+
+
+def _random_element(rng, A, arity=None):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = (_random_word(rng, A) if arity is None
+               else tuple(_random_word(rng, A) for _ in range(arity)))
+        terms[key] = rf(rng.choice(_COEFFS))
+    if arity is None:
+        return NCPoly(A, terms)
+    return TensorPoly(A, arity, terms)
+
+
+@pytest.fixture(scope="module")
+def shipped_reps():
+    out = {}
+    for name in _ALGEBRAS:
+        p = (build_classical_sl2() if name == "classical-sl2"
+             else get_presentation(name))
+        out[name] = (p, default_reps(p))
+    return out
+
+
+@pytest.mark.parametrize("name", _ALGEBRAS)
+def test_sparse_evaluate_matches_dense(shipped_reps, name):
+    p, reps = shipped_reps[name]
+    rng = random.Random(name)
+    for r in reps:
+        for _ in range(4):
+            x = _random_element(rng, p.alphabet)
+            assert r.evaluate(x) == _dense_evaluate(r, x)
+        for rel in p.relations:
+            z = rel.zero_form(p.alphabet)
+            m = r.evaluate(z)
+            assert m == _dense_evaluate(r, z) and m.is_zero()
+
+
+@pytest.mark.parametrize("name", _ALGEBRAS)
+def test_sparse_evaluate_tensor_matches_dense(shipped_reps, name):
+    p, reps = shipped_reps[name]
+    A = p.alphabet
+    rng = random.Random(name)
+    zeros = [rel.zero_form(A) for rel in p.relations[:3]]
+    for arity in (2, 3):
+        for slots in itertools.product(reps, repeat=arity):
+            x = _random_element(rng, A, arity)
+            assert evaluate_tensor(x, slots) == _dense_evaluate_tensor(x, slots)
+            # a relation in one slot: a nonzero element that evaluates to 0
+            others = [NCPoly(A, {_random_word(rng, A): rf("q")})
+                      for _ in range(arity - 1)]
+            for z in zeros:
+                if z.is_zero():
+                    continue
+                for k in range(arity):
+                    t = tensor(*(others[:k] + [z] + others[k:]))
+                    m = evaluate_tensor(t, slots)
+                    assert m == _dense_evaluate_tensor(t, slots)
+                    assert m.is_zero()
