@@ -55,6 +55,14 @@ SUITES = ("relations", "hopf", "all")
 TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "all")
 MAX_TWIST_ORDER = 4
 
+#: the config-file keys each subcommand reads; any other key is a usage error
+CONFIG_KEYS = {
+    "verify": ("degree-bound", "suite", "rep"),
+    "limit": ("degree-bound",),
+    "twist": ("degree-bound", "order", "check"),
+    "cybe": (),
+}
+
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE: a defect, not a verdict
 
@@ -346,6 +354,9 @@ def _named_rep(spec, p):
         j = Fraction(spec[len("spin:"):])
     except (ValueError, ZeroDivisionError):
         raise UsageError("bad spin value in %r" % spec) from None
+    if j < 0 or j.denominator > 2:
+        raise UsageError("spin in %r is not a non-negative half-integer"
+                         % spec)
     if p.family == "classical":
         return spin_rep(j, p)
     if p.family == "yangian":
@@ -356,7 +367,7 @@ def _named_rep(spec, p):
 
 def load_config_file(path):
     """key=value lines; '#' comments and blank lines ignored."""
-    known = {"degree-bound", "order", "check", "rep", "suite"}
+    known = {key for keys in CONFIG_KEYS.values() for key in keys}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -422,11 +433,23 @@ def build_parser():
 
 
 def _merged(args):
-    """File config with CLI overrides applied."""
+    """File config with CLI overrides applied; a key the subcommand does not
+    read, or a non-integer bound or order, is a usage error."""
     cfg = load_config_file(args.config) if args.config else {}
+    unread = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+    if unread:
+        raise UsageError("%s: %s does not read config key(s) %s"
+                         % (args.config, args.command, ", ".join(unread)))
+    for key in ("degree-bound", "order"):
+        if key in cfg:
+            try:
+                cfg[key] = int(cfg[key])
+            except ValueError:
+                raise UsageError("%s: config key %s=%r is not an integer"
+                                 % (args.config, key, cfg[key])) from None
     degree_bound = args.degree_bound
-    if degree_bound is None and "degree-bound" in cfg:
-        degree_bound = int(cfg["degree-bound"])
+    if degree_bound is None:
+        degree_bound = cfg.get("degree-bound")
     return cfg, degree_bound
 
 
@@ -443,13 +466,13 @@ def run(args):
     if args.command == "twist":
         order = args.order
         if order is None:
-            order = int(cfg.get("order", DEFAULT_ORDER))
+            order = cfg.get("order", DEFAULT_ORDER)
         check = args.check or cfg.get("check", "all")
         return cmd_twist(order, check, degree_bound=degree_bound)
     if args.command == "cybe":
         if degree_bound is not None:
-            raise UsageError("cybe does no rewriting; --degree-bound and the "
-                             "degree-bound config key do not apply")
+            raise UsageError("cybe does no rewriting; --degree-bound does "
+                             "not apply")
         return cmd_cybe(args.rkind)
     raise UsageError("unknown command %r" % args.command)
 

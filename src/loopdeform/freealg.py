@@ -6,8 +6,11 @@ of letter ids; adjacent inverse pairs contract automatically, so group-like
 generators and their inverses never pile up.
 
 NCPoly is a finite linear combination of words with RatFunc coefficients;
-TensorPoly is the same over n-fold tensor words.  Multiplication of tensor
-elements is slotwise; every letter is even, so no sign arises.
+TensorPoly is the same over n-fold tensor words.  Both keep a sparse dict of
+nonzero coefficients and share one private base for their linear arithmetic
+(sums, negation, scaling, coefficient maps); each adds its key normalisation
+and its product.  Multiplication of tensor elements is slotwise; every letter
+is even, so no sign arises.
 """
 
 from __future__ import annotations
@@ -140,14 +143,10 @@ def add_term(terms, key, c):
         terms[key] = s
 
 
-def _coerce_scalar(c):
-    if isinstance(c, RatFunc):
-        return c
-    return rf(c)
-
-
-class NCPoly:
-    """Linear combination of words with RatFunc coefficients."""
+class _Linear:
+    """The linear arithmetic NCPoly and TensorPoly share: a sparse dict of
+    nonzero RatFunc coefficients keyed by normalised keys (_key), over one
+    alphabet."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -155,10 +154,76 @@ class NCPoly:
         self.alphabet = alphabet
         clean = {}
         if terms:
-            for word, c in terms.items():
-                add_term(clean, alphabet.contract(tuple(word)),
-                         _coerce_scalar(c))
+            for key, c in terms.items():
+                add_term(clean, self._key(key), rf(c))
         self.terms = clean
+
+    def _new(self, terms):
+        """An element of the same kind and shape with already-clean terms."""
+        out = object.__new__(type(self))
+        out.alphabet = self.alphabet
+        out.terms = terms
+        return out
+
+    def _check_compat(self, other):
+        _check_same_alphabet(self.alphabet, other.alphabet)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def support(self):
+        return sorted(self.terms)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compat(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        try:
+            return self.scale(rf(other))
+        except TypeError:
+            return NotImplemented
+
+    def scale(self, c):
+        c = rf(c)
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def map_coeffs(self, fn):
+        """Apply fn to every coefficient (dropping zeros)."""
+        out = {}
+        for k, c in self.terms.items():
+            c2 = fn(c)
+            if not c2.is_zero():
+                out[k] = c2
+        return self._new(out)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, self)
+
+
+class NCPoly(_Linear):
+    """Linear combination of words with RatFunc coefficients."""
+
+    __slots__ = ()
+
+    def _key(self, word):
+        return self.alphabet.contract(tuple(word))
 
     # -- constructors --------------------------------------------------------
 
@@ -168,7 +233,7 @@ class NCPoly:
 
     @classmethod
     def unit(cls, alphabet, c=1):
-        return cls(alphabet, {(): _coerce_scalar(c)})
+        return cls(alphabet, {(): rf(c)})
 
     @classmethod
     def gen(cls, alphabet, name):
@@ -177,21 +242,12 @@ class NCPoly:
     @classmethod
     def word(cls, alphabet, names, c=1):
         ids = tuple(alphabet.id_of(n) for n in names)
-        return cls(alphabet, {ids: _coerce_scalar(c)})
+        return cls(alphabet, {ids: rf(c)})
 
     # -- predicates -----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def coeff(self, word):
         return self.terms.get(tuple(word), RatFunc.zero())
-
-    def support(self):
-        return sorted(self.terms)
 
     def weight(self):
         """Common weight of all words; MixedWeightError if inhomogeneous."""
@@ -214,58 +270,19 @@ class NCPoly:
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items(), key=lambda t: t[0])))
 
-    def __neg__(self):
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        _check_same_alphabet(self.alphabet, other.alphabet)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(out, w, c)
-        res = NCPoly.__new__(NCPoly)
-        res.alphabet = self.alphabet
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, RatFunc)) or not isinstance(other, NCPoly):
             try:
-                return self.scale(_coerce_scalar(other))
+                return self.scale(rf(other))
             except TypeError:
                 return NotImplemented
-        _check_same_alphabet(self.alphabet, other.alphabet)
+        self._check_compat(other)
         out = {}
         contract = self.alphabet.contract
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 add_term(out, contract(w1 + w2), c1 * c2)
-        res = NCPoly.__new__(NCPoly)
-        res.alphabet = self.alphabet
-        res.terms = out
-        return res
-
-    def __rmul__(self, other):
-        try:
-            return self.scale(_coerce_scalar(other))
-        except TypeError:
-            return NotImplemented
-
-    def scale(self, c):
-        c = _coerce_scalar(c)
-        if c.is_zero():
-            return NCPoly.zero(self.alphabet)
-        out = NCPoly.__new__(NCPoly)
-        out.alphabet = self.alphabet
-        out.terms = {w: k * c for w, k in self.terms.items()}
-        return out
+        return self._new(out)
 
     def __pow__(self, n):
         if n < 0:
@@ -274,18 +291,6 @@ class NCPoly:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def map_coeffs(self, fn):
-        """Apply fn to every coefficient (dropping zeros)."""
-        out = {}
-        for w, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                out[w] = c2
-        res = NCPoly.__new__(NCPoly)
-        res.alphabet = self.alphabet
-        res.terms = out
-        return res
 
     def tensor(self, *others):
         """Tensor product self (x) others -> TensorPoly."""
@@ -310,28 +315,34 @@ class NCPoly:
             parts.append("%s*%s" % (c, self.alphabet.word_str(w)))
         return " + ".join(parts)
 
-    def __repr__(self):
-        return "NCPoly(%s)" % self
 
-
-class TensorPoly:
+class TensorPoly(_Linear):
     """Linear combination of n-fold tensor words with RatFunc coefficients."""
 
-    __slots__ = ("alphabet", "arity", "terms")
+    __slots__ = ("arity",)
 
     def __init__(self, alphabet, arity, terms=None):
-        self.alphabet = alphabet
         self.arity = int(arity)
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if len(key) != self.arity:
-                    raise ArityMismatchError(
-                        "tensor word of arity %d in arity-%d element" % (len(key), self.arity)
-                    )
-                add_term(clean, tuple(alphabet.contract(tuple(w)) for w in key),
-                         _coerce_scalar(c))
-        self.terms = clean
+        super().__init__(alphabet, terms)
+
+    def _key(self, key):
+        if len(key) != self.arity:
+            raise ArityMismatchError(
+                "tensor word of arity %d in arity-%d element" % (len(key), self.arity)
+            )
+        return tuple(self.alphabet.contract(tuple(w)) for w in key)
+
+    def _new(self, terms):
+        out = object.__new__(TensorPoly)
+        out.alphabet, out.arity, out.terms = self.alphabet, self.arity, terms
+        return out
+
+    def _check_compat(self, other):
+        super()._check_compat(other)
+        if self.arity != other.arity:
+            raise ArityMismatchError(
+                "arity %d vs %d" % (self.arity, other.arity)
+            )
 
     @classmethod
     def zero(cls, alphabet, arity):
@@ -339,13 +350,7 @@ class TensorPoly:
 
     @classmethod
     def unit(cls, alphabet, arity, c=1):
-        return cls(alphabet, arity, {((),) * arity: _coerce_scalar(c)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        return cls(alphabet, arity, {((),) * arity: rf(c)})
 
     def coeff(self, key):
         return self.terms.get(tuple(tuple(w) for w in key), RatFunc.zero())
@@ -358,38 +363,10 @@ class TensorPoly:
             and self.terms == other.terms
         )
 
-    def __neg__(self):
-        out = TensorPoly.__new__(TensorPoly)
-        out.alphabet, out.arity = self.alphabet, self.arity
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def _check_compat(self, other):
-        _check_same_alphabet(self.alphabet, other.alphabet)
-        if self.arity != other.arity:
-            raise ArityMismatchError(
-                "arity %d vs %d" % (self.arity, other.arity)
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(out, k, c)
-        res = TensorPoly.__new__(TensorPoly)
-        res.alphabet, res.arity = self.alphabet, self.arity
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, RatFunc)) or not isinstance(other, TensorPoly):
             try:
-                return self.scale(_coerce_scalar(other))
+                return self.scale(rf(other))
             except TypeError:
                 return NotImplemented
         self._check_compat(other)
@@ -399,36 +376,7 @@ class TensorPoly:
             for k2, c2 in other.terms.items():
                 add_term(out, tuple(contract(a + b) for a, b in zip(k1, k2)),
                          c1 * c2)
-        res = TensorPoly.__new__(TensorPoly)
-        res.alphabet, res.arity = self.alphabet, self.arity
-        res.terms = out
-        return res
-
-    def __rmul__(self, other):
-        try:
-            return self.scale(_coerce_scalar(other))
-        except TypeError:
-            return NotImplemented
-
-    def scale(self, c):
-        c = _coerce_scalar(c)
-        if c.is_zero():
-            return TensorPoly.zero(self.alphabet, self.arity)
-        out = TensorPoly.__new__(TensorPoly)
-        out.alphabet, out.arity = self.alphabet, self.arity
-        out.terms = {k: v * c for k, v in self.terms.items()}
-        return out
-
-    def map_coeffs(self, fn):
-        out = {}
-        for k, c in self.terms.items():
-            c2 = fn(c)
-            if not c2.is_zero():
-                out[k] = c2
-        res = TensorPoly.__new__(TensorPoly)
-        res.alphabet, res.arity = self.alphabet, self.arity
-        res.terms = out
-        return res
+        return self._new(out)
 
     def map_slot(self, i, word_fn):
         """Replace slot i of every term by word_fn(word) (an NCPoly); linear."""
@@ -436,13 +384,7 @@ class TensorPoly:
         for k, c in self.terms.items():
             for w, c2 in word_fn(k[i]).terms.items():
                 add_term(out, k[:i] + (w,) + k[i + 1 :], c * c2)
-        res = TensorPoly.__new__(TensorPoly)
-        res.alphabet, res.arity = self.alphabet, self.arity
-        res.terms = out
-        return res
-
-    def support(self):
-        return sorted(self.terms)
+        return self._new(out)
 
     def __str__(self):
         if not self.terms:
@@ -453,9 +395,6 @@ class TensorPoly:
             slots = " @ ".join(self.alphabet.word_str(w) for w in k)
             parts.append("%s*(%s)" % (c, slots))
         return " + ".join(parts)
-
-    def __repr__(self):
-        return "TensorPoly(%s)" % self
 
 
 def tensor(*factors):

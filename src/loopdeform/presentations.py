@@ -724,7 +724,8 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
     Supported assignments (applied in this order):
 
     * ``{"kdelta": 1}``  -- send the central group-like pair to 1 (drops the
-      letters; only meaningful for the drinfeldian family).
+      letters; ValueError for a presentation without them, i.e. outside the
+      drinfeldian family).
     * ``{"eta": 0}``     -- kill the second deformation parameter in every
       coefficient.
     * ``{"q": 1}``       -- the degeneration limit.  For the drinfeldian
@@ -742,6 +743,9 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
     if "kdelta" in assignments:
         if assignments["kdelta"] != 1:
             raise ValueError("the central group-like letter can only be sent to 1")
+        if "kd+" not in out.alphabet.index:
+            raise ValueError("kdelta does not apply: %s has no central "
+                             "group-like letter" % out.name)
         out = _drop_central_letters(out)
     if "eta" in assignments:
         if assignments["eta"] != 0:

@@ -10,12 +10,13 @@ extended by an evaluation image of the loop generator; the correction term of
 that image is *solved for*, not assumed, so representation existence is a
 computed fact.
 
-Evaluation stays exact and symbolic, but sparse: Rep.evaluate and
-evaluate_tensor add into a dict keyed by (i, j), using only the nonzero
-entries of each word's matrix (memoized per word, next to the word-matrix
-cache), and form Kronecker products of several slots from those entries.
-The dense MatrixRF is built once, at the end.  Field sums are canonical, so
-the entries equal those of the dense kron / scale / + evaluation.
+A MatrixRF keeps only its nonzero entries, keyed by (i, j), and every
+operation works on that dict.  Evaluation stays exact and symbolic:
+Rep.evaluate and evaluate_tensor are one code path, which adds c times the
+Kronecker product over the slots of each word's matrix (memoized per word)
+into one such dict; the classical Yang-Baxter residual of rmatrix goes
+through it too.  Field sums are canonical, so the entries equal those of the
+dense kron / scale / + evaluation.
 """
 
 from __future__ import annotations
@@ -45,58 +46,64 @@ from .ratfunc import RatFunc, rf
 # ---------------------------------------------------------------------------
 
 
-def _coerce(c):
-    if isinstance(c, RatFunc):
-        return c
-    return rf(c)
-
-
 class MatrixRF:
-    """Dense matrix with RatFunc entries; equality is entrywise structural."""
+    """Matrix with RatFunc entries, stored sparsely: a dict
+    {(i, j): nonzero entry} plus its shape.  Equality is entrywise
+    structural."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("entries", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_coerce(c) for c in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+        rows = [[rf(c) for c in row] for row in rows]
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged matrix rows")
+        self.entries = {(i, j): c for i, r in enumerate(rows)
+                        for j, c in enumerate(r) if not c.is_zero()}
+
+    @classmethod
+    def _sparse(cls, entries, nrows, ncols):
+        """A matrix of the given shape from a dict of nonzero entries."""
+        out = cls.__new__(cls)
+        out.entries, out.nrows, out.ncols = entries, nrows, ncols
+        return out
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, n, m=None):
-        m = n if m is None else m
-        z = rf(0)
-        return cls([[z] * m for _ in range(n)])
+        return cls._sparse({}, n, n if m is None else m)
 
     @classmethod
     def identity(cls, n):
-        z, one = rf(0), rf(1)
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)])
+        one = rf(1)
+        return cls._sparse({(i, i): one for i in range(n)}, n, n)
 
     @classmethod
     def diagonal(cls, entries):
-        entries = [_coerce(c) for c in entries]
+        entries = [rf(c) for c in entries]
         n = len(entries)
-        z = rf(0)
-        return cls([[entries[i] if i == j else z for j in range(n)]
-                    for i in range(n)])
+        return cls._sparse({(i, i): c for i, c in enumerate(entries)
+                            if not c.is_zero()}, n, n)
 
     @classmethod
     def unit_entry(cls, n, i, j, value=1):
-        m = [[rf(0)] * n for _ in range(n)]
-        m[i][j] = _coerce(value)
-        return cls(m)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError("entry (%d, %d) outside a %dx%d matrix"
+                             % (i, j, n, n))
+        value = rf(value)
+        return cls._sparse({} if value.is_zero() else {(i, j): value}, n, n)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch in +")
-        return MatrixRF([[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.rows, other.rows)])
+        out = dict(self.entries)
+        for key, c in other.entries.items():
+            add_term(out, key, c)
+        return MatrixRF._sparse(out, self.nrows, self.ncols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -109,26 +116,24 @@ class MatrixRF:
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in *")
-        cols = list(zip(*other.rows))
-        z = rf(0)
-        out = []
-        for r in self.rows:
-            row = []
-            for c in cols:
-                acc = z
-                for a, b in zip(r, c):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixRF(out)
+        by_row = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                add_term(out, (i, j), a * b)
+        return MatrixRF._sparse(out, self.nrows, other.ncols)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        c = _coerce(c)
-        return MatrixRF([[a * c for a in r] for r in self.rows])
+        c = rf(c)
+        if c.is_zero():
+            return MatrixRF.zeros(self.nrows, self.ncols)
+        return MatrixRF._sparse({key: a * c for key, a in self.entries.items()},
+                                self.nrows, self.ncols)
 
     def __pow__(self, n):
         if n < 0 or self.nrows != self.ncols:
@@ -143,11 +148,12 @@ class MatrixRF:
         return acc
 
     def kron(self, other):
-        out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
-        return MatrixRF(out)
+        p, q = other.nrows, other.ncols
+        return MatrixRF._sparse(
+            {(i * p + k, j * q + l): a * b
+             for (i, j), a in self.entries.items()
+             for (k, l), b in other.entries.items()},
+            self.nrows * p, self.ncols * q)
 
     def commutator(self, other):
         return self * other - other * self
@@ -155,20 +161,33 @@ class MatrixRF:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return all(c.is_zero() for r in self.rows for c in r)
+        return not self.entries
 
     def __eq__(self, other):
-        return isinstance(other, MatrixRF) and self.rows == other.rows
+        return (isinstance(other, MatrixRF)
+                and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and self.entries == other.entries)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError("entry (%d, %d) outside a %dx%d matrix"
+                             % (i, j, self.nrows, self.ncols))
+        return self.entries.get((i, j), RatFunc.zero())
 
     def nonzero_entries(self):
-        return [(i, j, c) for i, r in enumerate(self.rows)
-                for j, c in enumerate(r) if not c.is_zero()]
+        """(i, j, entry) of every nonzero entry, in row-major order."""
+        return [(i, j, self.entries[i, j]) for i, j in sorted(self.entries)]
+
+    @property
+    def rows(self):
+        """Dense tuple of row tuples, for printing and serialization."""
+        zero = RatFunc.zero()
+        get = self.entries.get
+        return tuple(tuple(get((i, j), zero) for j in range(self.ncols))
+                     for i in range(self.nrows))
 
     def __str__(self):
         return "[" + "; ".join(
@@ -226,14 +245,6 @@ class Rep:
         return _evaluate_sparse(
             (((word,), c) for word, c in x.terms.items()), (self,))
 
-    def _word_entries(self, word):
-        """The nonzero (i, j, entry) of the word's matrix, memoized."""
-        cache = self.__dict__.setdefault("_entry_cache", {})
-        hit = cache.get(word)
-        if hit is None:
-            hit = cache[word] = tuple(self._word_matrix(word).nonzero_entries())
-        return hit
-
     def _word_matrix(self, word) -> MatrixRF:
         # images never change after construction, so word products memoize
         cache = self.__dict__.setdefault("_word_cache", {})
@@ -277,14 +288,10 @@ def _evaluate_sparse(terms, reps) -> MatrixRF:
         for word, r in zip(words, reps):
             d = r.dimension
             prod = [(i * d + k, j * d + l, a * b) for i, j, a in prod
-                    for k, l, b in r._word_entries(word)]
+                    for (k, l), b in r._word_matrix(word).entries.items()]
         for i, j, a in prod:
             add_term(acc, (i, j), a)
-    zero = rf(0)
-    rows = [[zero] * dim for _ in range(dim)]
-    for (i, j), a in acc.items():
-        rows[i][j] = a
-    return MatrixRF(rows)
+    return MatrixRF._sparse(acc, dim, dim)
 
 
 def check_relations_in_rep(p: Presentation, r: Rep):
@@ -318,14 +325,10 @@ def _ladder_images(j):
     j, twoj = _half_integer(j)
     d = twoj + 1
     h = MatrixRF.diagonal([Fraction(twoj - 2 * i) for i in range(d)])
-    f = MatrixRF.zeros(d)
-    e = MatrixRF.zeros(d)
-    frows = [list(r) for r in f.rows]
-    erows = [list(r) for r in e.rows]
-    for i in range(d - 1):
-        frows[i + 1][i] = rf(1)
-        erows[i][i + 1] = rf(Fraction(i + 1) * (twoj - i))
-    return h, MatrixRF(erows), MatrixRF(frows)
+    e = MatrixRF._sparse({(i, i + 1): rf(Fraction(i + 1) * (twoj - i))
+                          for i in range(d - 1)}, d, d)
+    f = MatrixRF._sparse({(i + 1, i): rf(1) for i in range(d - 1)}, d, d)
+    return h, e, f
 
 
 def spin_rep(j, p: Presentation = None) -> Rep:
@@ -355,7 +358,7 @@ def solve_eval_correction(j, p: Presentation = None) -> Rep:
     def candidate(cs):
         m = f.scale(v)
         for c, b in zip(cs, basis):
-            m = m + b.scale(eta * _coerce(c))
+            m = m + b.scale(eta * rf(c))
         return m
 
     images = {"ha1": h, "e+a1": e, "e-a1": f}
@@ -510,7 +513,7 @@ def _loop_rep(p: Presentation, base_images: dict, label: str,
             "%s carries no loop shift element" % p.name)
     images = dict(base_images)
     dim = next(iter(base_images.values())).nrows
-    c = _coerce(central)
+    c = rf(central)
     images["kd+"] = MatrixRF.identity(dim).scale(c)
     images["kd-"] = MatrixRF.identity(dim).scale(rf(1) / c)
     probe = Rep(p, dict(images, xi=MatrixRF.zeros(dim)), "probe",

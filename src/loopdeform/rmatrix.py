@@ -12,20 +12,14 @@ dependence enters through the variables u, v, w.
 from fractions import Fraction
 
 from .freealg import TensorPoly, add_term
-from .ratfunc import RatFunc, rf
-from .repn import MatrixRF, spin_rep
+from .ratfunc import rf
+from .repn import MatrixRF, evaluate_tensor, spin_rep
 
 #: Fixed basis order used for canonical term sorting.
 BASIS = ("h", "e", "f")
 
 #: Default mapping of abstract basis letters to presentation generator names.
 GENERATOR_NAMES = {"h": "ha1", "e": "e+a1", "f": "e-a1"}
-
-
-def _coerce(c) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    return rf(c)
 
 
 class RMatrix:
@@ -43,7 +37,7 @@ class RMatrix:
             if left not in BASIS or right not in BASIS:
                 raise ValueError("unknown basis letter in (%s, %s)"
                                  % (left, right))
-            add_term(acc, (left, right), _coerce(c))
+            add_term(acc, (left, right), rf(c))
         order = {b: i for i, b in enumerate(BASIS)}
         self.terms = tuple(
             (acc[k], k[0], k[1])
@@ -63,7 +57,7 @@ class RMatrix:
         return self.scale(rf(-1))
 
     def scale(self, c) -> "RMatrix":
-        c = _coerce(c)
+        c = rf(c)
         return RMatrix([(c * c0, l, r) for c0, l, r in self.terms])
 
     def swap_slots(self) -> "RMatrix":
@@ -158,29 +152,19 @@ def build_r(kind: str, parts=()) -> RMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _fundamental_images():
-    """2x2 matrices of the basis letters in the fundamental representation."""
-    images = spin_rep(Fraction(1, 2)).images
-    return {b: images[GENERATOR_NAMES[b]] for b in BASIS}
-
-
-def _embed(term_images, c, left, right, slots) -> MatrixRF:
-    """c * left(x)right placed into two of three slots (identity elsewhere)."""
-    eye = MatrixRF.identity(2)
-    factors = [eye, eye, eye]
-    factors[slots[0]] = term_images[left]
-    factors[slots[1]] = term_images[right]
-    return factors[0].kron(factors[1]).kron(factors[2]).scale(c)
-
-
 def _r_in_slots(r: RMatrix, slots, spectral) -> MatrixRF:
     """8x8 image of r in two of the three slots, with the spectral variables
-    (u, v) simultaneously renamed per the slot pair."""
-    imgs = _fundamental_images()
-    acc = MatrixRF.zeros(8)
-    for c, left, right in r.terms:
-        acc = acc + _embed(imgs, c.map_vars(spectral), left, right, slots)
-    return acc
+    (u, v) simultaneously renamed per the slot pair: r as a three-slot tensor
+    element whose remaining slot holds the empty word (the identity),
+    evaluated with the fundamental representation in every slot."""
+    rep = spin_rep(Fraction(1, 2))
+    pair = r.as_tensor_poly(rep.presentation)
+    terms = {}
+    for key, c in pair.terms.items():
+        words = [(), (), ()]
+        words[slots[0]], words[slots[1]] = key
+        terms[tuple(words)] = c.map_vars(spectral)
+    return evaluate_tensor(TensorPoly(pair.alphabet, 3, terms), [rep] * 3)
 
 
 def cybe_residual(r: RMatrix) -> MatrixRF:

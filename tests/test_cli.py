@@ -393,6 +393,62 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _usage_error_line(capsys):
+    """The single stderr line of a usage error (nothing on stdout)."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("loopdeform: error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("algebra", ["uq-sl2", "uq-sl3", "yangian-sl2",
+                                     "twisted-yangian-sl2"])
+def test_limit_kdelta_without_central_letter_is_usage_error(algebra, capsys):
+    assert main(["limit", algebra, "kdelta=1"]) == EXIT_USAGE
+    line = _usage_error_line(capsys)
+    assert "kdelta" in line and algebra in line
+
+
+@pytest.mark.parametrize("key", ["order", "degree-bound"])
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("%s=three\n" % key)
+    assert main(["twist", "--config", str(cfg)]) == EXIT_USAGE
+    line = _usage_error_line(capsys)
+    assert str(cfg) in line and "%s='three'" % key in line
+
+
+@pytest.mark.parametrize("spin", ["-1", "1/3"])
+def test_spin_rep_that_is_not_a_half_integer_is_usage_error(capsys, spin):
+    assert main(["verify", "yangian-sl2", "--rep", "spin:" + spin]) \
+        == EXIT_USAGE
+    assert "'spin:%s'" % spin in _usage_error_line(capsys)
+
+
+def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path,
+                                                             capsys):
+    argv = {"verify": ["verify", "uq-sl2", "relations"],
+            "limit": ["limit", "uq-sl2", "q=1"],
+            "twist": ["twist", "--order", "0"],
+            "cybe": ["cybe", "--r", "jordanian"]}
+    values = {"degree-bound": "12", "order": "3", "check": "all",
+              "suite": "all", "rep": "spin:1"}
+    cfg = tmp_path / "c.cfg"
+    for command, args in argv.items():
+        for key, value in values.items():
+            if key in cli.CONFIG_KEYS[command]:
+                continue
+            cfg.write_text("%s=%s\n" % (key, value))
+            assert main(args + ["--config", str(cfg)]) == EXIT_USAGE
+            line = _usage_error_line(capsys)
+            assert command in line and key in line and str(cfg) in line
+    # the one key limit reads is accepted
+    cfg.write_text("degree-bound=12\n")
+    assert main(argv["limit"] + ["--config", str(cfg)]) == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+
+
 def test_degree_bound_flag_lands_in_config(tmp_path, capsys):
     out = tmp_path / "r.json"
     main(["verify", "yangian-sl2", "relations", "--degree-bound", "10",

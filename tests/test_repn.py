@@ -69,6 +69,110 @@ def test_matrix_kron():
 
 
 # ---------------------------------------------------------------------------
+# sparse MatrixRF against a list-of-lists reference
+# ---------------------------------------------------------------------------
+
+def _random_rows(rng, n, m):
+    """An n x m list of lists, about half of it zero, with one zero row and
+    one zero column."""
+    rows = [[rf(rng.choice(_COEFFS)) if rng.random() < 0.5 else rf(0)
+             for _ in range(m)] for _ in range(n)]
+    zero_row, zero_col = rng.randrange(n), rng.randrange(m)
+    rows[zero_row] = [rf(0)] * m
+    for r in rows:
+        r[zero_col] = rf(0)
+    return rows
+
+
+def _ref_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), rf(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _tuples(rows):
+    return tuple(tuple(r) for r in rows)
+
+
+def _ref_nonzero(rows):
+    return [(i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r)
+            if not x.is_zero()]
+
+
+def test_sparse_matrix_matches_list_reference():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        n, k, m, p = (rng.randint(1, 4) for _ in range(4))
+        a_rows, b_rows = _random_rows(rng, n, k), _random_rows(rng, k, m)
+        c_rows, d_rows = _random_rows(rng, n, k), _random_rows(rng, m, p)
+        a, b, c, d = (MatrixRF(r) for r in (a_rows, b_rows, c_rows, d_rows))
+        assert a.rows == _tuples(a_rows) and (a.nrows, a.ncols) == (n, k)
+        assert a.nonzero_entries() == _ref_nonzero(a_rows)
+        # products and sums fill their dicts out of row-major order
+        assert (c + a).nonzero_entries() == _ref_nonzero(
+            [[y + x for x, y in zip(ra, rc)] for ra, rc in zip(a_rows, c_rows)])
+        assert a.kron(b).nonzero_entries() == _ref_nonzero(
+            _ref_kron(a_rows, b_rows))
+        assert (a * b).nonzero_entries() == _ref_nonzero(
+            _ref_mul(a_rows, b_rows))
+        assert (a * b).rows == _tuples(_ref_mul(a_rows, b_rows))
+        assert (a * b * d).rows == _tuples(
+            _ref_mul(_ref_mul(a_rows, b_rows), d_rows))
+        assert a.kron(b).rows == _tuples(_ref_kron(a_rows, b_rows))
+        assert (a.kron(b).nrows, a.kron(b).ncols) == (n * k, k * m)
+        assert (a + c).rows == _tuples(
+            [[x + y for x, y in zip(ra, rc)] for ra, rc in zip(a_rows, c_rows)])
+        assert (a - c).rows == _tuples(
+            [[x - y for x, y in zip(ra, rc)] for ra, rc in zip(a_rows, c_rows)])
+        z = rf(rng.choice(_COEFFS))
+        assert a.scale(z).rows == _tuples([[x * z for x in r] for r in a_rows])
+        assert a.is_zero() == all(x.is_zero() for r in a_rows for x in r)
+        assert all(a.entry(i, j) == a_rows[i][j]
+                   for i in range(n) for j in range(k))
+        with pytest.raises(IndexError):
+            a.entry(n, 0)
+        if (n, k) != (k, m):
+            with pytest.raises(ValueError):
+                a + b
+        if k != n:
+            with pytest.raises(ValueError):
+                a * c
+            with pytest.raises(ValueError):
+                a ** 2
+
+
+def test_sparse_matrix_equality_and_hash_across_constructors():
+    rng = random.Random(7)
+    a_rows, b_rows = _random_rows(rng, 3, 2), _random_rows(rng, 2, 3)
+    a, b = MatrixRF(a_rows), MatrixRF(b_rows)
+    x, y = MatrixRF.unit_entry(2, 1, 1, 5), MatrixRF.unit_entry(2, 0, 0, 3)
+    groups = [
+        [MatrixRF.identity(3), MatrixRF.diagonal([1, 1, 1]),
+         MatrixRF([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), MatrixRF.identity(3) ** 2],
+        [MatrixRF.zeros(2, 3), MatrixRF([[0, 0, 0], [0, 0, 0]]),
+         b - b, b.scale(0)],
+        [MatrixRF.unit_entry(2, 0, 1, "q"), MatrixRF([[0, "q"], [0, 0]]),
+         MatrixRF.unit_entry(2, 0, 1) * MatrixRF.diagonal([1, "q"])],
+        [a * b, MatrixRF(_ref_mul(a_rows, b_rows))],
+        [MatrixRF.diagonal([3, 5]), x + y, y + x],
+        [a.kron(b), MatrixRF(_ref_kron(a_rows, b_rows))],
+    ]
+    for group in groups:
+        for m in group[1:]:
+            assert m == group[0] and hash(m) == hash(group[0])
+    # no entries, different shapes: not equal
+    assert MatrixRF.zeros(2, 3) != MatrixRF.zeros(3, 2)
+    assert MatrixRF.zeros(2, 3) != MatrixRF.zeros(2)
+    assert (b - b).nonzero_entries() == []
+    assert (x + y).nonzero_entries() == [(0, 0, rf(3)), (1, 1, rf(5))]
+    with pytest.raises(IndexError):
+        MatrixRF.unit_entry(2, 2, 0)
+
+
+# ---------------------------------------------------------------------------
 # ladder representations
 # ---------------------------------------------------------------------------
 
