@@ -33,6 +33,7 @@ from .hopf import (
 from .presentations import (
     DEFAULT_DEGREE_BOUND,
     build_yangian_sl2,
+    check_row,
     comparison_cases,
     get_presentation,
     specialize,
@@ -132,27 +133,19 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _verdict(zero_nonzero):
-    return {"zero": "pass", "nonzero": "fail"}.get(zero_nonzero, "unknown")
+#: check verdicts (see presentations.check_row) -> report verdicts
+REPORT_VERDICTS = {"zero": "pass", "nonzero": "fail", "unknown": "unknown"}
 
 
-def _payload(verdict, payload):
-    if verdict == "pass" or payload is None:
-        return None
-    return str(payload)
-
-
-def _rows_to_items(rows, prefix):
-    items = []
-    for label, raw, payload in rows:
-        verdict = _verdict(raw)
-        items.append(("%s:%s" % (prefix, label), verdict,
-                      _payload(verdict, payload)))
-    return items
-
-
-def _unknown_item(label, exc):
-    return (label, "unknown", "%s: %s" % (type(exc).__name__, exc))
+def _item(label, verdict, residual=None):
+    """Report item of a check verdict ('zero', 'nonzero' or 'unknown'): a
+    pass carries no residual, any other item the text of its residual, or
+    '<Type>: <message>' for the exception that stopped the check."""
+    if verdict == "zero" or residual is None:
+        return (label, REPORT_VERDICTS[verdict], None)
+    if isinstance(residual, Exception):
+        residual = "%s: %s" % (type(residual).__name__, residual)
+    return (label, REPORT_VERDICTS[verdict], str(residual))
 
 
 def _check_items(prefix, run_check):
@@ -160,21 +153,18 @@ def _check_items(prefix, run_check):
     anywhere in it becomes a single unknown item that names the check and
     the bound."""
     try:
-        return _rows_to_items(run_check(), prefix)
+        return [_item("%s:%s" % (prefix, label), verdict, residual)
+                for label, verdict, residual in run_check()]
     except DegreeBoundExceeded as exc:
-        return [_unknown_item(prefix, exc)]
+        return [_item(prefix, "unknown", exc)]
 
 
 def _zero_item(label, p, z, witnesses=()):
     """Item for 'z vanishes in p', decided by Presentation.decide_zero."""
     verdict, evidence = p.decide_zero(z, witnesses)
-    if verdict == "zero":
-        return (label, "pass", None)
     if verdict == "nonzero":
-        return (label, "fail", "nonzero in %s" % evidence.label)
-    if isinstance(evidence, DegreeBoundExceeded):
-        return _unknown_item(label, evidence)
-    return (label, "unknown", str(evidence))
+        evidence = "nonzero in %s" % evidence.label
+    return _item(label, verdict, evidence)
 
 
 def _compare_items(p, target):
@@ -186,8 +176,8 @@ def _compare_items(p, target):
             p, target, reps2=default_reps(target)):
         label = "compare-%s:%s" % (direction, label)
         if isinstance(z, str):
-            items.append((label, "unknown", "missing generator %s in %s"
-                          % (z, other.name)))
+            items.append(_item(label, "unknown", "missing generator %s in %s"
+                               % (z, other.name)))
         else:
             items.append(_zero_item(label, other, z, reps))
     return items
@@ -217,7 +207,7 @@ def cmd_verify(algebra, suite="all", degree_bound=None, reps=None):
         try:
             H = build_hopf(p)
         except DegreeBoundExceeded as exc:
-            items.append(_unknown_item("hopf", exc))
+            items.append(_item("hopf", "unknown", exc))
         else:
             for fn, tag in ((check_coassoc, "coassoc"),
                             (check_counit, "counit"),
@@ -262,7 +252,7 @@ def cmd_limit(algebra, assignments, degree_bound=None):
     try:
         sp = specialize(p, parsed)
     except (PoleError, DegreeBoundExceeded) as exc:
-        items = [_unknown_item("specialize", exc)]
+        items = [_item("specialize", "unknown", exc)]
         return VerificationReport(algebra, "limit", items, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -281,22 +271,21 @@ def cmd_limit(algebra, assignments, degree_bound=None):
             for rel in sp.relations:
                 free = all(c.var_degree_range("eta") == (0, 0)
                            for c in rel.repl.terms.values())
-                items.append(("eta-free:%s" % rel.label,
-                              "pass" if free else "fail",
-                              None if free else str(rel.repl)))
+                items.append(_item(*check_row("eta-free:%s" % rel.label,
+                                              None if free else rel.repl)))
             notes.append("specialized presentation:")
             notes.extend(dump_presentation(sp).rstrip("\n").splitlines())
     return VerificationReport(algebra, "limit", items, config, notes)
 
 
-def cmd_twist(order=DEFAULT_ORDER, check="all", max_order=MAX_TWIST_ORDER,
-              degree_bound=None):
+def cmd_twist(order=DEFAULT_ORDER, check="all", degree_bound=None):
     """Twist suites for the eta-deformation at the given truncation order."""
     if check not in TWIST_CHECKS:
         raise UsageError("unknown twist check %r (have: %s)"
                          % (check, ", ".join(TWIST_CHECKS)))
-    if not 0 <= order <= max_order:
-        raise UsageError("twist order %d outside [0, %d]" % (order, max_order))
+    if not 0 <= order <= MAX_TWIST_ORDER:
+        raise UsageError("twist order %d outside [0, %d]"
+                         % (order, MAX_TWIST_ORDER))
     p = build_yangian_sl2()
     # twisted words grow with the order: orders 0-4 need bounds 4, 5, 7, 10, 13
     p.degree_bound = (max(DEFAULT_DEGREE_BOUND, 4 * order)
@@ -317,7 +306,7 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", max_order=MAX_TWIST_ORDER,
             "antipode", lambda: check_twisted_antipode(H, order)))
         items.extend(_check_items(
             "counit", lambda: check_twist_counit(order, p=p)))
-    config = {"order": order, "check": check, "max_order": max_order}
+    config = {"order": order, "check": check, "max_order": MAX_TWIST_ORDER}
     return VerificationReport("twisted-yangian-sl2", "twist", items, config)
 
 
@@ -329,13 +318,9 @@ def cmd_cybe(kind):
         r = build_r(kind)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    residual = cybe_residual(r)
-    if residual.is_zero():
-        items = [("cybe-residual:%s" % kind, "pass", None)]
-    else:
-        entries = "; ".join("(%d,%d)=%s" % (i, j, c)
-                            for i, j, c in residual.nonzero_entries())
-        items = [("cybe-residual:%s" % kind, "fail", entries)]
+    entries = "; ".join("(%d,%d)=%s" % (i, j, c)
+                        for i, j, c in cybe_residual(r).nonzero_entries())
+    items = [_item(*check_row("cybe-residual:%s" % kind, entries or None))]
     config = {"r": kind}
     return VerificationReport("classical-sl2", "cybe", items, config)
 
@@ -366,26 +351,30 @@ def _named_rep(spec, p):
 
 
 def load_config_file(path):
-    """key=value lines; '#' comments and blank lines ignored."""
+    """key=value lines (UTF-8); '#' comments and blank lines ignored."""
     known = {key for keys in CONFIG_KEYS.values() for key in keys}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError("%s:%d: expected key=value, got %r"
-                                 % (path, lineno, line))
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise UsageError("%s:%d: unknown config key %r"
-                                 % (path, lineno, key))
-            if key == "rep":
-                out.setdefault("rep", []).append(value.strip())
-            else:
-                out[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError("%s: not UTF-8 text: %s" % (path, exc)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError("%s:%d: expected key=value, got %r"
+                             % (path, lineno, line))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise UsageError("%s:%d: unknown config key %r"
+                             % (path, lineno, key))
+        if key == "rep":
+            out.setdefault("rep", []).append(value.strip())
+        else:
+            out[key] = value.strip()
     return out
 
 

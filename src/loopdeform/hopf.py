@@ -33,6 +33,7 @@ from .presentations import (
     _limit_tensor_zero_form,
     _limit_zero_form,
     build_yangian_sl2,
+    check_row,
     loop_shift_coefficient,
 )
 from .ratfunc import RatFunc, rf
@@ -289,8 +290,7 @@ def check_coassoc(hopf: HopfData):
         left = p.normal_form_tensor(apply_in_slot(d, 0, hopf))
         right = p.normal_form_tensor(apply_in_slot(d, 1, hopf))
         diff = left - right
-        out.append((s.name, "zero" if diff.is_zero() else "nonzero",
-                    None if diff.is_zero() else str(diff)))
+        out.append(check_row(s.name, None if diff.is_zero() else str(diff)))
     return out
 
 
@@ -306,8 +306,7 @@ def _two_sided_rows(hopf: HopfData, slot_map, target):
         left = p.normal_form(slot_map(d, 0, hopf)) - want
         right = p.normal_form(slot_map(d, 1, hopf)) - want
         ok = left.is_zero() and right.is_zero()
-        out.append((s.name, "zero" if ok else "nonzero",
-                    None if ok else "%s | %s" % (left, right)))
+        out.append(check_row(s.name, None if ok else "%s | %s" % (left, right)))
     return out
 
 
@@ -348,9 +347,9 @@ def check_homomorphism(hopf: HopfData, reps=()):
                 "relation %s: symbolic zero contradicted by %s"
                 % (rel.label, witness))
         if symbolic_zero:
-            out.append((rel.label, "zero", None))
+            out.append(check_row(rel.label))
         elif witness is not None:
-            out.append((rel.label, "nonzero", str(witness)))
+            out.append(check_row(rel.label, str(witness)))
         else:
             out.append((rel.label, "unknown", str(red)))
     return out

@@ -21,6 +21,13 @@ each deformed family is constructed mechanically: cross relations are built as
 (iterated, weight-graded) q-brackets of a shifted loop generator, reduced
 against the already-installed rules, and only then oriented.  This is what
 keeps the stored coefficients free of spurious poles at q = 1.
+
+Rules come in through ``Presentation.add_rule`` only (directly, or through
+``add_rule_from_zero_form``), which keeps the memoized word normal forms
+current.  Only code that edits ``relations`` in place, as two tests do, bumps
+``_rules_version`` itself.
+
+The checks of every module build their zero/nonzero rows with ``check_row``.
 """
 
 from __future__ import annotations
@@ -152,14 +159,14 @@ class Presentation:
     #: human-readable description of the monomial order used by normal_form
     term_order = "loop degree, then word length, then leftmost generator id"
 
-    def __init__(self, name, family, cartan, alphabet, relations=None,
+    def __init__(self, name, family, cartan, alphabet,
                  degree_bound=DEFAULT_DEGREE_BOUND, params=(),
                  shift_element=None):
         self.name = name
         self.family = family
         self.cartan = cartan
         self.alphabet = alphabet
-        self.relations = list(relations or [])
+        self.relations = []
         self.degree_bound = degree_bound
         self.params = tuple(params)
         #: for loop deformations: the weight-homogeneous word whose a-multiple
@@ -239,9 +246,9 @@ class Presentation:
     def word_normal_form(self, word, bound=None):
         """Normal form of a single word, memoized (default bound only).
 
-        The memo is keyed to the rule set via _rules_version; code that
-        mutates .relations directly (rather than through
-        add_rule_from_zero_form) must bump that counter."""
+        The memo is keyed to the rule set via _rules_version, which add_rule
+        bumps; only code that edits .relations in place must bump it
+        itself."""
         if bound is not None and bound != self.degree_bound:
             return self.normal_form(
                 NCPoly(self.alphabet, {word: rf(1)}), bound=bound)
@@ -307,6 +314,13 @@ class Presentation:
             return None
         lead, c = self.leading_term(z)
         repl = -(z - NCPoly(self.alphabet, {lead: c})).scale(rf(1) / c)
+        return self.add_rule(label, lead, repl, kind, meta)
+
+    def add_rule(self, label, lead, repl, kind, meta=None):
+        """Install lead -> repl as the lowest-priority rule and return it.
+
+        The only way a rule comes in: it also retires the memoized word
+        normal forms, so rewriting after this call uses the new rule."""
         rel = Relation(label, lead, repl, kind, dict(meta or {}))
         self.relations.append(rel)
         self._rules_version += 1
@@ -332,6 +346,14 @@ class Presentation:
             len(self.alphabet),
             len(self.relations),
         )
+
+
+def check_row(label, residual=None):
+    """One row of a check: (label, 'zero', None) when there is no residual,
+    else (label, 'nonzero', residual)."""
+    if residual is None:
+        return label, "zero", None
+    return label, "nonzero", residual
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +389,39 @@ def _k_symbols(cd: CartanData):
     return syms
 
 
+def _loop_symbol(cd: CartanData):
+    """The loop generator xi: weight -theta, loop degree 1."""
+    return GenSymbol("xi", tuple(-x for x in cd.highest_root), loop_degree=1)
+
+
+def _h_symbols(cd: CartanData):
+    zero = (0,) * cd.rank
+    return [GenSymbol("h%s" % label, zero) for label in cd.labels]
+
+
+def _central_symbols(cd: CartanData):
+    zero = (0,) * cd.rank
+    return [GenSymbol("kd+", zero, inv_name="kd-"),
+            GenSymbol("kd-", zero, inv_name="kd+")]
+
+
 def uq_alphabet(cd: CartanData) -> Alphabet:
     return Alphabet(_finite_symbols(cd) + _k_symbols(cd), cd.pairing_matrix)
 
 
 def drinfeldian_alphabet(cd: CartanData) -> Alphabet:
-    rank = cd.rank
-    zero = (0,) * rank
-    minus_theta = tuple(-x for x in cd.highest_root)
-    syms = (
-        _finite_symbols(cd)
-        + [GenSymbol("xi", minus_theta, loop_degree=1)]
-        + _k_symbols(cd)
-        + [GenSymbol("kd+", zero, inv_name="kd-"), GenSymbol("kd-", zero, inv_name="kd+")]
-    )
+    syms = (_finite_symbols(cd) + [_loop_symbol(cd)] + _k_symbols(cd)
+            + _central_symbols(cd))
     return Alphabet(syms, cd.pairing_matrix)
 
 
 def yangian_alphabet(cd: CartanData) -> Alphabet:
-    rank = cd.rank
-    zero = (0,) * rank
-    minus_theta = tuple(-x for x in cd.highest_root)
-    syms = (
-        _finite_symbols(cd)
-        + [GenSymbol("xi", minus_theta, loop_degree=1)]
-        + [GenSymbol("h%s" % cd.labels[i], zero) for i in range(rank)]
-    )
+    syms = _finite_symbols(cd) + [_loop_symbol(cd)] + _h_symbols(cd)
     return Alphabet(syms, cd.pairing_matrix)
 
 
 def classical_alphabet(cd: CartanData) -> Alphabet:
-    rank = cd.rank
-    zero = (0,) * rank
-    syms = _finite_symbols(cd) + [GenSymbol("h%s" % cd.labels[i], zero) for i in range(rank)]
-    return Alphabet(syms, cd.pairing_matrix)
+    return Alphabet(_finite_symbols(cd) + _h_symbols(cd), cd.pairing_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -408,37 +429,33 @@ def classical_alphabet(cd: CartanData) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
+def _install_comm_rules(p: Presentation, names):
+    """Commutation rules among the named letters: in a monomial of them the
+    higher id hops left over the lower one."""
+    A = p.alphabet
+    ids = [A.id_of(n) for n in names]
+    for a in ids:
+        for b in ids:
+            if a <= b:
+                continue
+            meta = {"a": A.name_of(a), "b": A.name_of(b)}
+            if A.inverse.get(a) == b:
+                # adjacent inverse pairs contract inside NCPoly already, but a
+                # reversed pair needs one swap to meet and cancel
+                meta["inverse_pair"] = True
+                repl = NCPoly.unit(A)
+            else:
+                repl = NCPoly(A, {(b, a): rf(1)})
+            p.add_rule("kk:%s,%s" % (meta["a"], meta["b"]), (a, b), repl,
+                       "k_comm", meta)
+
+
 def _install_k_rules(p: Presentation, k_labels, conj_targets):
     """Commutation rules among group-like letters and conjugation rules
     k x k^-1 = q^(alpha_i, wt x) x for the listed target letters."""
     A = p.alphabet
     cd = p.cartan
-    k_ids = [A.id_of(n) for n in k_labels]
-    # sort group-like monomials: higher id hops left over lower id
-    for a in k_ids:
-        for b in k_ids:
-            if a > b and A.inverse.get(a) != b:
-                p.relations.append(
-                    Relation(
-                        "kk:%s,%s" % (A.name_of(a), A.name_of(b)),
-                        (a, b),
-                        NCPoly(A, {(b, a): rf(1)}),
-                        "k_comm",
-                        {"a": A.name_of(a), "b": A.name_of(b)},
-                    )
-                )
-            elif a > b and A.inverse.get(a) == b:
-                # adjacent inverse pairs contract inside NCPoly already, but a
-                # reversed pair needs one swap to meet and cancel
-                p.relations.append(
-                    Relation(
-                        "kk:%s,%s" % (A.name_of(a), A.name_of(b)),
-                        (a, b),
-                        NCPoly.unit(A),
-                        "k_comm",
-                        {"a": A.name_of(a), "b": A.name_of(b), "inverse_pair": True},
-                    )
-                )
+    _install_comm_rules(p, k_labels)
     for kname in k_labels:
         sign = 1 if kname.startswith("k+") else -1
         root_label = kname[2:]
@@ -447,14 +464,12 @@ def _install_k_rules(p: Presentation, k_labels, conj_targets):
         for xname in conj_targets:
             xid = A.id_of(xname)
             c = sign * A.pairing(_basis_weight(cd.rank, i), A.symbols[xid].weight)
-            p.relations.append(
-                Relation(
-                    "conj:%s,%s" % (kname, xname),
-                    (kid, xid),
-                    NCPoly(A, {(xid, kid): q_power(c)}),
-                    "k_conj",
-                    {"k": kname, "x": xname, "root": i, "sign": sign, "exponent": c},
-                )
+            p.add_rule(
+                "conj:%s,%s" % (kname, xname),
+                (kid, xid),
+                NCPoly(A, {(xid, kid): q_power(c)}),
+                "k_conj",
+                {"k": kname, "x": xname, "root": i, "sign": sign, "exponent": c},
             )
 
 
@@ -471,14 +486,12 @@ def _install_ef_rules(p: Presentation):
                 k = A.id_of("k+%s" % cd.labels[i])
                 ki = A.id_of("k-%s" % cd.labels[i])
                 repl = repl + NCPoly(A, {(k,): rf(1) / qq, (ki,): -rf(1) / qq})
-            p.relations.append(
-                Relation(
-                    "cross:%s,%s" % (A.name_of(e), A.name_of(f)),
-                    (e, f),
-                    repl,
-                    "ef_cartan",
-                    {"i": i, "j": j},
-                )
+            p.add_rule(
+                "cross:%s,%s" % (A.name_of(e), A.name_of(f)),
+                (e, f),
+                repl,
+                "ef_cartan",
+                {"i": i, "j": j},
             )
 
 
@@ -502,22 +515,20 @@ def _install_serre_rules(p: Presentation):
                 )
 
 
-def _install_central_rules(p: Presentation, central, others):
+def _install_central_rules(p: Presentation):
+    """kd+ and kd- commute past every other letter."""
     A = p.alphabet
-    for cname in central:
+    others = [s.name for s in A.symbols if not s.name.startswith("kd")]
+    for cname in ("kd+", "kd-"):
         cid = A.id_of(cname)
         for xname in others:
             xid = A.id_of(xname)
-            if A.inverse.get(cid) == xid:
-                continue
-            p.relations.append(
-                Relation(
-                    "central:%s,%s" % (cname, xname),
-                    (cid, xid),
-                    NCPoly(A, {(xid, cid): rf(1)}),
-                    "k_central",
-                    {"k": cname, "x": xname},
-                )
+            p.add_rule(
+                "central:%s,%s" % (cname, xname),
+                (cid, xid),
+                NCPoly(A, {(xid, cid): rf(1)}),
+                "k_central",
+                {"k": cname, "x": xname},
             )
 
 
@@ -587,8 +598,7 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
     ef_labels = [s.name for s in A.symbols if s.name.startswith("e")]
     conj_targets = ef_labels + ["xi"]
     _install_k_rules(p, k_labels, conj_targets)
-    _install_central_rules(p, ["kd+", "kd-"],
-                           [s.name for s in A.symbols if not s.name.startswith("kd")])
+    _install_central_rules(p)
     _install_ef_rules(p)
     _install_serre_rules(p)
 
@@ -635,7 +645,7 @@ def build_yangian_sl2() -> Presentation:
     p = Presentation("yangian-sl2", "yangian", cd, A, params=("eta",))
     h, e, f, xi_ = p.gen("ha1"), p.gen("e+a1"), p.gen("e-a1"), p.gen("xi")
     eta = rf("eta")
-    _install_h_conj(p, "ha1", 0)
+    _install_h_conj(p)
     p.add_rule_from_zero_form(commutator(e, f) - h, "cross:e+a1,e-a1",
                               "classical_ef", {"i": 0, "j": 0})
     p.add_rule_from_zero_form(commutator(f, xi_) - eta * f * f,
@@ -663,30 +673,32 @@ def build_classical_sl2() -> Presentation:
     cd = cartan_data("sl2")
     A = classical_alphabet(cd)
     p = Presentation("classical-sl2", "classical", cd, A)
-    _install_h_conj(p, "ha1", 0)
+    _install_h_conj(p)
     p.add_rule_from_zero_form(
         commutator(p.gen("e+a1"), p.gen("e-a1")) - p.gen("ha1"),
         "cross:e+a1,e-a1", "classical_ef", {"i": 0, "j": 0})
     return p
 
 
-def _install_h_conj(p: Presentation, hname, i):
-    """[h_i, x] = (alpha_i, wt x) x for every non-Cartan letter x."""
+def _install_h_conj(p: Presentation):
+    """[h_i, x] = (alpha_i, wt x) x for every Cartan letter h_i and every
+    letter x that is neither a Cartan letter nor central."""
     A = p.alphabet
-    hid = A.id_of(hname)
-    for xid, sym in enumerate(A.symbols):
-        if sym.name.startswith("h"):
-            continue
-        c = A.pairing(_basis_weight(p.cartan.rank, i), sym.weight)
-        p.relations.append(
-            Relation(
+    cd = p.cartan
+    for i, root in enumerate(cd.labels):
+        hname = "h%s" % root
+        hid = A.id_of(hname)
+        for xid, sym in enumerate(A.symbols):
+            if sym.name.startswith(("h", "kd")):
+                continue
+            c = A.pairing(_basis_weight(cd.rank, i), sym.weight)
+            p.add_rule(
                 "conj:%s,%s" % (hname, sym.name),
                 (hid, xid),
                 NCPoly(A, {(xid, hid): rf(1), (xid,): rf(c)}),
                 "h_conj",
                 {"h": hname, "x": sym.name, "root": i, "exponent": c},
             )
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -764,16 +776,16 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
 
 
 def _substitute_coefficients(p: Presentation, var, value, new_name) -> Presentation:
-    rels = []
+    family = p.family if var == "eta" else "classical"
+    out = Presentation(new_name, family, p.cartan, p.alphabet, p.degree_bound,
+                       tuple(x for x in p.params if x != var))
     for rel in p.relations:
         try:
             repl = rel.repl.map_coeffs(lambda c: c.eval_var(var, value))
         except PoleError as exc:
             raise PoleError("relation %s: %s" % (rel.label, exc)) from None
-        rels.append(Relation(rel.label, rel.lead, repl, rel.kind, dict(rel.meta)))
-    family = p.family if var == "eta" else "classical"
-    return Presentation(new_name, family, p.cartan, p.alphabet, rels,
-                        p.degree_bound, tuple(x for x in p.params if x != var))
+        out.add_rule(rel.label, rel.lead, repl, rel.kind, rel.meta)
+    return out
 
 
 def _drop_central_letters(p: Presentation) -> Presentation:
@@ -781,15 +793,12 @@ def _drop_central_letters(p: Presentation) -> Presentation:
     drop = {A.id_of("kd+"), A.id_of("kd-")}
     keep = [s for i, s in enumerate(A.symbols) if i not in drop]
     newA = Alphabet(keep, A.pairing_matrix)
-    remap = {}
-    for i, s in enumerate(A.symbols):
-        if i not in drop:
-            remap[i] = newA.id_of(s.name)
 
     def map_word(w):
-        return tuple(remap[i] for i in w if i not in drop)
+        return tuple(newA.id_of(A.name_of(i)) for i in w if i not in drop)
 
-    rels = []
+    out = Presentation("%s[kdelta->1]" % p.name, p.family, p.cartan, newA,
+                       p.degree_bound, p.params)
     for rel in p.relations:
         if rel.kind == "k_central" and rel.meta.get("k", "").startswith("kd"):
             continue
@@ -797,9 +806,8 @@ def _drop_central_letters(p: Presentation) -> Presentation:
         repl = NCPoly(newA, {map_word(w): c for w, c in rel.repl.terms.items()})
         if NCPoly(newA, {lead: rf(1)}) == repl:
             continue
-        rels.append(Relation(rel.label, lead, repl, rel.kind, dict(rel.meta)))
-    return Presentation("%s[kdelta->1]" % p.name, p.family, p.cartan, newA, rels,
-                        p.degree_bound, p.params)
+        out.add_rule(rel.label, lead, repl, rel.kind, rel.meta)
+    return out
 
 
 # -- the structural q -> 1 machine -------------------------------------------
@@ -857,59 +865,29 @@ def _structural_q1_limit(p: Presentation) -> Presentation:
     cd = p.cartan
     A = p.alphabet
     has_central = "kd+" in A.index
-    rank = cd.rank
-    zero = (0,) * rank
-    minus_theta = tuple(-x for x in cd.highest_root)
-    syms = list(_finite_symbols(cd)) + [GenSymbol("xi", minus_theta, loop_degree=1)]
-    syms += [GenSymbol("h%s" % cd.labels[i], zero) for i in range(rank)]
+    syms = _finite_symbols(cd) + [_loop_symbol(cd)] + _h_symbols(cd)
     if has_central:
-        syms += [GenSymbol("kd+", zero, inv_name="kd-"), GenSymbol("kd-", zero, inv_name="kd+")]
+        syms += _central_symbols(cd)
     newA = Alphabet(syms, cd.pairing_matrix)
     out = Presentation("%s[q->1]" % p.name, "yangian" if "eta" in p.params else "classical",
                        cd, newA, degree_bound=p.degree_bound,
                        params=tuple(x for x in p.params if x != "q"))
 
     # Cartan letters commute among themselves
-    for i in range(rank):
-        for j in range(i):
-            hi = newA.id_of("h%s" % cd.labels[i])
-            hj = newA.id_of("h%s" % cd.labels[j])
-            out.relations.append(Relation(
-                "kk:h%s,h%s" % (cd.labels[i], cd.labels[j]),
-                (hi, hj), NCPoly(newA, {(hj, hi): rf(1)}),
-                "k_comm", {"a": "h%s" % cd.labels[i], "b": "h%s" % cd.labels[j]}))
+    _install_comm_rules(out, [s.name for s in _h_symbols(cd)])
     if has_central:
-        _install_central_rules(out, ["kd+", "kd-"],
-                               [s.name for s in newA.symbols if not s.name.startswith("kd")])
+        _install_central_rules(out)
 
-    # conjugation relations become h-brackets (from k+ letters only;
-    # the k- copies carry the same content with the exponent negated)
-    for rel in p.relations:
-        if rel.kind == "k_conj" and rel.meta["sign"] == 1:
-            i = rel.meta["root"]
-            _install_single_h_conj(out, i, rel.meta["x"], rel.meta["exponent"],
-                                   label=rel.label.replace("k+", "h"))
+    # the conjugation relations k_i x k_i^-1 = q^c x become h-brackets
+    _install_h_conj(out)
 
     # cross and Serre and mixed relations via the exact limit of zero forms
     for rel in p.relations:
         if rel.kind in ("k_comm", "k_conj", "k_central"):
             continue
-        z = rel.zero_form(A)
-        z_lim = _limit_zero_form(z, p, out)
-        if z_lim.is_zero():
-            continue
-        out.add_rule_from_zero_form(z_lim, rel.label, rel.kind, dict(rel.meta))
+        z_lim = _limit_zero_form(rel.zero_form(A), p, out)
+        out.add_rule_from_zero_form(z_lim, rel.label, rel.kind, rel.meta)
     return out
-
-
-def _install_single_h_conj(p: Presentation, i, xname, c, label):
-    A = p.alphabet
-    hid = A.id_of("h%s" % p.cartan.labels[i])
-    xid = A.id_of(xname)
-    p.relations.append(Relation(
-        label, (hid, xid),
-        NCPoly(A, {(xid, hid): rf(1), (xid,): rf(c)}),
-        "h_conj", {"h": A.name_of(hid), "x": xname, "root": i, "exponent": c}))
 
 
 def _limit_zero_form(z: NCPoly, src: Presentation, dst: Presentation) -> NCPoly:

@@ -35,6 +35,7 @@ from .presentations import (
     Presentation,
     build_classical_sl2,
     build_yangian_sl2,
+    check_row,
     get_presentation,
     loop_shift_coefficient,
 )
@@ -299,10 +300,7 @@ def check_relations_in_rep(p: Presentation, r: Rep):
     out = []
     for rel in p.relations:
         res = r.evaluate(rel.zero_form(p.alphabet))
-        if res.is_zero():
-            out.append((rel.label, "zero", None))
-        else:
-            out.append((rel.label, "nonzero", str(res)))
+        out.append(check_row(rel.label, None if res.is_zero() else str(res)))
     return out
 
 
@@ -503,19 +501,16 @@ def uq_fundamental_sl3(p: Presentation = None) -> Rep:
     return Rep(p, _uq_sl3_images(), "q-fund(sl3)")
 
 
-def _loop_rep(p: Presentation, base_images: dict, label: str,
-              central=1) -> Rep:
+def _loop_rep(p: Presentation, base_images: dict, label: str) -> Rep:
     """Extend q-side images to the loop deformation: the central letters act
-    by the chosen scalar and the loop generator by (v + a) times the image of
-    the presentation's shift element (an evaluation-type action)."""
+    by the identity and the loop generator by (v + a) times the image of the
+    presentation's shift element (an evaluation-type action)."""
     if p.shift_element is None:
         raise UnsupportedAlgebraError(
             "%s carries no loop shift element" % p.name)
     images = dict(base_images)
     dim = next(iter(base_images.values())).nrows
-    c = rf(central)
-    images["kd+"] = MatrixRF.identity(dim).scale(c)
-    images["kd-"] = MatrixRF.identity(dim).scale(rf(1) / c)
+    images["kd+"] = images["kd-"] = MatrixRF.identity(dim)
     probe = Rep(p, dict(images, xi=MatrixRF.zeros(dim)), "probe",
                 validate=False)
     shift_img = probe.evaluate(p.shift_element)
@@ -523,16 +518,16 @@ def _loop_rep(p: Presentation, base_images: dict, label: str,
     return Rep(p, images, label)
 
 
-def drinfeldian_sl2_rep(p: Presentation = None, central=1) -> Rep:
+def drinfeldian_sl2_rep(p: Presentation = None) -> Rep:
     if p is None:
         p = get_presentation("drinfeldian-sl2")
-    return _loop_rep(p, _uq_sl2_images(), "q-eval(sl2)", central)
+    return _loop_rep(p, _uq_sl2_images(), "q-eval(sl2)")
 
 
-def drinfeldian_sl3_rep(p: Presentation = None, central=1) -> Rep:
+def drinfeldian_sl3_rep(p: Presentation = None) -> Rep:
     if p is None:
         p = get_presentation("drinfeldian-sl3")
-    return _loop_rep(p, _uq_sl3_images(), "q-eval(sl3)", central)
+    return _loop_rep(p, _uq_sl3_images(), "q-eval(sl3)")
 
 
 def default_reps(p: Presentation):

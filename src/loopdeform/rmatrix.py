@@ -82,16 +82,13 @@ class RMatrix:
     def __repr__(self):
         return "RMatrix(%s)" % (self,)
 
-    def as_tensor_poly(self, p, names=None) -> TensorPoly:
-        """The same element inside a presentation's tensor square.
-
-        names maps basis letters to generator names (defaults cover the
-        shipped rank-1 presentations)."""
-        names = names or GENERATOR_NAMES
+    def as_tensor_poly(self, p) -> TensorPoly:
+        """The same element inside the tensor square of a shipped rank-1
+        presentation (basis letters named by GENERATOR_NAMES)."""
         out = {}
         for c, left, right in self.terms:
-            add_term(out, ((p.alphabet.id_of(names[left]),),
-                           (p.alphabet.id_of(names[right]),)), c)
+            add_term(out, ((p.alphabet.id_of(GENERATOR_NAMES[left]),),
+                           (p.alphabet.id_of(GENERATOR_NAMES[right]),)), c)
         return TensorPoly(p.alphabet, 2, out)
 
 

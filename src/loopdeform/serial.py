@@ -33,7 +33,6 @@ from .freealg import NCPoly, TensorPoly, add_term
 from .hopf import HopfData
 from .presentations import (
     Presentation,
-    Relation,
     cartan_data,
     classical_alphabet,
     drinfeldian_alphabet,
@@ -329,8 +328,7 @@ def load_bundle(text):
             repl = parse_ncpoly(repl_text, alphabet)
             # keep the written orientation rather than re-orienting, so a
             # dump/load round trip is the identity on rule lists
-            p.relations.append(Relation(label, lead, repl, "loaded", {}))
-            p._rules_version += 1
+            p.add_rule(label, lead, repl, "loaded")
             continue
         if key == "delta":
             gen, _, body = rest.partition(": ")

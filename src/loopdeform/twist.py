@@ -18,7 +18,7 @@ from math import factorial
 from .errors import ArityMismatchError, NotUnitLeadingError
 from .freealg import NCPoly, TensorPoly, add_term, tensor
 from .hopf import HopfData, apply_in_slot, build_hopf, counit_in_slot
-from .presentations import Presentation, build_yangian_sl2
+from .presentations import Presentation, build_yangian_sl2, check_row
 from .ratfunc import rf
 from .repn import evaluate_tensor, solve_eval_correction
 
@@ -306,14 +306,12 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     for k in range(N + 1):
         d = p.normal_form_tensor(lhs[k] - rhs[k])
         total = total + d
-        rows.append(("order-%d" % k, "zero" if d.is_zero() else "nonzero",
-                     None if d.is_zero() else str(d)))
+        rows.append(check_row("order-%d" % k, None if d.is_zero() else str(d)))
     if reps is None:
         r = solve_eval_correction(Fraction(1, 2), p)
         reps = (r, r, r)
     m = evaluate_tensor(total, list(reps))
-    rows.append(("eval-2dim-cube", "zero" if m.is_zero() else "nonzero",
-                 None if m.is_zero() else str(m)))
+    rows.append(check_row("eval-2dim-cube", None if m.is_zero() else str(m)))
     return rows
 
 
@@ -345,8 +343,7 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
         resid = [p.normal_form(pieces[0] - p.unit())]
         resid.extend(p.normal_form(x) for x in pieces[1:])
         bad = [k for k, r in enumerate(resid) if not r.is_zero()]
-        rows.append((label, "zero" if not bad else "nonzero",
-                     None if not bad else "orders %s" % bad))
+        rows.append(check_row(label, "orders %s" % bad if bad else None))
     return rows
 
 
@@ -399,8 +396,7 @@ def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
             r = p.normal_form_tensor(left[k] - right[k])
             if not r.is_zero():
                 bad.append((k, str(r)))
-        rows.append((name, "zero" if not bad else "nonzero",
-                     None if not bad else bad))
+        rows.append(check_row(name, bad or None))
     return rows
 
 
@@ -417,8 +413,7 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     for rel in p.relations:
         out = _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N)
         bad = [(k, str(t)) for k, t in enumerate(out) if not t.is_zero()]
-        rows.append((rel.label, "zero" if not bad else "nonzero",
-                     None if not bad else bad))
+        rows.append(check_row(rel.label, bad or None))
     return rows
 
 
@@ -459,7 +454,5 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
                 r = p.normal_form(acc[k])
                 if not r.is_zero():
                     bad.append((k, str(r)))
-            rows.append(("%s:%s" % (name, label),
-                         "zero" if not bad else "nonzero",
-                         None if not bad else bad))
+            rows.append(check_row("%s:%s" % (name, label), bad or None))
     return rows

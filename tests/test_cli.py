@@ -419,6 +419,18 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, key):
     assert str(cfg) in line and "%s='three'" % key in line
 
 
+def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfeorder=3\n")
+    with pytest.raises(UsageError):
+        load_config_file(str(cfg))
+    assert main(["verify", "uq-sl2", "relations", "--config", str(cfg)]) \
+        == EXIT_USAGE
+    line = _usage_error_line(capsys)
+    assert line.startswith("loopdeform: error: %s: " % cfg)
+    assert "UnicodeDecodeError" not in line
+
+
 @pytest.mark.parametrize("spin", ["-1", "1/3"])
 def test_spin_rep_that_is_not_a_half_integer_is_usage_error(capsys, spin):
     assert main(["verify", "yangian-sl2", "--rep", "spin:" + spin]) \

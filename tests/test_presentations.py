@@ -18,7 +18,7 @@ from loopdeform.errors import (
     PoleError,
     UnsupportedAlgebraError,
 )
-from loopdeform.freealg import NCPoly, commutator
+from loopdeform.freealg import NCPoly, commutator, tensor
 from loopdeform.presentations import (
     CartanData,
     build_classical_sl2,
@@ -27,6 +27,7 @@ from loopdeform.presentations import (
     build_uq,
     build_yangian_sl2,
     cartan_data,
+    check_row,
     compare_presentations,
     get_presentation,
     loop_shift_coefficient,
@@ -411,3 +412,44 @@ def test_ideal_membership_sampled_yangian():
             p.alphabet, {v: rf(1)})
         assert p.normal_form(x, bound=14).is_zero(), (
             rel.label, p.alphabet.word_str(u), p.alphabet.word_str(v))
+
+
+# ---------------------------------------------------------------------------
+# the rule path: add_rule and the word-normal-form memo
+# ---------------------------------------------------------------------------
+
+
+def test_add_rule_keeps_rewriting_current():
+    """A rule added after word normal forms were memoized (as completion
+    does) is used by the next rewriting."""
+    p = build_classical_sl2()
+    f, e, h = p.gen("e-a1"), p.gen("e+a1"), p.gen("ha1")
+    fe = (p.alphabet.id_of("e-a1"), p.alphabet.id_of("e+a1"))
+    t = tensor(f * e, e) + tensor(h, f * e)
+    assert p.normal_form_tensor(t) == t  # f e is irreducible
+    assert fe in p._word_nf
+    n = len(p.relations)
+    rel = p.add_rule("derived:fe", fe, h.scale(rf(2)), "derived", {"n": 1})
+    assert p.relations[n:] == [rel]
+    assert (rel.label, rel.lead, rel.kind, rel.meta) == (
+        "derived:fe", fe, "derived", {"n": 1})
+    want = tensor(h, e).scale(rf(2)) + tensor(h, h).scale(rf(2))
+    assert p.normal_form_tensor(t) == want
+    assert p.word_normal_form(fe) == h.scale(rf(2))
+
+
+def test_add_rule_copies_meta():
+    p = build_classical_sl2()
+    meta = {"source": "test"}
+    rel = p.add_rule("x", (p.alphabet.id_of("e+a1"),), p.unit(), "derived",
+                     meta)
+    meta["source"] = "changed"
+    assert rel.meta == {"source": "test"}
+    lead = (p.alphabet.id_of("e-a1"),)
+    assert p.add_rule("y", lead, p.unit(), "derived").meta == {}
+
+
+def test_check_row_shapes():
+    assert check_row("a") == ("a", "zero", None)
+    assert check_row("b", "r") == ("b", "nonzero", "r")
+    assert check_row("c", [(1, "x")]) == ("c", "nonzero", [(1, "x")])
