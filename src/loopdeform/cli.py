@@ -423,7 +423,8 @@ def build_parser():
 
 def _merged(args):
     """File config with CLI overrides applied; a key the subcommand does not
-    read, or a non-integer bound or order, is a usage error."""
+    read, a non-integer bound or order, or a degree bound below 1, is a
+    usage error."""
     cfg = load_config_file(args.config) if args.config else {}
     unread = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
     if unread:
@@ -439,6 +440,8 @@ def _merged(args):
     degree_bound = args.degree_bound
     if degree_bound is None:
         degree_bound = cfg.get("degree-bound")
+    if degree_bound is not None and degree_bound < 1:
+        raise UsageError("degree bound %d is not positive" % degree_bound)
     return cfg, degree_bound
 
 
@@ -472,6 +475,12 @@ def main(argv=None):
     started = time.monotonic()
     try:
         report = run(args)
+        report.elapsed_ms = int((time.monotonic() - started) * 1000)
+        # the file first: a path that cannot be written is a usage error,
+        # reported before anything reaches stdout
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
     except (UsageError, UnsupportedAlgebraError, OSError) as exc:
         print("loopdeform: error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
@@ -479,11 +488,7 @@ def main(argv=None):
         print("loopdeform: internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_INTERNAL
-    report.elapsed_ms = int((time.monotonic() - started) * 1000)
     sys.stdout.write(report.to_text())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
     return report.exit_code
 
 

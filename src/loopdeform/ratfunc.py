@@ -1,7 +1,12 @@
 """Exact arithmetic in the field Q(q, eta, zeta, u, v, w).
 
-Polynomials are stored sparsely as {exponent-tuple: Fraction} with terms kept
-in graded-lexicographic order, so equal polynomials have identical storage.
+Polynomials are stored sparsely as {exponent-tuple: coefficient} with terms
+kept in graded-lexicographic order, so equal polynomials have identical
+storage.  A coefficient is stored as an int when it is integral and as a
+Fraction (denominator > 1) only when it is not: the structure maps of the
+loop deformations have integral coefficients almost everywhere, and int
+arithmetic is far cheaper than Fraction arithmetic.  Every quotient of
+coefficients goes through _div, so no coefficient is ever a float.
 Rational functions are kept fully reduced (gcd cancelled) with the
 denominator's leading coefficient normalized to 1, which makes equality
 structural.
@@ -13,7 +18,9 @@ gcd is read off the other argument: q divides it when every term carries q,
 and q-r divides it when substituting q=r gives 0, each factor taken up to its
 multiplicity.  Only the splittings that succeed are memoized (keyed by the
 monic polynomial, O(deg^3) of them).  Any other pair goes through the
-primitive-PRS Euclid algorithm, which gives the same monic gcd.
+primitive-PRS Euclid algorithm, which gives the same monic gcd; each of its
+remainders is freed of its content in the other variables and of its
+rational content.
 
 Nothing mutates a MultiPoly or a RatFunc after construction, so the
 constants zero and one are shared instances (MultiPoly.zero/one,
@@ -23,6 +30,7 @@ RatFunc.zero/one, and rf(0), rf(1)).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 
 from .errors import PoleError
@@ -33,12 +41,24 @@ VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 _ZEXP = (0,) * NVARS
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coeff(c):
+    """Canonical coefficient: an int when c is integral, else a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("coefficients must be Fraction or int, got %r" % (c,))
+
+
+def _div(a, b):
+    """Canonical quotient a/b of two coefficients (b nonzero)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
 
 
 def _grlex_key(exp):
@@ -54,7 +74,7 @@ class MultiPoly:
         clean = {}
         if terms:
             for exp, c in sorted(terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
-                c = _as_fraction(c)
+                c = _coeff(c)
                 if c:
                     clean[tuple(exp)] = c
         self.terms = clean
@@ -67,7 +87,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c):
-        c = _as_fraction(c)
+        c = _coeff(c)
         return cls({_ZEXP: c}) if c else _ZERO_POLY
 
     @classmethod
@@ -79,11 +99,11 @@ class MultiPoly:
         i = VAR_INDEX[name]
         exp = [0] * NVARS
         exp[i] = power
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     @classmethod
     def monomial(cls, exp, c):
-        return cls({tuple(exp): _as_fraction(c)})
+        return cls({tuple(exp): c})
 
     # -- predicates / views ------------------------------------------------
 
@@ -96,10 +116,10 @@ class MultiPoly:
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
         if not self.is_const():
             raise ValueError("polynomial is not constant: %s" % self)
-        return self.terms.get(_ZEXP, Fraction(0))
+        return self.terms.get(_ZEXP, 0)
 
     def vars_used(self):
         used = set()
@@ -139,7 +159,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -166,7 +186,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _as_fraction(c)
+        c = _coeff(c)
         if not c:
             return MultiPoly()
         return MultiPoly({e: k * c for e, k in self.terms.items()})
@@ -185,15 +205,15 @@ class MultiPoly:
 
     # -- substitution -------------------------------------------------------
 
-    def eval_var(self, i, value: Fraction):
+    def eval_var(self, i, value):
         """Substitute a rational value for variable i."""
-        value = _as_fraction(value)
+        value = _coeff(value)
         out = {}
         for exp, c in self.terms.items():
             c2 = c * value ** exp[i]
             e = exp[:i] + (0,) + exp[i + 1 :]
             if c2:
-                s = out.get(e, Fraction(0)) + c2
+                s = out.get(e, 0) + c2
                 if s:
                     out[e] = s
                 else:
@@ -208,7 +228,7 @@ class MultiPoly:
             for i, p in enumerate(exp):
                 e[mapping.get(i, i)] += p
             e = tuple(e)
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -230,7 +250,7 @@ class MultiPoly:
         for d, p in coeffs.items():
             for exp, c in p.terms.items():
                 e = exp[:i] + (exp[i] + d,) + exp[i + 1 :]
-                out[e] = out.get(e, Fraction(0)) + c
+                out[e] = out.get(e, 0) + c
         return MultiPoly(out)
 
     # -- printing -----------------------------------------------------------
@@ -263,10 +283,10 @@ class MultiPoly:
 
 # nothing mutates a MultiPoly after construction, so the constants are shared
 _ZERO_POLY = MultiPoly()
-_ONE_POLY = MultiPoly({_ZEXP: Fraction(1)})
+_ONE_POLY = MultiPoly({_ZEXP: 1})
 
 
-def _coeff_str(c: Fraction):
+def _coeff_str(c):
     return str(c.numerator) if c.denominator == 1 else "(%d/%d)" % (c.numerator, c.denominator)
 
 
@@ -277,7 +297,7 @@ def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     _, lc = p.leading()
-    return p.scale(Fraction(1) / lc)
+    return p if lc == 1 else p.scale(_div(1, lc))
 
 
 def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -292,7 +312,7 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         diff = tuple(map(sub, rexp, gexp))
         if any(d < 0 for d in diff):
             raise ValueError("non-exact polynomial division")
-        c = r[rexp] / gc
+        c = _div(r[rexp], gc)
         q[diff] = c
         # r -= c * x^diff * g, which cancels the leading term of r
         for e, k in g.terms.items():
@@ -324,6 +344,15 @@ def _prem(f: MultiPoly, g: MultiPoly, i) -> MultiPoly:
             new[dd] = new.get(dd, MultiPoly()) - lr * p
         r = {d: p for d, p in new.items() if not p.is_zero()}
     return MultiPoly.from_univariate(i, r) if r else MultiPoly()
+
+
+def _primitive(p: MultiPoly) -> MultiPoly:
+    """p over its rational content: coprime integer coefficients."""
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return p.scale(_div(den, num))
 
 
 def _content_in(f: MultiPoly, i) -> MultiPoly:
@@ -358,7 +387,7 @@ def _q_split(p: MultiPoly):
             return None
     lc = next(iter(terms.values()))
     key = tuple(terms.items()) if lc == 1 else tuple(
-        (e, c / lc) for e, c in terms.items())
+        (e, _div(c, lc)) for e, c in terms.items())
     hit = _Q_SPLIT.get(key)
     if hit is None:
         hit = _root_multiplicities({e[0]: c for e, c in terms.items()})
@@ -436,7 +465,7 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         for p in (f, g):
             for e in p.terms:
                 exps = e if exps is None else tuple(map(min, exps, e))
-        return MultiPoly({exps: Fraction(1)})
+        return MultiPoly({exps: 1})
     mult = _q_split(f)
     if mult is not None:
         return _known_factor_gcd(mult, g)
@@ -464,7 +493,9 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             h = gp
             break
         fp = gp
-        gp = divexact(r, _content_in(r, i))
+        # without the rational content the coefficients grow exponentially
+        # along the sequence
+        gp = _primitive(divexact(r, _content_in(r, i)))
         if gp.degree(i) == 0:
             h = MultiPoly.one()
             break
@@ -490,7 +521,7 @@ class RatFunc:
             return
         if den.is_const():
             c = den.const_value()
-            self.num = num if c == 1 else num.scale(Fraction(1) / c)
+            self.num = num if c == 1 else num.scale(_div(1, c))
             self.den = _ONE_POLY
             return
         g = mp_gcd(num, den)
@@ -499,7 +530,7 @@ class RatFunc:
             den = divexact(den, g)
         _, lc = den.leading()
         if lc != 1:
-            inv = Fraction(1) / lc
+            inv = _div(1, lc)
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
@@ -536,8 +567,8 @@ class RatFunc:
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
 
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+    def const_value(self):
+        return _div(self.num.const_value(), self.den.const_value())
 
     def vars_used(self):
         return self.num.vars_used() | self.den.vars_used()
@@ -658,7 +689,7 @@ class RatFunc:
         if self.is_zero():
             return RatFunc.zero()
         i = VAR_INDEX[name]
-        value = _as_fraction(value)
+        value = _coeff(value)
         den = self.den.eval_var(i, value)
         if den.is_zero():
             raise PoleError("pole of %s at %s=%s" % (self, name, value))
@@ -755,7 +786,7 @@ def laurent_coeffs(f: RatFunc, name: str, point, upto: int):
     if f.is_zero():
         return (upto + 1, [])
     i = VAR_INDEX[name]
-    point = _as_fraction(point)
+    point = _coeff(point)
     num, den = f.num, f.den
     if point:
         # substitute name -> name + point, exactly
@@ -780,7 +811,7 @@ def laurent_coeffs(f: RatFunc, name: str, point, upto: int):
     return (ord0, coeffs)
 
 
-def _shift_to(p: MultiPoly, i: int, point: Fraction) -> MultiPoly:
+def _shift_to(p: MultiPoly, i: int, point) -> MultiPoly:
     """Substitute x_i -> x_i + point (exact binomial expansion)."""
     out = MultiPoly()
     for exp, c in p.terms.items():
@@ -792,7 +823,7 @@ def _shift_to(p: MultiPoly, i: int, point: Fraction) -> MultiPoly:
             cc = c * b * point ** (n - m)
             if cc:
                 e = base[:i] + (m,) + base[i + 1 :]
-                row[e] = row.get(e, Fraction(0)) + cc
+                row[e] = row.get(e, 0) + cc
             b = b * (n - m) // (m + 1)
         out = out + MultiPoly(row)
     return out

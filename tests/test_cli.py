@@ -527,6 +527,30 @@ def test_limit_degree_bound_hit_is_inconclusive():
     assert payload.startswith("DegreeBoundExceeded: ")
 
 
+NON_POSITIVE_BOUND_ARGV = [["verify", "uq-sl2", "relations"],
+                           ["limit", "uq-sl2", "q=1"],
+                           ["twist", "--order", "0"]]
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("argv", NON_POSITIVE_BOUND_ARGV,
+                         ids=lambda argv: argv[0])
+def test_non_positive_degree_bound_flag_is_usage_error(capsys, argv, bound):
+    assert main(argv + ["--degree-bound", bound]) == EXIT_USAGE
+    assert "degree bound %s" % bound in _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("argv", NON_POSITIVE_BOUND_ARGV,
+                         ids=lambda argv: argv[0])
+def test_non_positive_degree_bound_config_key_is_usage_error(
+        tmp_path, capsys, argv, bound):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("degree-bound=%s\n" % bound)
+    assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+    assert "degree bound %s" % bound in _usage_error_line(capsys)
+
+
 def test_cybe_rejects_degree_bound(tmp_path, capsys):
     assert main(["cybe", "--r", "rational", "--degree-bound", "3"]) \
         == EXIT_USAGE
@@ -546,6 +570,14 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "loopdeform: internal error: RuntimeError: boom\n"
+
+
+def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["cybe", "--r", "rational", "--json", str(path)]) \
+        == EXIT_USAGE
+    assert str(path) in _usage_error_line(capsys)
+    assert not path.exists()
 
 
 def test_console_entry_point_runs():

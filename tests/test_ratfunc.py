@@ -17,6 +17,7 @@ from loopdeform.ratfunc import (
     MultiPoly,
     RatFunc,
     VARIABLES,
+    divexact,
     laurent_coeffs,
     mp_gcd,
     parse_ratfunc,
@@ -273,6 +274,85 @@ def test_series_of_polynomial_is_its_coefficient(p, k):
         p.den,
     )
     assert rf_series_coeff(p, "q", k) == expect
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: an int when integral, else a Fraction
+# ---------------------------------------------------------------------------
+
+
+def _assert_canonical(x):
+    """Every stored coefficient of x (a MultiPoly or RatFunc) is an int or a
+    Fraction with denominator > 1; none is a float or an integral Fraction."""
+    for p in (x.num, x.den) if isinstance(x, RatFunc) else (x,):
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator > 1), (x, c)
+
+
+_coefficient = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+              st.integers(min_value=1, max_value=3)))
+
+# q, eta, u exponents with coefficients given as ints or Fractions, integral
+# Fractions among them
+_mixed_poly = st.builds(
+    lambda terms: MultiPoly({(a, b, 0, c, 0, 0): k for k, (a, b, c) in terms}),
+    st.lists(st.tuples(_coefficient,
+                       st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)),
+             max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_poly, _mixed_poly, _coefficient,
+       st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(4, 2)]))
+def test_coefficients_are_canonical(f, g, c, value):
+    polys = [f, g, f + g, f - g, f * g, f.scale(c), f.eval_var(0, value),
+             f.map_vars({0: 3, 3: 0})]
+    if not g.is_zero():
+        polys.append(divexact(f * g, g))
+    fields = [RatFunc(f), RatFunc(f, g)] if not g.is_zero() else [RatFunc(f)]
+    a = fields[-1]
+    b = RatFunc(g) + rf(c)
+    fields += [a + b, a - b, a * b, parse_ratfunc(str(a))]
+    if not b.is_zero():
+        fields.append(a / b)
+    try:
+        fields.append(a.eval_var("q", value))
+    except PoleError:
+        pass
+    fields.extend(laurent_coeffs(RatFunc(f) + rf(c), "q", value, 2)[1])
+    for x in polys + fields:
+        _assert_canonical(x)
+    for x in fields:
+        if x.is_const():
+            assert type(x.const_value()) in (int, Fraction)
+
+
+def test_integral_quotients_stay_ints():
+    two_q_two = rf("2*q + 2").num
+    quotient = divexact(two_q_two, MultiPoly.const(2))
+    assert quotient == rf("q + 1").num
+    assert all(type(c) is int for c in quotient.terms.values())
+    half = divexact(rf("q + 1").num, MultiPoly.const(2))
+    assert sorted(half.terms.values()) == [Fraction(1, 2)] * 2
+    _assert_canonical(half)
+    assert type((rf(4) / rf(2)).const_value()) is int
+    assert (rf(3) / rf(2)).const_value() == Fraction(3, 2)
+    assert type(RatFunc(MultiPoly.const(6), MultiPoly.const(3))
+                .const_value()) is int
+
+
+def test_integral_fraction_and_int_build_the_same_poly():
+    exp = (1, 0, 0, 2, 0, 0)
+    from_fraction = MultiPoly({exp: Fraction(3)})
+    from_int = MultiPoly({exp: 3})
+    assert from_fraction == from_int
+    assert hash(from_fraction) == hash(from_int)
+    assert type(from_fraction.terms[exp]) is int
+    assert str(from_fraction) == str(from_int) == "3*q*u^2"
+    assert rf(Fraction(6, 3)) == rf(2)
 
 
 # ---------------------------------------------------------------------------
