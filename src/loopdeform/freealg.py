@@ -52,6 +52,8 @@ class Alphabet:
                     % (s.name, len(s.weight), len(self.pairing_matrix))
                 )
             self.index[s.name] = i
+        #: loop degree of each letter, by id
+        self.loop_degrees = tuple(s.loop_degree for s in self.symbols)
         self.inverse = {}
         for i, s in enumerate(self.symbols):
             if s.inv_name is not None:
@@ -105,7 +107,7 @@ class Alphabet:
         return tuple(acc)
 
     def word_loop_degree(self, word):
-        return sum(self.symbols[i].loop_degree for i in word)
+        return sum(map(self.loop_degrees.__getitem__, word))
 
     def contract(self, word):
         """Cancel adjacent mutually-inverse letters (stack pass)."""

@@ -22,10 +22,18 @@ each deformed family is constructed mechanically: cross relations are built as
 against the already-installed rules, and only then oriented.  This is what
 keeps the stored coefficients free of spurious poles at q = 1.
 
+Rewriting (``Presentation.normal_form``) is one kernel that works in place on
+a single term dict.  The words still to visit wait on a frontier ordered by
+the term order, and rules are found through an index of their leads by length
+and word.  The strategy is fixed: the highest reducible word first, rewritten
+by the rule earliest in ``relations`` that matches it anywhere, at that rule's
+leftmost match.  The yangian-sl2 and twisted-yangian-sl2 rule systems are not
+confluent, so another strategy could reach another normal form.
+
 Rules come in through ``Presentation.add_rule`` only (directly, or through
-``add_rule_from_zero_form``), which keeps the memoized word normal forms
-current.  Only code that edits ``relations`` in place, as two tests do, bumps
-``_rules_version`` itself.
+``add_rule_from_zero_form``), which keeps the memoized word normal forms and
+the lead index current.  Only code that edits ``relations`` in place, as two
+tests do, bumps ``_rules_version`` itself.
 
 The checks of every module build their zero/nonzero rows with ``check_row``.
 """
@@ -34,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import factorial
+from operator import neg
 
 from .errors import (
     DegreeBoundExceeded,
@@ -176,6 +186,9 @@ class Presentation:
         self._word_nf = {}
         self._rules_version = 0
         self._word_nf_version = 0
+        # the lead index of _first_occurrence, keyed to _rules_version
+        self._index = []
+        self._index_version = -1
 
     # -- term order ----------------------------------------------------------
 
@@ -190,19 +203,40 @@ class Presentation:
 
     # -- rewriting -----------------------------------------------------------
 
+    def _lead_index(self):
+        """[(lead length, {lead: (priority, rule)})], shortest leads first.
+
+        A rule's priority is its position in ``relations``; of two rules
+        with one lead only the first can ever fire, so only it is kept.
+        The index is rebuilt whenever _rules_version has moved."""
+        if self._index_version != self._rules_version:
+            by_length = {}
+            for prio, rel in enumerate(self.relations):
+                by_length.setdefault(len(rel.lead), {}).setdefault(
+                    rel.lead, (prio, rel))
+            self._index = sorted(by_length.items())
+            self._index_version = self._rules_version
+        return self._index
+
     def _first_occurrence(self, word):
         """(relation, position) for the first rule (in priority order) that
-        matches a subword, at its leftmost position; None if irreducible."""
+        matches a subword, at its leftmost position; None if irreducible.
+
+        Every subword whose length is that of some lead is looked up in the
+        lead index; of all hits, the one of lowest priority wins, and since
+        positions are visited left to right, it wins at its leftmost match."""
         n = len(word)
-        for rel in self.relations:
-            lead = rel.lead
-            m = len(lead)
+        best = None
+        best_prio = len(self.relations)
+        for m, leads in self._lead_index():
             if m > n:
-                continue
+                break
             for pos in range(n - m + 1):
-                if word[pos : pos + m] == lead:
-                    return rel, pos
-        return None
+                hit = leads.get(word[pos : pos + m])
+                if hit is not None and hit[0] < best_prio:
+                    best_prio = hit[0]
+                    best = hit[1], pos
+        return best
 
     def normal_form(self, x: NCPoly, bound=None) -> NCPoly:
         """Rewrite x until no rule applies.
@@ -211,37 +245,50 @@ class Presentation:
         rewrite its leftmost highest-priority occurrence.  Every replacement
         word is strictly smaller, so this terminates; the guard raises
         DegreeBoundExceeded if intermediate words outgrow the bound.
-        """
+
+        The rewriting works in place on one copy of x's term dict: a step
+        pops the word and adds c2 * c at each replaced word, one RatFunc
+        product per replacement term.  The words still to visit sit on a
+        frontier, a heap on negated word_key, so no step rescans the terms;
+        a word found irreducible is never looked at again.  A new word is
+        checked against the bound as it comes in and is added at the end
+        of the dict, in replacement order: the terms come out in the order
+        that rebuilding the whole sum at every step gives, and the word the
+        bound stops at is the first over-long one in that order."""
         bound = self.degree_bound if bound is None else bound
-        alphabet = self.alphabet
-        work = x
+        contract = self.alphabet.contract
+        loop_degree = self.alphabet.loop_degrees.__getitem__
+        frontier = []
+
+        def enter(w):
+            if len(w) > bound:
+                raise DegreeBoundExceeded(
+                    "word of length %d exceeds bound %d during rewriting"
+                    % (len(w), bound))
+            heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
+                                tuple(map(neg, w)), w))
+
+        terms = dict(x.terms)
+        for w in terms:
+            enter(w)
         irreducible = set()
-        while True:
-            best = None
-            best_key = None
-            for w in work.terms:
-                if w in irreducible:
-                    continue
-                if len(w) > bound:
-                    raise DegreeBoundExceeded(
-                        "word of length %d exceeds bound %d during rewriting"
-                        % (len(w), bound)
-                    )
-                k = self.word_key(w)
-                if best_key is None or k > best_key:
-                    best, best_key = w, k
-            if best is None:
-                return work
+        while frontier:
+            best = heappop(frontier)[3]
+            if best in irreducible or best not in terms:
+                continue  # a stale entry: the word was rewritten or cancelled
             occ = self._first_occurrence(best)
             if occ is None:
                 irreducible.add(best)
                 continue
             rel, pos = occ
-            c = work.terms[best]
-            prefix = NCPoly(alphabet, {best[:pos]: rf(1)})
-            suffix = NCPoly(alphabet, {best[pos + len(rel.lead):]: rf(1)})
-            replaced = prefix * rel.repl * suffix
-            work = work - NCPoly(alphabet, {best: c}) + c * replaced
+            c = terms.pop(best)
+            prefix, suffix = best[:pos], best[pos + len(rel.lead):]
+            for w2, c2 in rel.repl.terms.items():
+                w = contract(prefix + w2 + suffix)
+                if w not in terms:
+                    enter(w)
+                add_term(terms, w, c2 * c)
+        return x._new(terms)
 
     def word_normal_form(self, word, bound=None):
         """Normal form of a single word, memoized (default bound only).
@@ -320,7 +367,8 @@ class Presentation:
         """Install lead -> repl as the lowest-priority rule and return it.
 
         The only way a rule comes in: it also retires the memoized word
-        normal forms, so rewriting after this call uses the new rule."""
+        normal forms and the lead index, so rewriting after this call uses
+        the new rule."""
         rel = Relation(label, lead, repl, kind, dict(meta or {}))
         self.relations.append(rel)
         self._rules_version += 1

@@ -284,6 +284,7 @@ class MultiPoly:
 # nothing mutates a MultiPoly after construction, so the constants are shared
 _ZERO_POLY = MultiPoly()
 _ONE_POLY = MultiPoly({_ZEXP: 1})
+_ONE_TERMS = _ONE_POLY.terms
 
 
 def _coeff_str(c):
@@ -638,9 +639,15 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
-            return RatFunc.zero()
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # a product by one is the other factor: the structure maps and the
+        # slotwise normal forms multiply by one often
+        if n1.terms == _ONE_TERMS and d1.terms == _ONE_TERMS:
+            return other
+        if n2.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
+            return self
+        if n1.is_zero() or n2.is_zero():
+            return RatFunc.zero()
         if d1.is_const() and d2.is_const():
             out = RatFunc.__new__(RatFunc)
             out.num = n1 * n2

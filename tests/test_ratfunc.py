@@ -355,6 +355,17 @@ def test_integral_fraction_and_int_build_the_same_poly():
     assert rf(Fraction(6, 3)) == rf(2)
 
 
+@pytest.mark.parametrize("text", ["0", "1", "-1", "3/2", "q", "1/q",
+                                  "(q^2 + eta)/(q - 1)", "-(2/3)*u*v"])
+def test_product_by_one_is_the_other_factor(text):
+    x = rf(text)
+    # one as the shared constant, as a fresh polynomial, and as a quotient
+    for one in (rf(1), RatFunc(MultiPoly.const(1)), Q / Q, 1):
+        assert x * one == x
+        assert one * x == x
+        assert str(x * one) == str(one * x) == str(x)
+
+
 # ---------------------------------------------------------------------------
 # gcd through the known factors q, q-1, q+1 against the generic path
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ without the generic pseudo-remainder gcd (every denominator there splits
 over q, q-1, q+1) and without dense matrix additions (witnesses accumulate
 sparsely), while still evaluating one exact witness per relation and rep.
 The coefficients of these checks are integral almost everywhere, so they
-must also run on int arithmetic, with few Fraction objects made.
+must also run on int arithmetic, with few Fraction objects made.  And
+rewriting must make one RatFunc product per replacement term per rewrite
+step, not build each replacement from NCPoly products.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from loopdeform import hopf, ratfunc, repn
 from loopdeform.hopf import build_hopf, check_homomorphism
-from loopdeform.presentations import get_presentation
+from loopdeform.freealg import NCPoly
+from loopdeform.presentations import Presentation, get_presentation
+from loopdeform.ratfunc import RatFunc, rf
 from loopdeform.repn import default_reps
 
 
@@ -65,3 +70,54 @@ def test_homomorphism_check_makes_few_fractions(monkeypatch, algebra, bound):
     monkeypatch.undo()
     assert all(verdict == "zero" for _, verdict, _ in rows)
     assert made[0] <= bound
+
+
+def _drinfeldian_sl2_samples(p, count, seed):
+    """Relation zero forms times 0-2 generators, alternating with single
+    random words of length 0-6, all with small rational coefficients."""
+    rng = random.Random(seed)
+    A = p.alphabet
+    zero_forms = [rel.zero_form(A) for rel in p.relations]
+    out = []
+    for i in range(count):
+        c = rf(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+        if i % 2 == 0:
+            x = zero_forms[i // 2 % len(zero_forms)].scale(c)
+            for _ in range(rng.randint(0, 2)):
+                g = NCPoly(A, {(rng.randrange(len(A)),): rf(1)})
+                x = g * x if rng.random() < 0.5 else x * g
+        else:
+            word = tuple(rng.randrange(len(A)) for _ in range(i // 2 % 7))
+            x = NCPoly(A, {word: c})
+        out.append(x)
+    return out
+
+
+def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
+    # building every replacement as prefix * repl * suffix from NCPoly
+    # products and then scaling it took 2,230 RatFunc.__mul__ calls for the
+    # 590 replacement terms of these 200 elements
+    p = get_presentation("drinfeldian-sl2")
+    samples = _drinfeldian_sl2_samples(p, 200, seed=7)
+    counts = {"mul": 0, "terms": 0}
+    mul = RatFunc.__mul__
+    first_occurrence = Presentation._first_occurrence
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counting_first_occurrence(self, word):
+        occ = first_occurrence(self, word)
+        if occ is not None:
+            counts["terms"] += len(occ[0].repl.terms)
+        return occ
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    monkeypatch.setattr(Presentation, "_first_occurrence",
+                        counting_first_occurrence)
+    zeros = sum(p.normal_form(x).is_zero() for x in samples)
+    monkeypatch.undo()
+    assert zeros >= 100
+    assert counts["terms"] > 0
+    assert counts["mul"] == counts["terms"]
