@@ -12,15 +12,24 @@ denominator's leading coefficient normalized to 1, which makes equality
 structural.
 
 Every denominator the shipped presentations, Hopf maps and representations
-produce is c*q^a*(q-1)^b*(q+1)^d.  So mp_gcd first tries to split one
-argument completely over the known factors q, q-1, q+1; when that works, the
-gcd is read off the other argument: q divides it when every term carries q,
-and q-r divides it when substituting q=r gives 0, each factor taken up to its
-multiplicity.  Only the splittings that succeed are memoized (keyed by the
-monic polynomial, O(deg^3) of them).  Any other pair goes through the
-primitive-PRS Euclid algorithm, which gives the same monic gcd; each of its
-remainders is freed of its content in the other variables and of its
-rational content.
+produce is c*q^a*(q-1)^b*(q+1)^d.  So each RatFunc stores, next to its monic
+denominator, the multiplicities (a, b, d) of q, q-1, q+1 in it, or None when
+the denominator does not split that way (u+v, q-2, u-v).  When both operands
+of a product or a sum carry them, the arithmetic works on the exponents:
+each numerator is stripped of the known factors it shares with the other
+denominator (the multiplicity of q-r in a polynomial is the least over the
+q-polynomials beside each monomial in the other variables, found by
+synthetic division), and the new denominator is read from a memo of the
+products keyed by their exponents.  No gcd is taken and no two
+denominators are multiplied.
+
+Any other operand goes through mp_gcd.  It too first tries to split one
+argument completely over q, q-1, q+1 and then reads the gcd off the other
+argument the same way.  Only the splittings that succeed are memoized
+(keyed by the monic polynomial, O(deg^3) of them).  Any other pair goes
+through the primitive-PRS Euclid algorithm, which gives the same monic gcd;
+each of its remainders is freed of its content in the other variables and
+of its rational content.
 
 Nothing mutates a MultiPoly or a RatFunc after construction, so the
 constants zero and one are shared instances (MultiPoly.zero/one,
@@ -372,11 +381,14 @@ def _content_in(f: MultiPoly, i) -> MultiPoly:
 # are listed
 _ROOTS = (0, 1, -1)
 
+# the multiplicities of a denominator 1
+_NO_FACTORS = (0, 0, 0)
+
 # monic q-only polynomial (as its terms) -> multiplicities over _ROOTS, and
 # back; only polynomials that split completely are stored, so both memos
 # have O(deg^3) keys
 _Q_SPLIT = {}
-_Q_PRODUCT = {}
+_Q_PRODUCT = {_NO_FACTORS: _ONE_POLY}
 
 
 def _q_split(p: MultiPoly):
@@ -426,27 +438,46 @@ def _root_multiplicities(coeffs, caps=None):
     return tuple(out)
 
 
-def _known_factor_gcd(mult, g: MultiPoly) -> MultiPoly:
-    """Monic gcd of q^a*(q-1)^b*(q+1)^d, (a, b, d) = mult, with g.
+def _known_factor_caps(mult, g: MultiPoly):
+    """Multiplicities of q, q-1, q+1 in g, each capped at mult.
 
     q - r divides g exactly when it divides the q-polynomial beside each
     monomial in the other variables, so the multiplicity of each factor in
     g is the least over those polynomials."""
+    terms = g.terms
+    if len(terms) == 1 or not (mult[1] or mult[2]):
+        # only the power of q counts: q - 1 and q + 1 are not asked for, or
+        # g is a monomial, which neither 1 nor -1 is a root of
+        return (min(mult[0], min(e[0] for e in terms)), 0, 0)
     rows = {}
-    for e, c in g.terms.items():
+    for e, c in terms.items():
         rows.setdefault(e[1:], {})[e[0]] = c
     caps = mult
     for row in rows.values():
         caps = _root_multiplicities(row, caps)
         if not any(caps):
-            return _ONE_POLY
-    out = _Q_PRODUCT.get(caps)
+            break
+    return caps
+
+
+def _q_product(mult) -> MultiPoly:
+    """The monic q^a*(q-1)^b*(q+1)^d, (a, b, d) = mult."""
+    out = _Q_PRODUCT.get(mult)
     if out is None:
         out = _ONE_POLY
-        for r, m in zip(_ROOTS, caps):
+        for r, m in zip(_ROOTS, mult):
             out = out * (MultiPoly.var("q") + MultiPoly.const(-r)) ** m
-        _Q_PRODUCT[caps] = out
+        _Q_PRODUCT[mult] = out
     return out
+
+
+def _strip(mult, p: MultiPoly):
+    """(p / g, multiplicities of g) for g the monic gcd of p with the
+    product over mult; the one division is made only when g is not 1."""
+    caps = _known_factor_caps(mult, p)
+    if any(caps):
+        p = divexact(p, _q_product(caps))
+    return p, caps
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -467,12 +498,13 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             for e in p.terms:
                 exps = e if exps is None else tuple(map(min, exps, e))
         return MultiPoly({exps: 1})
+    # when one argument splits, the gcd is the other's share of its factors
     mult = _q_split(f)
     if mult is not None:
-        return _known_factor_gcd(mult, g)
+        return _q_product(_known_factor_caps(mult, g))
     mult = _q_split(g)
     if mult is not None:
-        return _known_factor_gcd(mult, f)
+        return _q_product(_known_factor_caps(mult, f))
     fv, gv = f.vars_used(), g.vars_used()
     # prefer a variable that only one of them uses: the gcd then lives in
     # that one's coefficients, and no pseudo-remainder sequence is needed
@@ -507,9 +539,21 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 class RatFunc:
-    """Reduced fraction of MultiPolys; structural equality is field equality."""
+    """Reduced fraction of MultiPolys; structural equality is field equality.
 
-    __slots__ = ("num", "den")
+    num and den share no factor, and den has leading coefficient 1.  split
+    is the triple (a, b, d) with den = q^a*(q-1)^b*(q+1)^d, or None when den
+    is not such a product; every constructor sets it, and a denominator 1
+    has split (0, 0, 0).
+
+    A product or sum of two operands that both carry a split cancels on the
+    multiplicities: a product strips each numerator of the other operand's
+    known factors, a sum strips the summed numerator of the factors the two
+    denominators share.  The constructor, and with it every quotient, strips
+    the numerator the same way when the given denominator splits.  Every
+    other product, sum and construction cancels through mp_gcd."""
+
+    __slots__ = ("num", "den", "split")
 
     def __init__(self, num: MultiPoly, den: MultiPoly = None):
         if den is None:
@@ -519,23 +563,36 @@ class RatFunc:
         if num.is_zero():
             self.num = _ZERO_POLY
             self.den = _ONE_POLY
+            self.split = _NO_FACTORS
             return
         if den.is_const():
             c = den.const_value()
             self.num = num if c == 1 else num.scale(_div(1, c))
             self.den = _ONE_POLY
+            self.split = _NO_FACTORS
+            return
+        _, lc = den.leading()
+        split = _q_split(den)
+        if split is not None:
+            # den is lc times the product over split
+            num, caps = _strip(split, num)
+            split = tuple(map(sub, split, caps))
+            self.num = num if lc == 1 else num.scale(_div(1, lc))
+            self.den = _q_product(split)
+            self.split = split
             return
         g = mp_gcd(num, den)
         if not (g.is_const() and g.const_value() == 1):
             num = divexact(num, g)
             den = divexact(den, g)
-        _, lc = den.leading()
         if lc != 1:
             inv = _div(1, lc)
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
         self.den = den
+        # the reduced denominator may split where the given one did not
+        self.split = _q_split(den)
 
     # -- constructors -------------------------------------------------------
 
@@ -586,43 +643,52 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _make(-self.num, self.den, self.split)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero():
+        n1, n2 = self.num, other.num
+        if n1.is_zero():
             return other
-        if other.num.is_zero():
+        if n2.is_zero():
             return self
+        s1, s2 = self.split, other.split
+        if s1 is not None and s2 is not None:
+            shared = s1
+            if s1 != s2:
+                # over the lcm, each numerator times its cofactor
+                shared = tuple(map(min, s1, s2))
+                c1 = tuple(map(sub, s1, shared))
+                c2 = tuple(map(sub, s2, shared))
+                if any(c2):
+                    n1 = n1 * _q_product(c2)
+                if any(c1):
+                    n2 = n2 * _q_product(c1)
+                s1 = tuple(map(max, s1, s2))
+            t = n1 + n2
+            if t.is_zero():
+                return _ZERO
+            if any(shared):
+                # only the shared factors can cancel against the numerator
+                t, caps = _strip(shared, t)
+                s1 = tuple(map(sub, s1, caps))
+            return _make(t, _q_product(s1), s1)
         d1, d2 = self.den, other.den
         if d1 == d2:
-            return RatFunc(self.num + other.num, d1)
+            return RatFunc(n1 + n2, d1)
         g = mp_gcd(d1, d2)
         if g.is_const():
             # coprime reduced denominators: the sum is already reduced
-            out = RatFunc.__new__(RatFunc)
-            out.num = self.num * d2 + other.num * d1
-            out.den = d1 * d2
-            if out.num.is_zero():
-                out.den = _ONE_POLY
-            return out
+            return _make_reduced(n1 * d2 + n2 * d1, d1 * d2)
         d2g = divexact(d2, g)
-        t = self.num * d2g + other.num * divexact(d1, g)
+        t = n1 * d2g + n2 * divexact(d1, g)
         # only the shared factor can still cancel against the numerator
         h = mp_gcd(t, g)
         if not h.is_const():
             return RatFunc(divexact(t, h), divexact(d1, h) * d2g)
-        out = RatFunc.__new__(RatFunc)
-        out.num = t
-        out.den = d1 * d2g
-        if out.num.is_zero():
-            out.den = _ONE_POLY
-        return out
+        return _make_reduced(t, d1 * d2g)
 
     __radd__ = __add__
 
@@ -633,7 +699,10 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -647,14 +716,22 @@ class RatFunc:
         if n2.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
             return self
         if n1.is_zero() or n2.is_zero():
-            return RatFunc.zero()
-        if d1.is_const() and d2.is_const():
-            out = RatFunc.__new__(RatFunc)
-            out.num = n1 * n2
-            out.den = _ONE_POLY
-            return out
+            return _ZERO
+        # both denominators the shared 1: nothing can cancel
+        if d1 is _ONE_POLY and d2 is _ONE_POLY:
+            return _make(n1 * n2, _ONE_POLY, _NO_FACTORS)
         # cross-cancel: with both inputs reduced, the product of the
         # cross-reduced pieces is reduced
+        s1, s2 = self.split, other.split
+        if s1 is not None and s2 is not None:
+            if any(s2):
+                n1, caps = _strip(s2, n1)
+                s2 = tuple(map(sub, s2, caps))
+            if any(s1):
+                n2, caps = _strip(s1, n2)
+                s1 = tuple(map(sub, s1, caps))
+            split = tuple(map(add, s1, s2))
+            return _make(n1 * n2, _q_product(split), split)
         g1 = mp_gcd(n1, d2)
         if not g1.is_const():
             n1 = divexact(n1, g1)
@@ -663,10 +740,7 @@ class RatFunc:
         if not g2.is_const():
             n2 = divexact(n2, g2)
             d1 = divexact(d1, g2)
-        out = RatFunc.__new__(RatFunc)
-        out.num = n1 * n2
-        out.den = d1 * d2
-        return out
+        return _make_reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -679,7 +753,10 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         if n < 0:
@@ -743,6 +820,23 @@ class RatFunc:
 # nothing mutates a RatFunc after construction, so the constants are shared
 _ZERO = RatFunc(_ZERO_POLY)
 _ONE = RatFunc(_ONE_POLY)
+
+
+def _make(num: MultiPoly, den: MultiPoly, split) -> RatFunc:
+    """The RatFunc num/den, already reduced with den monic; split is den's
+    multiplicities over q, q-1, q+1 (None when it does not split)."""
+    out = RatFunc.__new__(RatFunc)
+    out.num = num
+    out.den = den
+    out.split = split
+    return out
+
+
+def _make_reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
+    """The RatFunc num/den, already reduced with den monic."""
+    if num.is_zero():
+        return _ZERO
+    return _make(num, den, _q_split(den))
 
 
 def _paren_poly(p: MultiPoly):

@@ -1,6 +1,8 @@
 """Command-line driver: exit codes, report schema, determinism, config."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -581,8 +583,12 @@ def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package this suite imported, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "loopdeform", "cybe", "--r", "jordanian"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_PASS
     assert "pass" in proc.stdout

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from loopdeform import ratfunc
 from loopdeform.errors import PoleError
+from loopdeform.hopf import build_hopf
+from loopdeform.presentations import ALGEBRA_BUILDERS, get_presentation
 from loopdeform.ratfunc import (
     MultiPoly,
     RatFunc,
@@ -26,6 +28,7 @@ from loopdeform.ratfunc import (
     rf_limit,
     rf_series_coeff,
 )
+from loopdeform.repn import default_reps
 
 Q = rf("q")
 ETA = rf("eta")
@@ -435,3 +438,197 @@ def test_euclid_takes_a_one_sided_variable_first():
     f = (3 * Q * (Q - 1)**2 * (Q + 1)**3 * rf("q^2 + 1")).num
     g = rf("(q^2*eta^2*u*v + q*u*v^2 - 2*eta*v + 3*q)*(q + 1)").num
     assert _generic_gcd(f, g) == mp_gcd(f, g) == rf("q + 1").num
+
+
+# ---------------------------------------------------------------------------
+# arithmetic over the known factors q, q-1, q+1 against the gcd path
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr", [lambda: 1.5 - rf(1), lambda: "a" - rf(1),
+                                  lambda: None / rf(2)])
+def test_reflected_operators_reject_foreign_operands(expr):
+    with pytest.raises(TypeError):
+        expr()
+
+
+def _ref(num, den):
+    """A RatFunc holding num/den as given (already reduced, den monic)."""
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den, out.split = num, den, ratfunc._q_split(den)
+    return out
+
+
+def _ref_new(num, den):
+    """The gcd-based RatFunc constructor: cancel mp_gcd, make den monic."""
+    if num.is_zero():
+        return _ref(MultiPoly.zero(), MultiPoly.one())
+    if den.is_const():
+        c = den.const_value()
+        return _ref(num if c == 1 else num.scale(Fraction(1) / c),
+                    MultiPoly.one())
+    g = mp_gcd(num, den)
+    if not (g.is_const() and g.const_value() == 1):
+        num = divexact(num, g)
+        den = divexact(den, g)
+    _, lc = den.leading()
+    if lc != 1:
+        num = num.scale(Fraction(1) / lc)
+        den = den.scale(Fraction(1) / lc)
+    return _ref(num, den)
+
+
+def _ref_mul(x, y):
+    """The gcd-based product: cross-cancel each numerator against the other
+    denominator with mp_gcd."""
+    n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+    if n1.is_zero() or n2.is_zero():
+        return _ref(MultiPoly.zero(), MultiPoly.one())
+    if d1.is_const() and d2.is_const():
+        return _ref(n1 * n2, MultiPoly.one())
+    g1 = mp_gcd(n1, d2)
+    if not g1.is_const():
+        n1, d2 = divexact(n1, g1), divexact(d2, g1)
+    g2 = mp_gcd(n2, d1)
+    if not g2.is_const():
+        n2, d1 = divexact(n2, g2), divexact(d1, g2)
+    return _ref(n1 * n2, d1 * d2)
+
+
+def _ref_add(x, y):
+    """The gcd-based sum: over d1*d2/gcd(d1, d2), then cancel the shared
+    factor."""
+    if x.is_zero():
+        return y
+    if y.is_zero():
+        return x
+    d1, d2 = x.den, y.den
+    if d1 == d2:
+        return _ref_new(x.num + y.num, d1)
+    g = mp_gcd(d1, d2)
+    if g.is_const():
+        t = x.num * d2 + y.num * d1
+        return _ref(t, d1 * d2) if t else _ref_new(t, d1)
+    d2g = divexact(d2, g)
+    t = x.num * d2g + y.num * divexact(d1, g)
+    h = mp_gcd(t, g)
+    if not h.is_const():
+        return _ref_new(divexact(t, h), divexact(d1, h) * d2g)
+    return _ref(t, d1 * d2g) if t else _ref_new(t, d1)
+
+
+def _ref_neg(x):
+    return _ref(-x.num, x.den)
+
+
+def _ref_div(x, y):
+    return _ref_new(x.num * y.den, x.den * y.num)
+
+
+def _assert_split_is_stored(x):
+    assert x.split == ratfunc._q_split(x.den), (x, x.split)
+
+
+def _assert_same(ours, theirs):
+    """Equal terms in storage order, coefficient types and str()."""
+    for p, r in ((ours.num, theirs.num), (ours.den, theirs.den)):
+        assert list(p.terms.items()) == list(r.terms.items())
+        assert [type(c) for c in p.terms.values()] == \
+            [type(c) for c in r.terms.values()]
+    assert str(ours) == str(theirs)
+    _assert_split_is_stored(ours)
+
+
+_QV = MultiPoly.var("q")
+
+
+def _known_product(mult):
+    a, b, d = mult
+    return (_QV ** a * (_QV - MultiPoly.one()) ** b
+            * (_QV + MultiPoly.one()) ** d)
+
+
+# one factor that does not split over q, q-1, q+1 ("" for none)
+_OTHER_FACTORS = {"": MultiPoly.one(), "u + v": rf("u + v").num,
+                  "q - 2": rf("q - 2").num}
+
+_multiplicities = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+# num/den with den = c*q^a*(q-1)^b*(q+1)^d, sometimes times u + v or q - 2,
+# and num a polynomial in q, eta, u, v, sometimes times known factors that
+# the other operand's denominator carries
+_operand = st.builds(
+    lambda c, den_mult, other, terms, num_mult: (
+        MultiPoly({(e[0], e[1], 0, e[2], e[3], 0): k for k, e in terms})
+        * _known_product(num_mult),
+        (_known_product(den_mult) * _OTHER_FACTORS[other]).scale(c)),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+    _multiplicities,
+    st.sampled_from(["", "", "", "u + v", "q - 2"]),
+    st.lists(st.tuples(st.integers(min_value=-3, max_value=3),
+                       st.tuples(st.integers(min_value=0, max_value=2),
+                                 *[st.integers(min_value=0, max_value=1)] * 3)),
+             min_size=1, max_size=2),
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * 3),
+)
+
+
+def _constructed(operand):
+    """RatFunc(num, den), checked against the gcd-based constructor."""
+    num, den = operand
+    x = RatFunc(num, den)
+    _assert_same(x, _ref_new(num, den))
+    return x
+
+
+def _no_gcd(*args):
+    raise AssertionError("mp_gcd called on operands that both split")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operand, _operand, _operand,
+       st.sampled_from(["pair", "pair", "negated", "absorbed"]))
+def test_exponent_path_matches_gcd_path(a, b, c, shape):
+    x, y = _constructed(a), _constructed(b)
+    if shape == "negated":
+        # sums that cancel to zero
+        y = -x
+    elif shape == "absorbed":
+        # x + y is the third operand: its numerator absorbs the factors of
+        # x's denominator that the third one lacks
+        y = _constructed(c) - x
+        _assert_same(x + y, _constructed(c))
+    both_split = x.split is not None and y.split is not None
+    with pytest.MonkeyPatch.context() as mp:
+        if both_split:
+            mp.setattr(ratfunc, "mp_gcd", _no_gcd)
+        pairs = [(x * y, _ref_mul(x, y)), (y * x, _ref_mul(y, x)),
+                 (x + y, _ref_add(x, y)), (y + x, _ref_add(y, x)),
+                 (x - y, _ref_add(x, _ref_neg(y))),
+                 (y - x, _ref_add(y, _ref_neg(x)))]
+    if not y.is_zero():
+        pairs.append((x / y, _ref_div(x, y)))
+    for ours, theirs in pairs:
+        _assert_same(ours, theirs)
+    if shape == "negated":
+        assert (x + y).is_zero() and str(x + y) == "0"
+
+
+def test_construction_sites_store_the_split():
+    # every RatFunc in the shipped relations, Hopf maps and default reps
+    # carries its denominator's split, and every one of those denominators
+    # splits (the results of the differential test above are checked there)
+    coeffs = []
+    for name in ALGEBRA_BUILDERS:
+        p = get_presentation(name)
+        H = build_hopf(p)
+        coeffs += [c for rel in p.relations for c in rel.repl.terms.values()]
+        coeffs += [c for t in H.delta.values() for c in t.terms.values()]
+        coeffs += [c for x in H.antipode.values() for c in x.terms.values()]
+        coeffs += list(H.epsilon.values())
+        coeffs += [c for rep in default_reps(p)
+                   for m in rep.images.values() for c in m.entries.values()]
+    for c in coeffs:
+        _assert_split_is_stored(c)
+        assert c.split is not None, c
+    assert any(any(c.split) for c in coeffs)

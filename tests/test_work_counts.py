@@ -7,7 +7,9 @@ sparsely), while still evaluating one exact witness per relation and rep.
 The coefficients of these checks are integral almost everywhere, so they
 must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
-step, not build each replacement from NCPoly products.
+step, not build each replacement from NCPoly products.  Products and sums
+of coefficients whose denominators split over q, q-1, q+1 cancel on the
+multiplicities, with no gcd at all.
 """
 
 import random
@@ -47,6 +49,26 @@ def test_drinfeldian_sl2_homomorphism_work_counts(monkeypatch):
     assert len(rows) == 21
     assert counts == {"prem": 0, "matrix_add": 0,
                       "evaluate_tensor": len(rows) * len(reps)}
+
+
+# cancelling through mp_gcd, this check made 20,124 mp_gcd calls (recursive
+# ones included) and 11,110 divexact calls; on the multiplicities it makes no
+# gcd and 4,082 divisions
+def test_drinfeldian_sl2_homomorphism_cancels_without_gcd(monkeypatch):
+    p = get_presentation("drinfeldian-sl2")
+    reps = default_reps(p)
+    H = build_hopf(p)
+    counts = {"mp_gcd": 0, "divexact": 0}
+    monkeypatch.setattr(ratfunc, "mp_gcd",
+                        _counting(counts, "mp_gcd", ratfunc.mp_gcd))
+    monkeypatch.setattr(ratfunc, "divexact",
+                        _counting(counts, "divexact", ratfunc.divexact))
+    rows = check_homomorphism(H, reps)
+    monkeypatch.undo()
+    assert rows == [(rel.label, "zero", None) for rel in p.relations]
+    assert len(rows) == 21
+    assert counts["mp_gcd"] == 0
+    assert counts["divexact"] <= 5_000
 
 
 # with every coefficient stored as a Fraction, check_homomorphism makes
