@@ -61,14 +61,11 @@ from .repn import (
 )
 from .hopf import (
     HopfData,
-    antipode,
     build_hopf,
     check_antipode,
     check_coassoc,
     check_counit,
     check_homomorphism,
-    coproduct,
-    counit,
     loop_hopf_limit,
 )
 from .twist import (

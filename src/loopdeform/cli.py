@@ -31,6 +31,7 @@ from .hopf import (
     check_counit,
 )
 from .presentations import (
+    ALGEBRA_BUILDERS,
     DEFAULT_DEGREE_BOUND,
     build_yangian_sl2,
     check_row,
@@ -50,8 +51,7 @@ from .twist import (
     check_twisted_homomorphism,
 )
 
-ALGEBRAS = ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
-            "yangian-sl2", "twisted-yangian-sl2")
+ALGEBRAS = tuple(ALGEBRA_BUILDERS)
 SUITES = ("relations", "hopf", "all")
 TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "all")
 MAX_TWIST_ORDER = 4

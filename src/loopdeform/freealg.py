@@ -176,9 +176,6 @@ class _Linear:
     def __bool__(self):
         return bool(self.terms)
 
-    def support(self):
-        return sorted(self.terms)
-
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
 

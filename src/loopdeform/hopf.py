@@ -67,13 +67,11 @@ DEFAULT_CONVENTION = "raise-left"
 class HopfData:
     """Coproduct, counit and antipode on every generator of a presentation."""
 
-    def __init__(self, presentation: Presentation, delta, epsilon, antipode,
-                 convention=None):
+    def __init__(self, presentation: Presentation, delta, epsilon, antipode):
         self.presentation = presentation
         self.delta = dict(delta)
         self.epsilon = dict(epsilon)
         self.antipode = dict(antipode)
-        self.convention = convention
         A = presentation.alphabet
         for s in A.symbols:
             if (s.name not in self.delta or s.name not in self.epsilon
@@ -82,6 +80,7 @@ class HopfData:
                     "Hopf data misses generator %s" % s.name)
         self._delta_ids = {A.id_of(n): t for n, t in self.delta.items()}
         self._antipode_ids = {A.id_of(n): x for n, x in self.antipode.items()}
+        self._epsilon_ids = {A.id_of(n): c for n, c in self.epsilon.items()}
 
     # -- structure maps ------------------------------------------------------
 
@@ -89,34 +88,22 @@ class HopfData:
         return apply_hom(x, self._delta_ids)
 
     def counit(self, x: NCPoly) -> RatFunc:
-        A = self.presentation.alphabet
         acc = rf(0)
         for word, c in x.terms.items():
-            val = c
-            for i in word:
-                val = val * self.epsilon[A.name_of(i)]
-                if val.is_zero():
-                    break
-            acc = acc + val
+            acc = acc + c * self.word_counit(word)
         return acc
+
+    def word_counit(self, word) -> RatFunc:
+        """Product of the generator counits along a word of letter ids."""
+        eps = rf(1)
+        for i in word:
+            eps = eps * self._epsilon_ids[i]
+            if eps.is_zero():
+                break
+        return eps
 
     def antipode_of(self, x: NCPoly) -> NCPoly:
         return apply_antihom(x, self._antipode_ids)
-
-
-def coproduct(x: NCPoly, hopf: HopfData) -> TensorPoly:
-    """Multiplicative extension of the generator coproducts to x."""
-    return hopf.coproduct(x)
-
-
-def antipode(x: NCPoly, hopf: HopfData) -> NCPoly:
-    """Anti-multiplicative extension of the generator antipodes to x."""
-    return hopf.antipode_of(x)
-
-
-def counit(x: NCPoly, hopf: HopfData) -> RatFunc:
-    """Multiplicative extension of the generator counits to x."""
-    return hopf.counit(x)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +127,7 @@ def counit_in_slot(t: TensorPoly, slot: int, hopf: HopfData):
     A = t.alphabet
     out = {}
     for words, c in t.terms.items():
-        eps = rf(1)
-        for i in words[slot]:
-            eps = eps * hopf.epsilon[A.name_of(i)]
-            if eps.is_zero():
-                break
+        eps = hopf.word_counit(words[slot])
         if eps.is_zero():
             continue
         add_term(out, words[:slot] + words[slot + 1:], c * eps)
@@ -231,7 +214,7 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
     if family == "uq":
         delta, epsilon, antipode = _finite_part_maps(
             p, _convention_exponents(convention))
-        return HopfData(p, delta, epsilon, antipode, convention)
+        return HopfData(p, delta, epsilon, antipode)
     if family == "drinfeldian":
         delta, epsilon, antipode = _finite_part_maps(
             p, _convention_exponents(convention))
@@ -257,7 +240,7 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
         s_s = apply_antihom(s, anti_ids)
         antipode["xi"] = p.normal_form(
             -(kappa * xi) + (s_s + kappa * s).scale(a))
-        return HopfData(p, delta, epsilon, antipode, convention)
+        return HopfData(p, delta, epsilon, antipode)
     if family in ("yangian", "classical"):
         delta, epsilon, antipode = {}, {}, {}
         one = p.unit()
@@ -272,7 +255,7 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
             delta["xi"] = (tensor(xi, one) + tensor(one, xi)
                            + tensor(f, h).scale(eta))
             antipode["xi"] = -xi + (f * h).scale(eta)
-        return HopfData(p, delta, epsilon, antipode, None)
+        return HopfData(p, delta, epsilon, antipode)
     raise UnsupportedAlgebraError("no Hopf data for family %r" % family)
 
 

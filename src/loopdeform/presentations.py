@@ -166,9 +166,6 @@ class Relation:
 class Presentation:
     """An algebra given by generators and oriented rewrite rules."""
 
-    #: human-readable description of the monomial order used by normal_form
-    term_order = "loop degree, then word length, then leftmost generator id"
-
     def __init__(self, name, family, cartan, alphabet,
                  degree_bound=DEFAULT_DEGREE_BOUND, params=(),
                  shift_element=None):

@@ -21,15 +21,13 @@ denominator (the multiplicity of q-r in a polynomial is the least over the
 q-polynomials beside each monomial in the other variables, found by
 synthetic division), and the new denominator is read from a memo of the
 products keyed by their exponents.  No gcd is taken and no two
-denominators are multiplied.
+denominators are multiplied.  Only the splittings that succeed are memoized
+(keyed by the monic polynomial, O(deg^3) of them).
 
-Any other operand goes through mp_gcd.  It too first tries to split one
-argument completely over q, q-1, q+1 and then reads the gcd off the other
-argument the same way.  Only the splittings that succeed are memoized
-(keyed by the monic polynomial, O(deg^3) of them).  Any other pair goes
-through the primitive-PRS Euclid algorithm, which gives the same monic gcd;
-each of its remainders is freed of its content in the other variables and
-of its rational content.
+Any other operand goes through mp_gcd, which knows nothing of the factors
+q, q-1, q+1: past the trivial and monomial cases it is the primitive-PRS
+Euclid algorithm, each of whose remainders is freed of its content in the
+other variables and of its rational content.
 
 Nothing mutates a MultiPoly or a RatFunc after construction, so the
 constants zero and one are shared instances (MultiPoly.zero/one,
@@ -109,10 +107,6 @@ class MultiPoly:
         exp = [0] * NVARS
         exp[i] = power
         return cls({tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, exp, c):
-        return cls({tuple(exp): c})
 
     # -- predicates / views ------------------------------------------------
 
@@ -498,13 +492,6 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             for e in p.terms:
                 exps = e if exps is None else tuple(map(min, exps, e))
         return MultiPoly({exps: 1})
-    # when one argument splits, the gcd is the other's share of its factors
-    mult = _q_split(f)
-    if mult is not None:
-        return _q_product(_known_factor_caps(mult, g))
-    mult = _q_split(g)
-    if mult is not None:
-        return _q_product(_known_factor_caps(mult, f))
     fv, gv = f.vars_used(), g.vars_used()
     # prefer a variable that only one of them uses: the gcd then lives in
     # that one's coefficients, and no pseudo-remainder sequence is needed
@@ -640,6 +627,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes like it
+        if self.den.terms == _ONE_TERMS and self.num.is_const():
+            return hash(self.num.const_value())
         return hash((self.num, self.den))
 
     def __neg__(self):
@@ -946,6 +936,7 @@ def rf_series_coeff(f: RatFunc, name: str, k: int) -> RatFunc:
 
 class _Tok:
     def __init__(self, text):
+        self.text = text
         self.toks = []
         i = 0
         while i < len(text):
@@ -975,6 +966,8 @@ class _Tok:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def next(self):
+        if self.pos == len(self.toks):
+            raise ValueError("unexpected end of input in %r" % self.text)
         t = self.toks[self.pos]
         self.pos += 1
         return t

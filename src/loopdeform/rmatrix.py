@@ -149,13 +149,11 @@ def build_r(kind: str, parts=()) -> RMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _r_in_slots(r: RMatrix, slots, spectral) -> MatrixRF:
-    """8x8 image of r in two of the three slots, with the spectral variables
-    (u, v) simultaneously renamed per the slot pair: r as a three-slot tensor
-    element whose remaining slot holds the empty word (the identity),
-    evaluated with the fundamental representation in every slot."""
-    rep = spin_rep(Fraction(1, 2))
-    pair = r.as_tensor_poly(rep.presentation)
+def _r_in_slots(pair: TensorPoly, rep, slots, spectral) -> MatrixRF:
+    """8x8 image of the two-slot element pair in two of the three slots,
+    with the spectral variables (u, v) simultaneously renamed per the slot
+    pair: pair as a three-slot tensor element whose remaining slot holds the
+    empty word (the identity), evaluated with rep in every slot."""
     terms = {}
     for key, c in pair.terms.items():
         words = [(), (), ()]
@@ -170,9 +168,12 @@ def cybe_residual(r: RMatrix) -> MatrixRF:
     Slot pairs carry spectral arguments (u,v), (u,w), (v,w): the single
     spectral pair of r is renamed simultaneously for each embedding.  A zero
     result is an identity of rational functions in u, v, w and the
-    deformation parameters, not a numerical check."""
-    r12 = _r_in_slots(r, (0, 1), {})
-    r13 = _r_in_slots(r, (0, 2), {"v": "w"})
-    r23 = _r_in_slots(r, (1, 2), {"u": "v", "v": "w"})
+    deformation parameters, not a numerical check.  The fundamental
+    representation is built once and acts in all three slots."""
+    rep = spin_rep(Fraction(1, 2))
+    pair = r.as_tensor_poly(rep.presentation)
+    r12 = _r_in_slots(pair, rep, (0, 1), {})
+    r13 = _r_in_slots(pair, rep, (0, 2), {"v": "w"})
+    r23 = _r_in_slots(pair, rep, (1, 2), {"u": "v", "v": "w"})
     return (r12.commutator(r13) + r12.commutator(r23)
             + r13.commutator(r23))

@@ -268,6 +268,9 @@ def load_bundle(text):
 
     def take(key):
         nonlocal pos
+        if pos == len(lines):
+            raise FormatError(lines[-1][0], "expected %r header, got the end "
+                              "of the document" % key)
         n, line = lines[pos]
         value = _expect_fields(n, line, key)
         pos += 1
@@ -284,7 +287,12 @@ def load_bundle(text):
         raise FormatError(lines[pos - 1][0], str(exc)) from None
     _, params_text = take("params")
     params = () if params_text == "-" else tuple(params_text.split(","))
-    _, bound_text = take("degree-bound")
+    n, bound_text = take("degree-bound")
+    try:
+        degree_bound = int(bound_text)
+    except ValueError:
+        raise FormatError(n, "degree bound %r is not an integer"
+                          % bound_text) from None
     alphabet = _ALPHABET_BUILDERS[family](cd)
 
     shift = None
@@ -293,7 +301,7 @@ def load_bundle(text):
         shift = parse_ncpoly(value, alphabet)
 
     p = Presentation(name, family, cd, alphabet,
-                     degree_bound=int(bound_text), params=params,
+                     degree_bound=degree_bound, params=params,
                      shift_element=shift)
 
     seen_gens = set()

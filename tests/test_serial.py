@@ -114,6 +114,20 @@ def test_malformed_documents_are_rejected():
         load_bundle(good + "mat ha1: 1,0;0,-1\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    # the header block ends early: the error names the last line there is
+    ("presentation x\nfamily uq", 2),
+    ("presentation x\n\nfamily uq\n# no cartan line\n", 3),
+    ("presentation x\nfamily uq\ncartan sl2\nparams -\ndegree-bound z\n", 5),
+    ("presentation x\nfamily uq\ncartan sl2\nparams -\ndegree-bound 2.5\n", 5),
+], ids=["ends-at-family", "ends-at-comment", "bound-z", "bound-2.5"])
+def test_malformed_header_is_a_format_error_at_its_line(text, lineno):
+    with pytest.raises(FormatError) as info:
+        load_bundle(text)
+    assert info.value.lineno == lineno
+    assert str(info.value).startswith("line %d: " % lineno)
+
+
 def test_loaded_rep_is_revalidated():
     p = build_yangian_sl2()
     r = solve_eval_correction(Fraction(1, 2), p)

@@ -1,4 +1,5 @@
-"""Work-count guard for the coproduct-homomorphism check.
+"""Work-count guards for the coproduct-homomorphism check and the classical
+Yang-Baxter residual.
 
 Counts, not seconds: the drinfeldian-sl2 check must reach its verdicts
 without the generic pseudo-remainder gcd (every denominator there splits
@@ -9,7 +10,8 @@ must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
 step, not build each replacement from NCPoly products.  Products and sums
 of coefficients whose denominators split over q, q-1, q+1 cancel on the
-multiplicities, with no gcd at all.
+multiplicities, with no gcd at all.  The Yang-Baxter residual builds its
+fundamental representation once, not once per slot pair.
 """
 
 import random
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from loopdeform import hopf, ratfunc, repn
+from loopdeform import hopf, ratfunc, repn, rmatrix
 from loopdeform.hopf import build_hopf, check_homomorphism
 from loopdeform.freealg import NCPoly
 from loopdeform.presentations import Presentation, get_presentation
@@ -143,3 +145,18 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     assert zeros >= 100
     assert counts["terms"] > 0
     assert counts["mul"] == counts["terms"]
+
+
+@pytest.mark.parametrize("kind", ["rational", "twisted_yangian"])
+def test_cybe_residual_builds_one_witness_rep(monkeypatch, kind):
+    # building the fundamental representation once per slot pair built
+    # classical-sl2 and validated its representation three times
+    counts = {"spin_rep": 0, "rep_build": 0}
+    monkeypatch.setattr(rmatrix, "spin_rep",
+                        _counting(counts, "spin_rep", rmatrix.spin_rep))
+    monkeypatch.setattr(repn.Rep, "__init__",
+                        _counting(counts, "rep_build", repn.Rep.__init__))
+    residual = rmatrix.cybe_residual(rmatrix.build_r(kind))
+    monkeypatch.undo()
+    assert residual.nrows == 8
+    assert counts == {"spin_rep": 1, "rep_build": 1}
