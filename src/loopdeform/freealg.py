@@ -3,7 +3,9 @@
 Letters carry a weight vector (coordinates over the simple roots), an integer
 loop degree, and optionally the name of an inverse letter.  Words are tuples
 of letter ids; adjacent inverse pairs contract automatically, so group-like
-generators and their inverses never pile up.
+generators and their inverses never pile up.  Every stored word is
+contracted, and so is every slice of one: a product of two words can only
+contract where they meet (Alphabet.join).
 
 NCPoly is a finite linear combination of words with RatFunc coefficients;
 TensorPoly is the same over n-fold tensor words.  Both keep a sparse dict of
@@ -118,6 +120,15 @@ class Alphabet:
             else:
                 out.append(i)
         return tuple(out)
+
+    def join(self, a, b):
+        """contract(a + b) for two contracted words: inverse pairs can
+        only cancel where a ends and b begins."""
+        inverse = self.inverse
+        k, n = 0, min(len(a), len(b))
+        while k < n and inverse.get(a[-1 - k]) == b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:] if k else a + b
 
     def word_str(self, word):
         return ".".join(self.symbols[i].name for i in word) if word else "1"
@@ -277,10 +288,10 @@ class NCPoly(_Linear):
                 return NotImplemented
         self._check_compat(other)
         out = {}
-        contract = self.alphabet.contract
+        join = self.alphabet.join
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                add_term(out, contract(w1 + w2), c1 * c2)
+                add_term(out, join(w1, w2), c1 * c2)
         return self._new(out)
 
     def __pow__(self, n):
@@ -369,12 +380,11 @@ class TensorPoly(_Linear):
             except TypeError:
                 return NotImplemented
         self._check_compat(other)
-        contract = self.alphabet.contract
+        join = self.alphabet.join
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                add_term(out, tuple(contract(a + b) for a, b in zip(k1, k2)),
-                         c1 * c2)
+                add_term(out, tuple(map(join, k1, k2)), c1 * c2)
         return self._new(out)
 
     def map_slot(self, i, word_fn):

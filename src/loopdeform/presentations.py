@@ -253,7 +253,7 @@ class Presentation:
         that rebuilding the whole sum at every step gives, and the word the
         bound stops at is the first over-long one in that order."""
         bound = self.degree_bound if bound is None else bound
-        contract = self.alphabet.contract
+        join = self.alphabet.join
         loop_degree = self.alphabet.loop_degrees.__getitem__
         frontier = []
 
@@ -281,7 +281,7 @@ class Presentation:
             c = terms.pop(best)
             prefix, suffix = best[:pos], best[pos + len(rel.lead):]
             for w2, c2 in rel.repl.terms.items():
-                w = contract(prefix + w2 + suffix)
+                w = join(join(prefix, w2), suffix)
                 if w not in terms:
                     enter(w)
                 add_term(terms, w, c2 * c)

@@ -11,6 +11,15 @@ Rational functions are kept fully reduced (gcd cancelled) with the
 denominator's leading coefficient normalized to 1, which makes equality
 structural.
 
+Results are canonical by construction.  The MultiPoly constructor sorts the
+terms and makes each coefficient canonical; a result whose terms are
+canonical and ordered by construction skips it through _poly: a negation, a
+scaling by a nonzero value, a monomial times a polynomial (a translation
+keeps the grlex order, and no two products share an exponent), a sum of two
+monomials with one exponent, and the quotient divexact builds (its exponents
+come out strictly descending).  Hashes and the memo keys read the terms in
+storage order, so an order slip there breaks hashing, not equality.
+
 Every denominator the shipped presentations, Hopf maps and representations
 produce is c*q^a*(q-1)^b*(q+1)^d.  So each RatFunc stores, next to its monic
 denominator, the multiplicities (a, b, d) of q, q-1, q+1 in it, or None when
@@ -19,8 +28,9 @@ of a product or a sum carry them, the arithmetic works on the exponents:
 each numerator is stripped of the known factors it shares with the other
 denominator (the multiplicity of q-r in a polynomial is the least over the
 q-polynomials beside each monomial in the other variables, found by
-synthetic division), and the new denominator is read from a memo of the
-products keyed by their exponents.  No gcd is taken and no two
+synthetic division, whose quotients are the stripped numerator), and the
+new denominator is read from a memo of the products keyed by their
+exponents.  No gcd is taken, no polynomial division is made and no two
 denominators are multiplied.  Only the splittings that succeed are memoized
 (keyed by the monic polynomial, O(deg^3) of them).
 
@@ -31,7 +41,8 @@ other variables and of its rational content.
 
 Nothing mutates a MultiPoly or a RatFunc after construction, so the
 constants zero and one are shared instances (MultiPoly.zero/one,
-RatFunc.zero/one, and rf(0), rf(1)).
+RatFunc.zero/one, and rf(0), rf(1)), and every denominator 1 is
+MultiPoly.one().
 """
 
 from __future__ import annotations
@@ -155,13 +166,19 @@ class MultiPoly:
         return hash(tuple(self.terms.items()))
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        t1, t2 = self.terms, other.terms
+        if len(t1) == 1 and t1.keys() == t2.keys():
+            # two monomials with one exponent: one term or none
+            (e, c1), = t1.items()
+            s = c1 + t2[e]
+            return _poly({e: _coeff(s)}) if s else _ZERO_POLY
+        out = dict(t1)
+        for e, c in t2.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
@@ -177,9 +194,18 @@ class MultiPoly:
             return self.scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        t1, t2 = self.terms, other.terms
+        if len(t2) == 1:
+            t1, t2 = t2, t1
+        # a monomial times a polynomial: translation keeps the grlex order,
+        # and no two products share an exponent
+        if len(t1) == 1:
+            (e1, c1), = t1.items()
+            return _poly({tuple(map(add, e1, e2)): _coeff(c1 * c2)
+                          for e2, c2 in t2.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
                 e = tuple(map(add, e1, e2))
                 s = out.get(e)
                 # the constructor drops the sums that cancel
@@ -191,8 +217,8 @@ class MultiPoly:
     def scale(self, c):
         c = _coeff(c)
         if not c:
-            return MultiPoly()
-        return MultiPoly({e: k * c for e, k in self.terms.items()})
+            return _ZERO_POLY
+        return _poly({e: _coeff(k * c) for e, k in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -284,6 +310,15 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
+def _poly(terms) -> MultiPoly:
+    """The MultiPoly on terms that are canonical already: nonzero int or
+    non-integral Fraction coefficients, keyed in grlex-descending order.
+    Only results that are canonical by construction come through here."""
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = terms
+    return out
+
+
 # nothing mutates a MultiPoly after construction, so the constants are shared
 _ZERO_POLY = MultiPoly()
 _ONE_POLY = MultiPoly({_ZEXP: 1})
@@ -326,7 +361,8 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 r[e] = s
             else:
                 del r[e]
-    return MultiPoly(q)
+    # the leading term of r descends strictly, and so does diff
+    return _poly(q)
 
 
 def _prem(f: MultiPoly, g: MultiPoly, i) -> MultiPoly:
@@ -404,54 +440,32 @@ def _q_split(p: MultiPoly):
     return hit
 
 
-def _root_multiplicities(coeffs, caps=None):
+def _root_multiplicities(coeffs):
     """Multiplicities of the roots _ROOTS in the univariate polynomial
-    {degree: coefficient}, each capped at caps; with caps None, None unless
-    the polynomial splits completely over them."""
+    {degree: coefficient}; None unless it splits completely over them."""
     a = min(coeffs)
-    if caps is not None:
-        a = min(a, caps[0])
-    top = max(coeffs)
     # descending coefficients of p / q^a
-    desc = [coeffs.get(k, 0) for k in range(top, a - 1, -1)]
-    out = [a]
-    for k, r in enumerate(_ROOTS[1:], 1):
-        m = 0
-        while len(desc) > 1 and (caps is None or m < caps[k]):
-            # synthetic division by q - r; its last value is the remainder
-            quo = [desc[0]]
-            for c in desc[1:]:
-                quo.append(c + quo[-1] if r == 1 else c - quo[-1])
-            if quo.pop():
-                break
-            desc = quo
-            m += 1
-        out.append(m)
-    if caps is None and len(desc) > 1:
-        return None
-    return tuple(out)
+    desc = [coeffs.get(k, 0) for k in range(max(coeffs), a - 1, -1)]
+    desc, b = _divide_root(desc, 1, None)
+    desc, d = _divide_root(desc, -1, None)
+    return (a, b, d) if len(desc) == 1 else None
 
 
-def _known_factor_caps(mult, g: MultiPoly):
-    """Multiplicities of q, q-1, q+1 in g, each capped at mult.
-
-    q - r divides g exactly when it divides the q-polynomial beside each
-    monomial in the other variables, so the multiplicity of each factor in
-    g is the least over those polynomials."""
-    terms = g.terms
-    if len(terms) == 1 or not (mult[1] or mult[2]):
-        # only the power of q counts: q - 1 and q + 1 are not asked for, or
-        # g is a monomial, which neither 1 nor -1 is a root of
-        return (min(mult[0], min(e[0] for e in terms)), 0, 0)
-    rows = {}
-    for e, c in terms.items():
-        rows.setdefault(e[1:], {})[e[0]] = c
-    caps = mult
-    for row in rows.values():
-        caps = _root_multiplicities(row, caps)
-        if not any(caps):
+def _divide_root(desc, r, cap):
+    """(quotient, m) for m the multiplicity of the root r (1 or -1) in the
+    polynomial with descending coefficients desc, at most cap (None for no
+    cap), and the quotient by (q - r)^m, descending."""
+    m = 0
+    while len(desc) > 1 and m != cap:
+        # synthetic division by q - r; its last value is the remainder
+        quo = [desc[0]]
+        for c in desc[1:]:
+            quo.append(c + quo[-1] if r == 1 else c - quo[-1])
+        if quo.pop():
             break
-    return caps
+        desc = quo
+        m += 1
+    return desc, m
 
 
 def _q_product(mult) -> MultiPoly:
@@ -467,11 +481,45 @@ def _q_product(mult) -> MultiPoly:
 
 def _strip(mult, p: MultiPoly):
     """(p / g, multiplicities of g) for g the monic gcd of p with the
-    product over mult; the one division is made only when g is not 1."""
-    caps = _known_factor_caps(mult, p)
-    if any(caps):
-        p = divexact(p, _q_product(caps))
-    return p, caps
+    product over mult.
+
+    q - r divides p exactly when it divides the q-polynomial beside each
+    monomial in the other variables (a row), so the multiplicity of each
+    factor in p is the least over the rows.  The quotient is read off the
+    synthetic divisions that find the multiplicities; only a row divided
+    before a later row lowered them is divided again."""
+    terms = p.terms
+    a, b, d = mult
+    if a:
+        a = min(a, min(e[0] for e in terms))
+    # a monomial has neither 1 nor -1 as a root
+    if (b or d) and len(terms) > 1:
+        rows = {}
+        for e, c in terms.items():
+            rows.setdefault(e[1:], {})[e[0]] = c
+        done = []
+        for rest, row in rows.items():
+            # descending coefficients of row / q^a
+            desc = [row.get(k, 0) for k in range(max(row), a - 1, -1)]
+            quo, b = _divide_root(desc, 1, b)
+            quo, d = _divide_root(quo, -1, d)
+            if not (b or d):
+                break
+            done.append((rest, desc, quo, b, d))
+        if b or d:
+            out = {}
+            for rest, desc, quo, rb, rd in done:
+                if rb != b or rd != d:
+                    quo = _divide_root(_divide_root(desc, 1, b)[0], -1, d)[0]
+                top = len(quo) - 1
+                for j, c in enumerate(quo):
+                    if c:
+                        out[(top - j,) + rest] = c
+            return MultiPoly(out), (a, b, d)
+    if not a:
+        return p, _NO_FACTORS
+    # dividing by a power of q translates the exponents: the order holds
+    return _poly({(e[0] - a,) + e[1:]: c for e, c in terms.items()}), (a, 0, 0)
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -577,6 +625,9 @@ class RatFunc:
             num = num.scale(inv)
             den = den.scale(inv)
         self.num = num
+        # a denominator 1 is the shared constant (products test it by identity)
+        if den.terms == _ONE_TERMS:
+            den = _ONE_POLY
         self.den = den
         # the reduced denominator may split where the given one did not
         self.split = _q_split(den)
@@ -826,6 +877,8 @@ def _make_reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
     """The RatFunc num/den, already reduced with den monic."""
     if num.is_zero():
         return _ZERO
+    if den.terms == _ONE_TERMS:
+        den = _ONE_POLY
     return _make(num, den, _q_split(den))
 
 

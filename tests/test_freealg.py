@@ -5,6 +5,8 @@ no relations); coefficients follow the q-binomial pattern with the bracket
 power read off the weight pairing at each step.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from loopdeform.freealg import (
     q_commutator,
     tensor,
 )
+from loopdeform.presentations import get_presentation
 from loopdeform.ratfunc import RatFunc, q_power, rf
 
 
@@ -54,6 +57,34 @@ def test_inverse_contraction():
     assert K * K * KI * KI == NCPoly.unit(A)
     assert (K * E * KI * K) == K * E  # only adjacent pairs contract
     assert A.contract((3, 4, 3, 4)) == ()
+
+
+@pytest.mark.parametrize("algebra", ["uq-sl3", "drinfeldian-sl2"])
+def test_join_contracts_at_the_junction(algebra):
+    A = get_presentation(algebra).alphabet
+    group_like = sorted(A.inverse)
+    rng = random.Random(7)
+
+    def word(n, letters=group_like * 2 + list(range(len(A)))):
+        return A.contract(tuple(rng.choice(letters) for _ in range(n)))
+
+    def inverse(w):
+        return tuple(A.inverse[i] for i in reversed(w))
+
+    cases = [((), ()), ((), word(4)), (word(4), ())]
+    for _ in range(150):
+        g = word(rng.randint(0, 6), group_like)
+        a = A.contract(word(rng.randint(0, 4)) + g)
+        # b cancels all of g, a part of a's end, or nothing
+        cases += [(g, inverse(g)),
+                  (a, A.contract(inverse(g[rng.randint(0, len(g)):])
+                                 + word(rng.randint(0, 4)))),
+                  (a, word(rng.randint(0, 8)))]
+    for a, b in cases:
+        assert A.join(a, b) == A.contract(a + b), (a, b)
+    cut = {len(a) + len(b) - len(A.join(a, b)) for a, b in cases}
+    assert 0 in cut and len(cut) > 4
+    assert sum(1 for a, b in cases if a and b and not A.join(a, b)) > 100
 
 
 def test_alphabet_validation():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopdeform import ratfunc
@@ -642,3 +642,118 @@ def test_construction_sites_store_the_split():
         _assert_split_is_stored(c)
         assert c.split is not None, c
     assert any(any(c.split) for c in coeffs)
+
+
+def test_a_denominator_one_is_the_shared_constant():
+    # the product fast path tests the shared constant by identity
+    u, v = rf("u"), rf("v")
+    s = (u + v).num
+    for x in ((rf(1) / (u - v)) * (u - v), RatFunc(s, s),
+              u / (u + v) + v / (u + v)):
+        assert x.den is ratfunc._ONE_POLY, x
+        assert x.split == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# results canonical by construction against the sorting references
+# ---------------------------------------------------------------------------
+
+
+def _sorting_mul(f, g):
+    """The product through the sorting constructor."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiPoly(out)
+
+
+def _sorting_add(f, g):
+    out = dict(f.terms)
+    for e, c in g.terms.items():
+        out[e] = out.get(e, 0) + c
+    return MultiPoly(out)
+
+
+def _sorting_neg(f):
+    return MultiPoly({e: -c for e, c in f.terms.items()})
+
+
+def _sorting_scale(f, c):
+    return MultiPoly({e: k * c for e, k in f.terms.items()})
+
+
+def _divexact_strip(mult, p):
+    """The strip through divexact: each multiplicity by trial division,
+    capped at mult, then one division by their product."""
+    caps = [0, 0, 0]
+    for k, cap in enumerate(mult):
+        while caps[k] < cap:
+            trial = list(caps)
+            trial[k] += 1
+            try:
+                divexact(p, _known_product(trial))
+            except ValueError:
+                break
+            caps = trial
+    quotient = divexact(p, _known_product(caps))
+    return MultiPoly(dict(quotient.terms)), tuple(caps)
+
+
+def _assert_same_poly(ours, theirs):
+    """Equal terms in storage order, coefficient types and hash."""
+    assert list(ours.terms.items()) == list(theirs.terms.items())
+    assert [type(c) for c in ours.terms.values()] == \
+        [type(c) for c in theirs.terms.values()]
+    assert hash(ours) == hash(theirs)
+
+
+# pairs among them multiply or add to integers: 2 * 1/2, 3/2 * 2/3
+_trusted_coefficient = st.sampled_from(
+    [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+     Fraction(2, 3)])
+
+_exponent = st.builds(lambda a, b, c: (a, b, 0, c, 0, 0),
+                      *[st.integers(min_value=0, max_value=2)] * 3)
+
+_monomial = st.builds(lambda c, e: MultiPoly({e: c}),
+                      _trusted_coefficient, _exponent)
+
+_trusted_operand = st.one_of(
+    _monomial,
+    st.builds(lambda terms: MultiPoly(dict(terms)),
+              st.lists(st.tuples(_exponent, _trusted_coefficient),
+                       max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trusted_operand, _trusted_operand, _trusted_coefficient,
+       st.sampled_from([0, 1, -1, Fraction(4, 2), Fraction(2, 3)]))
+def test_trusted_arithmetic_matches_sorting_references(f, g, c, s):
+    pairs = [(f * g, _sorting_mul(f, g)), (g * f, _sorting_mul(g, f)),
+             (f + g, _sorting_add(f, g)), (-f, _sorting_neg(f)),
+             (f.scale(s), _sorting_scale(f, s))]
+    if f:
+        # monomials with f's leading exponent: sums of one term, or none
+        h = MultiPoly({f.leading()[0]: c})
+        pairs += [(h + h, _sorting_add(h, h)), (h + f, _sorting_add(h, f)),
+                  (h + -h, _sorting_add(h, _sorting_neg(h)))]
+    if g:
+        pairs.append((divexact(f * g, g), f))
+    for ours, theirs in pairs:
+        _assert_same_poly(ours, theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@example(multiplicities=(0, 2, 0), p=rf("(q - 1)^2*u + q - 1").num)
+@example(multiplicities=(1, 1, 1), p=rf("(q^2 - 1)*eta + q^3 - q").num)
+@example(multiplicities=(2, 2, 0), p=rf("q*(q - 1)^2*u - q^2*(q - 1)").num)
+@given(_multiplicities,
+       st.builds(lambda f, mult: f * _known_product(mult),
+                 _trusted_operand.filter(bool), _multiplicities))
+def test_strip_matches_the_divexact_strip(multiplicities, p):
+    ours, caps = ratfunc._strip(multiplicities, p)
+    theirs, ref_caps = _divexact_strip(multiplicities, p)
+    assert caps == ref_caps
+    _assert_same_poly(ours, theirs)
