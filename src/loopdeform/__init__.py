@@ -79,7 +79,6 @@ from .twist import (
     twisted_coproduct,
 )
 from .rmatrix import (
-    RMatrix,
     build_r,
     casimir_c2,
     cybe_residual,

@@ -242,17 +242,17 @@ class NCPoly(_Linear):
         return cls(alphabet)
 
     @classmethod
-    def unit(cls, alphabet, c=1):
-        return cls(alphabet, {(): rf(c)})
+    def unit(cls, alphabet):
+        return cls(alphabet, {(): rf(1)})
 
     @classmethod
     def gen(cls, alphabet, name):
         return cls(alphabet, {(alphabet.id_of(name),): rf(1)})
 
     @classmethod
-    def word(cls, alphabet, names, c=1):
+    def word(cls, alphabet, names):
         ids = tuple(alphabet.id_of(n) for n in names)
-        return cls(alphabet, {ids: rf(c)})
+        return cls(alphabet, {ids: rf(1)})
 
     # -- predicates -----------------------------------------------------------
 
@@ -359,8 +359,8 @@ class TensorPoly(_Linear):
         return cls(alphabet, arity)
 
     @classmethod
-    def unit(cls, alphabet, arity, c=1):
-        return cls(alphabet, arity, {((),) * arity: rf(c)})
+    def unit(cls, alphabet, arity):
+        return cls(alphabet, arity, {((),) * arity: rf(1)})
 
     def coeff(self, key):
         return self.terms.get(tuple(tuple(w) for w in key), RatFunc.zero())
@@ -386,6 +386,22 @@ class TensorPoly(_Linear):
             for k2, c2 in other.terms.items():
                 add_term(out, tuple(map(join, k1, k2)), c1 * c2)
         return self._new(out)
+
+    def embed(self, slots, arity):
+        """This element inside an arity-`arity` tensor: slot i moves to slot
+        slots[i], and every other slot holds the empty word, the unit."""
+        if (len(slots) != self.arity
+                or len(set(slots).intersection(range(arity))) != self.arity):
+            raise ArityMismatchError(
+                "slots %s do not place an arity-%d element in distinct slots "
+                "of an arity-%d one" % (slots, self.arity, arity))
+        out = TensorPoly(self.alphabet, arity)
+        for key, c in self.terms.items():
+            words = [()] * arity
+            for s, w in zip(slots, key):
+                words[s] = w
+            out.terms[tuple(words)] = c
+        return out
 
     def map_slot(self, i, word_fn):
         """Replace slot i of every term by word_fn(word) (an NCPoly); linear."""

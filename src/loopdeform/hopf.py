@@ -35,6 +35,7 @@ from .presentations import (
     build_yangian_sl2,
     check_row,
     loop_shift_coefficient,
+    rewrite_row,
 )
 from .ratfunc import RatFunc, rf
 from .repn import evaluate_tensor
@@ -273,7 +274,7 @@ def check_coassoc(hopf: HopfData):
         left = p.normal_form_tensor(apply_in_slot(d, 0, hopf))
         right = p.normal_form_tensor(apply_in_slot(d, 1, hopf))
         diff = left - right
-        out.append(check_row(s.name, None if diff.is_zero() else str(diff)))
+        out.append(rewrite_row(s.name, str(diff) if diff else None))
     return out
 
 
@@ -288,8 +289,8 @@ def _two_sided_rows(hopf: HopfData, slot_map, target):
         want = target(x, s.name)
         left = p.normal_form(slot_map(d, 0, hopf)) - want
         right = p.normal_form(slot_map(d, 1, hopf)) - want
-        ok = left.is_zero() and right.is_zero()
-        out.append(check_row(s.name, None if ok else "%s | %s" % (left, right)))
+        out.append(rewrite_row(
+            s.name, "%s | %s" % (left, right) if left or right else None))
     return out
 
 
@@ -318,23 +319,20 @@ def check_homomorphism(hopf: HopfData, reps=()):
         z = rel.zero_form(p.alphabet)
         dz = hopf.coproduct(z)
         red = p.normal_form_tensor(dz)
-        symbolic_zero = red.is_zero()
         witness = None
         for r in reps:
             m = evaluate_tensor(dz, [r, r])
             if not m.is_zero():
                 witness = m
                 break
-        if symbolic_zero and witness is not None:
+        if red.is_zero() and witness is not None:
             raise AssertionError(
                 "relation %s: symbolic zero contradicted by %s"
                 % (rel.label, witness))
-        if symbolic_zero:
-            out.append(check_row(rel.label))
-        elif witness is not None:
+        if witness is not None:
             out.append(check_row(rel.label, str(witness)))
         else:
-            out.append((rel.label, "unknown", str(red)))
+            out.append(rewrite_row(rel.label, str(red) if red else None))
     return out
 
 

@@ -35,7 +35,8 @@ Rules come in through ``Presentation.add_rule`` only (directly, or through
 the lead index current.  Only code that edits ``relations`` in place, as two
 tests do, bumps ``_rules_version`` itself.
 
-The checks of every module build their zero/nonzero rows with ``check_row``.
+Checks build their rows with ``check_row`` for an exact residual (a matrix)
+and with ``rewrite_row`` for a normal form, which is zero or unknown.
 """
 
 from __future__ import annotations
@@ -394,11 +395,21 @@ class Presentation:
 
 
 def check_row(label, residual=None):
-    """One row of a check: (label, 'zero', None) when there is no residual,
-    else (label, 'nonzero', residual)."""
+    """One row of a check with an exact residual: (label, 'zero', None) when
+    there is no residual, else (label, 'nonzero', residual)."""
     if residual is None:
         return label, "zero", None
     return label, "nonzero", residual
+
+
+def rewrite_row(label, residual=None):
+    """One row of a check whose residual is only a normal form: (label,
+    'zero', None) when there is none, else (label, 'unknown', residual).
+    A nonzero normal form proves nothing in a rule system not known to be
+    confluent."""
+    if residual is None:
+        return label, "zero", None
+    return label, "unknown", residual
 
 
 # ---------------------------------------------------------------------------
@@ -1039,21 +1050,22 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
 # ---------------------------------------------------------------------------
 
 
-def translate(z: NCPoly, alphabet):
-    """z with each letter replaced by the letter of the same name in
-    alphabet, or the name of the first letter alphabet lacks."""
-    src = z.alphabet
-    terms = {}
-    for w, c in z.terms.items():
-        word = []
-        for i in w:
-            name = src.name_of(i)
-            j = alphabet.index.get(name)
-            if j is None:
-                return name
-            word.append(j)
-        terms[tuple(word)] = c
-    return NCPoly(alphabet, terms)
+def translate(z, alphabet):
+    """z (an NCPoly or a TensorPoly) with each letter replaced by the letter
+    of the same name in alphabet, or the name of the first letter alphabet
+    lacks."""
+    names, index = z.alphabet.symbols, alphabet.index
+
+    def word(w):
+        return tuple(index[names[i].name] for i in w)
+
+    try:
+        if isinstance(z, TensorPoly):
+            return TensorPoly(alphabet, z.arity, {
+                tuple(map(word, key)): c for key, c in z.terms.items()})
+        return NCPoly(alphabet, {word(w): c for w, c in z.terms.items()})
+    except KeyError as exc:
+        return exc.args[0]
 
 
 def comparison_cases(p1: Presentation, p2: Presentation, reps1=(), reps2=()):

@@ -7,9 +7,10 @@ algebra element is simply the sum of its stored terms.  This module builds
 the two-slot twisting element and its one-slot partner, inverts series
 exactly, conjugates the coproduct and antipode by them, and verifies the
 structural identities (cocycle, coassociativity, homomorphism on relations,
-antipode axiom, counit normalization) order by order.  Every verdict is an
-exact statement about normal forms in the rewriting system; optional matrix
-evaluations serve as independent witnesses, never as proofs.
+antipode axiom, counit normalization) order by order.  A zero verdict is a
+rewriting proof; a normal form that stays nonzero is unknown, because the
+rule system is not confluent.  Matrix evaluations are independent witnesses:
+a nonzero matrix disproves, a zero one proves nothing.
 """
 
 from fractions import Fraction
@@ -18,7 +19,12 @@ from math import factorial
 from .errors import ArityMismatchError, NotUnitLeadingError
 from .freealg import NCPoly, TensorPoly, add_term, tensor
 from .hopf import HopfData, apply_in_slot, build_hopf, counit_in_slot
-from .presentations import Presentation, build_yangian_sl2, check_row
+from .presentations import (
+    Presentation,
+    build_yangian_sl2,
+    check_row,
+    rewrite_row,
+)
 from .ratfunc import rf
 from .repn import evaluate_tensor, solve_eval_correction
 
@@ -86,12 +92,8 @@ class TwistSeries:
         if self.arity != 2:
             raise ArityMismatchError(
                 "slot swap needs a two-slot series, got arity %d" % self.arity)
-        A = self.presentation.alphabet
-        flipped = [
-            TensorPoly(A, 2, {(w1, w0): c for (w0, w1), c in t.terms.items()})
-            for t in self.terms
-        ]
-        return TwistSeries(self.presentation, flipped)
+        return TwistSeries(self.presentation,
+                           [t.embed((1, 0), 2) for t in self.terms])
 
     def __mul__(self, other: "TwistSeries") -> "TwistSeries":
         if not isinstance(other, TwistSeries):
@@ -268,15 +270,6 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
 # ---------------------------------------------------------------------------
 
 
-def _pad_slot(t: TensorPoly, side: str) -> TensorPoly:
-    """Embed a two-slot element into three slots with an empty word on one
-    side (multiplying by the unit in the new slot)."""
-    A = t.alphabet
-    if side == "right":
-        return TensorPoly(A, 3, {w + ((),): c for w, c in t.terms.items()})
-    return TensorPoly(A, 3, {((),) + w: c for w, c in t.terms.items()})
-
-
 def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
                   twist: TwistSeries = None):
     """Order-by-order cocycle identity of the twisting element.
@@ -285,16 +278,14 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     modulo zeta^{N+1}.  One row per order carries the symbolic verdict from
     slotwise normal forms; a final row evaluates the total residual on a
     triple of two-dimensional evaluation representations as an independent
-    witness.  Passing ``twist`` overrides the series under test, which lets
-    callers probe deliberately broken variants."""
+    witness.  Passing ``twist`` (a two-slot series) overrides the series
+    under test, which lets callers probe deliberately broken variants."""
     if p is None:
         p = twist.presentation if twist is not None else build_yangian_sl2()
     H = build_hopf(p)
     F = twist if twist is not None else twist_F(N, p)
-    if F.arity != 2:
-        raise ArityMismatchError("the cocycle check needs a two-slot series")
-    padded_right = [_pad_slot(t, "right") for t in F.terms]
-    padded_left = [_pad_slot(t, "left") for t in F.terms]
+    padded_right = [t.embed((0, 1), 3) for t in F.terms]
+    padded_left = [t.embed((1, 2), 3) for t in F.terms]
     delta_first = [p.normal_form_tensor(apply_in_slot(t, 0, H))
                    for t in F.terms]
     delta_second = [p.normal_form_tensor(apply_in_slot(t, 1, H))
@@ -306,7 +297,7 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     for k in range(N + 1):
         d = p.normal_form_tensor(lhs[k] - rhs[k])
         total = total + d
-        rows.append(check_row("order-%d" % k, None if d.is_zero() else str(d)))
+        rows.append(rewrite_row("order-%d" % k, str(d) if d else None))
     if reps is None:
         r = solve_eval_correction(Fraction(1, 2), p)
         reps = (r, r, r)
@@ -343,7 +334,7 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
         resid = [p.normal_form(pieces[0] - p.unit())]
         resid.extend(p.normal_form(x) for x in pieces[1:])
         bad = [k for k, r in enumerate(resid) if not r.is_zero()]
-        rows.append(check_row(label, "orders %s" % bad if bad else None))
+        rows.append(rewrite_row(label, "orders %s" % bad if bad else None))
     return rows
 
 
@@ -396,7 +387,7 @@ def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
             r = p.normal_form_tensor(left[k] - right[k])
             if not r.is_zero():
                 bad.append((k, str(r)))
-        rows.append(check_row(name, bad or None))
+        rows.append(rewrite_row(name, bad or None))
     return rows
 
 
@@ -413,7 +404,7 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     for rel in p.relations:
         out = _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N)
         bad = [(k, str(t)) for k, t in enumerate(out) if not t.is_zero()]
-        rows.append(check_row(rel.label, bad or None))
+        rows.append(rewrite_row(rel.label, bad or None))
     return rows
 
 
@@ -454,5 +445,5 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
                 r = p.normal_form(acc[k])
                 if not r.is_zero():
                     bad.append((k, str(r)))
-            rows.append(check_row("%s:%s" % (name, label), bad or None))
+            rows.append(rewrite_row("%s:%s" % (name, label), bad or None))
     return rows

@@ -189,6 +189,41 @@ def test_map_slot_is_linear():
     assert out == t + one.tensor(F) + 2 * one.tensor(E)
 
 
+def test_embed_places_slots_beside_units():
+    one = NCPoly.unit(A)
+    F2 = E.tensor(F) + (K * E).tensor(XI).scale(rf("eta")) + one.tensor(one)
+    # F (x) 1 and 1 (x) F, built by hand as three-slot elements
+    assert F2.embed((0, 1), 3) == (
+        E.tensor(F, one) + (K * E).tensor(XI, one).scale(rf("eta"))
+        + one.tensor(one, one))
+    assert F2.embed((1, 2), 3) == (
+        one.tensor(E, F) + one.tensor(K * E, XI).scale(rf("eta"))
+        + one.tensor(one, one))
+    assert F2.embed((0, 2), 3) == (
+        E.tensor(one, F) + (K * E).tensor(one, XI).scale(rf("eta"))
+        + one.tensor(one, one))
+    # (1, 0) is the slot swap, and swapping twice is the identity
+    assert F2.embed((1, 0), 2) == (
+        F.tensor(E) + XI.tensor(K * E).scale(rf("eta")) + one.tensor(one))
+    assert F2.embed((1, 0), 2).embed((1, 0), 2) == F2
+    assert F2.embed((0, 1), 2) == F2
+
+
+def test_embed_of_zero_and_bad_slots():
+    zero = TensorPoly.zero(A, 2)
+    placed = zero.embed((2, 0), 3)
+    assert placed.is_zero() and placed.arity == 3
+    t = E.tensor(F)
+    with pytest.raises(ArityMismatchError):
+        t.embed((0, 1, 2), 3)
+    with pytest.raises(ArityMismatchError):
+        t.embed((0,), 3)
+    with pytest.raises(ArityMismatchError):
+        t.embed((1, 1), 3)
+    with pytest.raises(ArityMismatchError):
+        t.embed((0, 3), 3)
+
+
 _words = st.lists(
     st.integers(min_value=0, max_value=4), min_size=0, max_size=3
 ).map(tuple)

@@ -4,6 +4,7 @@ the loop generator's coproduct/antipode."""
 
 import pytest
 
+from loopdeform.cli import VerificationReport, _check_items
 from loopdeform.errors import UnsupportedAlgebraError
 from loopdeform.freealg import NCPoly, tensor
 from loopdeform.hopf import (
@@ -325,6 +326,22 @@ def test_flipped_loop_correction_detected(d2, d2_hopf, d2_reps):
     rows = {l: v for l, v, _ in check_homomorphism(mutated, reps=d2_reps)}
     assert "nonzero" in rows.values()
     assert rows["loop-comm:e-a1"] == "nonzero"
+
+
+def test_nonzero_antipode_normal_form_is_unknown(yang, yang_hopf):
+    # yangian-sl2 is not confluent, so a normal form that stays nonzero is
+    # no disproof: the row is unknown and the report inconclusive, not fail
+    f = yang.gen("e-a1")
+    delta = dict(yang_hopf.delta)
+    delta["xi"] = delta["xi"] + tensor(f, f).scale(rf("eta"))
+    mutated = HopfData(yang, delta, yang_hopf.epsilon, yang_hopf.antipode)
+    rows = {l: (v, r) for l, v, r in check_antipode(mutated)}
+    assert rows["xi"][0] == "unknown" and rows["xi"][1]
+    assert {v for l, (v, _) in rows.items() if l != "xi"} == {"zero"}
+    items = _check_items("antipode", lambda: check_antipode(mutated))
+    report = VerificationReport("yangian-sl2", "hopf", items, {})
+    assert ("antipode:xi", "unknown") in [(l, v) for l, v, _ in items]
+    assert report.status == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from loopdeform.errors import (
     PoleError,
     UnsupportedAlgebraError,
 )
-from loopdeform.freealg import NCPoly, commutator, tensor
+from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
 from loopdeform.presentations import (
     CartanData,
     build_classical_sl2,
@@ -32,8 +32,10 @@ from loopdeform.presentations import (
     get_presentation,
     loop_shift_coefficient,
     lower_root_vector,
+    rewrite_row,
     shifted_loop_generator,
     specialize,
+    translate,
 )
 from loopdeform.ratfunc import q_power, rf, rf_limit
 
@@ -453,3 +455,35 @@ def test_check_row_shapes():
     assert check_row("a") == ("a", "zero", None)
     assert check_row("b", "r") == ("b", "nonzero", "r")
     assert check_row("c", [(1, "x")]) == ("c", "nonzero", [(1, "x")])
+
+
+def test_rewrite_row_shapes():
+    # a residual that is only a normal form decides nothing
+    assert rewrite_row("a") == ("a", "zero", None)
+    assert rewrite_row("b", "r") == ("b", "unknown", "r")
+    assert rewrite_row("c", [(1, "x")]) == ("c", "unknown", [(1, "x")])
+
+
+def test_translate_matches_letters_by_name():
+    y, c = build_yangian_sl2(), build_classical_sl2()
+    e, f, h = (c.gen(n) for n in ("e+a1", "e-a1", "ha1"))
+    x = (e * h).scale(rf("eta")) + f + c.unit()
+    moved = translate(x, y.alphabet)
+    assert moved.alphabet == y.alphabet
+    assert moved == ((y.gen("e+a1") * y.gen("ha1")).scale(rf("eta"))
+                     + y.gen("e-a1") + y.unit())
+    assert translate(moved, c.alphabet) == x
+    t = tensor(h, f).scale(rf("u")) + tensor(e, c.unit())
+    moved_t = translate(t, y.alphabet)
+    assert isinstance(moved_t, TensorPoly) and moved_t.arity == 2
+    assert moved_t == (tensor(y.gen("ha1"), y.gen("e-a1")).scale(rf("u"))
+                       + tensor(y.gen("e+a1"), y.unit()))
+    assert translate(moved_t, c.alphabet) == t
+
+
+def test_translate_names_the_first_missing_letter():
+    y, c = build_yangian_sl2(), build_classical_sl2()
+    xi, h = y.gen("xi"), y.gen("ha1")
+    assert translate(h * xi, c.alphabet) == "xi"
+    assert translate(tensor(h, h * xi), c.alphabet) == "xi"
+    assert translate(h, get_presentation("uq-sl2").alphabet) == "ha1"

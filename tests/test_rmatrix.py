@@ -5,18 +5,50 @@ from fractions import Fraction
 
 import pytest
 
-from loopdeform.presentations import build_yangian_sl2
+from loopdeform.errors import ArityMismatchError
+from loopdeform.freealg import TensorPoly, tensor
+from loopdeform.presentations import (
+    build_yangian_sl2,
+    cartan_data,
+    classical_alphabet,
+    translate,
+)
 from loopdeform.ratfunc import rf
 from loopdeform.repn import MatrixRF, spin_rep
 from loopdeform.rmatrix import (
     GENERATOR_NAMES,
-    RMatrix,
     build_r,
     casimir_c2,
     cybe_residual,
     wedge,
 )
 from loopdeform.twist import first_order_antisymmetry
+
+SL2 = classical_alphabet(cartan_data("sl2"))
+
+#: presentation letter name -> basis letter
+BASIS_OF = {name: b for b, name in GENERATOR_NAMES.items()}
+
+
+def two_slot(*terms):
+    """The sum of c * a(x)b over (c, a, b) with basis letters a, b, built
+    word by word."""
+    acc = TensorPoly.zero(SL2, 2)
+    for c, a, b in terms:
+        key = ((SL2.id_of(GENERATOR_NAMES[a]),),
+               (SL2.id_of(GENERATOR_NAMES[b]),))
+        acc = acc + TensorPoly(SL2, 2, {key: rf(c)})
+    return acc
+
+
+def basis_terms(r):
+    """(coefficient, left basis letter, right basis letter) per term of a
+    two-slot element whose slots are single letters."""
+    out = []
+    for ((i,), (j,)), c in r.terms.items():
+        out.append((c, BASIS_OF[r.alphabet.name_of(i)],
+                    BASIS_OF[r.alphabet.name_of(j)]))
+    return out
 
 # ---------------------------------------------------------------------------
 # independent oracle: the residual computed purely from structure constants
@@ -31,7 +63,7 @@ BRACKET = {
 
 
 def _renamed_terms(r, spectral):
-    return [(c.map_vars(spectral), a, b) for c, a, b in r.terms]
+    return [(c.map_vars(spectral), a, b) for c, a, b in basis_terms(r)]
 
 
 def abstract_cybe_residual(r):
@@ -83,9 +115,8 @@ def abstract_to_matrix(resid):
 def test_casimir_frozen_and_symmetric():
     c2 = casimir_c2()
     assert len(c2.terms) == 3
-    assert c2 == RMatrix([(rf(1), "e", "f"), (rf(1), "f", "e"),
-                          (rf("1/2"), "h", "h")])
-    assert c2 == c2.swap_slots()
+    assert c2 == two_slot((1, "e", "f"), (1, "f", "e"), ("1/2", "h", "h"))
+    assert c2 == c2.embed((1, 0), 2)
 
 
 def test_casimir_commutes_with_diagonal_action():
@@ -93,7 +124,7 @@ def test_casimir_commutes_with_diagonal_action():
     imgs = {b: images[g] for b, g in GENERATOR_NAMES.items()}
     eye = MatrixRF.identity(2)
     c2 = MatrixRF.zeros(4)
-    for c, a, b in casimir_c2().terms:
+    for c, a, b in basis_terms(casimir_c2()):
         c2 = c2 + imgs[a].kron(imgs[b]).scale(c)
     for b in ("h", "e", "f"):
         diag = imgs[b].kron(eye) + eye.kron(imgs[b])
@@ -101,9 +132,11 @@ def test_casimir_commutes_with_diagonal_action():
 
 
 def test_wedge_antisymmetry():
-    assert wedge("h", "f") == RMatrix([(rf(1), "h", "f"), (rf(-1), "f", "h")])
+    assert wedge("h", "f") == two_slot((1, "h", "f"), (-1, "f", "h"))
     assert wedge("e", "e").is_zero()
     assert wedge("h", "f") == -wedge("f", "h")
+    with pytest.raises(ValueError):
+        wedge("h", "x")
 
 
 def test_build_r_forms():
@@ -113,15 +146,17 @@ def test_build_r_forms():
     assert (build_r("twisted_yangian")
             == build_r("rational") + build_r("jordanian"))
     assert build_r("sum:rational+jordanian") == build_r("twisted_yangian")
-    assert build_r("dj_constant") == RMatrix(
-        [(rf(1), "e", "f"), (rf("1/4"), "h", "h")])
+    assert build_r("dj_constant") == two_slot((1, "e", "f"),
+                                              ("1/4", "h", "h"))
     # the rational family scales away with its deformation parameter
     at_eta0 = build_r("rational").map_coeffs(lambda c: c.eval_var("eta", 0))
     assert at_eta0.is_zero()
     with pytest.raises(ValueError):
         build_r("elliptic")
     with pytest.raises(ValueError):
-        build_r("sum", parts=())
+        build_r("sum")
+    with pytest.raises(ValueError):
+        build_r("sum:")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +181,7 @@ def test_abstract_oracle_agrees_on_solutions(kind):
 def test_abstract_oracle_agrees_on_non_solutions():
     # a lone e(x)f term is not a solution; both routes must produce the
     # same nonzero residual matrix
-    bad = RMatrix([(rf(1), "e", "f")])
+    bad = two_slot((1, "e", "f"))
     direct = cybe_residual(bad)
     assert not direct.is_zero()
     assert direct == abstract_to_matrix(abstract_cybe_residual(bad))
@@ -171,11 +206,33 @@ def test_mixed_sum_residual_is_a_reported_finding():
 
 
 def test_residual_scales_quadratically():
-    bad = RMatrix([(rf(1), "e", "f")])
+    bad = two_slot((1, "e", "f"))
     assert cybe_residual(bad.scale(rf(2))) == cybe_residual(bad).scale(rf(4))
     mixed = build_r("sum:rational+dj_constant")
     assert cybe_residual(mixed.scale(rf(3))) == cybe_residual(mixed).scale(
         rf(9))
+
+
+def test_cybe_residual_needs_two_slots():
+    with pytest.raises(ArityMismatchError):
+        cybe_residual(casimir_c2().embed((0, 1), 3))
+
+
+def test_cybe_residual_names_a_letter_outside_sl2():
+    y = build_yangian_sl2()
+    r = tensor(y.gen("xi"), y.gen("ha1"))
+    with pytest.raises(ValueError, match="xi"):
+        cybe_residual(r)
+
+
+@pytest.mark.parametrize("kind", ["rational", "sum:rational+dj_constant"])
+def test_cybe_residual_reads_letters_by_name(kind):
+    # the same r-matrix written over the yangian-sl2 alphabet, whose letter
+    # ids differ, gives the same residual
+    r = build_r(kind)
+    moved = translate(r, build_yangian_sl2().alphabet)
+    assert moved.alphabet != r.alphabet
+    assert cybe_residual(moved) == cybe_residual(r)
 
 
 # ---------------------------------------------------------------------------
@@ -185,5 +242,5 @@ def test_residual_scales_quadratically():
 
 def test_first_order_antisymmetry_is_the_jordanian_r_matrix():
     p = build_yangian_sl2()
-    expected = build_r("jordanian").as_tensor_poly(p)
+    expected = translate(build_r("jordanian"), p.alphabet)
     assert first_order_antisymmetry(p) == expected
