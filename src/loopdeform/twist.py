@@ -88,10 +88,8 @@ class TwistSeries:
         return acc
 
     def swap_slots(self) -> "TwistSeries":
-        """Flip the two tensor slots of every term (two-slot series only)."""
-        if self.arity != 2:
-            raise ArityMismatchError(
-                "slot swap needs a two-slot series, got arity %d" % self.arity)
+        """Flip the two tensor slots of every term (two-slot series only;
+        ``embed`` raises ``ArityMismatchError`` otherwise)."""
         return TwistSeries(self.presentation,
                            [t.embed((1, 0), 2) for t in self.terms])
 
