@@ -150,7 +150,7 @@ def add_term(terms, key, c):
     cancels removes the key."""
     s = terms.get(key)
     s = c if s is None else s + c
-    if s.is_zero():
+    if not s.num.terms:
         terms.pop(key, None)
     else:
         terms[key] = s
@@ -364,6 +364,13 @@ class TensorPoly(_Linear):
 
     def coeff(self, key):
         return self.terms.get(tuple(tuple(w) for w in key), RatFunc.zero())
+
+    def as_ncpoly(self) -> NCPoly:
+        """A one-slot element as the algebra element it is."""
+        if self.arity != 1:
+            raise ArityMismatchError("expected a one-slot element, got arity %d"
+                                     % self.arity)
+        return NCPoly(self.alphabet, {w: c for (w,), c in self.terms.items()})
 
     def __eq__(self, other):
         return (

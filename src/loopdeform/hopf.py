@@ -132,9 +132,8 @@ def counit_in_slot(t: TensorPoly, slot: int, hopf: HopfData):
         if eps.is_zero():
             continue
         add_term(out, words[:slot] + words[slot + 1:], c * eps)
-    if t.arity == 2:
-        return NCPoly(A, {k[0]: v for k, v in out.items()})
-    return TensorPoly(A, t.arity - 1, out)
+    out = TensorPoly(A, t.arity - 1, out)
+    return out.as_ncpoly() if out.arity == 1 else out
 
 
 def _mult_with_map(t: TensorPoly, antipode_slot: int, hopf: HopfData) -> NCPoly:
@@ -404,8 +403,7 @@ def loop_hopf_limit(hopf: HopfData, target: Presentation = None):
     d_xi = _drop_central_slotwise(hopf.delta["xi"], p)
     d_xi = p.normal_form_tensor(d_xi)
     delta_limit = _limit_tensor_zero_form(d_xi, p, target)
-    s_t = _drop_central_slotwise(hopf.antipode["xi"].tensor(), p)
-    s_xi = p.normal_form(NCPoly(p.alphabet,
-                                {w[0]: c for w, c in s_t.terms.items()}))
+    s_xi = p.normal_form(_drop_central_slotwise(
+        hopf.antipode["xi"].tensor(), p).as_ncpoly())
     anti_limit = _limit_zero_form(s_xi, p, target)
     return delta_limit, anti_limit

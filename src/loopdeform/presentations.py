@@ -282,7 +282,11 @@ class Presentation:
             c = terms.pop(best)
             prefix, suffix = best[:pos], best[pos + len(rel.lead):]
             for w2, c2 in rel.repl.terms.items():
-                w = join(join(prefix, w2), suffix)
+                w = w2
+                if prefix:
+                    w = join(prefix, w)
+                if suffix:
+                    w = join(w, suffix)
                 if w not in terms:
                     enter(w)
                 add_term(terms, w, c2 * c)

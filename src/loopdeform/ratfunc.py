@@ -17,8 +17,11 @@ canonical and ordered by construction skips it through _poly: a negation, a
 scaling by a nonzero value, a monomial times a polynomial (a translation
 keeps the grlex order, and no two products share an exponent), a sum of two
 monomials with one exponent, and the quotient divexact builds (its exponents
-come out strictly descending).  Hashes and the memo keys read the terms in
-storage order, so an order slip there breaks hashing, not equality.
+come out strictly descending).  A RatFunc product or sum of two monomials
+over the shared denominator 1 (constants included) is built the same way,
+on the one exponent and coefficient pair, without a MultiPoly operation in
+between.  Hashes and the memo keys read the terms in storage order, so an
+order slip there breaks hashing, not equality.
 
 Every denominator the shipped presentations, Hopf maps and representations
 produce is c*q^a*(q-1)^b*(q+1)^d.  So each RatFunc stores, next to its monic
@@ -636,7 +639,8 @@ class RatFunc:
 
     @classmethod
     def const(cls, c):
-        return cls(MultiPoly.const(c))
+        c = _coeff(c)
+        return _make(_poly({_ZEXP: c}), _ONE_POLY, _NO_FACTORS) if c else _ZERO
 
     @classmethod
     def zero(cls):
@@ -687,10 +691,24 @@ class RatFunc:
         return _make(-self.num, self.den, self.split)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, RatFunc):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, n2 = self.num, other.num
+        if self.den is _ONE_POLY and other.den is _ONE_POLY:
+            t1, t2 = n1.terms, n2.terms
+            if len(t1) == 1 and len(t2) == 1:
+                (e, c1), = t1.items()
+                c2 = t2.get(e)
+                if c2 is not None:
+                    # two monomials with one exponent: one term or none
+                    s = c1 + c2
+                    if not s:
+                        return _ZERO
+                    if type(s) is not int:
+                        s = _coeff(s)
+                    return _make(_poly({e: s}), _ONE_POLY, _NO_FACTORS)
         if n1.is_zero():
             return other
         if n2.is_zero():
@@ -746,20 +764,31 @@ class RatFunc:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, RatFunc):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        t1, t2 = n1.terms, n2.terms
         # a product by one is the other factor: the structure maps and the
         # slotwise normal forms multiply by one often
-        if n1.terms == _ONE_TERMS and d1.terms == _ONE_TERMS:
+        if t1 == _ONE_TERMS and d1.terms == _ONE_TERMS:
             return other
-        if n2.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
+        if t2 == _ONE_TERMS and d2.terms == _ONE_TERMS:
             return self
-        if n1.is_zero() or n2.is_zero():
+        if not (t1 and t2):
             return _ZERO
         # both denominators the shared 1: nothing can cancel
         if d1 is _ONE_POLY and d2 is _ONE_POLY:
+            if len(t1) == 1 and len(t2) == 1:
+                # a monomial times a monomial: one term
+                (e1, c1), = t1.items()
+                (e2, c2), = t2.items()
+                c = c1 * c2
+                if type(c) is not int:
+                    c = _coeff(c)
+                return _make(_poly({tuple(map(add, e1, e2)): c}), _ONE_POLY,
+                             _NO_FACTORS)
             return _make(n1 * n2, _ONE_POLY, _NO_FACTORS)
         # cross-cancel: with both inputs reduced, the product of the
         # cross-reduced pieces is reduced

@@ -150,14 +150,6 @@ def _order_zero_list(t, N: int):
     return [t] + [TensorPoly.zero(t.alphabet, t.arity)] * N
 
 
-def _as_ncpoly(t: TensorPoly) -> NCPoly:
-    """Unwrap a one-slot tensor element."""
-    if t.arity != 1:
-        raise ArityMismatchError("expected a one-slot element, got arity %d"
-                                 % t.arity)
-    return NCPoly(t.alphabet, {w[0]: c for w, c in t.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # the twisting element and its partner
 # ---------------------------------------------------------------------------
@@ -241,7 +233,7 @@ def _twisted_S(H, u, ui, x, N):
     """Graded coefficients of u S(x) ui as algebra elements, truncated at N."""
     p = H.presentation
     mid = _order_zero_list(H.antipode_of(x).tensor(), N)
-    return [_as_ncpoly(t) for t in _conjugate(p, u, ui, mid, N)]
+    return [t.as_ncpoly() for t in _conjugate(p, u, ui, mid, N)]
 
 
 def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):

@@ -224,6 +224,18 @@ def test_embed_of_zero_and_bad_slots():
         t.embed((0, 3), 3)
 
 
+def test_as_ncpoly_unwraps_only_one_slot():
+    x = E * F + (K * E).scale(rf("eta")) + NCPoly.unit(A).scale(rf(3))
+    one_slot = x.tensor()
+    assert one_slot.arity == 1
+    assert one_slot.as_ncpoly() == x
+    assert list(one_slot.as_ncpoly().terms) == list(x.terms)
+    assert TensorPoly.zero(A, 1).as_ncpoly().is_zero()
+    for t in (x.tensor(x), TensorPoly.unit(A, 0)):
+        with pytest.raises(ArityMismatchError):
+            t.as_ncpoly()
+
+
 _words = st.lists(
     st.integers(min_value=0, max_value=4), min_size=0, max_size=3
 ).map(tuple)

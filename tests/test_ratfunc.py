@@ -757,3 +757,54 @@ def test_strip_matches_the_divexact_strip(multiplicities, p):
     theirs, ref_caps = _divexact_strip(multiplicities, p)
     assert caps == ref_caps
     _assert_same_poly(ours, theirs)
+
+
+# ---------------------------------------------------------------------------
+# monomials over the shared denominator 1 against the sorting references
+# ---------------------------------------------------------------------------
+
+_den_one_monomial = st.builds(
+    lambda c, e: MultiPoly({e: c}), _trusted_coefficient,
+    st.one_of(st.just(ratfunc._ZEXP), _exponent))
+
+
+def _assert_den_one(ours, theirs):
+    """ours, a RatFunc, is theirs over the shared 1, and a constant among
+    them hashes like its value."""
+    _assert_same_poly(ours.num, theirs)
+    assert ours.den is ratfunc._ONE_POLY
+    assert ours.split == (0, 0, 0)
+    if not theirs:
+        assert ours is RatFunc.zero()
+    if theirs.is_const():
+        assert hash(ours) == hash(theirs.const_value())
+
+
+# Fraction pairs whose product or sum is integral, stored as an int
+@example(f=MultiPoly.const(Fraction(3, 2)), g=MultiPoly.const(Fraction(2, 3)),
+         c=Fraction(-1, 2))
+@example(f=MultiPoly.const(Fraction(1, 2)), g=MultiPoly.const(2),
+         c=Fraction(1, 2))
+@example(f=MultiPoly({(1, 0, 0, 2, 0, 0): Fraction(1, 2)}),
+         g=MultiPoly({(0, 1, 0, 0, 0, 0): 2}), c=Fraction(3, 2))
+@settings(max_examples=200, deadline=None)
+@given(_den_one_monomial, _den_one_monomial, _trusted_coefficient)
+def test_den_one_monomial_arithmetic_matches_sorting_references(f, g, c):
+    x, y = RatFunc(f), RatFunc(g)
+    # a monomial with f's exponent: the sum with f is one term or none
+    h = MultiPoly({f.leading()[0]: c})
+    z = RatFunc(h)
+    for ours, theirs in [(x * y, _sorting_mul(f, g)),
+                         (y * x, _sorting_mul(g, f)),
+                         (x * z, _sorting_mul(f, h)),
+                         (x + y, _sorting_add(f, g)),
+                         (x + z, _sorting_add(f, h)),
+                         (x + -x, _sorting_add(f, _sorting_neg(f))),
+                         (x * c, _sorting_scale(f, c)),
+                         (rf(c), MultiPoly({ratfunc._ZEXP: c}))]:
+        _assert_den_one(ours, theirs)
+    one = rf(1)
+    if x != one:
+        # a product by one is the other factor itself
+        assert x * one is x and one * x is x and x * 1 is x
+    assert x + RatFunc.zero() is x and RatFunc.zero() * x is RatFunc.zero()

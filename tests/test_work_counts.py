@@ -10,8 +10,10 @@ must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
 step, not build each replacement from NCPoly products.  Products and sums
 of coefficients whose denominators split over q, q-1, q+1 cancel on the
-multiplicities, with no gcd at all.  The Yang-Baxter residual builds its
-fundamental representation once, not once per slot pair.
+multiplicities, with no gcd at all.  Products and sums of monomials over
+the denominator 1 are made on the one exponent and coefficient pair, with
+no MultiPoly operation.  The Yang-Baxter residual builds its fundamental
+representation once, not once per slot pair.
 """
 
 import random
@@ -23,8 +25,9 @@ from loopdeform import hopf, ratfunc, repn, rmatrix
 from loopdeform.hopf import build_hopf, check_homomorphism
 from loopdeform.freealg import NCPoly
 from loopdeform.presentations import Presentation, get_presentation
-from loopdeform.ratfunc import RatFunc, rf
+from loopdeform.ratfunc import MultiPoly, RatFunc, rf
 from loopdeform.repn import default_reps
+from loopdeform.twist import check_twisted_homomorphism
 
 
 def _counting(counts, key, fn):
@@ -146,6 +149,29 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     assert zeros >= 100
     assert counts["terms"] > 0
     assert counts["mul"] == counts["terms"]
+
+
+# every coefficient of the yangian-sl2 twist suite has denominator 1, and
+# each product and sum here not by zero or one is of two monomials; made
+# through MultiPoly, this check took 6,697 MultiPoly products and 6,118
+# MultiPoly sums
+def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
+    p = get_presentation("yangian-sl2")
+    H = build_hopf(p)
+    counts = {"poly_mul": 0, "poly_add": 0, "mul": 0, "add": 0}
+    for owner, attr, key in ((MultiPoly, "__mul__", "poly_mul"),
+                             (MultiPoly, "__add__", "poly_add"),
+                             (RatFunc, "__mul__", "mul"),
+                             (RatFunc, "__add__", "add")):
+        monkeypatch.setattr(owner, attr,
+                            _counting(counts, key, getattr(owner, attr)))
+    rows = check_twisted_homomorphism(H, 3)
+    monkeypatch.undo()
+    assert rows == [(rel.label, "zero", None) for rel in p.relations]
+    assert len(rows) == 7
+    # the coefficient products and sums themselves are as many as before
+    assert counts == {"poly_mul": 0, "poly_add": 0,
+                      "mul": 16_814, "add": 6_118}
 
 
 @pytest.mark.parametrize("kind", ["rational", "twisted_yangian"])
