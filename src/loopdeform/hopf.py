@@ -38,7 +38,7 @@ from .presentations import (
     rewrite_row,
 )
 from .ratfunc import RatFunc, rf
-from .repn import evaluate_tensor
+from .repn import Rep, evaluate_tensor
 
 #: Cartan-factor placements on raising/lowering generators.  Each entry maps a
 #: name to exponents (er, el, fr, fl) in
@@ -305,22 +305,41 @@ def check_antipode(hopf: HopfData):
                            lambda x, name: unit.scale(hopf.epsilon[name]))
 
 
+def _pullback_rep(hopf: HopfData, r):
+    """The representation (r (x) r) o delta of the presentation: generator x
+    acts by the evaluation of delta(x) on the tensor square of r.
+
+    It is built unvalidated, because its relations vanishing is exactly what
+    check_homomorphism decides."""
+    images = {name: evaluate_tensor(d, [r, r])
+              for name, d in hopf.delta.items()}
+    return Rep(hopf.presentation, images, "delta*(%s)" % r.label,
+               validate=False)
+
+
 def check_homomorphism(hopf: HopfData, reps=()):
     """Per relation: delta(zero form) must vanish in the tensor square.
 
-    A slotwise normal form reaching 0 is a proof; otherwise any supplied
-    representation pair acting on the two slots decides nonzero; otherwise
-    the verdict stays unknown.  A representation contradicting a symbolic
-    zero would be an internal inconsistency and raises."""
+    A slotwise normal form of the raw delta(z) reaching 0 is a proof;
+    otherwise any supplied representation r decides nonzero by its witness;
+    otherwise the verdict stays unknown.  The witness is the pulled-back
+    representation (r (x) r) o delta evaluated on z, which memoizes the
+    prefix products of z's words across relations.  It is the matrix of
+    delta(z) in the tensor square of r: word evaluation is multiplicative,
+    kron(A, B) kron(C, D) = kron(AC, BD), and the inverse letters that
+    contract in delta(z) have images that r's validation proved inverse.
+    The raw delta(z) is still built, for the rewriting proof.
+    A representation contradicting a symbolic zero would be an internal
+    inconsistency and raises."""
     p = hopf.presentation
+    pulled = [_pullback_rep(hopf, r) for r in reps]
     out = []
     for rel in p.relations:
         z = rel.zero_form(p.alphabet)
-        dz = hopf.coproduct(z)
-        red = p.normal_form_tensor(dz)
+        red = p.normal_form_tensor(hopf.coproduct(z))
         witness = None
-        for r in reps:
-            m = evaluate_tensor(dz, [r, r])
+        for r in pulled:
+            m = r.evaluate(z)
             if not m.is_zero():
                 witness = m
                 break

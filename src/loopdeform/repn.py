@@ -17,6 +17,16 @@ Kronecker product over the slots of each word's matrix (memoized per word)
 into one such dict; the classical Yang-Baxter residual of rmatrix goes
 through it too.  Field sums are canonical, so the entries equal those of the
 dense kron / scale / + evaluation.
+
+The coproduct-homomorphism witness of a relation zero form z is not
+evaluate_tensor on the raw delta(z) but Rep.evaluate(z) in the pulled-back
+representation (r (x) r) o delta, whose generator images are the
+evaluate_tensor matrices of the generator coproducts.  The two are equal:
+word evaluation is multiplicative, kron(A, B) kron(C, D) = kron(AC, BD),
+and r's validation proves the images of inverse letters inverse, so the
+letters that contract in delta(z) contract in the matrices too.  The raw
+delta(z) is still built, because its slotwise normal form is the rewriting
+proof.
 """
 
 from __future__ import annotations
@@ -222,6 +232,8 @@ class Rep:
         if len(dims) != 1:
             raise RepValidationError("%s: images of mixed dimensions" % label)
         self.dimension = dims.pop()
+        # images never change after construction, so word products memoize
+        self._word_cache = {}
         self._by_id = {}
         for s in A.symbols:
             if s.name not in self.images:
@@ -247,8 +259,7 @@ class Rep:
             (((word,), c) for word, c in x.terms.items()), (self,))
 
     def _word_matrix(self, word) -> MatrixRF:
-        # images never change after construction, so word products memoize
-        cache = self.__dict__.setdefault("_word_cache", {})
+        cache = self._word_cache
         m = cache.get(word)
         if m is None:
             if word:

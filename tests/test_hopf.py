@@ -2,7 +2,12 @@
 verdicts, the placement survey, mutation detection, and the degeneration of
 the loop generator's coproduct/antipode."""
 
+import functools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopdeform.cli import VerificationReport, _check_items
 from loopdeform.errors import UnsupportedAlgebraError
@@ -10,6 +15,7 @@ from loopdeform.freealg import NCPoly, tensor
 from loopdeform.hopf import (
     CONVENTIONS,
     HopfData,
+    _pullback_rep,
     apply_in_slot,
     build_hopf,
     check_antipode,
@@ -28,7 +34,7 @@ from loopdeform.presentations import (
     loop_shift_coefficient,
 )
 from loopdeform.ratfunc import rf
-from loopdeform.repn import default_reps
+from loopdeform.repn import default_reps, evaluate_tensor
 
 
 @pytest.fixture(scope="module")
@@ -300,18 +306,20 @@ def test_unknown_convention_rejected(uq2):
 # ---------------------------------------------------------------------------
 
 
-def test_flipped_eta_pairing_detected(yang, yang_hopf, yang_reps):
+def _flipped_eta_pairing(yang, yang_hopf):
+    """Acceptance criterion 6, mutation 1: flipped sign on the eta-pairing
+    term of the loop generator's undeformed coproduct."""
     xi, f, h = yang.gen("xi"), yang.gen("e-a1"), yang.gen("ha1")
     one = yang.unit()
     delta = dict(yang_hopf.delta)
     delta["xi"] = (tensor(xi, one) + tensor(one, xi)
                    - tensor(f, h).scale(rf("eta")))
-    mutated = HopfData(yang, delta, yang_hopf.epsilon, yang_hopf.antipode)
-    rows = {l: v for l, v, _ in check_homomorphism(mutated, reps=yang_reps)}
-    assert rows["loop-comm:e-a1"] == "nonzero"
+    return HopfData(yang, delta, yang_hopf.epsilon, yang_hopf.antipode)
 
 
-def test_flipped_loop_correction_detected(d2, d2_hopf, d2_reps):
+def _flipped_loop_correction(d2, d2_hopf):
+    """Acceptance criterion 6, mutation 2: flipped sign on the
+    shift-coefficient correction of the loop generator's coproduct."""
     xi, f, k = d2.gen("xi"), d2.gen("e-a1"), d2.gen("k+a1")
     one = d2.unit()
     a = loop_shift_coefficient()
@@ -322,10 +330,101 @@ def test_flipped_loop_correction_detected(d2, d2_hopf, d2_reps):
     delta["xi"] = d2.normal_form_tensor(
         tensor(xi, one) + tensor(kinv_word, xi)
         - (ds - tensor(s, one) - tensor(kinv_word, s)).scale(a))
-    mutated = HopfData(d2, delta, d2_hopf.epsilon, d2_hopf.antipode)
+    return HopfData(d2, delta, d2_hopf.epsilon, d2_hopf.antipode)
+
+
+def test_flipped_eta_pairing_detected(yang, yang_hopf, yang_reps):
+    mutated = _flipped_eta_pairing(yang, yang_hopf)
+    rows = {l: v for l, v, _ in check_homomorphism(mutated, reps=yang_reps)}
+    assert rows["loop-comm:e-a1"] == "nonzero"
+
+
+def test_flipped_loop_correction_detected(d2, d2_hopf, d2_reps):
+    mutated = _flipped_loop_correction(d2, d2_hopf)
     rows = {l: v for l, v, _ in check_homomorphism(mutated, reps=d2_reps)}
     assert "nonzero" in rows.values()
     assert rows["loop-comm:e-a1"] == "nonzero"
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism witness: (r (x) r) o delta on z equals r (x) r on delta(z)
+# ---------------------------------------------------------------------------
+
+
+def _assert_routes_agree(H, reps, x):
+    """The witness of x in each rep's pullback; asserts that it equals the
+    raw route, in entries and in str()."""
+    witnesses = []
+    for r in reps:
+        pulled = _pullback_rep(H, r).evaluate(x)
+        raw = evaluate_tensor(H.coproduct(x), [r, r])
+        assert pulled == raw
+        assert str(pulled) == str(raw)
+        witnesses.append(pulled)
+    return witnesses
+
+
+@pytest.mark.parametrize("name", ["uq-sl2", "uq-sl3", "drinfeldian-sl2",
+                                  "drinfeldian-sl3", "yangian-sl2",
+                                  "twisted-yangian-sl2"])
+def test_pulled_back_witness_matches_raw_coproduct(name):
+    p = get_presentation(name)
+    H = build_hopf(p)
+    reps = default_reps(p)
+    assert reps
+    for rel in p.relations:
+        _assert_routes_agree(H, reps, rel.zero_form(p.alphabet))
+
+
+@pytest.mark.parametrize("mutate, name", [
+    (_flipped_eta_pairing, "yangian-sl2"),
+    (_flipped_loop_correction, "drinfeldian-sl2"),
+])
+def test_pulled_back_witness_matches_raw_coproduct_on_mutants(mutate, name):
+    p = get_presentation(name)
+    H = mutate(p, build_hopf(p))
+    reps = default_reps(p)
+    witnesses = [m for rel in p.relations
+                 for m in _assert_routes_agree(H, reps,
+                                               rel.zero_form(p.alphabet))]
+    assert not all(m.is_zero() for m in witnesses)
+
+
+@functools.lru_cache(maxsize=None)
+def _hopf_and_reps(name):
+    p = get_presentation(name)
+    return build_hopf(p), default_reps(p)
+
+
+_COEFFICIENTS = (rf(1), rf(-2), rf(Fraction(1, 3)), rf("q"),
+                 rf(1) / rf("q"), rf("q") - rf(1))
+
+
+def _random_element(p):
+    # the inverse pairs k+/k- (and kd+/kd- on drinfeldian-sl2) are four
+    # letters of each alphabet, so inverse letters often meet in delta of a
+    # word and contract there
+    word = st.lists(st.integers(0, len(p.alphabet) - 1), max_size=5)
+    term = st.tuples(word.map(tuple), st.sampled_from(_COEFFICIENTS))
+    return st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: sum((NCPoly(p.alphabet, {w: c}) for w, c in terms),
+                          NCPoly.zero(p.alphabet)))
+
+
+@pytest.mark.parametrize("name", ["drinfeldian-sl2", "uq-sl3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pulled_back_witness_matches_raw_coproduct_on_random_elements(
+        name, data):
+    H, reps = _hopf_and_reps(name)
+    _assert_routes_agree(H, reps, data.draw(_random_element(H.presentation)))
+
+
+def test_pulled_back_witness_contracts_inverse_letters(d2, d2_hopf, d2_reps):
+    k, ki, kd, kdi, e, xi = (d2.gen(n) for n in (
+        "k+a1", "k-a1", "kd+", "kd-", "e+a1", "xi"))
+    for x in (k * e * ki, kd * xi * kdi, ki * xi * e * k, kdi * k * e * kd):
+        _assert_routes_agree(d2_hopf, d2_reps, x)
 
 
 def test_nonzero_antipode_normal_form_is_unknown(yang, yang_hopf):

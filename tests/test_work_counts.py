@@ -37,8 +37,13 @@ def _counting(counts, key, fn):
     return wrapper
 
 
+# evaluating the raw delta(z) of each relation in the tensor square took one
+# evaluate_tensor call per relation and rep (21); the witness is now the
+# pulled-back representation's evaluate on z, and evaluate_tensor only builds
+# that representation's generator images
 def test_drinfeldian_sl2_homomorphism_work_counts(monkeypatch):
-    counts = {"prem": 0, "matrix_add": 0, "evaluate_tensor": 0}
+    counts = {"prem": 0, "matrix_add": 0, "evaluate_tensor": 0,
+              "pulled_back_evaluate": 0}
     monkeypatch.setattr(ratfunc, "_prem",
                         _counting(counts, "prem", ratfunc._prem))
     monkeypatch.setattr(repn.MatrixRF, "__add__",
@@ -49,11 +54,21 @@ def test_drinfeldian_sl2_homomorphism_work_counts(monkeypatch):
                                   hopf.evaluate_tensor))
     p = get_presentation("drinfeldian-sl2")
     reps = default_reps(p)
+    evaluate = repn.Rep.evaluate
+
+    def counting_evaluate(self, x):
+        if self not in reps:
+            counts["pulled_back_evaluate"] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(repn.Rep, "evaluate", counting_evaluate)
     rows = check_homomorphism(build_hopf(p), reps)
     assert rows == [(rel.label, "zero", None) for rel in p.relations]
     assert len(rows) == 21
+    # one exact witness per relation and rep
     assert counts == {"prem": 0, "matrix_add": 0,
-                      "evaluate_tensor": len(rows) * len(reps)}
+                      "evaluate_tensor": len(p.alphabet) * len(reps),
+                      "pulled_back_evaluate": len(rows) * len(reps)}
 
 
 # cancelling through mp_gcd, this check made 20,124 mp_gcd calls (recursive
