@@ -18,6 +18,7 @@ is even, so no sign arises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     AlphabetMismatchError,
@@ -25,7 +26,7 @@ from .errors import (
     MixedWeightError,
     UnknownGeneratorError,
 )
-from .ratfunc import RatFunc, rf
+from .ratfunc import MultiPoly, RatFunc, rf, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ class NCPoly(_Linear):
     # -- predicates -----------------------------------------------------------
 
     def coeff(self, word):
-        return self.terms.get(tuple(word), RatFunc.zero())
+        return self.terms.get(self._key(word), RatFunc.zero())
 
     def weight(self):
         """Common weight of all words; MixedWeightError if inhomogeneous."""
@@ -363,7 +364,7 @@ class TensorPoly(_Linear):
         return cls(alphabet, arity, {((),) * arity: rf(1)})
 
     def coeff(self, key):
-        return self.terms.get(tuple(tuple(w) for w in key), RatFunc.zero())
+        return self.terms.get(self._key(key), RatFunc.zero())
 
     def as_ncpoly(self) -> NCPoly:
         """A one-slot element as the algebra element it is."""
@@ -411,12 +412,43 @@ class TensorPoly(_Linear):
         return out
 
     def map_slot(self, i, word_fn):
-        """Replace slot i of every term by word_fn(word) (an NCPoly); linear."""
-        out = {}
+        """Replace slot i of every term by word_fn(word) (an NCPoly); linear.
+
+        When a coefficient of this element has a denominator, the (c, c2)
+        pairs that land on one output key are collected first, each with
+        its place in the sequence of all pairs, and each output coefficient
+        is made by one sum_of_products: the known factors are stripped once
+        per key, not once per product and partial sum.  A key comes out at
+        the place of its first pair after the last prefix of its pairs that
+        sums to zero, which is where adding the products one by one
+        (add_term) puts it.  An element with polynomial coefficients only,
+        as in the twist suite, adds them one by one: collecting the pairs
+        costs more there than it saves."""
+        one = MultiPoly.one()
+        if all(c.den is one for c in self.terms.values()):
+            out = {}
+            for k, c in self.terms.items():
+                for w, c2 in word_fn(k[i]).terms.items():
+                    add_term(out, k[:i] + (w,) + k[i + 1 :], c * c2)
+            return self._new(out)
+        pairs = {}
+        place = count()
         for k, c in self.terms.items():
             for w, c2 in word_fn(k[i]).terms.items():
-                add_term(out, k[:i] + (w,) + k[i + 1 :], c * c2)
-        return self._new(out)
+                key = k[:i] + (w,) + k[i + 1 :]
+                hit = pairs.get(key)
+                if hit is None:
+                    pairs[key] = [(next(place), c, c2)]
+                else:
+                    hit.append((next(place), c, c2))
+        out = {}
+        while pairs:
+            # popped, so that each key's pairs are freed once summed
+            key, ps = pairs.popitem()
+            s, start = sum_of_products([(c, c2) for _, c, c2 in ps])
+            if s.num.terms:
+                out[ps[start][0]] = key, s
+        return self._new(dict(out[n] for n in sorted(out)))
 
     def __str__(self):
         if not self.terms:

@@ -181,9 +181,11 @@ class Presentation:
         #: is subtracted from the loop generator before rule orientation
         self.shift_element = shift_element
         # single-word normal forms memoized against the current rule set
+        # and degree bound
         self._word_nf = {}
         self._rules_version = 0
         self._word_nf_version = 0
+        self._word_nf_bound = degree_bound
         # the lead index of _first_occurrence, keyed to _rules_version
         self._index = []
         self._index_version = -1
@@ -296,14 +298,17 @@ class Presentation:
         """Normal form of a single word, memoized (default bound only).
 
         The memo is keyed to the rule set via _rules_version, which add_rule
-        bumps; only code that edits .relations in place must bump it
-        itself."""
+        bumps, and to degree_bound: a word that reduced under a larger
+        bound may pass through a word a smaller one rejects.  Only code that
+        edits .relations in place must bump _rules_version itself."""
         if bound is not None and bound != self.degree_bound:
             return self.normal_form(
                 NCPoly(self.alphabet, {word: rf(1)}), bound=bound)
-        if self._word_nf_version != self._rules_version:
+        if (self._word_nf_version != self._rules_version
+                or self._word_nf_bound != self.degree_bound):
             self._word_nf.clear()
             self._word_nf_version = self._rules_version
+            self._word_nf_bound = self.degree_bound
         hit = self._word_nf.get(word)
         if hit is None:
             hit = self.normal_form(NCPoly(self.alphabet, {word: rf(1)}))

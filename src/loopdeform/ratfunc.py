@@ -37,6 +37,16 @@ exponents.  No gcd is taken, no polynomial division is made and no two
 denominators are multiplied.  Only the splittings that succeed are memoized
 (keyed by the monic polynomial, O(deg^3) of them).
 
+A sum of products a1*b1 + ... + an*bn whose operands all split, not all
+over 1, is reduced once (sum_of_products, which the slotwise normal forms
+use): each product's numerator is lifted to the lcm q^A*(q-1)^B*(q+1)^D of
+the products' unreduced denominators, the lifted numerators are added, and
+one _strip cancels the known factors that sum shares with the lcm.  A
+fraction has one reduced form with monic denominator, and the storage of
+its numerator and denominator is canonical, so this is the RatFunc that
+reducing every product and partial sum gives, with one strip in place of
+one per product and one per sum.
+
 Any other operand goes through mp_gcd, which knows nothing of the factors
 q, q-1, q+1: past the trivial and monomial cases it is the primitive-PRS
 Euclid algorithm, each of whose remainders is freed of its content in the
@@ -909,6 +919,72 @@ def _make_reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
     if den.terms == _ONE_TERMS:
         den = _ONE_POLY
     return _make(num, den, _q_split(den))
+
+
+def sum_of_products(pairs):
+    """(s, start) for the (a, b) pairs of RatFuncs: s is the sum of the
+    products a * b, and start is the last n < len(pairs) at which the sum
+    of the first n products is zero (0 when only the empty sum is).
+
+    When every operand's denominator splits over q, q-1, q+1 and not all of
+    them are 1, s is reduced once (_reduced_once).  Otherwise (a single
+    pair, an operand that does not split, or every denominator 1) s is the
+    eager fold of products and sums, which starts afresh after a partial
+    sum cancels."""
+    if len(pairs) == 1:
+        (a, b), = pairs
+        t = a * b
+        return (t if t.num.terms else _ZERO), 0
+    reduce_once = False
+    for a, b in pairs:
+        if a.split is None or b.split is None:
+            reduce_once = False
+            break
+        if a.den is not _ONE_POLY or b.den is not _ONE_POLY:
+            reduce_once = True
+    if reduce_once:
+        return _reduced_once(pairs)
+    total, start = None, 0
+    for n, (a, b) in enumerate(pairs):
+        t = a * b
+        if total is None:
+            total, start = t, n
+        else:
+            total = total + t
+        if not total.num.terms:
+            total = None
+    return (_ZERO, start) if total is None else (total, start)
+
+
+def _reduced_once(pairs):
+    """sum_of_products for operands that all split (see the module
+    docstring).  Every lifted numerator is over the one lcm, so a prefix
+    sum is zero exactly when its lifted numerators cancel."""
+    lifted = []
+    top = _NO_FACTORS
+    for a, b in pairs:
+        sa, sb = a.split, b.split
+        s = (sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
+        lifted.append((a.num, b.num, s))
+        top = tuple(map(max, top, s))
+    out, start = {}, 0
+    for n, (n1, n2, s) in enumerate(lifted):
+        if not out:
+            start = n
+        t = n1 * n2
+        if s != top:
+            t = t * _q_product(tuple(map(sub, top, s)))
+        for e, c in t.terms.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    if not out:
+        return _ZERO, start
+    t, caps = _strip(top, MultiPoly(out))
+    split = tuple(map(sub, top, caps))
+    return _make(t, _q_product(split), split), start
 
 
 def _paren_poly(p: MultiPoly):

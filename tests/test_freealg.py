@@ -181,6 +181,19 @@ def test_word_parse_round_trip():
     assert A.parse_word("k+a1.k-a1") == ()
 
 
+def test_coeff_reads_its_key_contracted():
+    e, k, ki = (A.id_of(n) for n in ("e+a1", "k+a1", "k-a1"))
+    x = NCPoly(A, {(e, k, ki): 3})
+    assert str(x) == "3*e+a1"
+    assert x.coeff((e, k, ki)) == rf(3) == x.coeff([e])
+    assert x.coeff((k, ki)) == RatFunc.zero()
+    t = TensorPoly(A, 2, {((e, k, ki), (ki, k)): 5})
+    assert str(t) == "5*(e+a1 @ 1)"
+    assert t.coeff(((e, k, ki), (ki, k))) == rf(5) == t.coeff([[e], []])
+    with pytest.raises(ArityMismatchError):
+        t.coeff(((e,),))
+
+
 def test_map_slot_is_linear():
     one = NCPoly.unit(A)
     t = E.tensor(F) + 2 * K.tensor(E)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopdeform.cli import VerificationReport, _check_items
-from loopdeform.errors import UnsupportedAlgebraError
-from loopdeform.freealg import NCPoly, tensor
+from loopdeform.errors import DegreeBoundExceeded, UnsupportedAlgebraError
+from loopdeform.freealg import NCPoly, TensorPoly, add_term, tensor
 from loopdeform.hopf import (
     CONVENTIONS,
     HopfData,
@@ -27,6 +27,7 @@ from loopdeform.hopf import (
     loop_hopf_limit,
 )
 from loopdeform.presentations import (
+    Presentation,
     build_classical_sl2,
     build_drinfeldian,
     build_yangian_sl2,
@@ -35,6 +36,7 @@ from loopdeform.presentations import (
 )
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor
+from loopdeform.twist import check_twisted_homomorphism
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +443,83 @@ def test_nonzero_antipode_normal_form_is_unknown(yang, yang_hopf):
     report = VerificationReport("yangian-sl2", "hopf", items, {})
     assert ("antipode:xi", "unknown") in [(l, v) for l, v, _ in items]
     assert report.status == "inconclusive"
+
+
+# ---------------------------------------------------------------------------
+# slotwise normal forms: each output coefficient summed once, against adding
+# every coefficient product into its key as it is made
+# ---------------------------------------------------------------------------
+
+
+def _eager_map_slot(t, i, word_fn):
+    """map_slot with every product c * c2 added into its output key as it
+    is made (add_term)."""
+    out = {}
+    for k, c in t.terms.items():
+        for w, c2 in word_fn(k[i]).terms.items():
+            add_term(out, k[:i] + (w,) + k[i + 1:], c * c2)
+    return TensorPoly(t.alphabet, t.arity, out)
+
+
+def _assert_slotwise_agree(p, t, bound=None):
+    """normal_form_tensor against the eager sums: after every slot equal
+    terms in the same order, and equal str(); or the same
+    DegreeBoundExceeded message."""
+    def word_fn(w):
+        return p.word_normal_form(w, bound)
+
+    try:
+        wants = [t]
+        for i in range(t.arity):
+            wants.append(_eager_map_slot(wants[-1], i, word_fn))
+    except DegreeBoundExceeded as exc:
+        with pytest.raises(DegreeBoundExceeded) as got:
+            p.normal_form_tensor(t, bound)
+        assert str(got.value) == str(exc)
+        return
+    got = t
+    for i, want in enumerate(wants[1:]):
+        got = got.map_slot(i, word_fn)
+        assert list(got.terms.items()) == list(want.terms.items())
+    assert p.normal_form_tensor(t, bound) == got
+    assert str(got) == str(wants[-1])
+
+
+@pytest.mark.parametrize("name, mutate", [
+    ("uq-sl2", None), ("uq-sl3", None), ("drinfeldian-sl2", None),
+    ("drinfeldian-sl3", None), ("yangian-sl2", None),
+    ("twisted-yangian-sl2", None),
+    ("yangian-sl2", _flipped_eta_pairing),
+    ("drinfeldian-sl2", _flipped_loop_correction),
+])
+def test_slotwise_normal_form_matches_eager_sums(name, mutate):
+    p = get_presentation(name)
+    H = build_hopf(p)
+    if mutate is not None:
+        H = mutate(p, H)
+    for rel in p.relations:
+        dz = H.coproduct(rel.zero_form(p.alphabet))
+        _assert_slotwise_agree(p, dz)
+        # a bound below the longest word of delta(z) stops both at one word
+        _assert_slotwise_agree(p, dz, bound=3)
+
+
+def test_twist_graded_products_match_eager_sums(monkeypatch, yang, yang_hopf):
+    # every tensor the order-3 twisted homomorphism check reduces: the
+    # graded products of the twist series with delta(x)
+    inputs = []
+    reduce = Presentation.normal_form_tensor
+
+    def recording(self, t, bound=None):
+        inputs.append(t)
+        return reduce(self, t, bound)
+
+    monkeypatch.setattr(Presentation, "normal_form_tensor", recording)
+    assert all_zero(check_twisted_homomorphism(yang_hopf, 3))
+    monkeypatch.undo()
+    assert len(inputs) > 50
+    for t in inputs:
+        _assert_slotwise_agree(yang, t)
 
 
 # ---------------------------------------------------------------------------

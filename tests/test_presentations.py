@@ -19,6 +19,7 @@ from loopdeform.errors import (
     UnsupportedAlgebraError,
 )
 from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
+from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
     CartanData,
     build_classical_sl2,
@@ -438,6 +439,23 @@ def test_add_rule_keeps_rewriting_current():
     want = tensor(h, e).scale(rf(2)) + tensor(h, h).scale(rf(2))
     assert p.normal_form_tensor(t) == want
     assert p.word_normal_form(fe) == h.scale(rf(2))
+
+
+def test_word_memo_honours_a_lowered_degree_bound():
+    """Memoized word normal forms filled under one degree bound are not
+    reused under a smaller one: reducing delta(z) of loop-serre-xi:e+a1
+    passes through words of length 4, so bound 3 must raise whether or not
+    the memo is warm."""
+    p = get_presentation("drinfeldian-sl2")
+    dz = build_hopf(p).coproduct(
+        p.relation("loop-serre-xi:e+a1").zero_form(p.alphabet))
+    assert p.normal_form_tensor(dz).is_zero()
+    p.degree_bound = 3
+    with pytest.raises(DegreeBoundExceeded,
+                       match="word of length 4 exceeds bound 3"):
+        p.normal_form_tensor(dz)
+    p.degree_bound = 12
+    assert p.normal_form_tensor(dz).is_zero()
 
 
 def test_add_rule_copies_meta():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from loopdeform import ratfunc
 from loopdeform.errors import PoleError
+from loopdeform.freealg import add_term
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import ALGEBRA_BUILDERS, get_presentation
 from loopdeform.ratfunc import (
@@ -808,3 +809,95 @@ def test_den_one_monomial_arithmetic_matches_sorting_references(f, g, c):
         # a product by one is the other factor itself
         assert x * one is x and one * x is x and x * 1 is x
     assert x + RatFunc.zero() is x and RatFunc.zero() * x is RatFunc.zero()
+
+
+# ---------------------------------------------------------------------------
+# sums of products reduced once against the eager fold
+# ---------------------------------------------------------------------------
+
+
+def _eager_sum_of_products(pairs):
+    """(sum, start) as adding the products one by one into a term dict
+    gives them: start is the pair the last partial sum began at."""
+    acc, start = {}, 0
+    for n, (a, b) in enumerate(pairs):
+        if 0 not in acc:
+            start = n
+        add_term(acc, 0, a * b)
+    return acc.get(0, RatFunc.zero()), start
+
+
+def _no_divexact(*args):
+    raise AssertionError("divexact called on operands that all split")
+
+
+# c*p/(q^a*(q-1)^b*(q+1)^d) with p a polynomial in q and eta
+_split_operand = st.builds(
+    lambda c, mult, terms: RatFunc(
+        MultiPoly({(e[0], e[1], 0, 0, 0, 0): k for k, e in terms}),
+        _known_product(mult).scale(c)),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    _multiplicities,
+    st.lists(st.tuples(st.integers(min_value=-3, max_value=3),
+                       st.tuples(st.integers(min_value=0, max_value=2),
+                                 st.integers(min_value=0, max_value=1))),
+             min_size=1, max_size=2))
+
+# such an operand, or a monomial over the shared 1
+_known_operand = st.one_of(_split_operand, _split_operand,
+                           _den_one_monomial.map(RatFunc))
+
+
+@example(pairs=[(rf("q/(q - 1)"), rf(1)), (rf("-1/(q - 1)"), rf(1))],
+         unsplit=None, shape="plain", target=rf(1))
+@example(pairs=[(rf("1/(q*(q + 1))"), rf("q")), (rf("1/(q + 1)"), rf(2))],
+         unsplit=None, shape="plain", target=rf(1))
+@example(pairs=[(rf("1/(q - 1)"), rf("1/(q + 1)")),
+                (rf("-1/(q + 1)"), rf("1/(q - 1)")), (rf("eta"), rf(1))],
+         unsplit=None, shape="plain", target=rf(1))
+@example(pairs=[(rf("2*q"), rf("eta")), (rf("-q"), rf("2*eta")),
+                (rf("q"), rf(3))], unsplit=None, shape="plain", target=rf(1))
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_known_operand, _known_operand), min_size=1,
+                max_size=4),
+       # a pair with an operand whose denominator does not split, beside
+       # at most one other pair: its sums cancel through mp_gcd
+       st.none() | st.tuples(
+           st.integers(min_value=0, max_value=1),
+           st.builds(lambda x, f: x / f, _den_one_monomial.map(RatFunc),
+                     st.sampled_from([rf("u + v"), rf("q - 2")])),
+           _den_one_monomial.map(RatFunc)),
+       st.sampled_from(["plain", "plain", "negated", "restarted",
+                        "absorbed"]),
+       _known_operand)
+def test_sum_of_products_matches_the_eager_fold(pairs, unsplit, shape,
+                                                target):
+    if unsplit is not None:
+        at, x, y = unsplit
+        pairs = pairs[:at] + [(x, y)] + pairs[at:1]
+    if shape == "negated":
+        # a sum that cancels to zero
+        pairs = pairs + [(-a, b) for a, b in reversed(pairs)]
+    elif shape == "restarted":
+        # a partial sum that cancels, then more products
+        pairs = [(a, -b) for a, b in pairs] + pairs + pairs[:2]
+    elif shape == "absorbed":
+        # the last product makes the sum the target, whose denominator
+        # lacks factors the other products' denominators carry
+        pairs = pairs + [(target - _eager_sum_of_products(pairs)[0], rf(1))]
+    want, want_start = _eager_sum_of_products(pairs)
+    operands = [x for pair in pairs for x in pair]
+    all_split = all(x.split is not None for x in operands)
+    with pytest.MonkeyPatch.context() as mp:
+        if all_split:
+            mp.setattr(ratfunc, "mp_gcd", _no_gcd)
+            mp.setattr(ratfunc, "divexact", _no_divexact)
+        got, start = ratfunc.sum_of_products(pairs)
+    _assert_same(got, want)
+    assert got.split == want.split
+    assert (got is RatFunc.zero()) == (want is RatFunc.zero())
+    assert (got.den is MultiPoly.one()) == (want.den.terms
+                                            == MultiPoly.one().terms)
+    assert start == want_start
+    if shape == "negated":
+        assert got is RatFunc.zero()

@@ -10,10 +10,11 @@ must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
 step, not build each replacement from NCPoly products.  Products and sums
 of coefficients whose denominators split over q, q-1, q+1 cancel on the
-multiplicities, with no gcd at all.  Products and sums of monomials over
-the denominator 1 are made on the one exponent and coefficient pair, with
-no MultiPoly operation.  The Yang-Baxter residual builds its fundamental
-representation once, not once per slot pair.
+multiplicities, with no gcd at all, and a slotwise normal form strips the
+known factors once per output coefficient.  Products and sums of monomials
+over the denominator 1 are made on the one exponent and coefficient pair,
+with no MultiPoly operation.  The Yang-Baxter residual builds its
+fundamental representation once, not once per slot pair.
 """
 
 import random
@@ -90,6 +91,24 @@ def test_drinfeldian_sl2_homomorphism_cancels_without_gcd(monkeypatch):
     assert len(rows) == 21
     assert counts["mp_gcd"] == 0
     assert counts["divexact"] == 0
+
+
+# adding each coefficient product of the slotwise normal forms into its
+# output key as it was made, this check stripped the known factors 13,390
+# times; summing each output coefficient once, it strips about half as often
+def test_drinfeldian_sl2_homomorphism_strips_once_per_output_key(monkeypatch):
+    p = get_presentation("drinfeldian-sl2")
+    reps = default_reps(p)
+    H = build_hopf(p)
+    counts = {"_strip": 0, "mp_gcd": 0, "divexact": 0}
+    for name in counts:
+        monkeypatch.setattr(ratfunc, name,
+                            _counting(counts, name, getattr(ratfunc, name)))
+    rows = check_homomorphism(H, reps)
+    monkeypatch.undo()
+    assert rows == [(rel.label, "zero", None) for rel in p.relations]
+    assert counts["mp_gcd"] == counts["divexact"] == 0
+    assert 0 < counts["_strip"] <= 7_000
 
 
 # with every coefficient stored as a Fraction, check_homomorphism makes
