@@ -248,12 +248,14 @@ class Presentation:
 
         The rewriting works in place on one copy of x's term dict: a step
         pops the word and adds c2 * c at each replaced word, one RatFunc
-        product per replacement term.  The words still to visit sit on a
-        frontier, a heap on negated word_key, so no step rescans the terms;
-        a word found irreducible is never looked at again.  A new word is
-        checked against the bound as it comes in and is added at the end
-        of the dict, in replacement order: the terms come out in the order
-        that rebuilding the whole sum at every step gives, and the word the
+        product per replacement term, except that no product is made when
+        either factor is the shared RatFunc.one() (the product is then the
+        other factor).  The words still to visit sit on a frontier, a heap
+        on negated word_key, so no step rescans the terms; a word found
+        irreducible is never looked at again.  A new word is checked
+        against the bound as it comes in and is added at the end of the
+        dict, in replacement order: the terms come out in the order that
+        rebuilding the whole sum at every step gives, and the word the
         bound stops at is the first over-long one in that order."""
         bound = self.degree_bound if bound is None else bound
         join = self.alphabet.join
@@ -271,6 +273,8 @@ class Presentation:
         terms = dict(x.terms)
         for w in terms:
             enter(w)
+        get = terms.get
+        one = RatFunc.one()
         irreducible = set()
         while frontier:
             best = heappop(frontier)[3]
@@ -289,9 +293,22 @@ class Presentation:
                     w = join(prefix, w)
                 if suffix:
                     w = join(w, suffix)
-                if w not in terms:
-                    enter(w)
-                add_term(terms, w, c2 * c)
+                t = c if c2 is one else c2 if c is one else c2 * c
+                s = get(w)
+                if s is None:
+                    if len(w) > bound:
+                        raise DegreeBoundExceeded(
+                            "word of length %d exceeds bound %d during "
+                            "rewriting" % (len(w), bound))
+                    heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
+                                        tuple(map(neg, w)), w))
+                    terms[w] = t
+                else:
+                    s = s + t
+                    if s.num.terms:
+                        terms[w] = s
+                    else:
+                        del terms[w]
         return x._new(terms)
 
     def word_normal_form(self, word, bound=None):

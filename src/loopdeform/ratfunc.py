@@ -20,8 +20,14 @@ monomials with one exponent, and the quotient divexact builds (its exponents
 come out strictly descending).  A RatFunc product or sum of two monomials
 over the shared denominator 1 (constants included) is built the same way,
 on the one exponent and coefficient pair, without a MultiPoly operation in
-between.  Hashes and the memo keys read the terms in storage order, so an
-order slip there breaks hashing, not equality.
+between.  The negation of -1 is the shared RatFunc.one(), so the rule
+coefficients equal to 1 are that object, which rewriting tests by
+identity.  A product of a constant over the denominator 1 with any RatFunc
+scales that operand's numerator and keeps its denominator and split: a
+nonzero constant shares no factor with a reduced denominator, so there is
+nothing to strip and no gcd to take.  Hashes and the memo keys read the
+terms in storage order, so an order slip there breaks hashing, not
+equality.
 
 Every denominator the shipped presentations, Hopf maps and representations
 produce is c*q^a*(q-1)^b*(q+1)^d.  So each RatFunc stores, next to its monic
@@ -598,7 +604,8 @@ class RatFunc:
     multiplicities: a product strips each numerator of the other operand's
     known factors, a sum strips the summed numerator of the factors the two
     denominators share.  The constructor, and with it every quotient, strips
-    the numerator the same way when the given denominator splits.  Every
+    the numerator the same way when the given denominator splits.  A
+    product by a constant over the denominator 1 cancels nothing.  Every
     other product, sum and construction cancels through mp_gcd."""
 
     __slots__ = ("num", "den", "split")
@@ -698,7 +705,10 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return _make(-self.num, self.den, self.split)
+        num = -self.num
+        if num.terms == _ONE_TERMS and self.den is _ONE_POLY:
+            return _ONE
+        return _make(num, self.den, self.split)
 
     def __add__(self, other):
         if not isinstance(other, RatFunc):
@@ -800,6 +810,11 @@ class RatFunc:
                 return _make(_poly({tuple(map(add, e1, e2)): c}), _ONE_POLY,
                              _NO_FACTORS)
             return _make(n1 * n2, _ONE_POLY, _NO_FACTORS)
+        # a nonzero constant shares no factor with a reduced denominator
+        if d1 is _ONE_POLY and len(t1) == 1 and _ZEXP in t1:
+            return _make(n2.scale(t1[_ZEXP]), d2, other.split)
+        if d2 is _ONE_POLY and len(t2) == 1 and _ZEXP in t2:
+            return _make(n1.scale(t2[_ZEXP]), d1, self.split)
         # cross-cancel: with both inputs reduced, the product of the
         # cross-reduced pieces is reduced
         s1, s2 = self.split, other.split

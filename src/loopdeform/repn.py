@@ -11,12 +11,15 @@ that image is *solved for*, not assumed, so representation existence is a
 computed fact.
 
 A MatrixRF keeps only its nonzero entries, keyed by (i, j), and every
-operation works on that dict.  Evaluation stays exact and symbolic:
-Rep.evaluate and evaluate_tensor are one code path, which adds c times the
-Kronecker product over the slots of each word's matrix (memoized per word)
-into one such dict; the classical Yang-Baxter residual of rmatrix goes
-through it too.  Field sums are canonical, so the entries equal those of the
-dense kron / scale / + evaluation.
+operation works on that dict.  Evaluation stays exact and symbolic, and
+Rep.evaluate and evaluate_tensor share one in-place sum (_add_scaled):
+acc[(i, j)] += c * a over the entries a of a matrix, dropping an entry
+that cancels.  Rep.evaluate feeds it each word's matrix (memoized per word)
+as it is; evaluate_tensor builds the Kronecker product over slots 2..n and
+feeds it, placed in the block of each entry a of slot 1, with c * a.  The
+classical Yang-Baxter residual of rmatrix goes through evaluate_tensor.
+Field sums are canonical, so the entries equal those of the dense
+kron / scale / + evaluation.
 
 The coproduct-homomorphism witness of a relation zero form z is not
 evaluate_tensor on the raw delta(z) but Rep.evaluate(z) in the pulled-back
@@ -255,8 +258,11 @@ class Rep:
                         % (label, rel.label, res))
 
     def evaluate(self, x: NCPoly) -> MatrixRF:
-        return _evaluate_sparse(
-            (((word,), c) for word, c in x.terms.items()), (self,))
+        acc = {}
+        word_matrix = self._word_matrix
+        for word, c in x.terms.items():
+            _add_scaled(acc, c, word_matrix(word).entries.items())
+        return MatrixRF._sparse(acc, self.dimension, self.dimension)
 
     def _word_matrix(self, word) -> MatrixRF:
         cache = self._word_cache
@@ -285,25 +291,50 @@ def evaluate_tensor(x: TensorPoly, reps) -> MatrixRF:
     if x.arity != len(reps):
         raise ArityMismatchError(
             "tensor arity %d vs %d representations" % (x.arity, len(reps)))
-    return _evaluate_sparse(x.terms.items(), reps)
-
-
-def _evaluate_sparse(terms, reps) -> MatrixRF:
-    """Sum of c * (Kronecker product over slots k of reps[k] on words[k])
-    over (words, c) in terms, accumulated in a dict keyed by (i, j)."""
-    dim = 1
-    for r in reps:
-        dim *= r.dimension
+    if not reps:
+        # an element of arity 0 is a scalar
+        return MatrixRF._sparse({(0, 0): c for c in x.terms.values()}, 1, 1)
+    first, rest = reps[0], reps[1:]
+    inner = 1
+    for r in rest:
+        inner *= r.dimension
     acc = {}
-    for words, c in terms:
-        prod = [(0, 0, c)]
-        for word, r in zip(words, reps):
+    for words, c in x.terms.items():
+        entries = first._word_matrix(words[0]).entries.items()
+        if not rest:
+            _add_scaled(acc, c, entries)
+            continue
+        # the Kronecker product over slots 2..n, placed in the block of each
+        # entry a of slot 1 and added in times c * a
+        kron = rest[0]._word_matrix(words[1]).entries.items()
+        for word, r in zip(words[2:], rest[1:]):
             d = r.dimension
-            prod = [(i * d + k, j * d + l, a * b) for i, j, a in prod
+            kron = [((i * d + k, j * d + l), a * b) for (i, j), a in kron
                     for (k, l), b in r._word_matrix(word).entries.items()]
-        for i, j, a in prod:
-            add_term(acc, (i, j), a)
+        for (i, j), a in entries:
+            i *= inner
+            j *= inner
+            _add_scaled(acc, c * a,
+                        [((i + k, j + l), b) for (k, l), b in kron])
+    dim = first.dimension * inner
     return MatrixRF._sparse(acc, dim, dim)
+
+
+def _add_scaled(acc, c, entries):
+    """acc[key] += c * a for each (key, a) in entries, in place: a key whose
+    sum cancels is removed.  c and every a are nonzero."""
+    get = acc.get
+    for key, a in entries:
+        a = c * a
+        s = get(key)
+        if s is None:
+            acc[key] = a
+        else:
+            s = s + a
+            if s.num.terms:
+                acc[key] = s
+            else:
+                del acc[key]
 
 
 def check_relations_in_rep(p: Presentation, r: Rep):

@@ -21,6 +21,7 @@ from loopdeform.errors import (
 from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
+    ALGEBRA_BUILDERS,
     CartanData,
     build_classical_sl2,
     build_drinfeldian,
@@ -38,7 +39,7 @@ from loopdeform.presentations import (
     specialize,
     translate,
 )
-from loopdeform.ratfunc import q_power, rf, rf_limit
+from loopdeform.ratfunc import RatFunc, q_power, rf, rf_limit
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +457,19 @@ def test_word_memo_honours_a_lowered_degree_bound():
         p.normal_form_tensor(dz)
     p.degree_bound = 12
     assert p.normal_form_tensor(dz).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_BUILDERS) + ["classical-sl2"])
+def test_rule_coefficients_equal_to_one_are_the_shared_one(name):
+    """Rewriting skips the product of a rule coefficient that *is*
+    RatFunc.one(); a coefficient equal to 1 held in another object would
+    still be multiplied."""
+    p = (build_classical_sl2() if name == "classical-sl2"
+         else get_presentation(name))
+    ones = [c for rel in p.relations for c in rel.repl.terms.values()
+            if c == 1]
+    assert ones
+    assert all(c is RatFunc.one() for c in ones)
 
 
 def test_add_rule_copies_meta():

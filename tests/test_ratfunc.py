@@ -625,6 +625,34 @@ def test_exponent_path_matches_gcd_path(a, b, c, shape):
         assert (x + y).is_zero() and str(x + y) == "0"
 
 
+def _fail(name):
+    def fail(*args):
+        raise AssertionError("%s called in a product by a constant" % name)
+    return fail
+
+
+# denominators that split (q^a*(q-1)^b*(q+1)^d), that do not (u - v, q - 2)
+# and the shared 1, under numerators with and without those factors
+@pytest.mark.parametrize("text", [
+    "1/q", "(q + 1)/(q^2*(q - 1)^3)", "(eta*u + 2)/((q - 1)*(q + 1)^2)",
+    "q^3/(q + 1)", "2/(q*(q - 1))", "(q^2 + eta)/(u - v)", "u/(q - 2)",
+    "(q - 1)/((q - 2)*(u - v))", "3/(u - v)", "eta + u", "q"])
+@pytest.mark.parametrize("c", [2, -1, -3, Fraction(1, 2), Fraction(-2, 3)])
+def test_constant_products_skip_cancellation(text, c):
+    # a nonzero constant shares no factor with a reduced denominator
+    x, k = rf(text), RatFunc.const(c)
+    want = _ref_mul(k, x)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_strip", "mp_gcd", "divexact"):
+            mp.setattr(ratfunc, name, _fail(name))
+        got = [k * x, x * k, c * x, x * c]
+    for ours in got:
+        _assert_same(ours, want)
+        assert ours.split == want.split
+        if want.den.terms == MultiPoly.one().terms:
+            assert ours.den is MultiPoly.one()
+
+
 def test_construction_sites_store_the_split():
     # every RatFunc in the shipped relations, Hopf maps and default reps
     # carries its denominator's split, and every one of those denominators

@@ -517,3 +517,34 @@ def test_sparse_evaluate_tensor_matches_dense(shipped_reps, name):
                     m = evaluate_tensor(t, slots)
                     assert m == _dense_evaluate_tensor(t, slots)
                     assert m.is_zero()
+
+
+@pytest.mark.parametrize("name", _ALGEBRAS)
+def test_one_slot_evaluate_matches_the_tensor_path(shipped_reps, name):
+    """Rep.evaluate adds each word's matrix into the result directly; the
+    tensor path and the dense reference must give the same matrix, with its
+    entries in the same order, also where a sum cancels an entry."""
+    p, reps = shipped_reps[name]
+    A = p.alphabet
+    rng = random.Random("one slot " + name)
+    for r in reps:
+        cases = [(_random_element(rng, A), None) for _ in range(6)]
+        for x, _ in list(cases):
+            mx = r.evaluate(x)
+            for _ in range(20):
+                y = NCPoly(A, {_random_word(rng, A): rf(1)})
+                my = r.evaluate(y)
+                shared = [key for key in mx.entries if key in my.entries]
+                if shared:
+                    # x - s*y with entry `key` of the sum zero
+                    key = shared[0]
+                    s = mx.entries[key] / my.entries[key]
+                    cases.append((x - y.scale(s), key))
+                    break
+        assert any(key is not None for _, key in cases)
+        for x, key in cases:
+            m = r.evaluate(x)
+            t = evaluate_tensor(x.tensor(), [r])
+            assert m == t == _dense_evaluate_tensor(x.tensor(), [r])
+            assert list(m.entries) == list(t.entries)
+            assert key not in m.entries

@@ -8,7 +8,8 @@ sparsely), while still evaluating one exact witness per relation and rep.
 The coefficients of these checks are integral almost everywhere, so they
 must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
-step, not build each replacement from NCPoly products.  Products and sums
+step, not build each replacement from NCPoly products, and none when a
+factor is the shared RatFunc.one().  Products and sums
 of coefficients whose denominators split over q, q-1, q+1 cancel on the
 multiplicities, with no gcd at all, and a slotwise normal form strips the
 known factors once per output coefficient.  Products and sums of monomials
@@ -18,6 +19,7 @@ fundamental representation once, not once per slot pair.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,10 +160,12 @@ def _drinfeldian_sl2_samples(p, count, seed):
 def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     # building every replacement as prefix * repl * suffix from NCPoly
     # products and then scaling it took 2,230 RatFunc.__mul__ calls for the
-    # 590 replacement terms of these 200 elements
+    # 590 replacement terms of these 200 elements; one product per term took
+    # 590, and skipping the products by the shared one takes 590 - by_one
     p = get_presentation("drinfeldian-sl2")
     samples = _drinfeldian_sl2_samples(p, 200, seed=7)
-    counts = {"mul": 0, "terms": 0}
+    counts = {"mul": 0, "terms": 0, "by_one": 0}
+    one = RatFunc.one()
     mul = RatFunc.__mul__
     first_occurrence = Presentation._first_occurrence
 
@@ -172,7 +176,12 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     def counting_first_occurrence(self, word):
         occ = first_occurrence(self, word)
         if occ is not None:
-            counts["terms"] += len(occ[0].repl.terms)
+            # the coefficient of the word about to be rewritten, read from
+            # the term dict of the calling normal_form
+            c = sys._getframe(1).f_locals["terms"][word]
+            repl = occ[0].repl.terms.values()
+            counts["terms"] += len(repl)
+            counts["by_one"] += sum(c is one or c2 is one for c2 in repl)
         return occ
 
     monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
@@ -181,14 +190,17 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     zeros = sum(p.normal_form(x).is_zero() for x in samples)
     monkeypatch.undo()
     assert zeros >= 100
-    assert counts["terms"] > 0
-    assert counts["mul"] == counts["terms"]
+    assert counts["terms"] == 590
+    assert 0 < counts["by_one"] < counts["terms"]
+    assert counts["mul"] == counts["terms"] - counts["by_one"]
 
 
 # every coefficient of the yangian-sl2 twist suite has denominator 1, and
 # each product and sum here not by zero or one is of two monomials; made
 # through MultiPoly, this check took 6,697 MultiPoly products and 6,118
-# MultiPoly sums
+# MultiPoly sums.  Rewriting made 16,814 RatFunc products while it still
+# multiplied by the shared one, and rule coefficients equal to 1 were not
+# all that shared one
 def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     p = get_presentation("yangian-sl2")
     H = build_hopf(p)
@@ -203,9 +215,8 @@ def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     monkeypatch.undo()
     assert rows == [(rel.label, "zero", None) for rel in p.relations]
     assert len(rows) == 7
-    # the coefficient products and sums themselves are as many as before
     assert counts == {"poly_mul": 0, "poly_add": 0,
-                      "mul": 16_814, "add": 6_118}
+                      "mul": 9_949, "add": 6_118}
 
 
 @pytest.mark.parametrize("kind", ["rational", "twisted_yangian"])
