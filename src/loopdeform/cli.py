@@ -33,6 +33,7 @@ from .hopf import (
 from .presentations import (
     ALGEBRA_BUILDERS,
     DEFAULT_DEGREE_BOUND,
+    Q1_LIMITS,
     build_yangian_sl2,
     check_row,
     comparison_cases,
@@ -239,8 +240,8 @@ def _parse_assignments(assignments):
 
 
 def cmd_limit(algebra, assignments, degree_bound=None):
-    """Exact specialization of one algebra, with a target comparison when
-    the degeneration has a shipped counterpart."""
+    """Exact specialization of one algebra.  At q=1 and kdelta=1 it is
+    compared with the shipped algebra that Q1_LIMITS names, if any."""
     p = get_presentation(algebra)
     if degree_bound is not None:
         p.degree_bound = degree_bound
@@ -258,9 +259,9 @@ def cmd_limit(algebra, assignments, degree_bound=None):
         raise UsageError(str(exc)) from None
 
     items = []
-    if (algebra == "drinfeldian-sl2" and parsed.get("q") == 1
+    if (algebra in Q1_LIMITS and parsed.get("q") == 1
             and parsed.get("kdelta") == 1):
-        target = build_yangian_sl2()
+        target = get_presentation(Q1_LIMITS[algebra])
         target.degree_bound = p.degree_bound
         items.extend(_compare_items(sp, target))
     else:

@@ -3,8 +3,9 @@
 The q-deformed coproduct placement on raising/lowering generators is not
 forced by the relations alone: four placements of the Cartan factor give
 valid bialgebra structures on the finite part.  They are all constructible
-here, and convention_search decides mechanically which of them extend to the
-loop deformation.  The shipped default is the one that does.
+here, and convention_search rules out those that a default representation
+witnesses not to extend to the loop deformation.  The shipped default is the
+one that extends.
 
 The loop generator's coproduct and antipode follow the deformation pattern
 
@@ -15,6 +16,9 @@ The loop generator's coproduct and antipode follow the deformation pattern
 where s is the presentation's shift element, a the shift coefficient, and
 kappa the group-like word pairing the central letter against the Cartan
 letters of the highest root.
+
+loop_hopf_limit degenerates them to the algebra presentations.Q1_LIMITS
+names; presentations._limit_tensor_zero_form sends the central letter to 1.
 """
 
 from __future__ import annotations
@@ -29,16 +33,17 @@ from .freealg import (
     tensor,
 )
 from .presentations import (
+    Q1_LIMITS,
     Presentation,
     _limit_tensor_zero_form,
     _limit_zero_form,
-    build_yangian_sl2,
     check_row,
+    get_presentation,
     loop_shift_coefficient,
     rewrite_row,
 )
 from .ratfunc import RatFunc, rf
-from .repn import Rep, evaluate_tensor
+from .repn import Rep, default_reps, evaluate_tensor
 
 #: Cartan-factor placements on raising/lowering generators.  Each entry maps a
 #: name to exponents (er, el, fr, fl) in
@@ -56,7 +61,7 @@ CONVENTIONS = {
 }
 
 #: same-side placements, enumerated by convention_search only; no exponent
-#: choice makes these a bialgebra, and the search demonstrates that.
+#: choice makes these a bialgebra, and the search witnesses that on uq-sl2.
 _SEARCH_ONLY = {
     "both-right": (1, 0, -1, 0),
     "both-left": (0, 1, 0, -1),
@@ -250,6 +255,9 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
             epsilon[sym.name] = rf(0)
             antipode[sym.name] = -x
         if "xi" in p.alphabet.index:
+            if p.cartan.rank != 1:
+                raise UnsupportedAlgebraError(
+                    "no coproduct of xi above rank 1 (%s)" % p.name)
             eta = rf("eta")
             f, h, xi = p.gen("e-a1"), p.gen("ha1"), p.gen("xi")
             delta["xi"] = (tensor(xi, one) + tensor(one, xi)
@@ -354,6 +362,16 @@ def check_homomorphism(hopf: HopfData, reps=()):
     return out
 
 
+def _homomorphism_verdict(hopf: HopfData):
+    """True when every homomorphism row is zero, False when a default
+    representation witnesses one nonzero, else None."""
+    verdicts = {v for _, v, _ in check_homomorphism(
+        hopf, default_reps(hopf.presentation))}
+    if "nonzero" in verdicts:
+        return False
+    return True if verdicts <= {"zero"} else None
+
+
 def convention_search(p: Presentation, loop_builder=None):
     """Survey Cartan-factor placements on a q-deformed presentation.
 
@@ -361,17 +379,15 @@ def convention_search(p: Presentation, loop_builder=None):
     the two same-side placements.  Each row records whether the coproduct is
     an algebra homomorphism on the finite relations, where the inverse factor
     sits (the printed loop formula pairs the inverse central-Cartan word with
-    the left slot), and -- when a loop extension builder is supplied --
-    whether the two-parameter extension stays a homomorphism."""
+    the left slot), and -- when a loop extension builder is supplied and the
+    finite part is one -- whether the two-parameter extension stays a
+    homomorphism.  Each verdict is True, False (witnessed) or None."""
     if p.family != "uq":
         raise UnsupportedAlgebraError(
             "convention search expects a q-deformed finite presentation")
     results = []
-    grid = dict(CONVENTIONS)
-    grid.update(_SEARCH_ONLY)
-    for name, (er, el, fr, fl) in grid.items():
-        hopf = build_hopf(p, name)
-        finite_ok = all(v == "zero" for _, v, _ in check_homomorphism(hopf))
+    for name, (er, el, fr, fl) in {**CONVENTIONS, **_SEARCH_ONLY}.items():
+        finite_ok = _homomorphism_verdict(build_hopf(p, name))
         row = {
             "convention": name,
             "opposite_sides": (er == 0) != (fr == 0),
@@ -381,10 +397,8 @@ def convention_search(p: Presentation, loop_builder=None):
             "loop_homomorphism": None,
         }
         if loop_builder is not None and finite_ok:
-            lp = loop_builder()
-            lhopf = build_hopf(lp, name)
-            row["loop_homomorphism"] = all(
-                v == "zero" for _, v, _ in check_homomorphism(lhopf))
+            row["loop_homomorphism"] = _homomorphism_verdict(
+                build_hopf(loop_builder(), name))
         results.append(row)
     return results
 
@@ -394,35 +408,20 @@ def convention_search(p: Presentation, loop_builder=None):
 # ---------------------------------------------------------------------------
 
 
-def _drop_central_slotwise(t: TensorPoly, p: Presentation) -> TensorPoly:
-    """Send the central group-like letters to 1 in every slot."""
-    A = p.alphabet
-    drop = {A.id_of("kd+"), A.id_of("kd-")}
-
-    def drop_word(w):
-        return NCPoly(A, {tuple(i for i in w if i not in drop): rf(1)})
-
-    for i in range(t.arity):
-        t = t.map_slot(i, drop_word)
-    return t
-
-
 def loop_hopf_limit(hopf: HopfData, target: Presentation = None):
     """q -> 1, central letter -> 1 limit of the loop generator's Hopf maps.
 
     Returns (delta_limit, antipode_limit) as elements over the target
-    presentation's alphabet (default: the directly-constructed degeneration).
-    The expansion k = q^h runs per tensor slot with joint pole cancellation.
+    presentation's alphabet (default: the algebra that Q1_LIMITS names,
+    UnsupportedAlgebraError if none).  The expansion k = q^h runs per tensor
+    slot with joint pole cancellation.
     """
     p = hopf.presentation
     if p.family != "drinfeldian":
         raise UnsupportedAlgebraError("loop limit needs the two-parameter family")
     if target is None:
-        target = build_yangian_sl2()
-    d_xi = _drop_central_slotwise(hopf.delta["xi"], p)
-    d_xi = p.normal_form_tensor(d_xi)
-    delta_limit = _limit_tensor_zero_form(d_xi, p, target)
-    s_xi = p.normal_form(_drop_central_slotwise(
-        hopf.antipode["xi"].tensor(), p).as_ncpoly())
-    anti_limit = _limit_zero_form(s_xi, p, target)
-    return delta_limit, anti_limit
+        if p.name not in Q1_LIMITS:
+            raise UnsupportedAlgebraError("no q -> 1 target for %s" % p.name)
+        target = get_presentation(Q1_LIMITS[p.name])
+    return (_limit_tensor_zero_form(hopf.delta["xi"], p, target),
+            _limit_zero_form(hopf.antipode["xi"], p, target))

@@ -35,6 +35,10 @@ Rules come in through ``Presentation.add_rule`` only (directly, or through
 the lead index current.  Only code that edits ``relations`` in place, as two
 tests do, bumps ``_rules_version`` itself.
 
+``Q1_LIMITS`` names the algebra an algebra's q -> 1, kdelta -> 1 limit must
+match.  ``_drop_central_letters`` sends the central letter of a presentation
+to 1, and ``_limit_tensor_zero_form`` that of an element whose target lacks it.
+
 Checks build their rows with ``check_row`` for an exact residual (a matrix)
 and with ``rewrite_row`` for a normal form, which is zero or unknown.
 """
@@ -797,6 +801,10 @@ ALGEBRA_BUILDERS = {
 }
 
 
+#: algebra name -> the shipped algebra its q -> 1, kdelta -> 1 limit matches
+Q1_LIMITS = {"drinfeldian-sl2": "yangian-sl2"}
+
+
 def get_presentation(name) -> Presentation:
     try:
         builder = ALGEBRA_BUILDERS[name]
@@ -882,7 +890,7 @@ def _drop_central_letters(p: Presentation) -> Presentation:
     out = Presentation("%s[kdelta->1]" % p.name, p.family, p.cartan, newA,
                        p.degree_bound, p.params)
     for rel in p.relations:
-        if rel.kind == "k_central" and rel.meta.get("k", "").startswith("kd"):
+        if rel.kind == "k_central":
             continue
         lead = map_word(rel.lead)
         repl = NCPoly(newA, {map_word(w): c for w, c in rel.repl.terms.items()})
@@ -989,7 +997,10 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
     exact Laurent series at q = 1; negative net orders must cancel within
     each (slot cores, slot central-exponents) group, else PoleError.  The
     pole bookkeeping is shared across all slots of a term, which is what
-    makes group-like differences such as a*(x (x) (k^2 - 1)) converge."""
+    makes group-like differences such as a*(x (x) (k^2 - 1)) converge.
+
+    A dst without the central letter sends it to 1: it is dropped as each
+    word is split, so terms differing only in it share one group."""
     srcA = src.alphabet
     dstA = dst.alphabet
     cd = src.cartan
@@ -998,10 +1009,9 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
     for i in range(rank):
         k_sign[srcA.id_of("k+%s" % cd.labels[i])] = (i, 1)
         k_sign[srcA.id_of("k-%s" % cd.labels[i])] = (i, -1)
-    central = {}
-    if "kd+" in srcA.index:
-        central[srcA.id_of("kd+")] = 1
-        central[srcA.id_of("kd-")] = -1
+    keep = int("kd+" in dstA.index)
+    central = ({srcA.id_of("kd+"): keep, srcA.id_of("kd-"): -keep}
+               if "kd+" in srcA.index else {})
     h_ids = [dstA.id_of("h%s" % cd.labels[i]) for i in range(rank)]
 
     def split(word):
@@ -1060,10 +1070,6 @@ def _limit_tensor_zero_form(z: TensorPoly, src: Presentation,
                     word.extend([h_ids[i]] * m)
                 d = ds[slot]
                 if d:
-                    if "kd+" not in dstA.index:
-                        raise ValueError(
-                            "central letters must be eliminated (kdelta=1) "
-                            "before this limit")
                     kd = dstA.id_of("kd+") if d > 0 else dstA.id_of("kd-")
                     word.extend([kd] * abs(d))
                 out_words.append(tuple(word))

@@ -8,7 +8,9 @@ nonzero matrix.
 The rank-1 loop algebras act on the usual (2j+1)-dimensional weight ladders
 extended by an evaluation image of the loop generator; the correction term of
 that image is *solved for*, not assumed, so representation existence is a
-computed fact.
+computed fact.  The q-deformed algebras act through the type-A vector
+representation that _uq_images builds from the Cartan data.  The table
+_WITNESSES, read by default_reps, lists each shipped algebra's witnesses.
 
 A MatrixRF keeps only its nonzero entries, keyed by (i, j), and every
 operation works on that dict.  Evaluation stays exact and symbolic, and
@@ -21,15 +23,9 @@ classical Yang-Baxter residual of rmatrix goes through evaluate_tensor.
 Field sums are canonical, so the entries equal those of the dense
 kron / scale / + evaluation.
 
-The coproduct-homomorphism witness of a relation zero form z is not
-evaluate_tensor on the raw delta(z) but Rep.evaluate(z) in the pulled-back
-representation (r (x) r) o delta, whose generator images are the
-evaluate_tensor matrices of the generator coproducts.  The two are equal:
-word evaluation is multiplicative, kron(A, B) kron(C, D) = kron(AC, BD),
-and r's validation proves the images of inverse letters inverse, so the
-letters that contract in delta(z) contract in the matrices too.  The raw
-delta(z) is still built, because its slotwise normal form is the rewriting
-proof.
+The coproduct-homomorphism witness, the pulled-back representation
+(r (x) r) o delta, is built in hopf; hopf.check_homomorphism says why it
+equals evaluate_tensor on delta(z).
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .presentations import (
     build_classical_sl2,
     build_yangian_sl2,
     check_row,
-    get_presentation,
     loop_shift_coefficient,
 )
 from .ratfunc import RatFunc, rf
@@ -502,56 +497,38 @@ def _solve_affine(rows):
 # ---------------------------------------------------------------------------
 
 
-def _uq_sl2_images():
-    """The 2x2 q-side images: k = diag(q, 1/q)."""
-    q = rf("q")
-    return {
-        "e+a1": MatrixRF.unit_entry(2, 0, 1),
-        "e-a1": MatrixRF.unit_entry(2, 1, 0),
-        "k+a1": MatrixRF.diagonal([q, rf(1) / q]),
-        "k-a1": MatrixRF.diagonal([rf(1) / q, q]),
-    }
-
-
-def _uq_sl3_images():
-    """The 3x3 q-side images of the fundamental representation."""
+def _uq_images(cd) -> dict:
+    """The vector representation of U_q(sl_n) on type-A Cartan data:
+    e_i = E_(i,i+1), f_i = E_(i+1,i) and k_i = diag(..., q, 1/q, ...) with
+    q at position i.  Other Cartan data raise UnsupportedAlgebraError."""
+    n = cd.rank + 1
+    type_a = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                         for j in range(n - 1)) for i in range(n - 1))
+    if cd.pairing_matrix != type_a:
+        raise UnsupportedAlgebraError("%s is not of type A" % cd.name)
     q = rf("q")
     qi = rf(1) / q
-    return {
-        "e+a1": MatrixRF.unit_entry(3, 0, 1),
-        "e+a2": MatrixRF.unit_entry(3, 1, 2),
-        "e-a1": MatrixRF.unit_entry(3, 1, 0),
-        "e-a2": MatrixRF.unit_entry(3, 2, 1),
-        "k+a1": MatrixRF.diagonal([q, qi, rf(1)]),
-        "k-a1": MatrixRF.diagonal([qi, q, rf(1)]),
-        "k+a2": MatrixRF.diagonal([rf(1), q, qi]),
-        "k-a2": MatrixRF.diagonal([rf(1), qi, q]),
-    }
+    images = {}
+    for i, lab in enumerate(cd.labels):
+        k, ki = [rf(1)] * n, [rf(1)] * n
+        k[i] = ki[i + 1] = q
+        k[i + 1] = ki[i] = qi
+        images["e+%s" % lab] = MatrixRF.unit_entry(n, i, i + 1)
+        images["e-%s" % lab] = MatrixRF.unit_entry(n, i + 1, i)
+        images["k+%s" % lab] = MatrixRF.diagonal(k)
+        images["k-%s" % lab] = MatrixRF.diagonal(ki)
+    return images
 
 
-def uq_spin_half(p: Presentation = None) -> Rep:
-    """2x2 oracle for the rank-1 q-deformation."""
-    if p is None:
-        p = get_presentation("uq-sl2")
-    return Rep(p, _uq_sl2_images(), "q-spin(1/2)")
-
-
-def uq_fundamental_sl3(p: Presentation = None) -> Rep:
-    """3x3 oracle for the rank-2 q-deformation."""
-    if p is None:
-        p = get_presentation("uq-sl3")
-    return Rep(p, _uq_sl3_images(), "q-fund(sl3)")
-
-
-def _loop_rep(p: Presentation, base_images: dict, label: str) -> Rep:
+def _loop_rep(p: Presentation, label: str) -> Rep:
     """Extend q-side images to the loop deformation: the central letters act
     by the identity and the loop generator by (v + a) times the image of the
     presentation's shift element (an evaluation-type action)."""
     if p.shift_element is None:
         raise UnsupportedAlgebraError(
             "%s carries no loop shift element" % p.name)
-    images = dict(base_images)
-    dim = next(iter(base_images.values())).nrows
+    images = _uq_images(p.cartan)
+    dim = p.cartan.rank + 1
     images["kd+"] = images["kd-"] = MatrixRF.identity(dim)
     probe = Rep(p, dict(images, xi=MatrixRF.zeros(dim)), "probe",
                 validate=False)
@@ -560,32 +537,24 @@ def _loop_rep(p: Presentation, base_images: dict, label: str) -> Rep:
     return Rep(p, images, label)
 
 
-def drinfeldian_sl2_rep(p: Presentation = None) -> Rep:
-    if p is None:
-        p = get_presentation("drinfeldian-sl2")
-    return _loop_rep(p, _uq_sl2_images(), "q-eval(sl2)")
+def _spins(build):
+    """The spin-1/2 and spin-1 representations that build(j, p) gives."""
+    return lambda p: (build(Fraction(1, 2), p), build(1, p))
 
 
-def drinfeldian_sl3_rep(p: Presentation = None) -> Rep:
-    if p is None:
-        p = get_presentation("drinfeldian-sl3")
-    return _loop_rep(p, _uq_sl3_images(), "q-eval(sl3)")
+#: The shipped zero-witness oracles of each algebra, by name.
+_WITNESSES = {
+    "uq-sl2": lambda p: (Rep(p, _uq_images(p.cartan), "q-spin(1/2)"),),
+    "uq-sl3": lambda p: (Rep(p, _uq_images(p.cartan), "q-fund(sl3)"),),
+    "drinfeldian-sl2": lambda p: (_loop_rep(p, "q-eval(sl2)"),),
+    "drinfeldian-sl3": lambda p: (_loop_rep(p, "q-eval(sl3)"),),
+    "yangian-sl2": _spins(solve_eval_correction),
+    "twisted-yangian-sl2": _spins(solve_eval_correction),
+    "classical-sl2": _spins(spin_rep),
+}
 
 
 def default_reps(p: Presentation):
-    """The shipped zero-witness oracles for a presentation, by name."""
-    name = p.name
-    if name == "uq-sl2":
-        return (uq_spin_half(p),)
-    if name == "uq-sl3":
-        return (uq_fundamental_sl3(p),)
-    if name == "drinfeldian-sl2":
-        return (drinfeldian_sl2_rep(p),)
-    if name == "drinfeldian-sl3":
-        return (drinfeldian_sl3_rep(p),)
-    if name in ("yangian-sl2", "twisted-yangian-sl2"):
-        return (solve_eval_correction(Fraction(1, 2), p),
-                solve_eval_correction(1, p))
-    if name == "classical-sl2":
-        return (spin_rep(Fraction(1, 2), p), spin_rep(1, p))
-    return ()
+    """The shipped zero-witness oracles for a presentation, by name, or ()."""
+    build = _WITNESSES.get(p.name)
+    return () if build is None else build(p)

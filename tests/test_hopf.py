@@ -33,6 +33,7 @@ from loopdeform.presentations import (
     build_yangian_sl2,
     get_presentation,
     loop_shift_coefficient,
+    specialize,
 )
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor
@@ -286,9 +287,9 @@ def test_convention_survey(uq2):
     for name in CONVENTIONS:
         assert by_name[name]["opposite_sides"]
         assert by_name[name]["finite_homomorphism"]
-    # same-side placements never are
-    assert not by_name["both-right"]["finite_homomorphism"]
-    assert not by_name["both-left"]["finite_homomorphism"]
+    # same-side placements never are, and the default witness shows it
+    assert by_name["both-right"]["finite_homomorphism"] is False
+    assert by_name["both-left"]["finite_homomorphism"] is False
     # exactly one convention extends to the loop deformation
     loop_ok = [r["convention"] for r in rows if r["loop_homomorphism"]]
     assert loop_ok == ["raise-left"]
@@ -296,6 +297,10 @@ def test_convention_survey(uq2):
     # generator (mirroring the printed loop pairing) does not extend
     assert by_name["raise-right"]["kinv_left_on_lowering"]
     assert by_name["raise-right"]["loop_homomorphism"] is False
+    assert by_name["raise-left-inv"]["loop_homomorphism"] is False
+    # Delta^op of raise-left: its (r (x) r) o Delta witness with one spectral
+    # parameter vanishes on the three loop rows it leaves unreduced
+    assert by_name["raise-right-inv"]["loop_homomorphism"] is None
 
 
 def test_unknown_convention_rejected(uq2):
@@ -551,3 +556,16 @@ def test_loop_hopf_limit_plain_shift_differs(yang, yang_hopf):
 def test_loop_hopf_limit_rejects_other_families(yang_hopf):
     with pytest.raises(UnsupportedAlgebraError):
         loop_hopf_limit(yang_hopf)
+
+
+def test_loop_hopf_limit_needs_a_shipped_target():
+    with pytest.raises(UnsupportedAlgebraError):
+        loop_hopf_limit(build_hopf(get_presentation("drinfeldian-sl3")))
+
+
+def test_build_hopf_refuses_the_loop_generator_above_rank_one():
+    sp = specialize(get_presentation("drinfeldian-sl3"),
+                    {"q": 1, "kdelta": 1})
+    assert sp.family == "yangian" and "xi" in sp.alphabet.index
+    with pytest.raises(UnsupportedAlgebraError):
+        build_hopf(sp)

@@ -22,6 +22,7 @@ from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
+    Q1_LIMITS,
     CartanData,
     build_classical_sl2,
     build_drinfeldian,
@@ -298,6 +299,13 @@ def test_limit_reproduces_degenerate_presentation(dr2, yg):
     assert lim.alphabet == yg.alphabet
     results = compare_presentations(lim, yg)
     assert results and all(v == "zero" for _, _, v in results)
+
+
+def test_q1_limits_name_shipped_algebras():
+    assert Q1_LIMITS
+    for source, target in Q1_LIMITS.items():
+        assert source in ALGEBRA_BUILDERS
+        assert target in ALGEBRA_BUILDERS
 
 
 def test_limit_cartan_cross_gives_h(dr2):

@@ -15,27 +15,29 @@ from loopdeform.errors import (
     ArityMismatchError,
     NoSolutionError,
     RepValidationError,
+    UnsupportedAlgebraError,
 )
 from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
 from loopdeform.presentations import (
+    ALGEBRA_BUILDERS,
+    CartanData,
     Relation,
     build_classical_sl2,
     build_yangian_sl2,
+    cartan_data,
     get_presentation,
+    specialize,
 )
 from loopdeform.ratfunc import q_power, rf
 from loopdeform.repn import (
     MatrixRF,
     Rep,
     check_relations_in_rep,
+    _uq_images,
     default_reps,
-    drinfeldian_sl2_rep,
-    drinfeldian_sl3_rep,
     evaluate_tensor,
     solve_eval_correction,
     spin_rep,
-    uq_fundamental_sl3,
-    uq_spin_half,
 )
 
 
@@ -284,7 +286,7 @@ def test_no_solution_is_reported():
 
 
 def test_uq_spin_half_cross_relation():
-    r = uq_spin_half()
+    r = default_reps(get_presentation("uq-sl2"))[0]
     e, f = r.images["e+a1"], r.images["e-a1"]
     k, ki = r.images["k+a1"], r.images["k-a1"]
     lhs = e * f - f * e
@@ -294,7 +296,7 @@ def test_uq_spin_half_cross_relation():
 
 
 def test_uq_fundamental_sl3_validates():
-    r = uq_fundamental_sl3()
+    r = default_reps(get_presentation("uq-sl3"))[0]
     assert r.dimension == 3
     for label, verdict, _ in check_relations_in_rep(r.presentation, r):
         assert verdict == "zero", label
@@ -303,13 +305,41 @@ def test_uq_fundamental_sl3_validates():
 def test_drinfeldian_reps_validate():
     # the constructors re-run every defining relation including the mixed
     # loop rules, so surviving construction is itself the assertion
-    d2 = drinfeldian_sl2_rep()
+    d2 = default_reps(get_presentation("drinfeldian-sl2"))[0]
     assert d2.dimension == 2
-    d3 = drinfeldian_sl3_rep()
+    d3 = default_reps(get_presentation("drinfeldian-sl3"))[0]
     assert d3.dimension == 3
     # loop generator acts by (v + eta*q/(q^2-1)) times the shift image
     num = d2.images["xi"].entry(1, 0)
     assert num == (rf("v") + rf("eta") * rf("q") / (rf("q") ** 2 - rf(1))) * rf("q")
+
+
+def test_uq_images_are_the_vector_representation():
+    q = rf("q")
+    qi = rf(1) / q
+    one = rf(1)
+    assert _uq_images(cartan_data("sl2")) == {
+        "e+a1": MatrixRF([[0, 1], [0, 0]]),
+        "e-a1": MatrixRF([[0, 0], [1, 0]]),
+        "k+a1": MatrixRF([[q, 0], [0, qi]]),
+        "k-a1": MatrixRF([[qi, 0], [0, q]]),
+    }
+    assert _uq_images(cartan_data("sl3")) == {
+        "e+a1": MatrixRF([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        "e+a2": MatrixRF([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        "e-a1": MatrixRF([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+        "e-a2": MatrixRF([[0, 0, 0], [0, 0, 0], [0, 1, 0]]),
+        "k+a1": MatrixRF([[q, 0, 0], [0, qi, 0], [0, 0, one]]),
+        "k-a1": MatrixRF([[qi, 0, 0], [0, q, 0], [0, 0, one]]),
+        "k+a2": MatrixRF([[one, 0, 0], [0, q, 0], [0, 0, qi]]),
+        "k-a2": MatrixRF([[one, 0, 0], [0, qi, 0], [0, 0, q]]),
+    }
+
+
+def test_uq_images_refuse_cartan_data_not_of_type_a():
+    b2 = CartanData("B2", ((2, -1), (-2, 2)), (2, 1), ("a1", "a2"), (1, 2))
+    with pytest.raises(UnsupportedAlgebraError):
+        _uq_images(b2)
 
 
 def test_rep_requires_all_generators():
@@ -380,13 +410,30 @@ def test_evaluate_tensor_arity_check():
 
 
 def test_default_reps_registry():
-    for name in ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
-                 "yangian-sl2", "twisted-yangian-sl2"):
+    labels = {}
+    for name in ALGEBRA_BUILDERS:
         p = get_presentation(name)
         reps = default_reps(p)
         assert reps, name
         for r in reps:
             assert r.presentation is p
+        labels[name] = [r.label for r in reps]
+    assert labels == {
+        "uq-sl2": ["q-spin(1/2)"],
+        "uq-sl3": ["q-fund(sl3)"],
+        "drinfeldian-sl2": ["q-eval(sl2)"],
+        "drinfeldian-sl3": ["q-eval(sl3)"],
+        "yangian-sl2": ["eval-spin(1/2)", "eval-spin(1)"],
+        "twisted-yangian-sl2": ["eval-spin(1/2)", "eval-spin(1)"],
+    }
+    assert [r.label for r in default_reps(build_classical_sl2())] == [
+        "spin(1/2)", "spin(1)"]
+
+
+def test_default_reps_of_a_specialized_presentation_is_empty():
+    sp = specialize(get_presentation("drinfeldian-sl2"),
+                    {"q": 1, "kdelta": 1})
+    assert default_reps(sp) == ()
 
 
 def test_rewriting_zero_implies_matrix_zero():

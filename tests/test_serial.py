@@ -12,7 +12,7 @@ from loopdeform.presentations import (
     build_yangian_sl2,
 )
 from loopdeform.ratfunc import rf
-from loopdeform.repn import solve_eval_correction, uq_spin_half
+from loopdeform.repn import default_reps, solve_eval_correction
 from loopdeform.serial import (
     FormatError,
     dump_bundle,
@@ -73,7 +73,7 @@ def test_bundle_round_trip_with_hopf_and_rep():
 
 def test_q_deformed_bundle_round_trip():
     p = build_uq("sl2")
-    text = dump_bundle(p, build_hopf(p), [uq_spin_half(p)])
+    text = dump_bundle(p, build_hopf(p), [default_reps(p)[0]])
     q, H2, reps = load_bundle(text)
     assert dump_bundle(q, H2, reps) == text
 
