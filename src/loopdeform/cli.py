@@ -3,24 +3,33 @@
 Four subcommands run the symbolic suites against named algebras and emit a
 stable, machine-readable report:
 
-    loopdeform verify <algebra> [relations|hopf|all]
+    loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
     loopdeform limit  <algebra> <var->value | var=value> ...
     loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
     loopdeform cybe   --r <kind>
 
+Every command also takes --json PATH, --config PATH and --degree-bound N, and
+-h/--help prints the usage (USAGE).  getopt splits the arguments: a flag's
+value follows it or is joined with '=' (--json=PATH), options may come
+before or after the positionals, a unique prefix names a flag (--deg 10), and
+a repeated single-value flag keeps its last value.  A variable may be
+assigned only once in limit.
+
 Reports carry one verdict per check item (pass / fail / unknown); the overall
 status is pass only when nothing failed and nothing stayed unknown, and the
-exit code is 0 (pass), 1 (fail), 2 (inconclusive), 64 (usage error), or 70
+exit code is 0 (pass), 1 (fail), 2 (inconclusive), 64 (usage error, bad
+arguments included: one 'loopdeform: error:' line on stderr), or 70
 (internal error).  A check that outgrows the rewriting degree bound ends in
 an unknown item naming the bound, never in a traceback.
 JSON output is schema-versioned and byte-deterministic apart from the
 elapsed-time field.
 """
 
-import argparse
+import getopt
 import json
 import sys
 import time
+import types
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, PoleError, UnsupportedAlgebraError
@@ -231,6 +240,8 @@ def _parse_assignments(assignments):
             raise UsageError("assignment %r is neither var=value nor "
                              "var->value" % text)
         key = key.strip()
+        if key in parsed:
+            raise UsageError("%s is assigned more than once" % key)
         try:
             parsed[key] = int(val)
         except ValueError:
@@ -379,47 +390,82 @@ def load_config_file(path):
     return out
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+#: each command's positionals ("suite?" may be left out, "assignments+"
+#: takes every remaining one, at least one) and its own long options, in
+#: getopt's spelling ("=" after a flag that takes a value)
+COMMANDS = {
+    "verify": (("algebra", "suite?"), ("rep=",)),
+    "limit": (("algebra", "assignments+"), ()),
+    "twist": ((), ("order=", "check=")),
+    "cybe": ((), ("r=",)),
+}
+COMMON_OPTIONS = ("json=", "config=", "degree-bound=", "help")
+
+USAGE = """\
+usage: loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
+       loopdeform limit  <algebra> <var->value | var=value> ...
+       loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
+       loopdeform cybe   --r <kind>
+
+Every command also takes --json PATH (write the report as JSON too),
+--config PATH (key=value defaults; flags win) and --degree-bound N.
+algebras: %s
+kinds: %s, or sum:<a>+<b>
+""" % (", ".join(ALGEBRAS), ", ".join(R_KINDS))
 
 
-def build_parser():
-    ap = _Parser(prog="loopdeform",
-                 description="exact verification suites for two-parameter "
-                             "loop-algebra deformations")
-    sub = ap.add_subparsers(dest="command", required=True)
+def parse_args(argv):
+    """The attributes run() reads, split from argv (the command first) by
+    getopt, or None when -h/--help asks for USAGE.  Values are not checked
+    here but where the same values from a config file are."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv:
+        raise UsageError("no command given (have: %s)" % ", ".join(COMMANDS))
+    command = argv[0]
+    if command not in COMMANDS:
+        raise UsageError("unknown command %r (have: %s)"
+                         % (command, ", ".join(COMMANDS)))
+    positionals, own = COMMANDS[command]
+    try:
+        opts, rest = getopt.gnu_getopt(argv[1:], "h", own + COMMON_OPTIONS)
+    except getopt.GetoptError as exc:
+        raise UsageError("%s: %s" % (command, exc)) from None
+    if any(flag in ("-h", "--help") for flag, _ in opts):
+        return None
+    args = types.SimpleNamespace(
+        command=command, algebra=None, suite=None, assignments=None,
+        rep=None, order=None, check=None, rkind=None, json=None, config=None,
+        degree_bound=None)
+    for flag, value in opts:
+        if flag == "--rep":
+            args.rep = (args.rep or []) + [value]
+        elif flag in ("--order", "--degree-bound"):
+            setattr(args, flag[2:].replace("-", "_"), _integer(value, flag))
+        else:
+            setattr(args, "rkind" if flag == "--r" else flag[2:], value)
+    for spec in positionals:
+        name = spec.rstrip("?+")
+        if not rest and not spec.endswith("?"):
+            raise UsageError("%s: missing %s" % (command, name))
+        if spec.endswith("+"):
+            value, rest = rest, []
+        else:
+            value = rest.pop(0) if rest else None
+        setattr(args, name, value)
+    if rest:
+        raise UsageError("%s: unexpected argument %r" % (command, rest[0]))
+    if command == "cybe" and args.rkind is None:
+        raise UsageError("cybe: --r is required")
+    return args
 
-    def common(sp):
-        sp.add_argument("--json", metavar="PATH",
-                        help="also write the report as JSON to PATH")
-        sp.add_argument("--config", metavar="PATH",
-                        help="key=value config file (flags override it)")
-        sp.add_argument("--degree-bound", type=int, default=None,
-                        help="rewriting length cutoff override")
 
-    sp = sub.add_parser("verify", parents=[], help="relation and Hopf suites")
-    sp.add_argument("algebra", choices=ALGEBRAS)
-    sp.add_argument("suite", nargs="?", default=None, choices=SUITES)
-    sp.add_argument("--rep", action="append", metavar="spin:<j>",
-                    help="representation oracle selector (repeatable)")
-    common(sp)
-
-    sp = sub.add_parser("limit", help="exact parameter specializations")
-    sp.add_argument("algebra", choices=ALGEBRAS)
-    sp.add_argument("assignments", nargs="+", metavar="var=value|var->value")
-    common(sp)
-
-    sp = sub.add_parser("twist", help="twist-series suites")
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--check", default=None, choices=TWIST_CHECKS)
-    common(sp)
-
-    sp = sub.add_parser("cybe", help="classical Yang-Baxter residual")
-    sp.add_argument("--r", dest="rkind", required=True, metavar="KIND",
-                    help="one of %s, or sum:<a>+<b>" % ", ".join(R_KINDS))
-    common(sp)
-    return ap
+def _integer(value, name):
+    """int(value), or a usage error that shows name=value."""
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError("%s=%r is not an integer" % (name, value)) from None
 
 
 def _merged(args):
@@ -433,11 +479,8 @@ def _merged(args):
                          % (args.config, args.command, ", ".join(unread)))
     for key in ("degree-bound", "order"):
         if key in cfg:
-            try:
-                cfg[key] = int(cfg[key])
-            except ValueError:
-                raise UsageError("%s: config key %s=%r is not an integer"
-                                 % (args.config, key, cfg[key])) from None
+            cfg[key] = _integer(cfg[key], "%s: config key %s"
+                                % (args.config, key))
     degree_bound = args.degree_bound
     if degree_bound is None:
         degree_bound = cfg.get("degree-bound")
@@ -471,10 +514,12 @@ def run(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    started = time.monotonic()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_PASS
+        started = time.monotonic()
         report = run(args)
         report.elapsed_ms = int((time.monotonic() - started) * 1000)
         # the file first: a path that cannot be written is a usage error,

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -318,12 +319,10 @@ def test_main_exit_codes(capsys):
 
 
 def test_main_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nosuch-algebra"])
-    assert exc.value.code == EXIT_USAGE
-    with pytest.raises(SystemExit) as exc:
-        main(["nosuch-command"])
-    assert exc.value.code == EXIT_USAGE
+    assert main(["verify", "nosuch-algebra"]) == EXIT_USAGE
+    _usage_error_line(capsys)
+    assert main(["nosuch-command"]) == EXIT_USAGE
+    _usage_error_line(capsys)
     assert main(["twist", "--order", "9"]) == EXIT_USAGE
     assert main(["cybe", "--r", "nosuch"]) == EXIT_USAGE
     capsys.readouterr()
@@ -354,7 +353,6 @@ def test_json_reports_are_deterministic(tmp_path, capsys):
     for p in paths:
         main(["verify", "uq-sl2", "all"])
         texts.append(capsys.readouterr().out)
-    import re
     normalize = lambda t: re.sub(r"\d+ ms", "? ms", t)
     assert normalize(texts[0]) == normalize(texts[1])
 
@@ -402,6 +400,103 @@ def _usage_error_line(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("loopdeform: error: ")
     return lines[0]
+
+
+BAD_ARGV = {
+    "no-command": [],
+    "unknown-command": ["nosuch-command"],
+    "unknown-flag": ["verify", "uq-sl2", "--nosuch"],
+    "flag-without-value": ["verify", "uq-sl2", "--json"],
+    "ambiguous-prefix": ["twist", "--c", "all"],
+    "missing-algebra": ["verify"],
+    "limit-without-assignment": ["limit", "uq-sl2"],
+    "extra-positional": ["verify", "uq-sl2", "all", "extra"],
+    "cybe-without-r": ["cybe"],
+    "non-integer-order": ["twist", "--order", "three"],
+    "non-integer-degree-bound": ["verify", "uq-sl2", "--degree-bound=ten"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
+def test_argument_errors_are_usage_errors(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    _usage_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [["q=1", "q=2"], ["q=2", "q=1"],
+                                  ["q=1", "q->1"]])
+def test_limit_variable_assigned_twice_is_usage_error(capsys, argv):
+    assert main(["limit", "uq-sl2"] + argv) == EXIT_USAGE
+    assert "q is assigned more than once" in _usage_error_line(capsys)
+
+
+def _report_bytes(path):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', path.read_text())
+
+
+def test_json_flag_spellings_write_the_same_report(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["limit", "uq-sl2", "q=1", "--json", str(spaced)]) \
+        == EXIT_INCONCLUSIVE
+    assert main(["limit", "uq-sl2", "q=1", "--json=%s" % joined]) \
+        == EXIT_INCONCLUSIVE
+    capsys.readouterr()
+    assert _report_bytes(spaced) == _report_bytes(joined)
+
+
+FLAG_PARITY = {
+    "options-first": (["limit", "--degree-bound", "10", "--json", "{out}",
+                       "uq-sl2", "q=1"], {"degree_bound": 10}),
+    "unique-prefix": (["limit", "uq-sl2", "q=1", "--deg", "10",
+                       "--json", "{out}"], {"degree_bound": 10}),
+    "last-value-wins": (["limit", "uq-sl2", "q=1", "--degree-bound", "5",
+                         "--degree-bound=10", "--json", "{out}"],
+                        {"degree_bound": 10}),
+    "rep-twice": (["verify", "yangian-sl2", "relations", "--rep", "spin:1/2",
+                   "--rep", "spin:1", "--json", "{out}"],
+                  {"reps": ["eval-spin(1/2)", "eval-spin(1)"]}),
+}
+
+
+@pytest.mark.parametrize("argv, config", FLAG_PARITY.values(),
+                         ids=FLAG_PARITY.keys())
+def test_flag_placement_and_spelling(tmp_path, capsys, argv, config):
+    out = tmp_path / "r.json"
+    main([str(out) if a == "{out}" else a for a in argv])
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert {k: doc["config"][k] for k in config} == config
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
+                                  ["cybe", "-h"]])
+def test_help_prints_usage(capsys, argv):
+    assert main(argv) == EXIT_PASS
+    out, err = capsys.readouterr()
+    assert out == cli.USAGE and err == ""
+    assert out.startswith("usage: loopdeform verify <algebra>")
+
+
+def test_cli_start_up_imports_nothing_per_command(tmp_path):
+    # before/after in one interpreter, so start-up imports do not matter
+    probe = (
+        "import json, sys\n"
+        "import loopdeform.cli as cli\n"
+        "had_argparse = 'argparse' in sys.modules\n"
+        "before = set(sys.modules)\n"
+        "code = cli.main(['limit', 'uq-sl2', 'q=1', '--json', sys.argv[1]])\n"
+        "print(json.dumps([had_argparse, code,\n"
+        "                  sorted(set(sys.modules) - before)]))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, check=True)
+    had_argparse, code, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert not had_argparse
+    assert code == EXIT_INCONCLUSIVE
+    assert imported == []
 
 
 @pytest.mark.parametrize("algebra", ["uq-sl2", "uq-sl3", "yangian-sl2",
