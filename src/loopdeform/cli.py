@@ -8,8 +8,9 @@ stable, machine-readable report:
     loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
     loopdeform cybe   --r <kind>
 
-Every command also takes --json PATH, --config PATH and --degree-bound N, and
--h/--help prints the usage (USAGE).  getopt splits the arguments: a flag's
+A command's positionals, flags and config keys are declared in one place,
+its row of COMMANDS; every command also takes --json PATH and --config PATH,
+and -h/--help prints the usage (USAGE).  getopt splits the arguments: a flag's
 value follows it or is joined with '=' (--json=PATH), options may come
 before or after the positionals, a unique prefix names a flag (--deg 10), and
 a repeated single-value flag keeps its last value.  A variable may be
@@ -29,7 +30,6 @@ import getopt
 import json
 import sys
 import time
-import types
 from fractions import Fraction
 
 from .errors import DegreeBoundExceeded, PoleError, UnsupportedAlgebraError
@@ -65,14 +65,6 @@ ALGEBRAS = tuple(ALGEBRA_BUILDERS)
 SUITES = ("relations", "hopf", "all")
 TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "all")
 MAX_TWIST_ORDER = 4
-
-#: the config-file keys each subcommand reads; any other key is a usage error
-CONFIG_KEYS = {
-    "verify": ("degree-bound", "suite", "rep"),
-    "limit": ("degree-bound",),
-    "twist": ("degree-bound", "order", "check"),
-    "cybe": (),
-}
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 64
 EXIT_INTERNAL = 70  # EX_SOFTWARE: a defect, not a verdict
@@ -252,7 +244,8 @@ def _parse_assignments(assignments):
 
 def cmd_limit(algebra, assignments, degree_bound=None):
     """Exact specialization of one algebra.  At q=1 and kdelta=1 it is
-    compared with the shipped algebra that Q1_LIMITS names, if any."""
+    compared with the shipped algebra that Q1_LIMITS names, if any, itself
+    taken at eta=0 when that is assigned too."""
     p = get_presentation(algebra)
     if degree_bound is not None:
         p.degree_bound = degree_bound
@@ -274,6 +267,8 @@ def cmd_limit(algebra, assignments, degree_bound=None):
             and parsed.get("kdelta") == 1):
         target = get_presentation(Q1_LIMITS[algebra])
         target.degree_bound = p.degree_bound
+        if "eta" in parsed:
+            target = specialize(target, {"eta": parsed["eta"]})
         items.extend(_compare_items(sp, target))
     else:
         items.extend(_zero_item("self-check:%s" % rel.label, sp,
@@ -318,7 +313,8 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", degree_bound=None):
             "antipode", lambda: check_twisted_antipode(H, order)))
         items.extend(_check_items(
             "counit", lambda: check_twist_counit(order, p=p)))
-    config = {"order": order, "check": check, "max_order": MAX_TWIST_ORDER}
+    config = {"order": order, "check": check, "max_order": MAX_TWIST_ORDER,
+              "degree_bound": p.degree_bound}
     return VerificationReport("twisted-yangian-sl2", "twist", items, config)
 
 
@@ -362,10 +358,17 @@ def _named_rep(spec, p):
                      "eta-deformed families, not %r" % p.family)
 
 
+def _config_keys(settings):
+    return {name for name, _, _, sources in settings if "config" in sources}
+
+
 def load_config_file(path):
-    """key=value lines (UTF-8); '#' comments and blank lines ignored."""
-    known = {key for keys in CONFIG_KEYS.values() for key in keys}
-    out = {}
+    """The (key, value) lines of a config file (UTF-8), in order; '#'
+    comments and blank lines are ignored, and a key no command reads is a
+    usage error."""
+    known = set().union(*(_config_keys(settings)
+                          for _, settings in COMMANDS.values()))
+    pairs = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -383,23 +386,31 @@ def load_config_file(path):
         if key not in known:
             raise UsageError("%s:%d: unknown config key %r"
                              % (path, lineno, key))
-        if key == "rep":
-            out.setdefault("rep", []).append(value.strip())
-        else:
-            out[key] = value.strip()
-    return out
+        pairs.append((key, value.strip()))
+    return pairs
 
 
-#: each command's positionals ("suite?" may be left out, "assignments+"
-#: takes every remaining one, at least one) and its own long options, in
-#: getopt's spelling ("=" after a flag that takes a value)
+#: the setting of every command that rewrites
+DEGREE_BOUND = ("degree-bound", "degree_bound", int, ("flag", "config"))
+
+#: One row per command, the one place its arguments are declared: the cmd_*
+#: keywords its positionals feed ("suite?" optional, "assignments+" one or
+#: more), then its settings (name, keyword, kind, sources): --name and config
+#: key name feed keyword as an int, a list (one value per use) or a str, from
+#: the sources "flag", "config" (on the command line by the positional of
+#: the same keyword) and "required" (a flag that must be given).  The
+#: defaults are those of the cmd_* signatures.
 COMMANDS = {
-    "verify": (("algebra", "suite?"), ("rep=",)),
-    "limit": (("algebra", "assignments+"), ()),
-    "twist": ((), ("order=", "check=")),
-    "cybe": ((), ("r=",)),
+    "verify": (("algebra", "suite?"),
+               (DEGREE_BOUND,
+                ("suite", "suite", str, ("config",)),
+                ("rep", "reps", list, ("flag", "config")))),
+    "limit": (("algebra", "assignments+"), (DEGREE_BOUND,)),
+    "twist": ((), (DEGREE_BOUND,
+                   ("order", "order", int, ("flag", "config")),
+                   ("check", "check", str, ("flag", "config")))),
+    "cybe": ((), (("r", "kind", str, ("flag", "required")),)),
 }
-COMMON_OPTIONS = ("json=", "config=", "degree-bound=", "help")
 
 USAGE = """\
 usage: loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
@@ -414,10 +425,32 @@ kinds: %s, or sum:<a>+<b>
 """ % (", ".join(ALGEBRAS), ", ".join(R_KINDS))
 
 
+def _keywords(pairs, settings, label):
+    """The cmd_* keywords of (name, text) pairs, by the command's settings:
+    an int setting converted (a usage error shows label, name and text), a
+    list setting collected, any other the last text given."""
+    kinds = {name: (keyword, kind) for name, keyword, kind, _ in settings}
+    out = {}
+    for name, text in pairs:
+        keyword, kind = kinds[name]
+        if kind is list:
+            out.setdefault(keyword, []).append(text)
+        elif kind is int:
+            try:
+                out[keyword] = int(text)
+            except ValueError:
+                raise UsageError("%s%s=%r is not an integer"
+                                 % (label, name, text)) from None
+        else:
+            out[keyword] = text
+    return out
+
+
 def parse_args(argv):
-    """The attributes run() reads, split from argv (the command first) by
-    getopt, or None when -h/--help asks for USAGE.  Values are not checked
-    here but where the same values from a config file are."""
+    """(command, cmd_* keywords from the command line, config path, JSON
+    path) as getopt splits argv (the command first) by the command's row of
+    COMMANDS, or None when -h/--help asks for USAGE.  Only integers are
+    checked here; cmd_* checks the other values, from a config file too."""
     if argv[:1] in (["-h"], ["--help"]):
         return None
     if not argv:
@@ -426,106 +459,70 @@ def parse_args(argv):
     if command not in COMMANDS:
         raise UsageError("unknown command %r (have: %s)"
                          % (command, ", ".join(COMMANDS)))
-    positionals, own = COMMANDS[command]
+    positionals, settings = COMMANDS[command]
+    flags = [s for s in settings if "flag" in s[3]]
     try:
-        opts, rest = getopt.gnu_getopt(argv[1:], "h", own + COMMON_OPTIONS)
+        opts, rest = getopt.gnu_getopt(
+            argv[1:], "h",
+            ["json=", "config=", "help"] + [s[0] + "=" for s in flags])
     except getopt.GetoptError as exc:
         raise UsageError("%s: %s" % (command, exc)) from None
     if any(flag in ("-h", "--help") for flag, _ in opts):
         return None
-    args = types.SimpleNamespace(
-        command=command, algebra=None, suite=None, assignments=None,
-        rep=None, order=None, check=None, rkind=None, json=None, config=None,
-        degree_bound=None)
-    for flag, value in opts:
-        if flag == "--rep":
-            args.rep = (args.rep or []) + [value]
-        elif flag in ("--order", "--degree-bound"):
-            setattr(args, flag[2:].replace("-", "_"), _integer(value, flag))
-        else:
-            setattr(args, "rkind" if flag == "--r" else flag[2:], value)
+    paths = dict(opts)  # the last --json and --config
+    given = _keywords([(flag[2:], value) for flag, value in opts
+                       if flag not in ("--json", "--config")], settings, "--")
     for spec in positionals:
         name = spec.rstrip("?+")
         if not rest and not spec.endswith("?"):
             raise UsageError("%s: missing %s" % (command, name))
         if spec.endswith("+"):
-            value, rest = rest, []
-        else:
-            value = rest.pop(0) if rest else None
-        setattr(args, name, value)
+            given[name], rest = rest, []
+        elif rest:
+            given[name] = rest.pop(0)
     if rest:
         raise UsageError("%s: unexpected argument %r" % (command, rest[0]))
-    if command == "cybe" and args.rkind is None:
-        raise UsageError("cybe: --r is required")
-    return args
+    for name, keyword, _, sources in flags:
+        if "required" in sources and keyword not in given:
+            raise UsageError("%s: --%s is required" % (command, name))
+    return command, given, paths.get("--config"), paths.get("--json")
 
 
-def _integer(value, name):
-    """int(value), or a usage error that shows name=value."""
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError("%s=%r is not an integer" % (name, value)) from None
-
-
-def _merged(args):
-    """File config with CLI overrides applied; a key the subcommand does not
-    read, a non-integer bound or order, or a degree bound below 1, is a
-    usage error."""
-    cfg = load_config_file(args.config) if args.config else {}
-    unread = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
-    if unread:
-        raise UsageError("%s: %s does not read config key(s) %s"
-                         % (args.config, args.command, ", ".join(unread)))
-    for key in ("degree-bound", "order"):
-        if key in cfg:
-            cfg[key] = _integer(cfg[key], "%s: config key %s"
-                                % (args.config, key))
-    degree_bound = args.degree_bound
-    if degree_bound is None:
-        degree_bound = cfg.get("degree-bound")
+def run(command, given, config=None):
+    """cmd_<command> called with the keywords given on the command line over
+    those of the config file at path config, if any; a config key it does
+    not read, or a degree bound below 1, is a usage error."""
+    settings = COMMANDS[command][1]
+    keywords = {}
+    if config is not None:
+        pairs = load_config_file(config)
+        unread = sorted({key for key, _ in pairs} - _config_keys(settings))
+        if unread:
+            raise UsageError("%s: %s does not read config key(s) %s"
+                             % (config, command, ", ".join(unread)))
+        keywords = _keywords(pairs, settings, "%s: config key " % config)
+    keywords.update(given)
+    degree_bound = keywords.get("degree_bound")
     if degree_bound is not None and degree_bound < 1:
         raise UsageError("degree bound %d is not positive" % degree_bound)
-    return cfg, degree_bound
-
-
-def run(args):
-    cfg, degree_bound = _merged(args)
-    if args.command == "verify":
-        suite = args.suite or cfg.get("suite", "all")
-        reps = args.rep if args.rep is not None else cfg.get("rep")
-        return cmd_verify(args.algebra, suite, degree_bound=degree_bound,
-                          reps=reps)
-    if args.command == "limit":
-        return cmd_limit(args.algebra, args.assignments,
-                         degree_bound=degree_bound)
-    if args.command == "twist":
-        order = args.order
-        if order is None:
-            order = cfg.get("order", DEFAULT_ORDER)
-        check = args.check or cfg.get("check", "all")
-        return cmd_twist(order, check, degree_bound=degree_bound)
-    if args.command == "cybe":
-        if degree_bound is not None:
-            raise UsageError("cybe does no rewriting; --degree-bound does "
-                             "not apply")
-        return cmd_cybe(args.rkind)
-    raise UsageError("unknown command %r" % args.command)
+    # looked up per call, so the module's cmd_* function is the one run
+    return globals()["cmd_" + command](**keywords)
 
 
 def main(argv=None):
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        if args is None:
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
             sys.stdout.write(USAGE)
             return EXIT_PASS
+        command, given, config, json_path = parsed
         started = time.monotonic()
-        report = run(args)
+        report = run(command, given, config)
         report.elapsed_ms = int((time.monotonic() - started) * 1000)
         # the file first: a path that cannot be written is a usage error,
         # reported before anything reaches stdout
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
+        if json_path is not None:
+            with open(json_path, "w", encoding="utf-8") as fh:
                 fh.write(report.to_json())
     except (UsageError, UnsupportedAlgebraError, OSError) as exc:
         print("loopdeform: error: %s" % exc, file=sys.stderr)

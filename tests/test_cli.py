@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, report schema, determinism, config."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -31,6 +32,7 @@ from loopdeform.presentations import (
     get_presentation,
 )
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 ALL_ALGEBRAS = ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
                 "yangian-sl2", "twisted-yangian-sl2")
 
@@ -188,6 +190,19 @@ def test_limit_eta_zero_reports_eta_free_relations():
     text = rep.to_text()
     assert "specialized presentation:" in text
     assert "presentation drinfeldian-sl2[eta->0]" in text
+
+
+@pytest.mark.parametrize("assignments", [["kdelta=1", "eta=0", "q=1"],
+                                         ["q->1", "eta->0", "kdelta->1"]])
+def test_limit_q1_at_eta_zero_compares_with_the_target_at_eta_zero(
+        assignments):
+    # the eta-deformed target is taken at eta=0 too, so nothing fails
+    rep = cmd_limit("drinfeldian-sl2", assignments)
+    assert rep.exit_code == EXIT_PASS
+    assert len(rep.items) == 14
+    assert all(l.startswith("compare-") and v == "pass"
+               for l, v, _ in rep.items)
+    assert rep.config["assignments"] == {"eta": 0, "kdelta": 1, "q": 1}
 
 
 def test_limit_pole_is_reported_not_crashed():
@@ -414,6 +429,10 @@ BAD_ARGV = {
     "cybe-without-r": ["cybe"],
     "non-integer-order": ["twist", "--order", "three"],
     "non-integer-degree-bound": ["verify", "uq-sl2", "--degree-bound=ten"],
+    "empty-suite": ["verify", "uq-sl2", ""],
+    "empty-check": ["twist", "--order", "0", "--check", ""],
+    "empty-json-path": ["limit", "uq-sl2", "q=1", "--json", ""],
+    "empty-config-path": ["verify", "uq-sl2", "relations", "--config", ""],
 }
 
 
@@ -535,6 +554,34 @@ def test_spin_rep_that_is_not_a_half_integer_is_usage_error(capsys, spin):
     assert "'spin:%s'" % spin in _usage_error_line(capsys)
 
 
+def _config_keys(command):
+    """The config keys of the command's row of cli.COMMANDS, in order."""
+    return [name for name, _, _, sources in cli.COMMANDS[command][1]
+            if "config" in sources]
+
+
+def test_config_keys_are_the_readme_list():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"the keys its subcommand reads \((.*?)\)\.", text)
+    readme = {}
+    for part in listed.group(1).split("; "):
+        command, _, keys = part.partition(": ")
+        readme[command.strip("`")] = re.findall(r"`([^`]+)`", keys)
+    assert readme == {command: _config_keys(command)
+                      for command in cli.COMMANDS}
+
+
+def test_every_setting_feeds_a_parameter_of_its_command():
+    for command, (positionals, settings) in cli.COMMANDS.items():
+        params = inspect.signature(getattr(cli, "cmd_" + command)).parameters
+        keywords = [spec.rstrip("?+") for spec in positionals]
+        keywords += [keyword for _, keyword, _, _ in settings]
+        assert keywords and set(keywords) <= set(params), command
+        for _, _, kind, sources in settings:
+            assert kind in (int, list, str)
+            assert set(sources) <= {"flag", "config", "required"}
+
+
 def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path,
                                                              capsys):
     argv = {"verify": ["verify", "uq-sl2", "relations"],
@@ -546,7 +593,7 @@ def test_config_keys_a_subcommand_does_not_read_are_rejected(tmp_path,
     cfg = tmp_path / "c.cfg"
     for command, args in argv.items():
         for key, value in values.items():
-            if key in cli.CONFIG_KEYS[command]:
+            if key in _config_keys(command):
                 continue
             cfg.write_text("%s=%s\n" % (key, value))
             assert main(args + ["--config", str(cfg)]) == EXIT_USAGE
@@ -578,8 +625,9 @@ def test_twist_order_four_passes(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["items"]) == 27
     assert all(i["verdict"] == "pass" for i in doc["items"])
-    # the bound is derived from the order, not recorded in the config
-    assert doc["config"] == {"order": 4, "check": "all", "max_order": 4}
+    # the bound is derived from the order and recorded in the config
+    assert doc["config"] == {"order": 4, "check": "all", "max_order": 4,
+                             "degree_bound": 16}
 
 
 def test_twist_honours_degree_bound(tmp_path, capsys):
@@ -588,8 +636,9 @@ def test_twist_honours_degree_bound(tmp_path, capsys):
                  "--json", str(out)])
     capsys.readouterr()
     assert code == EXIT_INCONCLUSIVE
-    unknown = [i for i in json.loads(out.read_text())["items"]
-               if i["verdict"] == "unknown"]
+    doc = json.loads(out.read_text())
+    assert doc["config"]["degree_bound"] == 8
+    unknown = [i for i in doc["items"] if i["verdict"] == "unknown"]
     # one item for the whole check, naming the check and the bound
     assert [i["label"] for i in unknown] == ["antipode"]
     assert unknown[0]["residual"].startswith("DegreeBoundExceeded: ")
