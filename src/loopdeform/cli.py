@@ -418,8 +418,9 @@ usage: loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
        loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
        loopdeform cybe   --r <kind>
 
-Every command also takes --json PATH (write the report as JSON too),
---config PATH (key=value defaults; flags win) and --degree-bound N.
+Every command also takes --json PATH (write the report as JSON too) and
+--config PATH (key=value defaults; flags win); verify, limit and twist
+also take --degree-bound N.
 algebras: %s
 kinds: %s, or sum:<a>+<b>
 """ % (", ".join(ALGEBRAS), ", ".join(R_KINDS))

@@ -254,7 +254,8 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
             delta[sym.name] = tensor(x, one) + tensor(one, x)
             epsilon[sym.name] = rf(0)
             antipode[sym.name] = -x
-        if "xi" in p.alphabet.index:
+        if "xi" in p.alphabet.index and "eta" in p.params:
+            # without eta, xi stays primitive, as in U(g[u])
             if p.cartan.rank != 1:
                 raise UnsupportedAlgebraError(
                     "no coproduct of xi above rank 1 (%s)" % p.name)

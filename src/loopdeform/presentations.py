@@ -10,9 +10,27 @@ Supported families:
                      whose right-hand sides carry the second parameter ``eta``.
 * ``yangian``     -- the degenerate (q -> 1) algebra with a Cartan generator
                      ``ha1`` and the same loop generator; relations carry
-                     ``eta`` only.
+                     ``eta`` only, or nothing at eta = 0.
 * ``classical``   -- plain enveloping-algebra presentations (used internally
-                     for representation checks and as the target of limits).
+                     for representation checks).
+
+Which letters an alphabet holds is decided in one place: ``_letters`` is the
+catalogue of every letter a presentation over a Cartan datum may carry, each
+tagged with its group, and ``alphabet(cd, groups)`` keeps the letters of the
+given groups in catalogue order.  The groups are ``e`` (the lowering letters
+``e-i``, then the raising letters ``e+i``), ``xi`` (the loop letter), ``k``
+(the group-like pairs ``k+i``, ``k-i``), ``h`` (the Cartan letters ``hi``)
+and ``kd`` (the central pair ``kd+``, ``kd-``).  ``FAMILY_GROUPS`` gives each
+family its groups:
+
+* ``uq``          -- e, k
+* ``drinfeldian`` -- e, xi, k, kd
+* ``yangian``     -- e, xi, h
+* ``classical``   -- e, h
+
+The family fixes every group but the central pair: kdelta -> 1 drops it from
+a drinfeldian presentation and q -> 1 carries it into a yangian one, so a
+presentation of a family in ``CENTRAL_FAMILIES`` may carry it or not.
 
 Every relation is stored as an oriented, monic rewrite rule: a leading word
 (maximal in the term order: total loop degree, then length, then letter ids
@@ -453,61 +471,54 @@ def _basis_weight(rank, i, value=1):
     return tuple(w)
 
 
-def _finite_symbols(cd: CartanData):
-    rank = cd.rank
-    syms = []
-    for i in range(rank):  # lowering letters first
-        syms.append(GenSymbol("e-%s" % cd.labels[i], _basis_weight(rank, i, -1)))
-    for i in range(rank):
-        syms.append(GenSymbol("e+%s" % cd.labels[i], _basis_weight(rank, i, 1)))
-    return syms
-
-
-def _k_symbols(cd: CartanData):
-    # each letter sits next to its inverse so that id-sorting brings inverse
-    # pairs adjacent and the contraction k k^-1 = 1 can always fire
-    rank = cd.rank
+def _letters(cd: CartanData):
+    """[(group, letter)] for every letter a presentation over cd may carry,
+    in alphabet order: the lowering letters e-i, then the raising letters
+    e+i; xi, of weight -theta and loop degree 1; the group-like pairs k+i,
+    k-i; the Cartan letters hi; the central pair kd+, kd-.  Each k or kd
+    letter sits next to its inverse so that id-sorting brings inverse pairs
+    adjacent and the contraction k k^-1 = 1 can always fire."""
+    rank, labels = cd.rank, cd.labels
     zero = (0,) * rank
-    syms = []
-    for i in range(rank):
-        syms.append(GenSymbol("k+%s" % cd.labels[i], zero, inv_name="k-%s" % cd.labels[i]))
-        syms.append(GenSymbol("k-%s" % cd.labels[i], zero, inv_name="k+%s" % cd.labels[i]))
-    return syms
+    out = [("e", GenSymbol("e-%s" % l, _basis_weight(rank, i, -1)))
+           for i, l in enumerate(labels)]
+    out += [("e", GenSymbol("e+%s" % l, _basis_weight(rank, i, 1)))
+            for i, l in enumerate(labels)]
+    out.append(("xi", GenSymbol("xi", tuple(-x for x in cd.highest_root),
+                                loop_degree=1)))
+    for l in labels:
+        out.append(("k", GenSymbol("k+%s" % l, zero, inv_name="k-%s" % l)))
+        out.append(("k", GenSymbol("k-%s" % l, zero, inv_name="k+%s" % l)))
+    out += [("h", GenSymbol("h%s" % l, zero)) for l in labels]
+    out.append(("kd", GenSymbol("kd+", zero, inv_name="kd-")))
+    out.append(("kd", GenSymbol("kd-", zero, inv_name="kd+")))
+    return out
 
 
-def _loop_symbol(cd: CartanData):
-    """The loop generator xi: weight -theta, loop degree 1."""
-    return GenSymbol("xi", tuple(-x for x in cd.highest_root), loop_degree=1)
+#: family -> the letter groups of its presentations (see the module
+#: docstring); a presentation of a family in CENTRAL_FAMILIES may carry the
+#: central pair "kd" or not
+FAMILY_GROUPS = {
+    "uq": ("e", "k"),
+    "drinfeldian": ("e", "xi", "k", "kd"),
+    "yangian": ("e", "xi", "h"),
+    "classical": ("e", "h"),
+}
+CENTRAL_FAMILIES = ("drinfeldian", "yangian")
 
 
-def _h_symbols(cd: CartanData):
-    zero = (0,) * cd.rank
-    return [GenSymbol("h%s" % label, zero) for label in cd.labels]
+def alphabet(cd: CartanData, groups) -> Alphabet:
+    """The letters of cd's catalogue in groups, a collection of group names
+    or a family name (standing for its FAMILY_GROUPS), in catalogue order."""
+    if isinstance(groups, str):
+        groups = FAMILY_GROUPS[groups]
+    return Alphabet([s for g, s in _letters(cd) if g in groups],
+                    cd.pairing_matrix)
 
 
-def _central_symbols(cd: CartanData):
-    zero = (0,) * cd.rank
-    return [GenSymbol("kd+", zero, inv_name="kd-"),
-            GenSymbol("kd-", zero, inv_name="kd+")]
-
-
-def uq_alphabet(cd: CartanData) -> Alphabet:
-    return Alphabet(_finite_symbols(cd) + _k_symbols(cd), cd.pairing_matrix)
-
-
-def drinfeldian_alphabet(cd: CartanData) -> Alphabet:
-    syms = (_finite_symbols(cd) + [_loop_symbol(cd)] + _k_symbols(cd)
-            + _central_symbols(cd))
-    return Alphabet(syms, cd.pairing_matrix)
-
-
-def yangian_alphabet(cd: CartanData) -> Alphabet:
-    syms = _finite_symbols(cd) + [_loop_symbol(cd)] + _h_symbols(cd)
-    return Alphabet(syms, cd.pairing_matrix)
-
-
-def classical_alphabet(cd: CartanData) -> Alphabet:
-    return Alphabet(_finite_symbols(cd) + _h_symbols(cd), cd.pairing_matrix)
+def _groups(p: Presentation):
+    """The set of letter groups p's alphabet holds."""
+    return {g for g, s in _letters(p.cartan) if s.name in p.alphabet.index}
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +637,7 @@ def _install_central_rules(p: Presentation):
 def build_uq(g) -> Presentation:
     """One-parameter quantum group on the finite Cartan preset g."""
     cd = cartan_data(g)
-    A = uq_alphabet(cd)
+    A = alphabet(cd, "uq")
     p = Presentation("uq-%s" % g, "uq", cd, A, params=("q",))
     k_labels = [s.name for s in A.symbols if s.name.startswith("k")]
     ef_labels = [s.name for s in A.symbols if s.name.startswith("e")]
@@ -678,7 +689,7 @@ def shifted_loop_generator(p: Presentation, style="dressed") -> NCPoly:
 def build_drinfeldian(g, shift_style="dressed") -> Presentation:
     """Two-parameter deformation on the loop extension of the preset g."""
     cd = cartan_data(g)
-    A = drinfeldian_alphabet(cd)
+    A = alphabet(cd, "drinfeldian")
     p = Presentation("drinfeldian-%s" % g, "drinfeldian", cd, A, params=("q", "eta"))
     k_labels = ["k+%s" % l for l in cd.labels] + ["k-%s" % l for l in cd.labels]
     ef_labels = [s.name for s in A.symbols if s.name.startswith("e")]
@@ -727,7 +738,7 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
 def build_yangian_sl2() -> Presentation:
     """The eta-deformed degeneration in rank 1, built directly."""
     cd = cartan_data("sl2")
-    A = yangian_alphabet(cd)
+    A = alphabet(cd, "yangian")
     p = Presentation("yangian-sl2", "yangian", cd, A, params=("eta",))
     h, e, f, xi_ = p.gen("ha1"), p.gen("e+a1"), p.gen("e-a1"), p.gen("xi")
     eta = rf("eta")
@@ -757,7 +768,7 @@ def build_twisted_yangian_sl2() -> Presentation:
 def build_classical_sl2() -> Presentation:
     """Plain rank-1 enveloping algebra {h, e, f} (for representation checks)."""
     cd = cartan_data("sl2")
-    A = classical_alphabet(cd)
+    A = alphabet(cd, "classical")
     p = Presentation("classical-sl2", "classical", cd, A)
     _install_h_conj(p)
     p.add_rule_from_zero_form(
@@ -833,10 +844,11 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
     * ``{"q": 1}``       -- the degeneration limit.  For the drinfeldian
       family this is structural: group-like letters k are expanded as
       exponentials of new Cartan letters h around q = 1 and every relation's
-      limit is taken exactly (PoleError when a genuine pole survives).  For
-      the uq family coefficients are substituted naively, which raises
-      PoleError on the Cartan cross relation -- that family has no q -> 1
-      limit in these coordinates.
+      limit is taken exactly (PoleError when a genuine pole survives); the
+      result is of the yangian family.  For the other families coefficients
+      are substituted naively and the family is kept; for the uq family this
+      raises PoleError on the Cartan cross relation -- that family has no
+      q -> 1 limit in these coordinates.
     """
     out = p
     unknown = set(assignments) - {"kdelta", "eta", "q"}
@@ -866,8 +878,7 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
 
 
 def _substitute_coefficients(p: Presentation, var, value, new_name) -> Presentation:
-    family = p.family if var == "eta" else "classical"
-    out = Presentation(new_name, family, p.cartan, p.alphabet, p.degree_bound,
+    out = Presentation(new_name, p.family, p.cartan, p.alphabet, p.degree_bound,
                        tuple(x for x in p.params if x != var))
     for rel in p.relations:
         try:
@@ -881,8 +892,7 @@ def _substitute_coefficients(p: Presentation, var, value, new_name) -> Presentat
 def _drop_central_letters(p: Presentation) -> Presentation:
     A = p.alphabet
     drop = {A.id_of("kd+"), A.id_of("kd-")}
-    keep = [s for i, s in enumerate(A.symbols) if i not in drop]
-    newA = Alphabet(keep, A.pairing_matrix)
+    newA = alphabet(p.cartan, _groups(p) - {"kd"})
 
     def map_word(w):
         return tuple(newA.id_of(A.name_of(i)) for i in w if i not in drop)
@@ -947,25 +957,22 @@ def _k_tails_expansion(cexps, mmax):
 
 
 def _structural_q1_limit(p: Presentation) -> Presentation:
-    """Exact q -> 1 limit of a drinfeldian presentation.
+    """Exact q -> 1 limit of a drinfeldian presentation, of the yangian
+    family (at eta = 0 too: it keeps xi).
 
     Cartan conjugation relations become bracket relations with new letters
     h_i; relations whose words involve group-like letters are expanded with
     k_i = q^(h_i) around q = 1 and the constant term extracted exactly."""
     cd = p.cartan
     A = p.alphabet
-    has_central = "kd+" in A.index
-    syms = _finite_symbols(cd) + [_loop_symbol(cd)] + _h_symbols(cd)
-    if has_central:
-        syms += _central_symbols(cd)
-    newA = Alphabet(syms, cd.pairing_matrix)
-    out = Presentation("%s[q->1]" % p.name, "yangian" if "eta" in p.params else "classical",
-                       cd, newA, degree_bound=p.degree_bound,
+    groups = _groups(p) - {"k"} | {"h"}
+    out = Presentation("%s[q->1]" % p.name, "yangian", cd,
+                       alphabet(cd, groups), degree_bound=p.degree_bound,
                        params=tuple(x for x in p.params if x != "q"))
 
     # Cartan letters commute among themselves
-    _install_comm_rules(out, [s.name for s in _h_symbols(cd)])
-    if has_central:
+    _install_comm_rules(out, ["h%s" % label for label in cd.labels])
+    if "kd" in groups:
         _install_central_rules(out)
 
     # the conjugation relations k_i x k_i^-1 = q^c x become h-brackets

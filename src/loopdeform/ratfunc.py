@@ -40,8 +40,7 @@ q-polynomials beside each monomial in the other variables, found by
 synthetic division, whose quotients are the stripped numerator), and the
 new denominator is read from a memo of the products keyed by their
 exponents.  No gcd is taken, no polynomial division is made and no two
-denominators are multiplied.  Only the splittings that succeed are memoized
-(keyed by the monic polynomial, O(deg^3) of them).
+denominators are multiplied.
 
 A sum of products a1*b1 + ... + an*bn whose operands all split, not all
 over 1, is reduced once (sum_of_products, which the slotwise normal forms
@@ -433,10 +432,7 @@ _ROOTS = (0, 1, -1)
 # the multiplicities of a denominator 1
 _NO_FACTORS = (0, 0, 0)
 
-# monic q-only polynomial (as its terms) -> multiplicities over _ROOTS, and
-# back; only polynomials that split completely are stored, so both memos
-# have O(deg^3) keys
-_Q_SPLIT = {}
+# multiplicities over _ROOTS -> the monic q-only polynomial they make
 _Q_PRODUCT = {_NO_FACTORS: _ONE_POLY}
 
 
@@ -447,16 +443,7 @@ def _q_split(p: MultiPoly):
     for e in terms:
         if any(e[1:]):
             return None
-    lc = next(iter(terms.values()))
-    key = tuple(terms.items()) if lc == 1 else tuple(
-        (e, _div(c, lc)) for e, c in terms.items())
-    hit = _Q_SPLIT.get(key)
-    if hit is None:
-        hit = _root_multiplicities({e[0]: c for e, c in terms.items()})
-        if hit is None:
-            return None
-        _Q_SPLIT[key] = hit
-    return hit
+    return _root_multiplicities({e[0]: c for e, c in terms.items()})
 
 
 def _root_multiplicities(coeffs):

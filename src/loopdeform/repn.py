@@ -17,9 +17,8 @@ operation works on that dict.  Evaluation stays exact and symbolic, and
 Rep.evaluate and evaluate_tensor share one in-place sum (_add_scaled):
 acc[(i, j)] += c * a over the entries a of a matrix, dropping an entry
 that cancels.  Rep.evaluate feeds it each word's matrix (memoized per word)
-as it is; evaluate_tensor builds the Kronecker product over slots 2..n and
-feeds it, placed in the block of each entry a of slot 1, with c * a.  The
-classical Yang-Baxter residual of rmatrix goes through evaluate_tensor.
+as it is; evaluate_tensor feeds it the kron of each term's slot matrices.
+The classical Yang-Baxter residual of rmatrix goes through evaluate_tensor.
 Field sums are canonical, so the entries equal those of the dense
 kron / scale / + evaluation.
 
@@ -286,32 +285,16 @@ def evaluate_tensor(x: TensorPoly, reps) -> MatrixRF:
     if x.arity != len(reps):
         raise ArityMismatchError(
             "tensor arity %d vs %d representations" % (x.arity, len(reps)))
-    if not reps:
-        # an element of arity 0 is a scalar
-        return MatrixRF._sparse({(0, 0): c for c in x.terms.values()}, 1, 1)
-    first, rest = reps[0], reps[1:]
-    inner = 1
-    for r in rest:
-        inner *= r.dimension
+    dim = 1
+    for r in reps:
+        dim *= r.dimension
+    unit = MatrixRF.identity(1)
     acc = {}
     for words, c in x.terms.items():
-        entries = first._word_matrix(words[0]).entries.items()
-        if not rest:
-            _add_scaled(acc, c, entries)
-            continue
-        # the Kronecker product over slots 2..n, placed in the block of each
-        # entry a of slot 1 and added in times c * a
-        kron = rest[0]._word_matrix(words[1]).entries.items()
-        for word, r in zip(words[2:], rest[1:]):
-            d = r.dimension
-            kron = [((i * d + k, j * d + l), a * b) for (i, j), a in kron
-                    for (k, l), b in r._word_matrix(word).entries.items()]
-        for (i, j), a in entries:
-            i *= inner
-            j *= inner
-            _add_scaled(acc, c * a,
-                        [((i + k, j + l), b) for (k, l), b in kron])
-    dim = first.dimension * inner
+        m = unit
+        for word, r in zip(words, reps):
+            m = m.kron(r._word_matrix(word))
+        _add_scaled(acc, c, m.entries.items())
     return MatrixRF._sparse(acc, dim, dim)
 
 
@@ -476,19 +459,13 @@ def _solve_affine(rows):
     sol = [rf(0)] * n
     for col, idx in pivots.items():
         sol[col] = rows[idx][1]
-    # inconsistency: a row with all-zero coefficients but nonzero rhs
+    # inconsistency: a row with all-zero coefficients but nonzero rhs (after
+    # full elimination every row that is no pivot has all-zero coefficients)
     for idx, (cs, r) in enumerate(rows):
         if idx in pivots.values():
             continue
         if all(c.is_zero() for c in cs) and not r.is_zero():
             return None
-        if not all(c.is_zero() for c in cs):
-            # leftover dependent row: verify it is satisfied by sol
-            acc = r
-            for c, s in zip(cs, sol):
-                acc = acc - c * s
-            if not acc.is_zero():
-                return None
     return sol
 
 

@@ -15,14 +15,14 @@ from fractions import Fraction
 
 from .errors import ArityMismatchError
 from .freealg import NCPoly, TensorPoly, tensor
-from .presentations import cartan_data, classical_alphabet, translate
+from .presentations import alphabet, cartan_data, translate
 from .ratfunc import rf
 from .repn import MatrixRF, evaluate_tensor, spin_rep
 
 #: Basis letters h, e, f and the classical sl2 letters they name.
 GENERATOR_NAMES = {"h": "ha1", "e": "e+a1", "f": "e-a1"}
 
-_ALPHABET = classical_alphabet(cartan_data("sl2"))
+_ALPHABET = alphabet(cartan_data("sl2"), "classical")
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,14 @@ The format is deliberately plain so diffs stay reviewable:
 
 Elements serialize through their canonical string forms (sorted terms,
 reduced monic-denominator coefficients), so dumping is deterministic and a
-load/dump round trip is byte-identical.  Loading rebuilds the alphabet from
-the family and Cartan type, verifies every ``gen`` line against it, and
-reconstructs relations as plain rewrite rules; the structural metadata that
-drives parameter limits is not part of the text format, so loaded
+load/dump round trip is byte-identical.  Loading builds the alphabet from
+the letter catalogue of the Cartan type (``presentations.alphabet``): the
+family fixes its letter groups, and the central pair ``kd+``, ``kd-`` is
+part of it when the document has ``gen`` lines for it, which only a
+drinfeldian or yangian document may have.  So every presentation the
+package builds, shipped or specialized, loads back.  Loading verifies every
+``gen`` line against that alphabet and reconstructs relations as plain
+rewrite rules; the structural metadata that drives parameter limits is not part of the text format, so loaded
 presentations verify and rewrite but are not inputs to the limit machinery.
 Hopf maps are re-validated for generator coverage and representations replay
 their full relation check on load.  Every letter is even: dumps write
@@ -32,22 +36,14 @@ from .errors import UnsupportedAlgebraError
 from .freealg import NCPoly, TensorPoly, add_term
 from .hopf import HopfData
 from .presentations import (
+    CENTRAL_FAMILIES,
+    FAMILY_GROUPS,
     Presentation,
+    alphabet,
     cartan_data,
-    classical_alphabet,
-    drinfeldian_alphabet,
-    uq_alphabet,
-    yangian_alphabet,
 )
 from .ratfunc import RatFunc, parse_ratfunc, rf
 from .repn import MatrixRF, Rep
-
-_ALPHABET_BUILDERS = {
-    "uq": uq_alphabet,
-    "drinfeldian": drinfeldian_alphabet,
-    "yangian": yangian_alphabet,
-    "classical": classical_alphabet,
-}
 
 
 class FormatError(ValueError):
@@ -227,8 +223,8 @@ def _expect_fields(lineno, line, key):
     return line[len(key) + 1:].strip()
 
 
-def _parse_gen_line(lineno, rest, alphabet):
-    """Validate one `gen` line against the rebuilt alphabet."""
+def _parse_gen_line(lineno, rest, letters):
+    """Validate one `gen` line against its entry in the loaded alphabet."""
     fields = rest.split()
     if not fields:
         raise FormatError(lineno, "empty gen line")
@@ -239,7 +235,7 @@ def _parse_gen_line(lineno, rest, alphabet):
         k, v = f.split("=", 1)
         attrs[k] = v
     try:
-        sym = alphabet.symbols[alphabet.id_of(name)]
+        sym = letters.symbols[letters.id_of(name)]
     except KeyError:
         raise FormatError(lineno, "letter %r is not part of this family's "
                           "alphabet" % name) from None
@@ -248,7 +244,7 @@ def _parse_gen_line(lineno, rest, alphabet):
             or int(attrs.get("degree", "0")) != sym.loop_degree
             or int(attrs.get("parity", "0")) != 0
             or attrs.get("inverse") != sym.inv_name):
-        raise FormatError(lineno, "gen %s does not match the rebuilt alphabet"
+        raise FormatError(lineno, "gen %s does not match its catalogue entry"
                           % name)
     return name
 
@@ -257,7 +253,8 @@ def load_bundle(text):
     """Parse a document into (Presentation, HopfData or None, list of Rep).
 
     The presentation header must come first; `gen` lines are validated
-    against the alphabet rebuilt from family and Cartan type; relations,
+    against the alphabet of the family's letter groups over the Cartan type,
+    with the central pair when the document has `gen` lines for it; relations,
     Hopf maps, and representation blocks follow in any interleaving after
     their owners."""
     lines = [(n + 1, raw.strip()) for n, raw in enumerate(text.splitlines())]
@@ -278,7 +275,7 @@ def load_bundle(text):
 
     _, name = take("presentation")
     _, family = take("family")
-    if family not in _ALPHABET_BUILDERS:
+    if family not in FAMILY_GROUPS:
         raise FormatError(lines[pos - 1][0], "unknown family %r" % family)
     _, cartan_name = take("cartan")
     try:
@@ -293,14 +290,19 @@ def load_bundle(text):
     except ValueError:
         raise FormatError(n, "degree bound %r is not an integer"
                           % bound_text) from None
-    alphabet = _ALPHABET_BUILDERS[family](cd)
+    groups = set(FAMILY_GROUPS[family]) - {"kd"}
+    if family in CENTRAL_FAMILIES and any(
+            line.split()[:2] in (["gen", "kd+"], ["gen", "kd-"])
+            for _, line in lines[pos:]):
+        groups.add("kd")
+    letters = alphabet(cd, groups)
 
     shift = None
     if pos < len(lines) and lines[pos][1].startswith("shift "):
         n, value = take("shift")
-        shift = parse_ncpoly(value, alphabet)
+        shift = parse_ncpoly(value, letters)
 
-    p = Presentation(name, family, cd, alphabet,
+    p = Presentation(name, family, cd, letters,
                      degree_bound=degree_bound, params=params,
                      shift_element=shift)
 
@@ -321,7 +323,7 @@ def load_bundle(text):
         pos += 1
         key, _, rest = line.partition(" ")
         if key == "gen":
-            seen_gens.add(_parse_gen_line(n, rest, alphabet))
+            seen_gens.add(_parse_gen_line(n, rest, letters))
             continue
         if key == "rel":
             label, sep, body = rest.partition(": ")
@@ -331,20 +333,20 @@ def load_bundle(text):
             # a rule lead is a raw pattern: parse it without the inverse-pair
             # contraction that element constructors apply (group-like rules
             # spell out exactly such pairs)
-            lead = tuple(alphabet.id_of(x)
+            lead = tuple(letters.id_of(x)
                          for x in lead_text.strip().split("."))
-            repl = parse_ncpoly(repl_text, alphabet)
+            repl = parse_ncpoly(repl_text, letters)
             # keep the written orientation rather than re-orienting, so a
             # dump/load round trip is the identity on rule lists
             p.add_rule(label, lead, repl, "loaded")
             continue
         if key == "delta":
             gen, _, body = rest.partition(": ")
-            delta[gen] = parse_tensorpoly(body, alphabet, 2)
+            delta[gen] = parse_tensorpoly(body, letters, 2)
             continue
         if key == "antipode":
             gen, _, body = rest.partition(": ")
-            antipode[gen] = parse_ncpoly(body, alphabet)
+            antipode[gen] = parse_ncpoly(body, letters)
             continue
         if key == "counit":
             gen, _, body = rest.partition(": ")
@@ -370,7 +372,7 @@ def load_bundle(text):
         raise FormatError(n, "unrecognized line %r" % line)
 
     close_rep()
-    missing = {s.name for s in alphabet.symbols} - seen_gens
+    missing = {s.name for s in letters.symbols} - seen_gens
     if missing:
         raise FormatError(0, "gen lines missing for %s"
                           % ", ".join(sorted(missing)))

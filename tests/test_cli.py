@@ -496,6 +496,15 @@ def test_help_prints_usage(capsys, argv):
     assert out.startswith("usage: loopdeform verify <algebra>")
 
 
+def test_usage_names_the_commands_that_take_degree_bound():
+    text = " ".join(cli.USAGE.split())
+    said = re.search(r"; ([a-z, ]+) also take --degree-bound N", text)
+    assert said is not None
+    assert re.split(r", | and ", said.group(1)) == [
+        name for name, (_, settings) in cli.COMMANDS.items()
+        if cli.DEGREE_BOUND in settings]
+
+
 def test_cli_start_up_imports_nothing_per_command(tmp_path):
     # before/after in one interpreter, so start-up imports do not matter
     probe = (

@@ -569,3 +569,21 @@ def test_build_hopf_refuses_the_loop_generator_above_rank_one():
     assert sp.family == "yangian" and "xi" in sp.alphabet.index
     with pytest.raises(UnsupportedAlgebraError):
         build_hopf(sp)
+
+
+@pytest.mark.parametrize("name, assignments", [
+    ("yangian-sl2", {"eta": 0}),
+    ("drinfeldian-sl2", {"kdelta": 1, "eta": 0, "q": 1}),
+    ("drinfeldian-sl3", {"kdelta": 1, "eta": 0, "q": 1}),
+], ids=["yangian-sl2", "drinfeldian-sl2", "drinfeldian-sl3"])
+def test_eta_free_loop_generator_is_primitive(name, assignments):
+    # without eta, xi is primitive, as in U(g[u]), at any rank
+    sp = specialize(get_presentation(name), assignments)
+    assert "eta" not in sp.params and "xi" in sp.alphabet.index
+    H = build_hopf(sp)
+    xi, one = sp.gen("xi"), sp.unit()
+    assert H.delta["xi"] == tensor(xi, one) + tensor(one, xi)
+    assert H.antipode["xi"] == -xi
+    for check in (check_homomorphism, check_coassoc, check_counit,
+                  check_antipode):
+        assert all_zero(check(H)), check.__name__

@@ -8,9 +8,9 @@ import pytest
 from loopdeform.errors import ArityMismatchError
 from loopdeform.freealg import TensorPoly, tensor
 from loopdeform.presentations import (
+    alphabet,
     build_yangian_sl2,
     cartan_data,
-    classical_alphabet,
     translate,
 )
 from loopdeform.ratfunc import rf
@@ -24,7 +24,7 @@ from loopdeform.rmatrix import (
 )
 from loopdeform.twist import first_order_antisymmetry
 
-SL2 = classical_alphabet(cartan_data("sl2"))
+SL2 = alphabet(cartan_data("sl2"), "classical")
 
 #: presentation letter name -> basis letter
 BASIS_OF = {name: b for b, name in GENERATOR_NAMES.items()}

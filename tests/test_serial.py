@@ -1,15 +1,24 @@
 """Text-format round trips for presentations, Hopf appendices, and reps."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from loopdeform.errors import RepValidationError, UnknownGeneratorError
+from loopdeform.errors import (
+    PoleError,
+    RepValidationError,
+    UnknownGeneratorError,
+)
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
+    ALGEBRA_BUILDERS,
+    build_classical_sl2,
     build_drinfeldian,
     build_uq,
     build_yangian_sl2,
+    get_presentation,
+    specialize,
 )
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, solve_eval_correction
@@ -45,6 +54,44 @@ def test_presentation_round_trip(build):
         assert (a.label, a.lead, a.repl) == (b.label, b.lead, b.repl)
     # dumping the loaded presentation is byte-identical
     assert dump_presentation(q) == text
+
+
+def _specializations():
+    """(label, presentation) for each shipped algebra under each subset of
+    {kdelta=1, eta=0, q=1} that specialize accepts, the empty one included."""
+    values = {"kdelta": 1, "eta": 0, "q": 1}
+    out = []
+    for name in ALGEBRA_BUILDERS:
+        for n in range(len(values) + 1):
+            for keys in itertools.combinations(values, n):
+                try:
+                    p = specialize(get_presentation(name),
+                                   {k: values[k] for k in keys})
+                except (ValueError, PoleError):
+                    continue
+                out.append(("%s %s" % (name, ",".join(keys)), p))
+    return out
+
+
+def test_every_specialization_round_trips():
+    cases = _specializations()
+    # 6 shipped algebras and 22 limits of them
+    assert len(cases) == 28
+    assert sum(p.name in ALGEBRA_BUILDERS for _, p in cases) == 6
+    for label, p in cases:
+        text = dump_presentation(p)
+        q = load_presentation(text)
+        assert dump_presentation(q) == text, label
+        assert ((q.family, q.params, q.degree_bound, q.shift_element)
+                == (p.family, p.params, p.degree_bound, p.shift_element)), label
+        assert q.alphabet == p.alphabet, label
+        assert ([(r.label, r.lead, r.repl) for r in q.relations]
+                == [(r.label, r.lead, r.repl) for r in p.relations]), label
+
+
+def test_no_specialization_is_classical_with_the_loop_letter():
+    assert not [label for label, p in _specializations()
+                if p.family == "classical" and "xi" in p.alphabet.index]
 
 
 def test_loaded_rules_rewrite_identically():
@@ -112,6 +159,29 @@ def test_malformed_documents_are_rejected():
     # matrices outside a rep block
     with pytest.raises(FormatError):
         load_bundle(good + "mat ha1: 1,0;0,-1\n")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_uq("sl2"),
+    build_classical_sl2,
+], ids=["uq", "classical"])
+def test_central_pair_is_rejected_outside_the_loop_families(build):
+    text = dump_presentation(build())
+    # append the central pair to the gen lines
+    last = [l for l in text.splitlines() if l.startswith("gen ")][-1]
+    bad = text.replace(last + "\n", last + "\n"
+                       "gen kd+ weight=0 degree=0 parity=0 inverse=kd-\n"
+                       "gen kd- weight=0 degree=0 parity=0 inverse=kd+\n")
+    assert bad != text
+    with pytest.raises(FormatError):
+        load_presentation(bad)
+
+
+def test_half_a_central_pair_is_a_missing_gen_line():
+    text = dump_presentation(build_drinfeldian("sl2"))
+    lines = [l for l in text.splitlines() if not l.startswith("gen kd-")]
+    with pytest.raises(FormatError):
+        load_presentation("\n".join(lines))
 
 
 @pytest.mark.parametrize("text, lineno", [
