@@ -221,6 +221,10 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
             p, _convention_exponents(convention))
         return HopfData(p, delta, epsilon, antipode)
     if family == "drinfeldian":
+        if "kd+" not in p.alphabet.index or p.shift_element is None:
+            raise UnsupportedAlgebraError(
+                "no Hopf data for %s: the loop coproduct needs the central "
+                "pair and the shift element" % p.name)
         delta, epsilon, antipode = _finite_part_maps(
             p, _convention_exponents(convention))
         kd, kdi = p.gen("kd+"), p.gen("kd-")
@@ -251,6 +255,13 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
         one = p.unit()
         for sym in p.alphabet.symbols:
             x = p.gen(sym.name)
+            if sym.inv_name is not None:
+                # a letter with an inverse (the central pair the q -> 1
+                # limit keeps) is group-like, as g * g^-1 = 1 requires
+                delta[sym.name] = tensor(x, x)
+                epsilon[sym.name] = rf(1)
+                antipode[sym.name] = p.gen(sym.inv_name)
+                continue
             delta[sym.name] = tensor(x, one) + tensor(one, x)
             epsilon[sym.name] = rf(0)
             antipode[sym.name] = -x

@@ -8,7 +8,10 @@ residual [r12, r13] + [r12, r23] + [r13, r23] is computed in the
 two-dimensional fundamental representation: r is translated into the
 representation's alphabet by letter name, placed in two of three slots, and
 evaluated to an exact 8x8 matrix over the rational-function field; spectral
-dependence enters through the variables u, v, w.
+dependence enters through the variables u, v, w.  The denominators of r are
+cleared before the placement, so the three commutators are products of
+matrices with polynomial entries, and cybe_residual divides a nonzero
+residual by the renamed common denominators once, at the end.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from fractions import Fraction
 from .errors import ArityMismatchError
 from .freealg import NCPoly, TensorPoly, tensor
 from .presentations import alphabet, cartan_data, translate
-from .ratfunc import rf
+from .ratfunc import MultiPoly, RatFunc, divexact, mp_gcd, rf
 from .repn import MatrixRF, evaluate_tensor, spin_rep
 
 #: Basis letters h, e, f and the classical sl2 letters they name.
@@ -50,7 +53,8 @@ def wedge(x: str, y: str) -> TensorPoly:
 
 
 #: Recognized r-matrix kinds for build_r.
-R_KINDS = ("rational", "jordanian", "twisted_yangian", "dj_constant")
+R_KINDS = ("rational", "jordanian", "twisted_yangian", "dj_constant",
+           "trigonometric", "drinfeldian")
 
 
 def build_r(kind: str) -> TensorPoly:
@@ -60,6 +64,8 @@ def build_r(kind: str) -> TensorPoly:
     jordanian        zeta * (h(x)f - f(x)h)        (constant triangular form)
     twisted_yangian  their sum
     dj_constant      e(x)f + (1/4) h(x)h           (constant modeling choice)
+    trigonometric    v * c2 / (u - v) + dj_constant
+    drinfeldian      rational + trigonometric      (the Drinfeldian's r-matrix)
     sum:<a>+<b>      the sum of the named parts
     """
     if kind.startswith("sum:"):
@@ -74,6 +80,11 @@ def build_r(kind: str) -> TensorPoly:
     if kind == "dj_constant":
         h, e, f = map(_basis, "hef")
         return tensor(e, f) + tensor(h, h).scale(rf("1/4"))
+    if kind == "trigonometric":
+        return (casimir_c2().scale(rf("v") / (rf("u") - rf("v")))
+                + build_r("dj_constant"))
+    if kind == "drinfeldian":
+        return build_r("rational") + build_r("trigonometric")
     raise ValueError("unknown r-matrix kind %r (expected one of %s or "
                      "sum:<a>+<b>)" % (kind, ", ".join(R_KINDS)))
 
@@ -91,7 +102,14 @@ def cybe_residual(r: TensorPoly) -> MatrixRF:
     arguments (u,v), (u,w), (v,w): the spectral pair of r is renamed
     simultaneously for each embedding.  A zero result is an identity of
     rational functions, not a numerical check.  The fundamental
-    representation is built once and acts in all three slots."""
+    representation is built once and acts in all three slots.
+
+    With d the lcm of r's coefficient denominators and P = d*r, each placed
+    r_ij is P_ij/d_ij, where d_ij is d renamed like slot pair ij.  The
+    commutators are taken of the P_ij, whose coefficients are polynomials,
+    and summed as [P12,P13] d23 + [P12,P23] d13 + [P13,P23] d12, so no
+    coefficient is reduced until the end: a nonzero sum is the only place
+    where the residual is divided, entrywise by d12, d13 and d23 in turn."""
     if r.arity != 2:
         raise ArityMismatchError(
             "an r-matrix has two slots, got arity %d" % r.arity)
@@ -100,13 +118,28 @@ def cybe_residual(r: TensorPoly) -> MatrixRF:
     if isinstance(pair, str):
         raise ValueError("r-matrix letter %s is not in %s"
                          % (pair, rep.presentation.name))
+    lcm = MultiPoly.one()
+    for den in dict.fromkeys(c.den for c in pair.terms.values()):
+        lcm = lcm * divexact(den, mp_gcd(lcm, den))
+    cleared = pair.map_coeffs(
+        lambda c: RatFunc(c.num * divexact(lcm, c.den)))
+    d = RatFunc(lcm)
 
     def placed(slots, spectral):
-        moved = pair.map_coeffs(lambda c: c.map_vars(spectral))
-        return evaluate_tensor(moved.embed(slots, 3), [rep] * 3)
+        d_ij = d.map_vars(spectral)
+        if d_ij.is_zero():
+            raise ZeroDivisionError("renaming collapsed the denominator")
+        moved = cleared.map_coeffs(lambda c: c.map_vars(spectral))
+        return evaluate_tensor(moved.embed(slots, 3), [rep] * 3), d_ij
 
-    r12 = placed((0, 1), {})
-    r13 = placed((0, 2), {"v": "w"})
-    r23 = placed((1, 2), {"u": "v", "v": "w"})
-    return (r12.commutator(r13) + r12.commutator(r23)
-            + r13.commutator(r23))
+    p12, d12 = placed((0, 1), {})
+    p13, d13 = placed((0, 2), {"v": "w"})
+    p23, d23 = placed((1, 2), {"u": "v", "v": "w"})
+    residual = (p12.commutator(p13).scale(d23)
+                + p12.commutator(p23).scale(d13)
+                + p13.commutator(p23).scale(d12))
+    if residual.is_zero():
+        return residual
+    for d_ij in (d12, d13, d23):
+        residual = residual.scale(1 / d_ij)
+    return residual

@@ -299,7 +299,8 @@ def test_twist_order_bounds():
 
 
 @pytest.mark.parametrize("kind", ["rational", "jordanian", "twisted-yangian",
-                                  "twisted_yangian", "dj_constant"])
+                                  "twisted_yangian", "dj_constant",
+                                  "trigonometric", "drinfeldian"])
 def test_cybe_solutions_pass(kind):
     rep = cmd_cybe(kind)
     assert rep.status == "pass"
@@ -317,7 +318,8 @@ def test_cybe_mixed_sum_verdict_is_reported():
 
 
 def test_cybe_unknown_kind():
-    with pytest.raises(UsageError):
+    # the error lists every kind, the paper's r-matrices included
+    with pytest.raises(UsageError, match="trigonometric, drinfeldian"):
         cmd_cybe("nosuch")
 
 
@@ -330,6 +332,7 @@ def test_main_exit_codes(capsys):
     assert main(["verify", "yangian-sl2", "relations"]) == EXIT_PASS
     assert main(["limit", "uq-sl2", "q=1"]) == EXIT_INCONCLUSIVE
     assert main(["cybe", "--r", "sum:rational+dj_constant"]) == EXIT_FAIL
+    assert main(["cybe", "--r", "drinfeldian"]) == EXIT_PASS
     capsys.readouterr()
 
 

@@ -3,6 +3,7 @@ verdicts, the placement survey, mutation detection, and the degeneration of
 the loop generator's coproduct/antipode."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopdeform.cli import VerificationReport, _check_items
-from loopdeform.errors import DegreeBoundExceeded, UnsupportedAlgebraError
+from loopdeform.errors import (
+    DegreeBoundExceeded,
+    PoleError,
+    UnsupportedAlgebraError,
+)
 from loopdeform.freealg import NCPoly, TensorPoly, add_term, tensor
 from loopdeform.hopf import (
     CONVENTIONS,
     HopfData,
+    _mult_with_map,
     _pullback_rep,
     apply_in_slot,
     build_hopf,
@@ -27,6 +33,7 @@ from loopdeform.hopf import (
     loop_hopf_limit,
 )
 from loopdeform.presentations import (
+    ALGEBRA_BUILDERS,
     Presentation,
     build_classical_sl2,
     build_drinfeldian,
@@ -587,3 +594,46 @@ def test_eta_free_loop_generator_is_primitive(name, assignments):
     for check in (check_homomorphism, check_coassoc, check_counit,
                   check_antipode):
         assert all_zero(check(H)), check.__name__
+
+
+def _hopf_of_every_limit():
+    """(label, HopfData) for each shipped algebra under each subset of
+    {kdelta=1, eta=0, q=1} that specialize and build_hopf accept."""
+    values = {"kdelta": 1, "eta": 0, "q": 1}
+    out = []
+    for name in ALGEBRA_BUILDERS:
+        for n in range(len(values) + 1):
+            for keys in itertools.combinations(values, n):
+                try:
+                    p = specialize(get_presentation(name),
+                                   {k: values[k] for k in keys})
+                    H = build_hopf(p)
+                except (ValueError, PoleError, UnsupportedAlgebraError):
+                    continue
+                out.append(("%s %s" % (name, ",".join(keys)), H))
+    return out
+
+
+def test_inverse_pairs_are_group_like_in_every_limit():
+    # the relation checks never contract g * g^-1, so a letter with an
+    # inverse must be group-like by construction: primitive images of the
+    # central pair the q -> 1 limit keeps read zero on every check row
+    cases = _hopf_of_every_limit()
+    labels = [label for label, _ in cases]
+    assert len(cases) == 20
+    assert "drinfeldian-sl2 q" in labels and "drinfeldian-sl3 eta,q" in labels
+    pairs = 0
+    for label, H in cases:
+        p = H.presentation
+        one = p.unit()
+        for sym in p.alphabet.symbols:
+            if sym.inv_name is None:
+                continue
+            pairs += 1
+            g, g_inv = p.gen(sym.name), p.gen(sym.inv_name)
+            assert (p.normal_form_tensor(H.coproduct(g) * H.coproduct(g_inv))
+                    == tensor(one, one)), (label, sym.name)
+            assert H.counit(g) * H.counit(g_inv) == 1, (label, sym.name)
+            assert (p.normal_form(_mult_with_map(H.coproduct(g), 0, H))
+                    == one), (label, sym.name)
+    assert pairs > 0

@@ -17,6 +17,7 @@ from loopdeform.ratfunc import rf
 from loopdeform.repn import MatrixRF, spin_rep
 from loopdeform.rmatrix import (
     GENERATOR_NAMES,
+    R_KINDS,
     build_r,
     casimir_c2,
     cybe_residual,
@@ -164,14 +165,12 @@ def test_build_r_forms():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["rational", "jordanian", "twisted_yangian",
-                                  "dj_constant"])
+@pytest.mark.parametrize("kind", R_KINDS)
 def test_cybe_solutions_have_exact_zero_residual(kind):
     assert cybe_residual(build_r(kind)).is_zero()
 
 
-@pytest.mark.parametrize("kind", ["rational", "jordanian", "twisted_yangian",
-                                  "dj_constant"])
+@pytest.mark.parametrize("kind", R_KINDS)
 def test_abstract_oracle_agrees_on_solutions(kind):
     # independently of any matrix representation, the structure-constant
     # expansion cancels termwise
@@ -189,6 +188,55 @@ def test_abstract_oracle_agrees_on_non_solutions():
     mixed = build_r("sum:rational+dj_constant")
     assert cybe_residual(mixed) == abstract_to_matrix(
         abstract_cybe_residual(mixed))
+
+
+def _oracle_cases():
+    """(label, r) for every shipped kind, the two sums of the README, and
+    r-matrices whose common denominator is not a shipped one."""
+    eta, u, v, q = map(rf, ("eta", "u", "v", "q"))
+    cases = [(kind, build_r(kind)) for kind in R_KINDS]
+    cases += [(kind, build_r(kind)) for kind in ("sum:rational+jordanian",
+                                                 "sum:rational+dj_constant")]
+    cases += [
+        ("squared denominator", casimir_c2().scale(eta / (u - v) ** 2)),
+        ("mixed denominators", build_r("rational")
+         + build_r("dj_constant").scale(1 / (eta + 1))),
+        ("q-1 denominator", build_r("sum:rational+dj_constant")
+         + build_r("jordanian").scale(1 / (q - 1))),
+        ("empty", TensorPoly.zero(SL2, 2)),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("label, r", _oracle_cases(),
+                         ids=[label for label, _ in _oracle_cases()])
+def test_residual_over_one_common_denominator_matches_the_oracle(label, r):
+    # the residual clears r's denominators and divides once at the end; the
+    # oracle reduces every coefficient product in g (x) g (x) g as it goes
+    direct = cybe_residual(r)
+    assert (direct.nrows, direct.ncols) == (8, 8)
+    assert direct == abstract_to_matrix(abstract_cybe_residual(r))
+
+
+def test_new_kinds_are_the_papers_sum():
+    # the trigonometric r-matrix has two forms, v c2/(u-v) + r_DJ and
+    # u c2/(u-v) - r_DJ^21, and the Drinfeldian's r-matrix adds the
+    # rational one to it
+    u, v = rf("u"), rf("v")
+    flipped = build_r("dj_constant").embed((1, 0), 2)
+    assert (build_r("trigonometric")
+            == casimir_c2().scale(u / (u - v)) - flipped)
+    assert build_r("drinfeldian") == build_r("sum:rational+trigonometric")
+    # with the constant part's sign flipped it is not a solution
+    assert not cybe_residual(
+        casimir_c2().scale(v / (u - v)) - build_r("dj_constant")).is_zero()
+
+
+def test_residual_refuses_a_denominator_the_renaming_kills():
+    # v - w becomes w - w in slot pair (1,3)
+    r = casimir_c2().scale(1 / (rf("v") - rf("w")))
+    with pytest.raises(ZeroDivisionError):
+        cybe_residual(r)
 
 
 def test_mixed_sum_residual_is_a_reported_finding():

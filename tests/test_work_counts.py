@@ -15,7 +15,10 @@ multiplicities, with no gcd at all, and a slotwise normal form strips the
 known factors once per output coefficient.  Products and sums of monomials
 over the denominator 1 are made on the one exponent and coefficient pair,
 with no MultiPoly operation.  The Yang-Baxter residual builds its
-fundamental representation once, not once per slot pair.
+fundamental representation once, not once per slot pair, and it clears the
+spectral denominators u-v, u-w, v-w before the commutators: reducing every
+entry product and sum of the three 8x8 commutators through mp_gcd instead
+costs hundreds of gcds, so an exact gcd count pins the cleared path.
 """
 
 import random
@@ -232,3 +235,22 @@ def test_cybe_residual_builds_one_witness_rep(monkeypatch, kind):
     monkeypatch.undo()
     assert residual.nrows == 8
     assert counts == {"spin_rep": 1, "rep_build": 1}
+
+
+# with r_12, r_13, r_23 carrying their denominators, every entry product and
+# sum of the commutators cancelled through mp_gcd: 1,255 calls (recursive
+# ones included) for twisted_yangian and 1,005 for sum:rational+dj_constant.
+# Cleared, the lcm takes the gcds of twisted_yangian's two denominators, and
+# only a nonzero residual pays for the final division by d12, d13 and d23
+@pytest.mark.parametrize("kind, gcds", [("twisted_yangian", 2),
+                                        ("sum:rational+dj_constant", 196)])
+def test_cybe_residual_clears_denominators_once(monkeypatch, kind, gcds):
+    r = rmatrix.build_r(kind)
+    counts = {"mp_gcd": 0}
+    counting = _counting(counts, "mp_gcd", ratfunc.mp_gcd)
+    monkeypatch.setattr(ratfunc, "mp_gcd", counting)
+    monkeypatch.setattr(rmatrix, "mp_gcd", counting)
+    residual = rmatrix.cybe_residual(r)
+    monkeypatch.undo()
+    assert residual.is_zero() == (kind == "twisted_yangian")
+    assert counts["mp_gcd"] == gcds
