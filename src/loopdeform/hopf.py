@@ -1,5 +1,9 @@
 """Hopf structure maps for each presentation family.
 
+build_hopf assigns them by letter kind: a letter with an inverse is
+group-like, every other letter primitive, and each family overwrites only
+what it deforms.
+
 The q-deformed coproduct placement on raising/lowering generators is not
 forced by the relations alone: four placements of the Cartan factor give
 valid bialgebra structures on the finite part.  They are all constructible
@@ -13,9 +17,11 @@ The loop generator's coproduct and antipode follow the deformation pattern
                 + a*(delta(s) - s (x) 1 - kappa^{-1} (x) s)
     S(xi)     = -kappa xi + a*(S(s) + kappa s)
 
-where s is the presentation's shift element, a the shift coefficient, and
-kappa the group-like word pairing the central letter against the Cartan
-letters of the highest root.
+where s is the presentation's shift element, a = eta/(q - q^-1) the shift
+coefficient (0 without eta), and kappa the group-like word pairing the
+central letter against the Cartan letters of the highest root (those
+letters alone without the central pair).  One formula so serves every
+drinfeldian-family presentation.
 
 loop_hopf_limit degenerates them to the algebra presentations.Q1_LIMITS
 names; presentations._limit_tensor_zero_form sends the central letter to 1.
@@ -33,6 +39,7 @@ from .freealg import (
     tensor,
 )
 from .presentations import (
+    FAMILY_GROUPS,
     Q1_LIMITS,
     Presentation,
     _limit_tensor_zero_form,
@@ -162,13 +169,12 @@ def _mult_with_map(t: TensorPoly, antipode_slot: int, hopf: HopfData) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
-def _finite_part_maps(p: Presentation, exponents):
-    """delta/epsilon/antipode on e/f/k letters of a q-deformed presentation."""
+def _finite_part_maps(p: Presentation, exponents, delta, antipode):
+    """Write delta and antipode of the e/f letters of a q-deformed
+    presentation, with the Cartan factors the convention's exponents place."""
     er, el, fr, fl = exponents
-    cd = p.cartan
-    delta, epsilon, antipode = {}, {}, {}
     one = p.unit()
-    for i, lab in enumerate(cd.labels):
+    for lab in p.cartan.labels:
         e, f = p.gen("e+%s" % lab), p.gen("e-%s" % lab)
         k, ki = p.gen("k+%s" % lab), p.gen("k-%s" % lab)
 
@@ -179,25 +185,18 @@ def _finite_part_maps(p: Presentation, exponents):
 
         delta["e+%s" % lab] = tensor(e, kpow(er)) + tensor(kpow(el), e)
         delta["e-%s" % lab] = tensor(f, kpow(fr)) + tensor(kpow(fl), f)
-        delta["k+%s" % lab] = tensor(k, k)
-        delta["k-%s" % lab] = tensor(ki, ki)
-        epsilon["e+%s" % lab] = rf(0)
-        epsilon["e-%s" % lab] = rf(0)
-        epsilon["k+%s" % lab] = rf(1)
-        epsilon["k-%s" % lab] = rf(1)
         antipode["e+%s" % lab] = -(kpow(-el) * e * kpow(-er))
         antipode["e-%s" % lab] = -(kpow(-fl) * f * kpow(-fr))
-        antipode["k+%s" % lab] = ki
-        antipode["k-%s" % lab] = k
-    return delta, epsilon, antipode
 
 
 def _kappa_words(p: Presentation):
     """kappa = central letter times the inverse highest-root Cartan word, and
-    its inverse, both as normal-form NCPolys."""
+    its inverse, both as normal-form NCPolys; the k_theta words alone when
+    p has no central pair (kdelta -> 1)."""
     cd = p.cartan
-    kappa = p.gen("kd+")
-    kappa_inv = p.gen("kd-")
+    kappa = kappa_inv = p.unit()
+    if "kd+" in p.alphabet.index:
+        kappa, kappa_inv = p.gen("kd+"), p.gen("kd-")
     for i, lab in enumerate(cd.labels):
         n = cd.highest_root[i]
         kappa = kappa * p.gen("k-%s" % lab) ** n
@@ -214,69 +213,61 @@ def _convention_exponents(convention):
 
 
 def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
-    """Hopf data for any shipped presentation family."""
+    """Hopf data for any presentation of a known family.
+
+    A letter with an inverse is group-like, as g * g^-1 = 1 requires, and
+    every other letter primitive.  Then the uq and drinfeldian e/f letters
+    take the convention's Cartan factors, the drinfeldian xi the loop
+    formula (kappa without the central pair when p lacks it, a = 0 without
+    eta), and the yangian xi with eta the rank-1 formula.  Refused
+    (UnsupportedAlgebraError): a drinfeldian presentation without its shift
+    element, and a yangian xi with eta above rank 1."""
     family = p.family
-    if family == "uq":
-        delta, epsilon, antipode = _finite_part_maps(
-            p, _convention_exponents(convention))
-        return HopfData(p, delta, epsilon, antipode)
-    if family == "drinfeldian":
-        if "kd+" not in p.alphabet.index or p.shift_element is None:
-            raise UnsupportedAlgebraError(
-                "no Hopf data for %s: the loop coproduct needs the central "
-                "pair and the shift element" % p.name)
-        delta, epsilon, antipode = _finite_part_maps(
-            p, _convention_exponents(convention))
-        kd, kdi = p.gen("kd+"), p.gen("kd-")
-        delta["kd+"] = tensor(kd, kd)
-        delta["kd-"] = tensor(kdi, kdi)
-        epsilon["kd+"] = rf(1)
-        epsilon["kd-"] = rf(1)
-        antipode["kd+"] = kdi
-        antipode["kd-"] = kd
-        kappa, kappa_inv = _kappa_words(p)
-        xi = p.gen("xi")
-        s = p.shift_element
-        a = loop_shift_coefficient()
-        one = p.unit()
-        ids = {p.alphabet.id_of(n): t for n, t in delta.items()}
-        ds = apply_hom(s, ids)
-        d_xi = (tensor(xi, one) + tensor(kappa_inv, xi)
-                + (ds - tensor(s, one) - tensor(kappa_inv, s)).scale(a))
-        delta["xi"] = p.normal_form_tensor(d_xi)
-        epsilon["xi"] = rf(0)
-        anti_ids = {p.alphabet.id_of(n): x for n, x in antipode.items()}
-        s_s = apply_antihom(s, anti_ids)
-        antipode["xi"] = p.normal_form(
-            -(kappa * xi) + (s_s + kappa * s).scale(a))
-        return HopfData(p, delta, epsilon, antipode)
-    if family in ("yangian", "classical"):
-        delta, epsilon, antipode = {}, {}, {}
-        one = p.unit()
-        for sym in p.alphabet.symbols:
-            x = p.gen(sym.name)
-            if sym.inv_name is not None:
-                # a letter with an inverse (the central pair the q -> 1
-                # limit keeps) is group-like, as g * g^-1 = 1 requires
-                delta[sym.name] = tensor(x, x)
-                epsilon[sym.name] = rf(1)
-                antipode[sym.name] = p.gen(sym.inv_name)
-                continue
+    if family not in FAMILY_GROUPS:
+        raise UnsupportedAlgebraError("no Hopf data for family %r" % family)
+    delta, epsilon, antipode = {}, {}, {}
+    one = p.unit()
+    for sym in p.alphabet.symbols:
+        x = p.gen(sym.name)
+        if sym.inv_name is not None:
+            delta[sym.name] = tensor(x, x)
+            epsilon[sym.name] = rf(1)
+            antipode[sym.name] = p.gen(sym.inv_name)
+        else:
             delta[sym.name] = tensor(x, one) + tensor(one, x)
             epsilon[sym.name] = rf(0)
             antipode[sym.name] = -x
-        if "xi" in p.alphabet.index and "eta" in p.params:
-            # without eta, xi stays primitive, as in U(g[u])
-            if p.cartan.rank != 1:
-                raise UnsupportedAlgebraError(
-                    "no coproduct of xi above rank 1 (%s)" % p.name)
-            eta = rf("eta")
-            f, h, xi = p.gen("e-a1"), p.gen("ha1"), p.gen("xi")
-            delta["xi"] = (tensor(xi, one) + tensor(one, xi)
-                           + tensor(f, h).scale(eta))
-            antipode["xi"] = -xi + (f * h).scale(eta)
-        return HopfData(p, delta, epsilon, antipode)
-    raise UnsupportedAlgebraError("no Hopf data for family %r" % family)
+    if family in ("uq", "drinfeldian"):
+        _finite_part_maps(p, _convention_exponents(convention),
+                          delta, antipode)
+    if family == "drinfeldian":
+        s = p.shift_element
+        if s is None:
+            raise UnsupportedAlgebraError(
+                "no Hopf data for %s: the loop coproduct needs the shift "
+                "element" % p.name)
+        kappa, kappa_inv = _kappa_words(p)
+        xi = p.gen("xi")
+        a = loop_shift_coefficient() if "eta" in p.params else rf(0)
+        # xi is still primitive here, and s contains no xi
+        H = HopfData(p, delta, epsilon, antipode)
+        d_xi = (tensor(xi, one) + tensor(kappa_inv, xi)
+                + (H.coproduct(s) - tensor(s, one)
+                   - tensor(kappa_inv, s)).scale(a))
+        delta["xi"] = p.normal_form_tensor(d_xi)
+        antipode["xi"] = p.normal_form(
+            -(kappa * xi) + (H.antipode_of(s) + kappa * s).scale(a))
+    elif "xi" in p.alphabet.index and "eta" in p.params:
+        # without eta, xi stays primitive, as in U(g[u])
+        if p.cartan.rank != 1:
+            raise UnsupportedAlgebraError(
+                "no coproduct of xi above rank 1 (%s)" % p.name)
+        eta = rf("eta")
+        f, h, xi = p.gen("e-a1"), p.gen("ha1"), p.gen("xi")
+        delta["xi"] = (tensor(xi, one) + tensor(one, xi)
+                       + tensor(f, h).scale(eta))
+        antipode["xi"] = -xi + (f * h).scale(eta)
+    return HopfData(p, delta, epsilon, antipode)
 
 
 # ---------------------------------------------------------------------------

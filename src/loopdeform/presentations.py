@@ -849,6 +849,9 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
       are substituted naively and the family is kept; for the uq family this
       raises PoleError on the Cartan cross relation -- that family has no
       q -> 1 limit in these coordinates.
+
+    The shift element is carried through kdelta and eta (it has neither), so
+    every drinfeldian-family limit keeps its loop coproduct.
     """
     out = p
     unknown = set(assignments) - {"kdelta", "eta", "q"}
@@ -878,8 +881,10 @@ def specialize(p: Presentation, assignments: dict) -> Presentation:
 
 
 def _substitute_coefficients(p: Presentation, var, value, new_name) -> Presentation:
+    # the shift element has no eta, and the drinfeldian q -> 1 limit that
+    # would drop it does not come here
     out = Presentation(new_name, p.family, p.cartan, p.alphabet, p.degree_bound,
-                       tuple(x for x in p.params if x != var))
+                       tuple(x for x in p.params if x != var), p.shift_element)
     for rel in p.relations:
         try:
             repl = rel.repl.map_coeffs(lambda c: c.eval_var(var, value))
@@ -897,8 +902,10 @@ def _drop_central_letters(p: Presentation) -> Presentation:
     def map_word(w):
         return tuple(newA.id_of(A.name_of(i)) for i in w if i not in drop)
 
+    shift = p.shift_element
     out = Presentation("%s[kdelta->1]" % p.name, p.family, p.cartan, newA,
-                       p.degree_bound, p.params)
+                       p.degree_bound, p.params,
+                       shift if shift is None else translate(shift, newA))
     for rel in p.relations:
         if rel.kind == "k_central":
             continue

@@ -190,6 +190,8 @@ def test_limit_eta_zero_reports_eta_free_relations():
     text = rep.to_text()
     assert "specialized presentation:" in text
     assert "presentation drinfeldian-sl2[eta->0]" in text
+    # the limit carries the shift element that its loop coproduct needs
+    assert "shift 1*e-a1.k+a1" in text.splitlines()
 
 
 @pytest.mark.parametrize("assignments", [["kdelta=1", "eta=0", "q=1"],

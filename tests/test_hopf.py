@@ -596,9 +596,9 @@ def test_eta_free_loop_generator_is_primitive(name, assignments):
         assert all_zero(check(H)), check.__name__
 
 
-def _hopf_of_every_limit():
-    """(label, HopfData) for each shipped algebra under each subset of
-    {kdelta=1, eta=0, q=1} that specialize and build_hopf accept."""
+def _every_limit():
+    """(label, presentation) for each shipped algebra under each subset of
+    {kdelta=1, eta=0, q=1} that specialize accepts."""
     values = {"kdelta": 1, "eta": 0, "q": 1}
     out = []
     for name in ALGEBRA_BUILDERS:
@@ -607,10 +607,20 @@ def _hopf_of_every_limit():
                 try:
                     p = specialize(get_presentation(name),
                                    {k: values[k] for k in keys})
-                    H = build_hopf(p)
-                except (ValueError, PoleError, UnsupportedAlgebraError):
+                except (ValueError, PoleError):
                     continue
-                out.append(("%s %s" % (name, ",".join(keys)), H))
+                out.append(("%s %s" % (name, ",".join(keys)), p))
+    return out
+
+
+def _hopf_of_every_limit():
+    """(label, HopfData) for each of _every_limit that build_hopf accepts."""
+    out = []
+    for label, p in _every_limit():
+        try:
+            out.append((label, build_hopf(p)))
+        except UnsupportedAlgebraError:
+            continue
     return out
 
 
@@ -620,7 +630,9 @@ def test_inverse_pairs_are_group_like_in_every_limit():
     # central pair the q -> 1 limit keeps read zero on every check row
     cases = _hopf_of_every_limit()
     labels = [label for label, _ in cases]
-    assert len(cases) == 20
+    # only the two rank-2 yangian limits with eta are refused
+    refused = {label for label, _ in _every_limit()} - set(labels)
+    assert refused == {"drinfeldian-sl3 q", "drinfeldian-sl3 kdelta,q"}
     assert "drinfeldian-sl2 q" in labels and "drinfeldian-sl3 eta,q" in labels
     pairs = 0
     for label, H in cases:
@@ -637,3 +649,29 @@ def test_inverse_pairs_are_group_like_in_every_limit():
             assert (p.normal_form(_mult_with_map(H.coproduct(g), 0, H))
                     == one), (label, sym.name)
     assert pairs > 0
+
+
+@pytest.mark.parametrize("name, assignments, rows", [
+    ("drinfeldian-sl2", {"eta": 0}, 42),
+    ("drinfeldian-sl2", {"kdelta": 1}, 25),
+    ("drinfeldian-sl2", {"kdelta": 1, "eta": 0}, 25),
+    ("drinfeldian-sl3", {"eta": 0}, 91),
+    ("drinfeldian-sl3", {"kdelta": 1}, 65),
+    ("drinfeldian-sl3", {"kdelta": 1, "eta": 0}, 65),
+], ids=["sl2-eta", "sl2-kdelta", "sl2-kdelta-eta",
+        "sl3-eta", "sl3-kdelta", "sl3-kdelta-eta"])
+def test_loop_coproduct_serves_every_drinfeldian_limit(name, assignments,
+                                                       rows):
+    # the limit keeps its shift element, so the one loop formula applies:
+    # kappa without the central pair after kdelta -> 1, a = 0 after eta -> 0
+    sp = specialize(get_presentation(name), assignments)
+    assert sp.family == "drinfeldian" and sp.shift_element is not None
+    H = build_hopf(sp)
+    out = []
+    for check in (check_coassoc, check_counit, check_antipode,
+                  check_homomorphism):
+        got = check(H)
+        assert all_zero(got), (check.__name__, [r for r in got
+                                                if r[1] != "zero"])
+        out += got
+    assert len(out) == rows

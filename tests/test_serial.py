@@ -9,6 +9,7 @@ from loopdeform.errors import (
     PoleError,
     RepValidationError,
     UnknownGeneratorError,
+    UnsupportedAlgebraError,
 )
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
@@ -87,6 +88,27 @@ def test_every_specialization_round_trips():
         assert q.alphabet == p.alphabet, label
         assert ([(r.label, r.lead, r.repl) for r in q.relations]
                 == [(r.label, r.lead, r.repl) for r in p.relations]), label
+        # with Hopf data, wherever build_hopf gives it: the bundle loads back
+        # byte-identically, and so do the maps rebuilt on the loaded copy
+        try:
+            H = build_hopf(p)
+        except UnsupportedAlgebraError:
+            continue
+        text = dump_bundle(p, H)
+        q, Hq, _ = load_bundle(text)
+        assert dump_bundle(q, Hq) == text, label
+        assert dump_bundle(q, build_hopf(q)) == text, label
+
+
+def test_drinfeldian_without_its_shift_loads_but_has_no_hopf_data():
+    text = dump_presentation(build_drinfeldian("sl2"))
+    lines = text.splitlines(keepends=True)
+    assert sum(l.startswith("shift ") for l in lines) == 1
+    q = load_presentation("".join(l for l in lines
+                                  if not l.startswith("shift ")))
+    assert q.shift_element is None
+    with pytest.raises(UnsupportedAlgebraError, match="shift element"):
+        build_hopf(q)
 
 
 def test_no_specialization_is_classical_with_the_loop_letter():
