@@ -17,7 +17,7 @@ is even, so no sign arises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from .errors import (
@@ -29,14 +29,12 @@ from .errors import (
 from .ratfunc import MultiPoly, RatFunc, rf, sum_of_products
 
 
-@dataclass(frozen=True)
-class GenSymbol:
-    """One generator letter: name, root-lattice weight, loop degree."""
+class GenSymbol(namedtuple("GenSymbol", "name weight loop_degree inv_name",
+                           defaults=(0, None))):
+    """One generator letter: name, root-lattice weight, loop degree and the
+    name of its inverse letter (None if it has none).  Immutable."""
 
-    name: str
-    weight: tuple
-    loop_degree: int = 0
-    inv_name: str | None = None
+    __slots__ = ()
 
 
 class Alphabet:

@@ -63,7 +63,7 @@ and with ``rewrite_row`` for a normal form, which is zero or unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import factorial
@@ -95,32 +95,31 @@ DEFAULT_DEGREE_BOUND = 12
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """A symmetrizable Cartan matrix plus the highest-root vector."""
+class CartanData(namedtuple("CartanData",
+                            "name matrix symmetrizers labels highest_root")):
+    """A symmetrizable Cartan matrix plus the highest-root vector.
+    Immutable; construction validates it."""
 
-    name: str
-    matrix: tuple
-    symmetrizers: tuple
-    labels: tuple
-    highest_root: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        if n == 0 or any(len(row) != n for row in self.matrix):
+    def __new__(cls, name, matrix, symmetrizers, labels, highest_root):
+        n = len(matrix)
+        if n == 0 or any(len(row) != n for row in matrix):
             raise InvalidCartanError("matrix must be square and non-empty")
-        if len(self.symmetrizers) != n or len(self.labels) != n or len(self.highest_root) != n:
+        if len(symmetrizers) != n or len(labels) != n or len(highest_root) != n:
             raise InvalidCartanError("rank mismatch between matrix and metadata")
         for i in range(n):
-            if self.matrix[i][i] != 2:
+            if matrix[i][i] != 2:
                 raise InvalidCartanError("diagonal entries must equal 2")
             for j in range(n):
-                if i != j and self.matrix[i][j] > 0:
+                if i != j and matrix[i][j] > 0:
                     raise InvalidCartanError("off-diagonal entries must be <= 0")
-                if self.symmetrizers[i] * self.matrix[i][j] != self.symmetrizers[j] * self.matrix[j][i]:
+                if symmetrizers[i] * matrix[i][j] != symmetrizers[j] * matrix[j][i]:
                     raise InvalidCartanError("matrix is not symmetrizable by the given weights")
-        if any(x < 0 for x in self.highest_root):
+        if any(x < 0 for x in highest_root):
             raise InvalidCartanError("highest root must have non-negative coordinates")
+        return super().__new__(cls, name, matrix, symmetrizers, labels,
+                               highest_root)
 
     @property
     def rank(self):
@@ -172,15 +171,16 @@ def cartan_data(name) -> CartanData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Relation:
-    """Oriented monic rewrite rule lead -> repl, with structural metadata."""
+    """Oriented monic rewrite rule lead -> repl, with structural metadata
+    (a fresh dict unless one is given)."""
 
-    label: str
-    lead: tuple
-    repl: NCPoly
-    kind: str
-    meta: dict = field(default_factory=dict)
+    def __init__(self, label, lead, repl, kind, meta=None):
+        self.label = label
+        self.lead = lead
+        self.repl = repl
+        self.kind = kind
+        self.meta = {} if meta is None else meta
 
     def zero_form(self, alphabet) -> NCPoly:
         return NCPoly(alphabet, {self.lead: rf(1)}) - self.repl

@@ -300,10 +300,13 @@ def evaluate_tensor(x: TensorPoly, reps) -> MatrixRF:
 
 def _add_scaled(acc, c, entries):
     """acc[key] += c * a for each (key, a) in entries, in place: a key whose
-    sum cancels is removed.  c and every a are nonzero."""
+    sum cancels is removed.  c and every a are nonzero; no product is made
+    when a factor is the shared RatFunc.one()."""
     get = acc.get
+    one = RatFunc.one()
     for key, a in entries:
-        a = c * a
+        if c is not one:
+            a = c if a is one else c * a
         s = get(key)
         if s is None:
             acc[key] = a
@@ -366,6 +369,10 @@ def solve_eval_correction(j, p: Presentation = None) -> Rep:
     coefficient field; it is solved by exact elimination, free directions are
     set to zero, and the remaining (nonlinear) relations are verified by the
     Rep constructor.  NoSolutionError carries the inconsistent constraints.
+
+    The system is read off four unvalidated candidate reps, c = 0 and the
+    three unit vectors, each built once and shared, with its memoized word
+    matrices, by every linear relation.
     """
     if p is None:
         p = build_yangian_sl2()
@@ -382,33 +389,28 @@ def solve_eval_correction(j, p: Presentation = None) -> Rep:
     images = {"ha1": h, "e+a1": e, "e-a1": f}
     A = p.alphabet
     xi_id = A.id_of("xi")
+    r0, *units = [Rep(p, dict(images, xi=candidate(cs)), "candidate",
+                      validate=False)
+                  for cs in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
-    def residual(rel, cs):
-        r = Rep(p, dict(images, xi=candidate(cs)), "candidate", validate=False)
-        return r.evaluate(rel.zero_form(A))
-
-    # split relations by xi-degree: affine extraction is only valid on the
-    # ones where every word carries xi at most once
-    linear, nonlinear = [], []
+    # affine extraction is only valid on the relations where every word
+    # carries xi at most once; the Rep constructor verifies the others
+    linear = []
     for rel in p.relations:
         z = rel.zero_form(A)
-        deg = max((sum(1 for i in w if i == xi_id) for w in z.terms), default=0)
-        (linear if deg <= 1 else nonlinear).append(rel)
+        if all(w.count(xi_id) <= 1 for w in z.terms):
+            linear.append(z)
 
-    # residual(rel, c) = R0 + sum_k c_k * Rk ; read off by basis evaluation
+    # residual(z, c) = R0 + sum_k c_k * Rk ; read off by basis evaluation
     rows = []  # each: ([coeff_1, coeff_2, coeff_3], rhs) over RatFunc
-    for rel in linear:
-        r0 = residual(rel, (0, 0, 0))
-        parts = []
-        for k in range(3):
-            cs = [0, 0, 0]
-            cs[k] = 1
-            parts.append(residual(rel, cs) - r0)
-        d = r0.nrows
+    for z in linear:
+        res0 = r0.evaluate(z)
+        parts = [r.evaluate(z) - res0 for r in units]
+        d = res0.nrows
         for i in range(d):
             for jj in range(d):
                 coeffs = [parts[k].entry(i, jj) for k in range(3)]
-                rhs = -r0.entry(i, jj)
+                rhs = -res0.entry(i, jj)
                 if all(c.is_zero() for c in coeffs) and rhs.is_zero():
                     continue
                 rows.append((coeffs, rhs))

@@ -511,14 +511,17 @@ def test_usage_names_the_commands_that_take_degree_bound():
 
 
 def test_cli_start_up_imports_nothing_per_command(tmp_path):
-    # before/after in one interpreter, so start-up imports do not matter
+    # before/after in one interpreter, so start-up imports do not matter;
+    # start-up itself loads neither argparse nor dataclasses and the
+    # inspect machinery that dataclasses pulls in
     probe = (
         "import json, sys\n"
         "import loopdeform.cli as cli\n"
-        "had_argparse = 'argparse' in sys.modules\n"
+        "heavy = [m for m in ('argparse', 'dataclasses', 'inspect')\n"
+        "         if m in sys.modules]\n"
         "before = set(sys.modules)\n"
         "code = cli.main(['limit', 'uq-sl2', 'q=1', '--json', sys.argv[1]])\n"
-        "print(json.dumps([had_argparse, code,\n"
+        "print(json.dumps([heavy, code,\n"
         "                  sorted(set(sys.modules) - before)]))\n")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -526,8 +529,8 @@ def test_cli_start_up_imports_nothing_per_command(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path / "r.json")],
         capture_output=True, text=True, env=env, check=True)
-    had_argparse, code, imported = json.loads(proc.stdout.splitlines()[-1])
-    assert not had_argparse
+    heavy, code, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert heavy == []
     assert code == EXIT_INCONCLUSIVE
     assert imported == []
 

@@ -96,6 +96,19 @@ def test_alphabet_validation():
         Alphabet([GenSymbol("x", (1,)), GenSymbol("x", (1,))], [[2]])
 
 
+def test_gen_symbol_is_an_immutable_record():
+    s = GenSymbol("e+a1", (1,))
+    assert (s.name, s.weight, s.loop_degree, s.inv_name) == ("e+a1", (1,), 0,
+                                                             None)
+    k = GenSymbol(name="k+a1", weight=(0,), inv_name="k-a1")
+    same = GenSymbol("k+a1", (0,), 0, "k-a1")
+    assert k == same and hash(k) == hash(same)
+    assert k != GenSymbol("k+a1", (0,), 1, "k-a1")
+    for field in ("name", "weight", "loop_degree", "inv_name"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, None)
+
+
 def test_weight_and_pairing():
     assert A.pairing((1,), (-1,)) == -2
     assert A.word_weight((0, 1)) == (0,)  # f then e

@@ -24,6 +24,7 @@ from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
     Q1_LIMITS,
     CartanData,
+    Relation,
     build_classical_sl2,
     build_drinfeldian,
     build_twisted_yangian_sl2,
@@ -88,14 +89,27 @@ def test_cartan_presets():
 
 
 def test_cartan_validation():
-    with pytest.raises(InvalidCartanError):
-        CartanData("bad", ((2, -1), (-3, 2)), (1, 1), ("a1", "a2"), (1, 1))
-    with pytest.raises(InvalidCartanError):
-        CartanData("bad", ((1,),), (1,), ("a1",), (1,))
-    with pytest.raises(InvalidCartanError):
-        CartanData("bad", ((2, 1), (1, 2)), (1, 1), ("a1", "a2"), (1, 1))
+    fields = ("name", "matrix", "symmetrizers", "labels", "highest_root")
+    for args in [("bad", ((2, -1), (-3, 2)), (1, 1), ("a1", "a2"), (1, 1)),
+                 ("bad", ((1,),), (1,), ("a1",), (1,)),
+                 ("bad", ((2, 1), (1, 2)), (1, 1), ("a1", "a2"), (1, 1))]:
+        with pytest.raises(InvalidCartanError):
+            CartanData(*args)
+        with pytest.raises(InvalidCartanError):
+            CartanData(**dict(zip(fields, args)))
     with pytest.raises(UnsupportedAlgebraError):
         cartan_data("e8")
+
+
+def test_cartan_data_is_an_immutable_record():
+    c2 = cartan_data("sl2")
+    same = CartanData(name="sl2", matrix=((2,),), symmetrizers=(1,),
+                      labels=("a1",), highest_root=(1,))
+    assert c2 == same and hash(c2) == hash(same)
+    assert c2 != cartan_data("sl3")
+    for field in ("name", "matrix", "symmetrizers", "labels", "highest_root"):
+        with pytest.raises(AttributeError):
+            setattr(c2, field, None)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +503,13 @@ def test_add_rule_copies_meta():
     assert rel.meta == {"source": "test"}
     lead = (p.alphabet.id_of("e-a1"),)
     assert p.add_rule("y", lead, p.unit(), "derived").meta == {}
+
+
+def test_relations_without_meta_get_their_own_dicts():
+    p = build_classical_sl2()
+    a = Relation("a", (0,), p.unit(), "derived")
+    b = Relation("b", (1,), p.unit(), "derived")
+    assert a.meta == b.meta == {} and a.meta is not b.meta
 
 
 def test_check_row_shapes():

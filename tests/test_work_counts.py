@@ -9,7 +9,9 @@ The coefficients of these checks are integral almost everywhere, so they
 must also run on int arithmetic, with few Fraction objects made.  And
 rewriting must make one RatFunc product per replacement term per rewrite
 step, not build each replacement from NCPoly products, and none when a
-factor is the shared RatFunc.one().  Products and sums
+factor is the shared RatFunc.one(); witness evaluation skips those products
+too, and the evaluation correction reads its affine system off four shared
+candidate reps per spin.  Products and sums
 of coefficients whose denominators split over q, q-1, q+1 cancel on the
 multiplicities, with no gcd at all, and a slotwise normal form strips the
 known factors once per output coefficient.  Products and sums of monomials
@@ -254,3 +256,48 @@ def test_cybe_residual_clears_denominators_once(monkeypatch, kind, gcds):
     monkeypatch.undo()
     assert residual.is_zero() == (kind == "twisted_yangian")
     assert counts["mp_gcd"] == gcds
+
+
+# multiplying each coefficient into each entry of its word matrix took 271
+# RatFunc products for these 200 elements in the q-eval(sl2) witness; the
+# 92 pairs with the shared RatFunc.one() as a factor now take none
+def test_witness_evaluation_skips_products_by_one(monkeypatch):
+    p = get_presentation("drinfeldian-sl2")
+    r, = default_reps(p)
+    samples = _drinfeldian_sl2_samples(p, 200, seed=7)
+    one = RatFunc.one()
+    pairs = by_one = 0
+    for x in samples:
+        r.evaluate(x)  # memoizes every word matrix before the count
+        for word, c in x.terms.items():
+            for a in r._word_matrix(word).entries.values():
+                pairs += 1
+                by_one += c is one or a is one
+    counts = {"mul": 0}
+    monkeypatch.setattr(RatFunc, "__mul__",
+                        _counting(counts, "mul", RatFunc.__mul__))
+    for x in samples:
+        r.evaluate(x)
+    monkeypatch.undo()
+    assert (pairs, by_one) == (271, 92)
+    assert counts["mul"] == pairs - by_one
+
+
+# reading the affine system off one throw-away candidate rep per relation
+# and unit vector built 24 unvalidated reps per spin (72 in all); the four
+# candidates of each spin are now shared by every linear relation
+def test_eval_correction_builds_four_candidate_reps(monkeypatch):
+    p = get_presentation("yangian-sl2")
+    counts = {"candidate": 0, "validated": 0}
+    init = repn.Rep.__init__
+
+    def counting_init(self, presentation, images, label, validate=True):
+        counts["validated" if validate else "candidate"] += 1
+        init(self, presentation, images, label, validate)
+
+    monkeypatch.setattr(repn.Rep, "__init__", counting_init)
+    labels = [repn.solve_eval_correction(j, p).label
+              for j in (Fraction(1, 2), 1, Fraction(3, 2))]
+    monkeypatch.undo()
+    assert labels == ["eval-spin(1/2)", "eval-spin(1)", "eval-spin(3/2)"]
+    assert counts == {"candidate": 12, "validated": 3}
