@@ -363,14 +363,14 @@ def _config_keys(settings):
 
 
 def load_config_file(path):
-    """The (key, value) lines of a config file (UTF-8), in order; '#'
-    comments and blank lines are ignored, and a key no command reads is a
-    usage error."""
+    """The (key, value) lines of a config file (UTF-8, a leading BOM
+    ignored), in order; '#' comments and blank lines are ignored, and a key
+    no command reads is a usage error."""
     known = set().union(*(_config_keys(settings)
                           for _, settings in COMMANDS.values()))
     pairs = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise UsageError("%s: not UTF-8 text: %s" % (path, exc)) from None

@@ -473,6 +473,9 @@ def apply_hom(x: NCPoly, images: dict):
     """Extend a generator assignment multiplicatively to x.
 
     images maps letter id -> NCPoly or TensorPoly (all of one kind/arity).
+    The image of a term c*w is built from the image of w's first letter
+    scaled by c (the unit scaled by c for the empty word), so c meets the
+    terms of one letter's image, not those of the whole product.
     """
     return _apply_wordwise(x, images, reverse=False)
 
@@ -493,12 +496,12 @@ def _apply_wordwise(x, images, reverse):
     acc = zero
     for word, c in x.terms.items():
         seq = reversed(word) if reverse else word
-        img = unit
+        img = None
         for i in seq:
             if i not in images:
                 raise UnknownGeneratorError(x.alphabet.name_of(i))
-            img = img * images[i]
-        acc = acc + img.scale(c)
+            img = images[i].scale(c) if img is None else img * images[i]
+        acc = acc + (unit.scale(c) if img is None else img)
     return acc
 
 

@@ -46,7 +46,9 @@ A sum of products a1*b1 + ... + an*bn whose operands all split, not all
 over 1, is reduced once (sum_of_products, which the slotwise normal forms
 use): each product's numerator is lifted to the lcm q^A*(q-1)^B*(q+1)^D of
 the products' unreduced denominators, the lifted numerators are added, and
-one _strip cancels the known factors that sum shares with the lcm.  A
+one _strip cancels the known factors that sum shares with the lcm.  Each
+lifted product is summed term by term into one exponent dict, so no
+MultiPoly is made per product or per lift.  A
 fraction has one reduced form with monic denominator, and the storage of
 its numerator and denominator is canonical, so this is the RatFunc that
 reducing every product and partial sum gives, with one strip in place of
@@ -208,10 +210,10 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+        # the type test first: isinstance against Fraction is an ABC check
+        if type(other) is not MultiPoly and not isinstance(other, MultiPoly):
+            return (self.scale(other) if isinstance(other, (int, Fraction))
+                    else NotImplemented)
         t1, t2 = self.terms, other.terms
         if len(t2) == 1:
             t1, t2 = t2, t1
@@ -973,15 +975,22 @@ def _reduced_once(pairs):
     for n, (n1, n2, s) in enumerate(lifted):
         if not out:
             start = n
-        t = n1 * n2
+        # each product c1*c2*c3 is added into out as it is made: c3 is a
+        # term of the lift to the lcm, left out when s is the lcm already,
+        # and n2, mostly a monomial, is the factor lifted
+        t2 = n2.terms.items()
         if s != top:
-            t = t * _q_product(tuple(map(sub, top, s)))
-        for e, c in t.terms.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
+            lift = _q_product(tuple(map(sub, top, s))).terms.items()
+            t2 = [(tuple(map(add, e2, e3)), c2 * c3)
+                  for e2, c2 in t2 for e3, c3 in lift]
+        for e1, c1 in n1.terms.items():
+            for e2, c2 in t2:
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2 + out.get(e, 0)
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
     if not out:
         return _ZERO, start
     t, caps = _strip(top, MultiPoly(out))

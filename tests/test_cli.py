@@ -564,6 +564,18 @@ def test_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert "UnicodeDecodeError" not in line
 
 
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # an editor that saves UTF-8 with a BOM put it in front of the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfdegree-bound=10\n")
+    assert load_config_file(str(cfg)) == [("degree-bound", "10")]
+    out = tmp_path / "r.json"
+    assert main(["verify", "uq-sl2", "relations", "--config", str(cfg),
+                 "--json", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    assert json.loads(out.read_text())["config"]["degree_bound"] == 10
+
+
 @pytest.mark.parametrize("spin", ["-1", "1/3"])
 def test_spin_rep_that_is_not_a_half_integer_is_usage_error(capsys, spin):
     assert main(["verify", "yangian-sl2", "--rep", "spin:" + spin]) \

@@ -535,6 +535,46 @@ def test_twist_graded_products_match_eager_sums(monkeypatch, yang, yang_hopf):
 
 
 # ---------------------------------------------------------------------------
+# structure maps word by word: each word's image scaled at its first letter,
+# against the unit times the letter images scaled after the product
+# ---------------------------------------------------------------------------
+
+
+def _eager_wordwise(x, images, unit, reverse):
+    """The image of x built as unit * images[w1] * ... per word w, scaled by
+    the word's coefficient afterwards, and summed with +."""
+    acc = unit.scale(0)
+    for word, c in x.terms.items():
+        img = unit
+        for i in (reversed(word) if reverse else word):
+            img = img * images[i]
+        acc = acc + img.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["uq-sl3", "drinfeldian-sl2",
+                                  "drinfeldian-sl3"])
+def test_structure_maps_match_the_unit_fold_in_order(name):
+    # term order feeds the serialized bytes and the word that
+    # DegreeBoundExceeded names, so it is compared, not only the values
+    p = get_presentation(name)
+    H = build_hopf(p)
+    A = p.alphabet
+    delta = {A.id_of(n): t for n, t in H.delta.items()}
+    antipode = {A.id_of(n): x for n, x in H.antipode.items()}
+    zero_forms = [rel.zero_form(A) for rel in p.relations]
+    # a word-free term beside the words of a relation
+    zero_forms.append(zero_forms[0] + p.unit().scale(rf("2/(q - 1)")))
+    for z in zero_forms:
+        for got, want in [
+                (H.coproduct(z),
+                 _eager_wordwise(z, delta, TensorPoly.unit(A, 2), False)),
+                (H.antipode_of(z),
+                 _eager_wordwise(z, antipode, NCPoly.unit(A), True))]:
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+# ---------------------------------------------------------------------------
 # degeneration of the loop Hopf maps
 # ---------------------------------------------------------------------------
 

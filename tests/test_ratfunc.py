@@ -885,6 +885,15 @@ _known_operand = st.one_of(_split_operand, _split_operand,
          unsplit=None, shape="plain", target=rf(1))
 @example(pairs=[(rf("2*q"), rf("eta")), (rf("-q"), rf("2*eta")),
                 (rf("q"), rf(3))], unsplit=None, shape="plain", target=rf(1))
+# a 3-term numerator over q, lifted by (q - 1)*(q + 1) to the lcm
+@example(pairs=[(rf("(q^2 + eta*q + 3)/q"), rf("eta - 1")),
+                (rf("1/((q - 1)*(q + 1))"), rf("eta"))],
+         unsplit=None, shape="plain", target=rf(1))
+# a prefix that cancels, so the sum starts at a lifted pair
+@example(pairs=[(rf("1/q"), rf("eta")), (rf("-1/q"), rf("eta")),
+                (rf("(q + eta + 1)/(q - 1)"), rf("1/(q + 1)")),
+                (rf("eta/q"), rf(1))],
+         unsplit=None, shape="plain", target=rf(1))
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_known_operand, _known_operand), min_size=1,
                 max_size=4),

@@ -11,16 +11,22 @@ rewriting must make one RatFunc product per replacement term per rewrite
 step, not build each replacement from NCPoly products, and none when a
 factor is the shared RatFunc.one(); witness evaluation skips those products
 too, and the evaluation correction reads its affine system off four shared
-candidate reps per spin.  Products and sums
-of coefficients whose denominators split over q, q-1, q+1 cancel on the
-multiplicities, with no gcd at all, and a slotwise normal form strips the
-known factors once per output coefficient.  Products and sums of monomials
-over the denominator 1 are made on the one exponent and coefficient pair,
-with no MultiPoly operation.  The Yang-Baxter residual builds its
-fundamental representation once, not once per slot pair, and it clears the
-spectral denominators u-v, u-w, v-w before the commutators: reducing every
-entry product and sum of the three 8x8 commutators through mp_gcd instead
-costs hundreds of gcds, so an exact gcd count pins the cleared path.
+candidate reps per spin.  Products and sums of coefficients whose
+denominators split over q, q-1, q+1 cancel on the multiplicities, with no
+gcd at all, and a slotwise normal form strips the known factors once per
+output coefficient.  Products and sums of monomials over the denominator 1
+are made on the one exponent and coefficient pair, with no MultiPoly
+operation, and a sum of products lifted to the lcm of its denominators
+adds each lifted product into one exponent dict, with no MultiPoly product
+(test_sum_of_products_makes_no_multipoly_product).  The structure maps
+scale the image of a word's first letter by the word's coefficient, not the
+finished product, and make no product by the unit: the RatFunc product
+count of test_twisted_homomorphism_monomials_skip_multipoly pins it.  The
+Yang-Baxter residual builds its fundamental representation once, not once
+per slot pair, and it clears the spectral denominators u-v, u-w, v-w before
+the commutators: reducing every entry product and sum of the three 8x8
+commutators through mp_gcd instead costs hundreds of gcds, so an exact
+gcd count pins the cleared path.
 """
 
 import random
@@ -205,7 +211,9 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
 # through MultiPoly, this check took 6,697 MultiPoly products and 6,118
 # MultiPoly sums.  Rewriting made 16,814 RatFunc products while it still
 # multiplied by the shared one, and rule coefficients equal to 1 were not
-# all that shared one
+# all that shared one.  apply_hom made 9,949 while it started each word's
+# image from the unit and scaled the finished product by the coefficient;
+# scaling the image of the word's first letter instead takes 9,638
 def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     p = get_presentation("yangian-sl2")
     H = build_hopf(p)
@@ -221,7 +229,27 @@ def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     assert rows == [(rel.label, "zero", None) for rel in p.relations]
     assert len(rows) == 7
     assert counts == {"poly_mul": 0, "poly_add": 0,
-                      "mul": 9_949, "add": 6_118}
+                      "mul": 9_638, "add": 6_118}
+
+
+# lifting each product to the lcm as (n1 * n2) * _q_product(top - s) made
+# two MultiPoly products per pair; each lifted product is now added term by
+# term into the one exponent dict of the sum
+def test_sum_of_products_makes_no_multipoly_product(monkeypatch):
+    pairs = [(rf("(q^2 + eta*q + 3)/q"), rf("eta - 1")),
+             (rf("1/((q - 1)*(q + 1))"), rf("eta")),
+             (rf("(2*q + eta)/q"), rf("1/(q + 1)"))]
+    # the first pair's split (1, 0, 0) is lifted by (q - 1)*(q + 1)
+    assert [a.split for a, _ in pairs] == [(1, 0, 0), (0, 1, 1), (1, 0, 0)]
+    want = sum((a * b for a, b in pairs), RatFunc.zero())
+    ratfunc.sum_of_products(pairs)  # fills the memo of the lifts
+    counts = {"poly_mul": 0}
+    monkeypatch.setattr(MultiPoly, "__mul__",
+                        _counting(counts, "poly_mul", MultiPoly.__mul__))
+    got, start = ratfunc.sum_of_products(pairs)
+    monkeypatch.undo()
+    assert (got, start) == (want, 0)
+    assert counts == {"poly_mul": 0}
 
 
 @pytest.mark.parametrize("kind", ["rational", "twisted_yangian"])
