@@ -53,6 +53,15 @@ Rules come in through ``Presentation.add_rule`` only (directly, or through
 the lead index current.  Only code that edits ``relations`` in place, as two
 tests do, bumps ``_rules_version`` itself.
 
+A word's normal form depends only on the alphabet, the ordered rule list and
+the word, and a rewrite that finished under a degree bound b is valid under
+every bound >= b.  So the memo of ``Presentation.word_normal_form`` belongs
+to a rule system, not to a presentation: presentations alive at the same
+time with equal alphabets and equal ordered ``(lead, replacement)`` lists
+share one memo, found in ``_WORD_MEMOS`` and dropped with the last of them.
+Each entry keeps the bound it was computed under, and a lookup under a
+smaller bound rewrites the word again.
+
 ``Q1_LIMITS`` names the algebra an algebra's q -> 1, kdelta -> 1 limit must
 match.  ``_drop_central_letters`` sends the central letter of a presentation
 to 1, and ``_limit_tensor_zero_form`` that of an element whose target lacks it.
@@ -68,6 +77,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import factorial
 from operator import neg
+from weakref import WeakValueDictionary
 
 from .errors import (
     DegreeBoundExceeded,
@@ -186,12 +196,29 @@ class Relation:
         return NCPoly(alphabet, {self.lead: rf(1)}) - self.repl
 
 
+class _WordMemo(dict):
+    """word -> (bound, normal form) for one rule system; a dict that
+    _WORD_MEMOS can hold weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: (alphabet, ((lead, replacement terms), ...)) -> the _WordMemo of the live
+#: presentations with that rule system
+_WORD_MEMOS = WeakValueDictionary()
+
+
 class Presentation:
     """An algebra given by generators and oriented rewrite rules."""
 
     def __init__(self, name, family, cartan, alphabet,
                  degree_bound=DEFAULT_DEGREE_BOUND, params=(),
                  shift_element=None):
+        """An empty presentation; rules come in through add_rule.
+
+        No word normal form is held per presentation: _word_nf is the memo
+        of the rule system (see word_normal_form), looked up at the first
+        word lookup after each rule change, which _rules_version counts."""
         self.name = name
         self.family = family
         self.cartan = cartan
@@ -202,12 +229,11 @@ class Presentation:
         #: for loop deformations: the weight-homogeneous word whose a-multiple
         #: is subtracted from the loop generator before rule orientation
         self.shift_element = shift_element
-        # single-word normal forms memoized against the current rule set
-        # and degree bound
+        # word -> (bound, normal form), shared by the live presentations of
+        # the rule system of _word_nf_version
         self._word_nf = {}
         self._rules_version = 0
-        self._word_nf_version = 0
-        self._word_nf_bound = degree_bound
+        self._word_nf_version = -1
         # the lead index of _first_occurrence, keyed to _rules_version
         self._index = []
         self._index_version = -1
@@ -334,25 +360,44 @@ class Presentation:
         return x._new(terms)
 
     def word_normal_form(self, word, bound=None):
-        """Normal form of a single word, memoized (default bound only).
+        """Normal form of a single word under bound (default degree_bound),
+        memoized for the rule system.
 
-        The memo is keyed to the rule set via _rules_version, which add_rule
-        bumps, and to degree_bound: a word that reduced under a larger
-        bound may pass through a word a smaller one rejects.  Only code that
-        edits .relations in place must bump _rules_version itself."""
-        if bound is not None and bound != self.degree_bound:
-            return self.normal_form(
-                NCPoly(self.alphabet, {word: rf(1)}), bound=bound)
-        if (self._word_nf_version != self._rules_version
-                or self._word_nf_bound != self.degree_bound):
-            self._word_nf.clear()
+        The memo is shared by every live presentation with an equal alphabet
+        and an equal ordered (lead, replacement) list; it is looked up again
+        whenever _rules_version has moved, which add_rule does (code that
+        edits .relations in place must bump it itself).  An entry computed
+        under bound b serves every bound >= b; a smaller bound rewrites the
+        word again, and raises as the rewriting does.  A hit filled by
+        another presentation comes back over this presentation's alphabet."""
+        if bound is None:
+            bound = self.degree_bound
+        memo = (self._word_nf if self._word_nf_version == self._rules_version
+                else self._word_memo())
+        hit = memo.get(word)
+        if hit is None or hit[0] > bound:
+            nf = self.normal_form(NCPoly(self.alphabet, {word: rf(1)}), bound)
+            memo[word] = bound, nf
+            return nf
+        nf = hit[1]
+        if nf.alphabet is not self.alphabet:
+            # the same terms over this presentation's (equal) alphabet, kept
+            # for the next hit here
+            nf = nf._new(nf.terms)
+            nf.alphabet = self.alphabet
+            memo[word] = hit[0], nf
+        return nf
+
+    def _word_memo(self):
+        """The word memo of the current rule system, from _WORD_MEMOS (a
+        new one if no live presentation has this rule system)."""
+        if self._word_nf_version != self._rules_version:
+            rules = tuple((rel.lead, tuple(rel.repl.terms.items()))
+                          for rel in self.relations)
+            self._word_nf = _WORD_MEMOS.setdefault((self.alphabet, rules),
+                                                   _WordMemo())
             self._word_nf_version = self._rules_version
-            self._word_nf_bound = self.degree_bound
-        hit = self._word_nf.get(word)
-        if hit is None:
-            hit = self.normal_form(NCPoly(self.alphabet, {word: rf(1)}))
-            self._word_nf[word] = hit
-        return hit
+        return self._word_nf
 
     def normal_form_tensor(self, t: TensorPoly, bound=None) -> TensorPoly:
         """Slotwise normal form of a tensor element."""

@@ -8,10 +8,13 @@ was matched against the directly-built degenerate algebra whose right-hand
 sides (eta f^2, 6 eta e^2, 6 eta xi^2) were derived on paper.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopdeform import presentations
 from loopdeform.errors import (
     DegreeBoundExceeded,
     InvalidCartanError,
@@ -479,6 +482,78 @@ def test_word_memo_honours_a_lowered_degree_bound():
         p.normal_form_tensor(dz)
     p.degree_bound = 12
     assert p.normal_form_tensor(dz).is_zero()
+    # a second live presentation shares the memo p filled under bound 12,
+    # and bound 3 still raises there, set or passed
+    p2 = get_presentation("drinfeldian-sl2")
+    assert p2._word_memo() is p._word_memo()
+    dz2 = translate(dz, p2.alphabet)
+    with pytest.raises(DegreeBoundExceeded,
+                       match="word of length 4 exceeds bound 3"):
+        p2.normal_form_tensor(dz2, bound=3)
+    p2.degree_bound = 3
+    with pytest.raises(DegreeBoundExceeded,
+                       match="word of length 4 exceeds bound 3"):
+        p2.normal_form_tensor(dz2)
+    assert p.normal_form_tensor(dz).is_zero()
+
+
+def _fe(p):
+    return p.alphabet.id_of("e-a1"), p.alphabet.id_of("e+a1")
+
+
+def test_add_rule_leaves_a_sharing_presentation_unchanged():
+    """Two live classical-sl2 presentations share one word memo until a
+    rule comes into one of them: its own normal forms then use the rule,
+    and the other's stay as they were."""
+    p1, p2 = build_classical_sl2(), build_classical_sl2()
+    fe = _fe(p1)
+    plain = NCPoly(p1.alphabet, {fe: rf(1)})
+    assert p1.word_normal_form(fe) == plain  # f e is irreducible
+    assert p2._word_memo() is p1._word_memo()
+    h2 = p2.gen("ha1").scale(rf(2))
+    p2.add_rule("derived:fe", fe, h2, "derived")
+    assert p2._word_memo() is not p1._word_memo()
+    assert p2.word_normal_form(fe) == h2
+    assert p1.word_normal_form(fe) == plain
+    assert p1.word_normal_form(fe).alphabet is p1.alphabet
+
+
+def test_in_place_rule_swap_rekeys_the_word_memo():
+    p1, p2 = build_classical_sl2(), build_classical_sl2()
+    ef = tuple(reversed(_fe(p1)))
+    want = p1.word_normal_form(ef)
+    assert p2.word_normal_form(ef) == translate(want, p2.alphabet)
+    i = next(i for i, rel in enumerate(p2.relations)
+             if rel.label == "cross:e+a1,e-a1")
+    rel = p2.relations[i]
+    p2.relations[i] = Relation(rel.label, rel.lead, rel.repl + p2.unit(),
+                               rel.kind, rel.meta)
+    p2._rules_version += 1  # direct rule swap: the memo must follow
+    assert p2.word_normal_form(ef) == translate(want, p2.alphabet) + p2.unit()
+    assert p1.word_normal_form(ef) == want
+
+
+def test_word_memo_goes_with_its_last_presentation():
+    """No presentation outside this test has the rule system below, so
+    once both are gone its memo leaves the registry."""
+    def build():
+        p = build_classical_sl2()
+        p.add_rule("derived:fe", _fe(p), p.gen("ha1").scale(rf(11)),
+                   "derived")
+        return p
+
+    p1, p2 = build(), build()
+    p1.word_normal_form(_fe(p1))
+    memo = p1._word_memo()
+    assert p2._word_memo() is memo and memo
+    keys = [k for k, m in presentations._WORD_MEMOS.items() if m is memo]
+    assert len(keys) == 1
+    del p1, memo
+    gc.collect()
+    assert keys[0] in presentations._WORD_MEMOS
+    del p2
+    gc.collect()
+    assert keys[0] not in presentations._WORD_MEMOS
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRA_BUILDERS) + ["classical-sl2"])

@@ -27,6 +27,13 @@ per slot pair, and it clears the spectral denominators u-v, u-w, v-w before
 the commutators: reducing every entry product and sum of the three 8x8
 commutators through mp_gcd instead costs hundreds of gcds, so an exact
 gcd count pins the cleared path.
+
+The word-normal-form memo is shared by every live presentation of a rule
+system, so each counted check starts from a cold memo (_cold): otherwise a
+presentation another test module keeps alive would hand it warm normal
+forms, and its counts would depend on which tests ran first.  The order-4
+twist check of twist-series reuses the normal forms the order-3 check made
+on a second presentation of yangian-sl2.
 """
 
 import random
@@ -38,7 +45,11 @@ import pytest
 from loopdeform import hopf, ratfunc, repn, rmatrix
 from loopdeform.hopf import build_hopf, check_homomorphism
 from loopdeform.freealg import NCPoly
-from loopdeform.presentations import Presentation, get_presentation
+from loopdeform.presentations import (
+    Presentation,
+    build_yangian_sl2,
+    get_presentation,
+)
 from loopdeform.ratfunc import MultiPoly, RatFunc, rf
 from loopdeform.repn import default_reps
 from loopdeform.twist import check_twisted_homomorphism
@@ -49,6 +60,15 @@ def _counting(counts, key, fn):
         counts[key] += 1
         return fn(*args, **kwargs)
     return wrapper
+
+
+def _cold(p):
+    """p, with the word memo of its rule system emptied: test_hopf keeps a
+    drinfeldian-sl2 presentation, and with it that rule system's memo,
+    alive for the whole session."""
+    p._word_memo().clear()
+    assert not p._word_memo()
+    return p
 
 
 # evaluating the raw delta(z) of each relation in the tensor square took one
@@ -66,7 +86,7 @@ def test_drinfeldian_sl2_homomorphism_work_counts(monkeypatch):
     monkeypatch.setattr(hopf, "evaluate_tensor",
                         _counting(counts, "evaluate_tensor",
                                   hopf.evaluate_tensor))
-    p = get_presentation("drinfeldian-sl2")
+    p = _cold(get_presentation("drinfeldian-sl2"))
     reps = default_reps(p)
     evaluate = repn.Rep.evaluate
 
@@ -90,7 +110,7 @@ def test_drinfeldian_sl2_homomorphism_work_counts(monkeypatch):
 # gcd, and with the quotients read off the synthetic divisions that find the
 # known factors (4,082 divexact calls before that), no divexact call either
 def test_drinfeldian_sl2_homomorphism_cancels_without_gcd(monkeypatch):
-    p = get_presentation("drinfeldian-sl2")
+    p = _cold(get_presentation("drinfeldian-sl2"))
     reps = default_reps(p)
     H = build_hopf(p)
     counts = {"mp_gcd": 0, "divexact": 0}
@@ -110,7 +130,7 @@ def test_drinfeldian_sl2_homomorphism_cancels_without_gcd(monkeypatch):
 # output key as it was made, this check stripped the known factors 13,390
 # times; summing each output coefficient once, it strips about half as often
 def test_drinfeldian_sl2_homomorphism_strips_once_per_output_key(monkeypatch):
-    p = get_presentation("drinfeldian-sl2")
+    p = _cold(get_presentation("drinfeldian-sl2"))
     reps = default_reps(p)
     H = build_hopf(p)
     counts = {"_strip": 0, "mp_gcd": 0, "divexact": 0}
@@ -130,7 +150,7 @@ def test_drinfeldian_sl2_homomorphism_strips_once_per_output_key(monkeypatch):
 @pytest.mark.parametrize("algebra, bound", [("drinfeldian-sl2", 15_201),
                                             ("twisted-yangian-sl2", 0)])
 def test_homomorphism_check_makes_few_fractions(monkeypatch, algebra, bound):
-    p = get_presentation(algebra)
+    p = _cold(get_presentation(algebra))
     reps = default_reps(p)
     H = build_hopf(p)
     made = [0]
@@ -173,7 +193,7 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     # products and then scaling it took 2,230 RatFunc.__mul__ calls for the
     # 590 replacement terms of these 200 elements; one product per term took
     # 590, and skipping the products by the shared one takes 590 - by_one
-    p = get_presentation("drinfeldian-sl2")
+    p = _cold(get_presentation("drinfeldian-sl2"))
     samples = _drinfeldian_sl2_samples(p, 200, seed=7)
     counts = {"mul": 0, "terms": 0, "by_one": 0}
     one = RatFunc.one()
@@ -215,7 +235,7 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
 # image from the unit and scaled the finished product by the coefficient;
 # scaling the image of the word's first letter instead takes 9,638
 def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
-    p = get_presentation("yangian-sl2")
+    p = _cold(get_presentation("yangian-sl2"))
     H = build_hopf(p)
     counts = {"poly_mul": 0, "poly_add": 0, "mul": 0, "add": 0}
     for owner, attr, key in ((MultiPoly, "__mul__", "poly_mul"),
@@ -230,6 +250,42 @@ def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     assert len(rows) == 7
     assert counts == {"poly_mul": 0, "poly_add": 0,
                       "mul": 9_638, "add": 6_118}
+
+
+# twist-series checks yangian-sl2 at order 3, then at order 4 on a second
+# presentation that differs only in degree_bound (16); with a word memo per
+# presentation the order-4 check rewrote 686 single words, while sharing the
+# memo of their one rule system it rewrites only the 144 that order 3 did
+# not meet, and its hits come back over the second presentation's alphabet
+def test_order_four_twist_check_reuses_order_three_words(monkeypatch):
+    p1 = _cold(build_yangian_sl2())
+    p2 = build_yangian_sl2()
+    p2.degree_bound = 16
+    H1, H2 = build_hopf(p1), build_hopf(p2)
+    want = [(rel.label, "zero", None) for rel in p1.relations]
+    assert check_twisted_homomorphism(H1, 3) == want
+    counts = {"calls": 0, "rewritten": 0, "foreign": 0}
+    normal_form = Presentation.normal_form
+    word_normal_form = Presentation.word_normal_form
+
+    def counting_normal_form(self, x, bound=None):
+        if sys._getframe(1).f_code.co_name == "word_normal_form":
+            counts["rewritten"] += 1
+        return normal_form(self, x, bound)
+
+    def counting_word_normal_form(self, word, bound=None):
+        counts["calls"] += 1
+        nf = word_normal_form(self, word, bound)
+        counts["foreign"] += nf.alphabet is not p2.alphabet
+        return nf
+
+    monkeypatch.setattr(Presentation, "normal_form", counting_normal_form)
+    monkeypatch.setattr(Presentation, "word_normal_form",
+                        counting_word_normal_form)
+    rows = check_twisted_homomorphism(H2, 4)
+    monkeypatch.undo()
+    assert rows == want
+    assert counts == {"calls": 3_161, "rewritten": 144, "foreign": 0}
 
 
 # lifting each product to the lcm as (n1 * n2) * _q_product(top - s) made
@@ -290,7 +346,7 @@ def test_cybe_residual_clears_denominators_once(monkeypatch, kind, gcds):
 # RatFunc products for these 200 elements in the q-eval(sl2) witness; the
 # 92 pairs with the shared RatFunc.one() as a factor now take none
 def test_witness_evaluation_skips_products_by_one(monkeypatch):
-    p = get_presentation("drinfeldian-sl2")
+    p = _cold(get_presentation("drinfeldian-sl2"))
     r, = default_reps(p)
     samples = _drinfeldian_sl2_samples(p, 200, seed=7)
     one = RatFunc.one()
@@ -315,7 +371,7 @@ def test_witness_evaluation_skips_products_by_one(monkeypatch):
 # and unit vector built 24 unvalidated reps per spin (72 in all); the four
 # candidates of each spin are now shared by every linear relation
 def test_eval_correction_builds_four_candidate_reps(monkeypatch):
-    p = get_presentation("yangian-sl2")
+    p = _cold(get_presentation("yangian-sl2"))
     counts = {"candidate": 0, "validated": 0}
     init = repn.Rep.__init__
 
