@@ -63,7 +63,8 @@ from .twist import (
 
 ALGEBRAS = tuple(ALGEBRA_BUILDERS)
 SUITES = ("relations", "hopf", "all")
-TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "all")
+TWIST_CHECKS = ("cocycle", "coassoc", "homomorphism", "antipode", "counit",
+                "all")
 MAX_TWIST_ORDER = 4
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 64
@@ -298,21 +299,15 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", degree_bound=None):
     p.degree_bound = (max(DEFAULT_DEGREE_BOUND, 4 * order)
                       if degree_bound is None else degree_bound)
     H = build_hopf(p)
+    suites = (("cocycle", lambda: check_cocycle(order, p=p)),
+              ("coassoc", lambda: check_twisted_coassoc(H, order)),
+              ("homomorphism", lambda: check_twisted_homomorphism(H, order)),
+              ("antipode", lambda: check_twisted_antipode(H, order)),
+              ("counit", lambda: check_twist_counit(order, p=p)))
     items = []
-    if check in ("cocycle", "all"):
-        items.extend(_check_items(
-            "cocycle", lambda: check_cocycle(order, p=p)))
-    if check in ("coassoc", "all"):
-        items.extend(_check_items(
-            "coassoc", lambda: check_twisted_coassoc(H, order)))
-    if check in ("homomorphism", "all"):
-        items.extend(_check_items(
-            "homomorphism", lambda: check_twisted_homomorphism(H, order)))
-    if check == "all":
-        items.extend(_check_items(
-            "antipode", lambda: check_twisted_antipode(H, order)))
-        items.extend(_check_items(
-            "counit", lambda: check_twist_counit(order, p=p)))
+    for name, run_check in suites:
+        if check in (name, "all"):
+            items.extend(_check_items(name, run_check))
     config = {"order": order, "check": check, "max_order": MAX_TWIST_ORDER,
               "degree_bound": p.degree_bound}
     return VerificationReport("twisted-yangian-sl2", "twist", items, config)
@@ -415,7 +410,8 @@ COMMANDS = {
 USAGE = """\
 usage: loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
        loopdeform limit  <algebra> <var->value | var=value> ...
-       loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
+       loopdeform twist  [--order N]
+           [--check cocycle|coassoc|homomorphism|antipode|counit|all]
        loopdeform cybe   --r <kind>
 
 Every command also takes --json PATH (write the report as JSON too) and

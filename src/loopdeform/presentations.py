@@ -40,13 +40,22 @@ each deformed family is constructed mechanically: cross relations are built as
 against the already-installed rules, and only then oriented.  This is what
 keeps the stored coefficients free of spurious poles at q = 1.
 
-Rewriting (``Presentation.normal_form``) is one kernel that works in place on
-a single term dict.  The words still to visit wait on a frontier ordered by
-the term order, and rules are found through an index of their leads by length
-and word.  The strategy is fixed: the highest reducible word first, rewritten
-by the rule earliest in ``relations`` that matches it anywhere, at that rule's
-leftmost match.  The yangian-sl2 and twisted-yangian-sl2 rule systems are not
-confluent, so another strategy could reach another normal form.
+Rewriting has one strategy and two loops.  ``Presentation.normal_form``
+rewrites an element in place on a single term dict.
+``Presentation._rewrite_words`` rewrites a batch of words in one frontier,
+each term carrying one coefficient per source word; every word normal form
+comes from it, a memo miss of ``word_normal_form`` as a batch of one and the
+missed words of a tensor slot (``normal_form_tensor``) together.  In both
+loops the words still to visit wait on a frontier ordered by the term order,
+and rules are found through an index of their leads by length and word.  The
+strategy is fixed: the highest reducible word first, rewritten by the rule
+earliest in ``relations`` that matches it anywhere, at that rule's leftmost
+match.  The yangian-sl2 and twisted-yangian-sl2 rule systems are not
+confluent, so another strategy could reach another normal form.  A batch is
+exact: a word gets contributions only from larger words, which are popped
+first, so each source word gets the terms, the term order and the RatFunc
+products and sums of a run of its own, while the words they share are
+matched and expanded once.
 
 Rules come in through ``Presentation.add_rule`` only (directly, or through
 ``add_rule_from_zero_form``), which keeps the memoized word normal forms and
@@ -196,6 +205,12 @@ class Relation:
         return NCPoly(alphabet, {self.lead: rf(1)}) - self.repl
 
 
+def _too_long(word, bound):
+    return DegreeBoundExceeded(
+        "word of length %d exceeds bound %d during rewriting"
+        % (len(word), bound))
+
+
 class _WordMemo(dict):
     """word -> (bound, normal form) for one rule system; a dict that
     _WORD_MEMOS can hold weakly."""
@@ -312,9 +327,7 @@ class Presentation:
 
         def enter(w):
             if len(w) > bound:
-                raise DegreeBoundExceeded(
-                    "word of length %d exceeds bound %d during rewriting"
-                    % (len(w), bound))
+                raise _too_long(w, bound)
             heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
                                 tuple(map(neg, w)), w))
 
@@ -345,9 +358,7 @@ class Presentation:
                 s = get(w)
                 if s is None:
                     if len(w) > bound:
-                        raise DegreeBoundExceeded(
-                            "word of length %d exceeds bound %d during "
-                            "rewriting" % (len(w), bound))
+                        raise _too_long(w, bound)
                     heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
                                         tuple(map(neg, w)), w))
                     terms[w] = t
@@ -368,15 +379,16 @@ class Presentation:
         whenever _rules_version has moved, which add_rule does (code that
         edits .relations in place must bump it itself).  An entry computed
         under bound b serves every bound >= b; a smaller bound rewrites the
-        word again, and raises as the rewriting does.  A hit filled by
-        another presentation comes back over this presentation's alphabet."""
+        word again, and raises as the rewriting does.  A miss is rewritten
+        by _rewrite_words as a batch of one.  A hit filled by another
+        presentation comes back over this presentation's alphabet."""
         if bound is None:
             bound = self.degree_bound
         memo = (self._word_nf if self._word_nf_version == self._rules_version
                 else self._word_memo())
         hit = memo.get(word)
         if hit is None or hit[0] > bound:
-            nf = self.normal_form(NCPoly(self.alphabet, {word: rf(1)}), bound)
+            nf, = self._rewrite_words((self.alphabet.contract(word),), bound)
             memo[word] = bound, nf
             return nf
         nf = hit[1]
@@ -387,6 +399,84 @@ class Presentation:
             nf.alphabet = self.alphabet
             memo[word] = hit[0], nf
         return nf
+
+    def _rewrite_words(self, words, bound):
+        """The normal forms of distinct words, rewritten in one frontier.
+
+        Each word is a source, and a term carries one coefficient per source
+        that has it ({source: RatFunc}).  A word is popped, matched and
+        expanded once for all of them, by the strategy and the bound rule of
+        normal_form.  A popped word is final, so each source gets the
+        products and sums of a run of its own, and its terms come out in
+        that run's order: by the step that last brought the word into the
+        source (born, or late for a source new to a word already there).
+        The batch raises DegreeBoundExceeded exactly when one of its words
+        alone would, at the batch's first over-long word."""
+        join = self.alphabet.join
+        loop_degree = self.alphabet.loop_degrees.__getitem__
+        one = RatFunc.one()
+        frontier = []
+        terms = {}
+        born = {}
+        late = {}
+        for s, w in enumerate(words):
+            if len(w) > bound:
+                raise _too_long(w, bound)
+            heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
+                                tuple(map(neg, w)), w))
+            terms[w] = {s: one}
+            born[w] = s
+        step = len(words)
+        found = [[] for _ in words]
+        get = terms.get
+        while frontier:
+            best = heappop(frontier)[3]
+            vec = terms.pop(best, None)
+            if vec is None:
+                continue  # a stale entry: the word was rewritten or cancelled
+            occ = self._first_occurrence(best)
+            if occ is None:
+                b, since = born[best], late.get(best)
+                for s, c in vec.items():
+                    found[s].append((b if since is None else
+                                     max(b, since.get(s, b)), best, c))
+                continue
+            rel, pos = occ
+            prefix, suffix = best[:pos], best[pos + len(rel.lead):]
+            for w2, c2 in rel.repl.terms.items():
+                step += 1
+                w = w2
+                if prefix:
+                    w = join(prefix, w)
+                if suffix:
+                    w = join(w, suffix)
+                tgt = get(w)
+                if tgt is None:
+                    if len(w) > bound:
+                        raise _too_long(w, bound)
+                    heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
+                                        tuple(map(neg, w)), w))
+                    terms[w] = (dict(vec) if c2 is one else
+                                {s: c2 if c is one else c2 * c
+                                 for s, c in vec.items()})
+                    born[w] = step
+                    continue
+                for s, c in vec.items():
+                    t = c if c2 is one else c2 if c is one else c2 * c
+                    old = tgt.get(s)
+                    if old is None:
+                        tgt[s] = t
+                        late.setdefault(w, {})[s] = step
+                    else:
+                        old = old + t
+                        if old.num.terms:
+                            tgt[s] = old
+                        else:
+                            del tgt[s]
+                if not tgt:
+                    del terms[w]
+        new = NCPoly(self.alphabet)._new
+        return [new({w: c for _, w, c in sorted(f)}) for f in found]
 
     def _word_memo(self):
         """The word memo of the current rule system, from _WORD_MEMOS (a
@@ -400,9 +490,32 @@ class Presentation:
         return self._word_nf
 
     def normal_form_tensor(self, t: TensorPoly, bound=None) -> TensorPoly:
-        """Slotwise normal form of a tensor element."""
+        """Slotwise normal form of a tensor element.
+
+        Slot by slot, the distinct words that miss the word memo are
+        rewritten together by _rewrite_words, and each normal form goes
+        into the memo as word_normal_form would put it there; the slot is
+        then mapped through word_normal_form.  If the batch exceeds the
+        bound it stores nothing, and the words are rewritten one at a time
+        by word_normal_form, which raises as for that word alone."""
+        if bound is None:
+            bound = self.degree_bound
         out = t
         for i in range(t.arity):
+            memo = self._word_memo()
+            missed = {}
+            for k in out.terms:
+                hit = memo.get(k[i])
+                if hit is None or hit[0] > bound:
+                    missed[k[i]] = None
+            if missed:
+                try:
+                    nfs = self._rewrite_words(tuple(missed), bound)
+                except DegreeBoundExceeded:
+                    pass  # word_normal_form raises below, as for one word
+                else:
+                    for w, nf in zip(missed, nfs):
+                        memo[w] = bound, nf
             out = out.map_slot(i, lambda w: self.word_normal_form(w, bound))
         return out
 

@@ -286,6 +286,21 @@ def test_twist_single_check_is_scoped():
     assert all(l.startswith("cocycle:") for l, _, _ in rep.items)
 
 
+@pytest.mark.parametrize("check", ["antipode", "counit"])
+def test_twist_antipode_and_counit_run_alone(tmp_path, capsys, check):
+    # both suites ran only inside --check all, and either name alone was an
+    # unknown twist check (exit 64)
+    out = tmp_path / "r.json"
+    assert main(["twist", "--order", "2", "--check", check,
+                 "--json", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["config"]["check"] == check
+    every = cmd_twist(order=2, check="all").items
+    want = [[l, v] for l, v, _ in every if l.startswith(check + ":")]
+    assert want and [[i["label"], i["verdict"]] for i in doc["items"]] == want
+
+
 def test_twist_order_bounds():
     with pytest.raises(UsageError):
         cmd_twist(order=5)

@@ -16,6 +16,7 @@ import pytest
 
 from loopdeform.errors import DegreeBoundExceeded
 from loopdeform.freealg import Alphabet, GenSymbol, NCPoly
+from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
     Presentation,
@@ -24,6 +25,7 @@ from loopdeform.presentations import (
     get_presentation,
 )
 from loopdeform.ratfunc import rf
+from loopdeform.twist import check_twisted_homomorphism
 
 
 def _reference_first_occurrence(p, word):
@@ -189,3 +191,106 @@ def test_in_place_rule_swap_reaches_the_index():
     assert p._first_occurrence(word) == (p.relations[0], 1)
     assert p.normal_form(NCPoly(A, {word: rf(1)})) == (
         NCPoly.gen(A, "c") * NCPoly.gen(A, "a"))
+
+
+# ---------------------------------------------------------------------------
+# the slot words of tensors, rewritten together in one shared frontier
+# ---------------------------------------------------------------------------
+
+
+def _coproduct_tensors(name):
+    """p and delta(z) for every relation z of p."""
+    p = get_presentation(name)
+    H = build_hopf(p)
+    return p, [H.coproduct(rel.zero_form(p.alphabet)) for rel in p.relations]
+
+
+def _twist_tensors():
+    """yangian-sl2 and every tensor its order-3 twisted homomorphism check
+    reduces: the graded products of the twist series with delta(x)."""
+    p = get_presentation("yangian-sl2")
+    tensors = []
+    reduce = Presentation.normal_form_tensor
+
+    def recording(self, t, bound=None):
+        tensors.append(t)
+        return reduce(self, t, bound)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Presentation, "normal_form_tensor", recording)
+        check_twisted_homomorphism(build_hopf(p), 3)
+    return p, tensors
+
+
+def _tensors(source):
+    return _twist_tensors() if source == "yangian-sl2 twist-3" else \
+        _coproduct_tensors(source)
+
+
+def _per_word_tensor(p, t, bound):
+    """The slotwise normal form with each word rewritten alone by the
+    reference loop."""
+    def word_fn(w):
+        return _reference_normal_form(p, NCPoly(p.alphabet, {w: rf(1)}), bound)
+
+    for i in range(t.arity):
+        t = t.map_slot(i, word_fn)
+    return t
+
+
+SOURCES = sorted(ALGEBRA_BUILDERS) + ["yangian-sl2 twist-3"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_one_frontier_matches_each_word_alone(source):
+    p, tensors = _tensors(source)
+    words = list(dict.fromkeys(w for t in tensors for k in t.terms for w in k))
+    assert len(words) > 10
+    for w, got in zip(words, p._rewrite_words(tuple(words), p.degree_bound)):
+        _assert_same(got, _reference_normal_form(
+            p, NCPoly(p.alphabet, {w: rf(1)})))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_normal_form_tensor_raises_where_a_word_alone_raises(source):
+    # at bounds 1-3 some slot words of every source outgrow the bound:
+    # the batch raises then, stores nothing, and the words are rewritten one
+    # at a time, so the message is the per-word path's
+    p, tensors = _tensors(source)
+    raised = 0
+    for t in tensors:
+        for bound in (1, 2, 3, p.degree_bound):
+            p._word_memo().clear()
+            try:
+                want = _per_word_tensor(p, t, bound)
+            except DegreeBoundExceeded as exc:
+                with pytest.raises(DegreeBoundExceeded) as got:
+                    p.normal_form_tensor(t, bound)
+                assert str(got.value) == str(exc)
+                raised += 1
+            else:
+                got = p.normal_form_tensor(t, bound)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert str(got) == str(want)
+    assert raised > 0
+
+
+def test_one_frontier_keeps_each_words_order_through_cancellation():
+    # d.d -> c.c + b.b + a.a, then c.c -> c.a - b.b and c.a -> q b.b: the
+    # run of d.d alone cancels b.b and brings it back after a.a.  In the
+    # first batch b.b stays in the dict for the source b.b, so it comes
+    # back to d.d late; in the second it leaves the dict and is born again
+    A, p = _abc()
+    word = A.parse_word
+    aa, bb, ca, cc = (NCPoly(A, {word(w): rf(1)})
+                      for w in ("a.a", "b.b", "c.a", "c.c"))
+    p.add_rule("dd", word("d.d"), cc + bb + aa, "test")
+    p.add_rule("cc", word("c.c"), ca - bb, "test")
+    p.add_rule("ca", word("c.a"), bb.scale(rf("q")), "test")
+    for batch in (("b.b", "d.d", "c.c", "a.d.d", "d.d.b"), ("d.d", "a.d.d")):
+        words = tuple(word(w) for w in batch)
+        got = p._rewrite_words(words, 4)
+        for w, nf in zip(words, got):
+            _assert_same(nf, _reference_normal_form(p, NCPoly(A, {w: rf(1)})))
+        nf = got[words.index(word("d.d"))]
+        assert list(nf.terms) == [word("a.a"), word("b.b")]
