@@ -5,7 +5,8 @@ stable, machine-readable report:
 
     loopdeform verify <algebra> [relations|hopf|all] [--rep spin:<j>]...
     loopdeform limit  <algebra> <var->value | var=value> ...
-    loopdeform twist  [--order N] [--check cocycle|coassoc|homomorphism|all]
+    loopdeform twist  [--order N]
+        [--check cocycle|coassoc|homomorphism|antipode|counit|all]
     loopdeform cybe   --r <kind>
 
 A command's positionals, flags and config keys are declared in one place,

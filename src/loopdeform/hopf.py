@@ -100,6 +100,10 @@ class HopfData:
     def coproduct(self, x: NCPoly) -> TensorPoly:
         return apply_hom(x, self._delta_ids)
 
+    def word_coproduct(self, word) -> TensorPoly:
+        return self.coproduct(NCPoly(self.presentation.alphabet,
+                                     {word: rf(1)}))
+
     def counit(self, x: NCPoly) -> RatFunc:
         acc = rf(0)
         for word, c in x.terms.items():
@@ -118,50 +122,46 @@ class HopfData:
     def antipode_of(self, x: NCPoly) -> NCPoly:
         return apply_antihom(x, self._antipode_ids)
 
+    def word_antipode(self, word) -> NCPoly:
+        return self.antipode_of(NCPoly(self.presentation.alphabet,
+                                       {word: rf(1)}))
+
 
 # ---------------------------------------------------------------------------
-# slot expansion (coproduct applied inside one slot of a tensor element)
+# slot maps: a structure map, given on single words, inside one tensor slot
 # ---------------------------------------------------------------------------
 
 
-def apply_in_slot(t: TensorPoly, slot: int, hopf: HopfData) -> TensorPoly:
-    """Replace slot `slot` of every term by its coproduct; arity grows by 1."""
-    A = t.alphabet
+def apply_in_slot(t: TensorPoly, slot: int, delta_of) -> TensorPoly:
+    """Replace slot `slot` of every term by delta_of(word), a two-slot
+    element; arity grows by 1."""
     out = {}
     for words, c in t.terms.items():
-        img = hopf.coproduct(NCPoly(A, {words[slot]: rf(1)}))
-        for pair, c2 in img.terms.items():
+        for pair, c2 in delta_of(words[slot]).terms.items():
             add_term(out, words[:slot] + pair + words[slot + 1:], c * c2)
-    return TensorPoly(A, t.arity + 1, out)
+    return TensorPoly(t.alphabet, t.arity + 1, out)
 
 
-def counit_in_slot(t: TensorPoly, slot: int, hopf: HopfData):
-    """Apply the counit to one slot; arity shrinks by 1 (NCPoly at arity 2)."""
-    A = t.alphabet
+def counit_in_slot(t: TensorPoly, slot: int, eps_of):
+    """Scale each term by eps_of(word) of one slot and drop that slot; arity
+    shrinks by 1 (NCPoly at arity 2)."""
     out = {}
     for words, c in t.terms.items():
-        eps = hopf.word_counit(words[slot])
-        if eps.is_zero():
-            continue
-        add_term(out, words[:slot] + words[slot + 1:], c * eps)
-    out = TensorPoly(A, t.arity - 1, out)
+        eps = eps_of(words[slot])
+        if not eps.is_zero():
+            add_term(out, words[:slot] + words[slot + 1:], c * eps)
+    out = TensorPoly(t.alphabet, t.arity - 1, out)
     return out.as_ncpoly() if out.arity == 1 else out
 
 
-def _mult_with_map(t: TensorPoly, antipode_slot: int, hopf: HopfData) -> NCPoly:
-    """m((S(x)id) delta) / m((id(x)S) delta) helper: apply the antipode to one
-    slot of an arity-2 element, then multiply the slots together."""
-    A = t.alphabet
-    acc = NCPoly.zero(A)
-    for (w0, w1), c in t.terms.items():
-        x0 = NCPoly(A, {w0: rf(1)})
-        x1 = NCPoly(A, {w1: rf(1)})
-        if antipode_slot == 0:
-            x0 = hopf.antipode_of(x0)
-        else:
-            x1 = hopf.antipode_of(x1)
-        acc = acc + (x0 * x1).scale(c)
-    return acc
+def _mult_with_map(t: TensorPoly, antipode_slot: int, antipode_of) -> NCPoly:
+    """m((S(x)id) t) / m((id(x)S) t) for an arity-2 t: replace the word in
+    one slot by antipode_of(word), then multiply the slots together."""
+    join = t.alphabet.join
+    out = {}
+    for (w0, w1), c in t.map_slot(antipode_slot, antipode_of).terms.items():
+        add_term(out, join(w0, w1), c)
+    return NCPoly(t.alphabet, out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +281,15 @@ def check_coassoc(hopf: HopfData):
     out = []
     for s in p.alphabet.symbols:
         d = hopf.coproduct(p.gen(s.name))
-        left = p.normal_form_tensor(apply_in_slot(d, 0, hopf))
-        right = p.normal_form_tensor(apply_in_slot(d, 1, hopf))
+        left = p.normal_form_tensor(apply_in_slot(d, 0, hopf.word_coproduct))
+        right = p.normal_form_tensor(apply_in_slot(d, 1, hopf.word_coproduct))
         diff = left - right
         out.append(rewrite_row(s.name, str(diff) if diff else None))
     return out
 
 
-def _two_sided_rows(hopf: HopfData, slot_map, target):
-    """Per generator x: slot_map(delta x, slot, hopf) must reduce to
+def _two_sided_rows(hopf: HopfData, slot_map, word_map, target):
+    """Per generator x: slot_map(delta x, slot, word_map) must reduce to
     target(x, name) for slot 0 and for slot 1."""
     p = hopf.presentation
     out = []
@@ -297,8 +297,8 @@ def _two_sided_rows(hopf: HopfData, slot_map, target):
         x = p.gen(s.name)
         d = hopf.coproduct(x)
         want = target(x, s.name)
-        left = p.normal_form(slot_map(d, 0, hopf)) - want
-        right = p.normal_form(slot_map(d, 1, hopf)) - want
+        left = p.normal_form(slot_map(d, 0, word_map)) - want
+        right = p.normal_form(slot_map(d, 1, word_map)) - want
         out.append(rewrite_row(
             s.name, "%s | %s" % (left, right) if left or right else None))
     return out
@@ -306,13 +306,14 @@ def _two_sided_rows(hopf: HopfData, slot_map, target):
 
 def check_counit(hopf: HopfData):
     """Per generator: (eps (x) id) delta == id == (id (x) eps) delta."""
-    return _two_sided_rows(hopf, counit_in_slot, lambda x, name: x)
+    return _two_sided_rows(hopf, counit_in_slot, hopf.word_counit,
+                           lambda x, name: x)
 
 
 def check_antipode(hopf: HopfData):
     """Per generator: m(S (x) id) delta == eps * 1 == m(id (x) S) delta."""
     unit = hopf.presentation.unit()
-    return _two_sided_rows(hopf, _mult_with_map,
+    return _two_sided_rows(hopf, _mult_with_map, hopf.word_antipode,
                            lambda x, name: unit.scale(hopf.epsilon[name]))
 
 

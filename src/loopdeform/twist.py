@@ -4,21 +4,30 @@ A series of order N is stored as N + 1 graded coefficients, the k-th a
 tensor element whose rational-function coefficients all carry the second
 deformation parameter (``zeta``) to the exact power k; the series as an
 algebra element is simply the sum of its stored terms.  This module builds
-the two-slot twisting element and its one-slot partner, inverts series
-exactly, conjugates the coproduct and antipode by them, and verifies the
-structural identities (cocycle, coassociativity, homomorphism on relations,
-antipode axiom, counit normalization) order by order.  A zero verdict is a
-rewriting proof; a normal form that stays nonzero is unknown, because the
-rule system is not confluent.  Matrix evaluations are independent witnesses:
-a nonzero matrix disproves, a zero one proves nothing.
+the two-slot twisting element F and derives its one-slot partner
+u = m(id (x) S)F, inverts series exactly, conjugates the coproduct and
+antipode by them, and verifies the structural identities (cocycle,
+coassociativity, homomorphism on relations, antipode axiom, counit
+normalization) order by order.  The twisted checks apply the twisted maps
+inside a tensor slot through hopf's slot maps, one order of the word map at
+a time.  A zero verdict is a rewriting proof; a normal form that stays
+nonzero is unknown, because the rule system is not confluent.  Matrix
+evaluations are independent witnesses: a nonzero matrix disproves, a zero
+one proves nothing.
 """
 
 from fractions import Fraction
 from math import factorial
 
 from .errors import ArityMismatchError, NotUnitLeadingError
-from .freealg import NCPoly, TensorPoly, add_term, tensor
-from .hopf import HopfData, apply_in_slot, build_hopf, counit_in_slot
+from .freealg import NCPoly, TensorPoly, tensor
+from .hopf import (
+    HopfData,
+    _mult_with_map,
+    apply_in_slot,
+    build_hopf,
+    counit_in_slot,
+)
 from .presentations import (
     Presentation,
     build_yangian_sl2,
@@ -181,22 +190,25 @@ def twist_F(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
     return TwistSeries(p, terms)
 
 
-def twist_u(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
-    """One-slot partner series that conjugates the antipode.
+def _partner(F: TwistSeries, H: HopfData) -> TwistSeries:
+    """u = m(id (x) S)F order by order, in normal form.
 
-    The order-k coefficient is ((-zeta)^k / k!) * ladder_k * f^k with the
-    Cartan ladder multiplied on the left; the factors do not commute, so the
-    order matters.  Terms are stored in normal form."""
+    For a twist F the coproduct F Delta F^{-1} has the antipode
+    S_F = u S u^{-1} (Drinfeld), which is why u conjugates the antipode."""
+    p = H.presentation
+    return TwistSeries(p, [
+        p.normal_form(_mult_with_map(t, 1, H.word_antipode)).tensor()
+        for t in F.terms])
+
+
+def twist_u(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
+    """One-slot partner series u = m(id (x) S)F of order N.
+
+    Its order-k coefficient is ((-zeta)^k / k!) * ladder_k * f^k, the
+    Cartan ladder on the left, since S(f) = -f."""
     if p is None:
         p = build_yangian_sl2()
-    f = p.gen("e-a1")
-    zeta = rf("zeta")
-    terms = []
-    for k in range(N + 1):
-        c = (-zeta) ** k * rf(Fraction(1, factorial(k)))
-        word = p.normal_form(_cartan_ladder(p, k) * f ** k)
-        terms.append(word.tensor().scale(c))
-    return TwistSeries(p, terms)
+    return _partner(twist_F(N, p), build_hopf(p))
 
 
 def series_inverse(X: TwistSeries) -> TwistSeries:
@@ -250,8 +262,9 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
     """Antipode of x conjugated by the one-slot partner, truncated at N.
 
     Returns the list of graded coefficients of u S(x) u^{-1} as plain
-    algebra elements; entry 0 is the untwisted antipode in normal form."""
-    u = twist_u(N, H.presentation)
+    algebra elements, u = m(id (x) S)F; entry 0 is the untwisted antipode in
+    normal form."""
+    u = _partner(twist_F(N, H.presentation), H)
     return _twisted_S(H, u, series_inverse(u), x, N)
 
 
@@ -276,9 +289,9 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     F = twist if twist is not None else twist_F(N, p)
     padded_right = [t.embed((0, 1), 3) for t in F.terms]
     padded_left = [t.embed((1, 2), 3) for t in F.terms]
-    delta_first = [p.normal_form_tensor(apply_in_slot(t, 0, H))
+    delta_first = [p.normal_form_tensor(apply_in_slot(t, 0, H.word_coproduct))
                    for t in F.terms]
-    delta_second = [p.normal_form_tensor(apply_in_slot(t, 1, H))
+    delta_second = [p.normal_form_tensor(apply_in_slot(t, 1, H.word_coproduct))
                     for t in F.terms]
     lhs = _graded_mul(p, padded_right, delta_first, N)
     rhs = _graded_mul(p, padded_left, delta_second, N)
@@ -320,7 +333,7 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
     F = twist_F(N, p)
     rows = []
     for slot, label in ((0, "eps-left"), (1, "eps-right")):
-        pieces = [counit_in_slot(t, slot, H) for t in F.terms]
+        pieces = [counit_in_slot(t, slot, H.word_counit) for t in F.terms]
         resid = [p.normal_form(pieces[0] - p.unit())]
         resid.extend(p.normal_form(x) for x in pieces[1:])
         bad = [k for k, r in enumerate(resid) if not r.is_zero()]
@@ -341,20 +354,24 @@ def _per_word(twisted, H, left, right, N):
     return of_word
 
 
-def _twisted_delta_in_slot(p, delta_of, series, slot, N):
-    """Apply the twisted coproduct (delta_of, on single words) inside one
-    slot of a graded two-slot list, producing a graded three-slot list."""
-    acc = [dict() for _ in range(N + 1)]
-    for j, t in enumerate(series):
-        if j > N or t.is_zero():
-            continue
-        for words, c in t.terms.items():
-            sub = delta_of(words[slot])
-            for i in range(N + 1 - j):
-                for pair, c2 in sub[i].terms.items():
-                    add_term(acc[i + j], words[:slot] + pair + words[slot + 1:],
-                             c * c2)
-    return [p.normal_form_tensor(TensorPoly(p.alphabet, 3, d)) for d in acc]
+def _in_slot(slot_map, series, slot, graded_of):
+    """A hopf slot map with a graded word map (graded_of) on a graded list:
+    order k is the sum over j of slot_map(series[j], slot, order k - j)."""
+    out = []
+    for k in range(len(series)):
+        acc = slot_map(series[0], slot, lambda w: graded_of(w)[k])
+        for j in range(1, k + 1):
+            acc = acc + slot_map(series[j], slot,
+                                 lambda w: graded_of(w)[k - j])
+        out.append(acc)
+    return out
+
+
+def _orders_row(label, resid):
+    """One rewrite row listing (order, str) of each nonzero residual; the
+    residuals are in normal form."""
+    bad = [(k, str(r)) for k, r in enumerate(resid) if not r.is_zero()]
+    return rewrite_row(label, bad or None)
 
 
 def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
@@ -370,14 +387,9 @@ def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
     rows = []
     for name in H.delta:
         d = _twisted_delta(H, F, Fi, p.gen(name), N)
-        left = _twisted_delta_in_slot(p, delta_of, d, 0, N)
-        right = _twisted_delta_in_slot(p, delta_of, d, 1, N)
-        bad = []
-        for k in range(N + 1):
-            r = p.normal_form_tensor(left[k] - right[k])
-            if not r.is_zero():
-                bad.append((k, str(r)))
-        rows.append(rewrite_row(name, bad or None))
+        left, right = (_in_slot(apply_in_slot, d, s, delta_of) for s in (0, 1))
+        rows.append(_orders_row(name, [p.normal_form_tensor(a - b)
+                                       for a, b in zip(left, right)]))
     return rows
 
 
@@ -390,12 +402,9 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     p = H.presentation
     F = twist_F(N, p)
     Fi = series_inverse(F)
-    rows = []
-    for rel in p.relations:
-        out = _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N)
-        bad = [(k, str(t)) for k, t in enumerate(out) if not t.is_zero()]
-        rows.append(rewrite_row(rel.label, bad or None))
-    return rows
+    return [_orders_row(rel.label,
+                        _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N))
+            for rel in p.relations]
 
 
 def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
@@ -406,34 +415,17 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
     reproduce the counit: m(S'(x)id)Delta'(x) == eps(x) 1 == m(id(x)S')
     Delta'(x).  One row per generator and side."""
     p = H.presentation
-    A = p.alphabet
     F = twist_F(N, p)
     Fi = series_inverse(F)
-    u = twist_u(N, p)
+    u = _partner(F, H)
     antipode_of = _per_word(_twisted_S, H, u, series_inverse(u), N)
     rows = []
     for name in H.delta:
         x = p.gen(name)
         d = _twisted_delta(H, F, Fi, x, N)
         for side, label in ((0, "antipode-left"), (1, "antipode-right")):
-            acc = [NCPoly.zero(A) for _ in range(N + 1)]
-            for j, t in enumerate(d):
-                if t.is_zero():
-                    continue
-                for (w0, w1), c in t.terms.items():
-                    tw = w0 if side == 0 else w1
-                    other = NCPoly(A, {(w1 if side == 0 else w0): rf(1)})
-                    sx = antipode_of(tw)
-                    for i in range(N + 1 - j):
-                        if sx[i].is_zero():
-                            continue
-                        prod = sx[i] * other if side == 0 else other * sx[i]
-                        acc[i + j] = acc[i + j] + prod.scale(c)
+            acc = _in_slot(_mult_with_map, d, side, antipode_of)
             acc[0] = acc[0] - p.unit().scale(H.counit(x))
-            bad = []
-            for k in range(N + 1):
-                r = p.normal_form(acc[k])
-                if not r.is_zero():
-                    bad.append((k, str(r)))
-            rows.append(rewrite_row("%s:%s" % (name, label), bad or None))
+            rows.append(_orders_row("%s:%s" % (name, label),
+                                    [p.normal_form(a) for a in acc]))
     return rows

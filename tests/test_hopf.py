@@ -134,9 +134,9 @@ def test_counit_is_multiplicative(uq2, uq2_hopf):
 
 def test_slot_expansion_grows_arity(yang, yang_hopf):
     d = yang_hopf.coproduct(yang.gen("xi"))
-    t = apply_in_slot(d, 0, yang_hopf)
+    t = apply_in_slot(d, 0, yang_hopf.word_coproduct)
     assert t.arity == 3
-    back = counit_in_slot(d, 0, yang_hopf)
+    back = counit_in_slot(d, 0, yang_hopf.word_counit)
     assert (yang.normal_form(back) - yang.gen("xi")).is_zero()
 
 
@@ -271,8 +271,8 @@ def test_coassociativity_triple_frozen(yang, yang_hopf):
     one = yang.unit()
     eta = rf("eta")
     d = yang_hopf.coproduct(xi)
-    left = apply_in_slot(d, 0, yang_hopf)
-    right = apply_in_slot(d, 1, yang_hopf)
+    left = apply_in_slot(d, 0, yang_hopf.word_coproduct)
+    right = apply_in_slot(d, 1, yang_hopf.word_coproduct)
     expected = (tensor(xi, one, one) + tensor(one, xi, one)
                 + tensor(one, one, xi)
                 + (tensor(f, h, one) + tensor(f, one, h)
@@ -686,7 +686,8 @@ def test_inverse_pairs_are_group_like_in_every_limit():
             assert (p.normal_form_tensor(H.coproduct(g) * H.coproduct(g_inv))
                     == tensor(one, one)), (label, sym.name)
             assert H.counit(g) * H.counit(g_inv) == 1, (label, sym.name)
-            assert (p.normal_form(_mult_with_map(H.coproduct(g), 0, H))
+            assert (p.normal_form(_mult_with_map(H.coproduct(g), 0,
+                                                 H.word_antipode))
                     == one), (label, sym.name)
     assert pairs > 0
 

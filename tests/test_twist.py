@@ -1,13 +1,15 @@
 """Order-truncated twist series: frozen low-order values, exact inversion,
 conjugated structure maps, and the order-by-order structural checks."""
 
+import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from loopdeform.errors import ArityMismatchError, NotUnitLeadingError
 from loopdeform.freealg import TensorPoly, tensor
-from loopdeform.hopf import apply_in_slot, build_hopf
+from loopdeform.hopf import HopfData, apply_in_slot, build_hopf
 from loopdeform.presentations import build_yangian_sl2
 from loopdeform.ratfunc import rf
 from loopdeform.repn import evaluate_tensor, solve_eval_correction
@@ -28,6 +30,11 @@ from loopdeform.twist import (
 )
 
 ZETA = rf("zeta")
+
+#: sha256 of the nonzero payloads the twisted checks give the flipped
+#: eta-pairing mutant at order 3
+MUTANT_PAYLOAD_DIGEST = (
+    "2071c6dbcbbbd13a8941cdab710c30456fa57bb1ae7b1b5459dee25ad5e254dd")
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +98,20 @@ def test_partner_series_frozen_orders(eta_pres):
     # the factors do not commute: the flipped product is a different element
     flipped = p.normal_form((f * f) * (h * (h + p.unit().scale(rf(2)))))
     assert u.terms[2] != flipped.tensor().scale(ZETA * ZETA * rf("1/2"))
+
+    # orders 1-5 against the closed form (-zeta)^k/k! * nf(ladder_k f^k):
+    # same terms, in the same storage order, and the same text
+    u5 = twist_u(5, p)
+    assert u5.terms[:3] == u.terms
+    ladder = p.unit()
+    for k in range(1, 6):
+        ladder = p.normal_form(ladder * (h + p.unit().scale(rf(2 * k - 2))))
+        c = (-ZETA) ** k * rf(Fraction(1, factorial(k)))
+        want = p.normal_form(ladder * f ** k).tensor().scale(c)
+        got = u5.terms[k]
+        assert got == want, k
+        assert list(got.terms) == list(want.terms), k
+        assert str(got) == str(want), k
 
 
 def test_series_validation(eta_pres):
@@ -194,7 +215,8 @@ def test_cocycle_first_order_by_hand(eta_pres, eta_hopf):
     h, f = p.gen("ha1"), p.gen("e-a1")
     one = p.unit()
     # the coproduct expansion of the order-1 term in the first slot
-    got = p.normal_form_tensor(apply_in_slot(twist_F(1, p).terms[1], 0, H))
+    got = p.normal_form_tensor(apply_in_slot(twist_F(1, p).terms[1], 0,
+                                              H.word_coproduct))
     expected = (tensor(h, one, f) + tensor(one, h, f)).scale(ZETA)
     assert got == expected
 
@@ -258,6 +280,39 @@ def test_twisted_antipode_axiom_both_sides(eta_hopf):
     rows = check_twisted_antipode(eta_hopf, 3)
     assert len(rows) == 2 * len(eta_hopf.delta)
     assert all_zero(rows)
+
+
+def test_twisted_checks_flag_a_flipped_eta_pairing(eta_pres, eta_hopf):
+    # the criterion-6 mutant: the sign of the eta pairing in Delta(xi)
+    # flipped, with the antipode and counit of the real structure
+    p, H = eta_pres, eta_hopf
+    xi, f, h = p.gen("xi"), p.gen("e-a1"), p.gen("ha1")
+    one = p.unit()
+    delta = dict(H.delta)
+    delta["xi"] = (tensor(xi, one) + tensor(one, xi)
+                   - tensor(f, h).scale(rf("eta")))
+    mutant = HopfData(p, delta, H.epsilon, H.antipode)
+    expected = {
+        check_twisted_coassoc: {"xi": [1, 2, 3]},
+        check_twisted_antipode: {"xi:antipode-left": [0, 1],
+                                 "xi:antipode-right": [0, 1, 2, 3]},
+        check_twisted_homomorphism: {"loop-comm:e-a1": [0, 1],
+                                     "loop-serre-e:e+a1": [0, 1, 2, 3],
+                                     "loop-serre-xi:e+a1": [0, 1, 2, 3]},
+    }
+    payloads = []
+    for check, bad in expected.items():
+        rows = check(mutant, 3)
+        assert len(rows) == len(check(H, 3))
+        for label, verdict, payload in rows:
+            if label not in bad:
+                assert verdict == "zero" and payload is None, label
+                continue
+            assert verdict == "unknown", label
+            assert [k for k, _ in payload] == bad[label], label
+            payloads += ["%s|%d|%s" % (label, k, r) for k, r in payload]
+    digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
+    assert digest == MUTANT_PAYLOAD_DIGEST
 
 
 # ---------------------------------------------------------------------------
