@@ -44,18 +44,19 @@ Rewriting has one strategy and two loops.  ``Presentation.normal_form``
 rewrites an element in place on a single term dict.
 ``Presentation._rewrite_words`` rewrites a batch of words in one frontier,
 each term carrying one coefficient per source word; every word normal form
-comes from it, a memo miss of ``word_normal_form`` as a batch of one and the
-missed words of a tensor slot (``normal_form_tensor``) together.  In both
-loops the words still to visit wait on a frontier ordered by the term order,
-and rules are found through an index of their leads by length and word.  The
-strategy is fixed: the highest reducible word first, rewritten by the rule
-earliest in ``relations`` that matches it anywhere, at that rule's leftmost
-match.  The yangian-sl2 and twisted-yangian-sl2 rule systems are not
-confluent, so another strategy could reach another normal form.  A batch is
-exact: a word gets contributions only from larger words, which are popped
-first, so each source word gets the terms, the term order and the RatFunc
-products and sums of a run of its own, while the words they share are
-matched and expanded once.
+comes from it, through the one memo entry ``_word_normal_forms``: a single
+word of ``word_normal_form`` as a batch of one, and the distinct words of a
+tensor slot (``normal_form_tensor``) together.  Both loops take their
+frontier from ``Presentation._frontier``, the one owner of the term order on
+the heap and of the degree-bound check, and find rules through an index of
+their leads by length and word.  The strategy is fixed: the highest
+reducible word first, rewritten by the rule earliest in ``relations`` that
+matches it anywhere, at that rule's leftmost match.  The yangian-sl2 and
+twisted-yangian-sl2 rule systems are not confluent, so another strategy
+could reach another normal form.  A batch is exact: a word gets
+contributions only from larger words, which are popped first, so each source
+word gets the terms, the term order and the RatFunc products and sums of a
+run of its own, while the words they share are matched and expanded once.
 
 Rules come in through ``Presentation.add_rule`` only (directly, or through
 ``add_rule_from_zero_form``), which keeps the memoized word normal forms and
@@ -64,10 +65,10 @@ tests do, bumps ``_rules_version`` itself.
 
 A word's normal form depends only on the alphabet, the ordered rule list and
 the word, and a rewrite that finished under a degree bound b is valid under
-every bound >= b.  So the memo of ``Presentation.word_normal_form`` belongs
-to a rule system, not to a presentation: presentations alive at the same
-time with equal alphabets and equal ordered ``(lead, replacement)`` lists
-share one memo, found in ``_WORD_MEMOS`` and dropped with the last of them.
+every bound >= b.  So the word memo of ``_word_normal_forms`` belongs to a
+rule system, not to a presentation: presentations alive at the same time
+with equal alphabets and equal ordered ``(lead, replacement)`` lists share
+one memo, found in ``_WORD_MEMOS`` and dropped with the last of them.
 Each entry keeps the bound it was computed under, and a lookup under a
 smaller bound rewrites the word again.
 
@@ -205,12 +206,6 @@ class Relation:
         return NCPoly(alphabet, {self.lead: rf(1)}) - self.repl
 
 
-def _too_long(word, bound):
-    return DegreeBoundExceeded(
-        "word of length %d exceeds bound %d during rewriting"
-        % (len(word), bound))
-
-
 class _WordMemo(dict):
     """word -> (bound, normal form) for one rule system; a dict that
     _WORD_MEMOS can hold weakly."""
@@ -232,7 +227,7 @@ class Presentation:
         """An empty presentation; rules come in through add_rule.
 
         No word normal form is held per presentation: _word_nf is the memo
-        of the rule system (see word_normal_form), looked up at the first
+        of the rule system (see _word_normal_forms), looked up at the first
         word lookup after each rule change, which _rules_version counts."""
         self.name = name
         self.family = family
@@ -257,6 +252,23 @@ class Presentation:
 
     def word_key(self, word):
         return (self.alphabet.word_loop_degree(word), len(word), word)
+
+    def _frontier(self, bound):
+        """(heap, enter) for one rewriting run: enter(w) raises
+        DegreeBoundExceeded if w is longer than bound, else pushes w under
+        word_key reversed, so heappop(heap)[3] is the highest word."""
+        loop_degree = self.alphabet.loop_degrees.__getitem__
+        heap = []
+
+        def enter(w):
+            if len(w) > bound:
+                raise DegreeBoundExceeded(
+                    "word of length %d exceeds bound %d during rewriting"
+                    % (len(w), bound))
+            heappush(heap, (-sum(map(loop_degree, w)), -len(w),
+                            tuple(map(neg, w)), w))
+
+        return heap, enter
 
     def leading_term(self, x: NCPoly):
         if x.is_zero():
@@ -313,24 +325,16 @@ class Presentation:
         pops the word and adds c2 * c at each replaced word, one RatFunc
         product per replacement term, except that no product is made when
         either factor is the shared RatFunc.one() (the product is then the
-        other factor).  The words still to visit sit on a frontier, a heap
-        on negated word_key, so no step rescans the terms; a word found
-        irreducible is never looked at again.  A new word is checked
-        against the bound as it comes in and is added at the end of the
-        dict, in replacement order: the terms come out in the order that
-        rebuilding the whole sum at every step gives, and the word the
-        bound stops at is the first over-long one in that order."""
+        other factor).  The words still to visit sit on a _frontier, so no
+        step rescans the terms; a word found irreducible is never looked at
+        again.  A new word is checked against the bound as it enters the
+        frontier and is added at the end of the dict, in replacement order:
+        the terms come out in the order that rebuilding the whole sum at
+        every step gives, and the word the bound stops at is the first
+        over-long one in that order."""
         bound = self.degree_bound if bound is None else bound
         join = self.alphabet.join
-        loop_degree = self.alphabet.loop_degrees.__getitem__
-        frontier = []
-
-        def enter(w):
-            if len(w) > bound:
-                raise _too_long(w, bound)
-            heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
-                                tuple(map(neg, w)), w))
-
+        frontier, enter = self._frontier(bound)
         terms = dict(x.terms)
         for w in terms:
             enter(w)
@@ -357,10 +361,7 @@ class Presentation:
                 t = c if c2 is one else c2 if c is one else c2 * c
                 s = get(w)
                 if s is None:
-                    if len(w) > bound:
-                        raise _too_long(w, bound)
-                    heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
-                                        tuple(map(neg, w)), w))
+                    enter(w)
                     terms[w] = t
                 else:
                     s = s + t
@@ -371,59 +372,73 @@ class Presentation:
         return x._new(terms)
 
     def word_normal_form(self, word, bound=None):
-        """Normal form of a single word under bound (default degree_bound),
-        memoized for the rule system.
+        """Normal form of a single word under bound (default degree_bound):
+        _word_normal_forms of the contracted word, as a batch of one."""
+        word = self.alphabet.contract(word)
+        return self._word_normal_forms(
+            (word,), self.degree_bound if bound is None else bound)[word]
+
+    def _word_normal_forms(self, words, bound):
+        """{word: normal form under bound} for distinct contracted words,
+        memoized for the rule system: the one entry to the word memo.
 
         The memo is shared by every live presentation with an equal alphabet
         and an equal ordered (lead, replacement) list; it is looked up again
         whenever _rules_version has moved, which add_rule does (code that
         edits .relations in place must bump it itself).  An entry computed
-        under bound b serves every bound >= b; a smaller bound rewrites the
-        word again, and raises as the rewriting does.  A miss is rewritten
-        by _rewrite_words as a batch of one.  A hit filled by another
+        under bound b serves every bound >= b; the words it does not serve
+        are rewritten together by _rewrite_words and stored.  If that batch
+        exceeds the bound it stores nothing, and the words are rewritten one
+        at a time, in order, each stored before the next, so the call raises
+        as the first over-long word alone does.  A hit filled by another
         presentation comes back over this presentation's alphabet."""
-        if bound is None:
-            bound = self.degree_bound
-        memo = (self._word_nf if self._word_nf_version == self._rules_version
-                else self._word_memo())
-        hit = memo.get(word)
-        if hit is None or hit[0] > bound:
-            nf, = self._rewrite_words((self.alphabet.contract(word),), bound)
-            memo[word] = bound, nf
-            return nf
-        nf = hit[1]
-        if nf.alphabet is not self.alphabet:
-            # the same terms over this presentation's (equal) alphabet, kept
-            # for the next hit here
-            nf = nf._new(nf.terms)
-            nf.alphabet = self.alphabet
-            memo[word] = hit[0], nf
-        return nf
+        memo = self._word_memo()
+        out = {}
+        missed = []
+        for w in words:
+            hit = memo.get(w)
+            if hit is None or hit[0] > bound:
+                missed.append(w)
+                continue
+            nf = hit[1]
+            if nf.alphabet is not self.alphabet:
+                # the same terms over this presentation's (equal) alphabet,
+                # kept for the next hit here
+                nf = nf._new(nf.terms)
+                nf.alphabet = self.alphabet
+                memo[w] = hit[0], nf
+            out[w] = nf
+        if missed:
+            try:
+                nfs = self._rewrite_words(missed, bound)
+            except DegreeBoundExceeded:
+                nfs = (self._rewrite_words((w,), bound)[0] for w in missed)
+            for w, nf in zip(missed, nfs):
+                memo[w] = bound, nf
+                out[w] = nf
+        return out
 
     def _rewrite_words(self, words, bound):
-        """The normal forms of distinct words, rewritten in one frontier.
+        """The normal forms of distinct words, rewritten in one _frontier.
 
         Each word is a source, and a term carries one coefficient per source
         that has it ({source: RatFunc}).  A word is popped, matched and
-        expanded once for all of them, by the strategy and the bound rule of
-        normal_form.  A popped word is final, so each source gets the
-        products and sums of a run of its own, and its terms come out in
-        that run's order: by the step that last brought the word into the
-        source (born, or late for a source new to a word already there).
-        The batch raises DegreeBoundExceeded exactly when one of its words
-        alone would, at the batch's first over-long word."""
+        expanded once for all of them, by the strategy of normal_form, and
+        enters the frontier through the same bound check.  A popped word is
+        final, so each source gets the products and sums of a run of its
+        own, and its terms come out in that run's order: by the step that
+        last brought the word into the source (born, or late for a source
+        new to a word already there).  The batch raises DegreeBoundExceeded
+        exactly when one of its words alone would, at the batch's first
+        over-long word."""
         join = self.alphabet.join
-        loop_degree = self.alphabet.loop_degrees.__getitem__
         one = RatFunc.one()
-        frontier = []
+        frontier, enter = self._frontier(bound)
         terms = {}
         born = {}
         late = {}
         for s, w in enumerate(words):
-            if len(w) > bound:
-                raise _too_long(w, bound)
-            heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
-                                tuple(map(neg, w)), w))
+            enter(w)
             terms[w] = {s: one}
             born[w] = s
         step = len(words)
@@ -452,10 +467,7 @@ class Presentation:
                     w = join(w, suffix)
                 tgt = get(w)
                 if tgt is None:
-                    if len(w) > bound:
-                        raise _too_long(w, bound)
-                    heappush(frontier, (-sum(map(loop_degree, w)), -len(w),
-                                        tuple(map(neg, w)), w))
+                    enter(w)
                     terms[w] = (dict(vec) if c2 is one else
                                 {s: c2 if c is one else c2 * c
                                  for s, c in vec.items()})
@@ -490,33 +502,16 @@ class Presentation:
         return self._word_nf
 
     def normal_form_tensor(self, t: TensorPoly, bound=None) -> TensorPoly:
-        """Slotwise normal form of a tensor element.
-
-        Slot by slot, the distinct words that miss the word memo are
-        rewritten together by _rewrite_words, and each normal form goes
-        into the memo as word_normal_form would put it there; the slot is
-        then mapped through word_normal_form.  If the batch exceeds the
-        bound it stores nothing, and the words are rewritten one at a time
-        by word_normal_form, which raises as for that word alone."""
+        """Slotwise normal form of a tensor element: slot by slot, the
+        distinct words of the slot go through _word_normal_forms as one
+        batch, and the slot is mapped through the normal forms it returns."""
         if bound is None:
             bound = self.degree_bound
         out = t
         for i in range(t.arity):
-            memo = self._word_memo()
-            missed = {}
-            for k in out.terms:
-                hit = memo.get(k[i])
-                if hit is None or hit[0] > bound:
-                    missed[k[i]] = None
-            if missed:
-                try:
-                    nfs = self._rewrite_words(tuple(missed), bound)
-                except DegreeBoundExceeded:
-                    pass  # word_normal_form raises below, as for one word
-                else:
-                    for w, nf in zip(missed, nfs):
-                        memo[w] = bound, nf
-            out = out.map_slot(i, lambda w: self.word_normal_form(w, bound))
+            nfs = self._word_normal_forms(
+                dict.fromkeys(k[i] for k in out.terms), bound)
+            out = out.map_slot(i, nfs.__getitem__)
         return out
 
     def decide_zero(self, x: NCPoly, reps=(), bound=None):

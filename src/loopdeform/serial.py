@@ -217,6 +217,15 @@ def dump_bundle(p: Presentation, hopf: HopfData = None, reps=()) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _int(lineno, text, what):
+    """int(text), or a FormatError at lineno naming what was not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(lineno, "%s %r is not an integer"
+                          % (what, text)) from None
+
+
 def _expect_fields(lineno, line, key):
     if not line.startswith(key + " "):
         raise FormatError(lineno, "expected %r header, got %r" % (key, line))
@@ -239,10 +248,12 @@ def _parse_gen_line(lineno, rest, letters):
     except KeyError:
         raise FormatError(lineno, "letter %r is not part of this family's "
                           "alphabet" % name) from None
-    weight = tuple(int(x) for x in attrs.get("weight", "").split(","))
+    weight = tuple(_int(lineno, x, "weight")
+                   for x in attrs.get("weight", "").split(","))
     if (weight != sym.weight
-            or int(attrs.get("degree", "0")) != sym.loop_degree
-            or int(attrs.get("parity", "0")) != 0
+            or _int(lineno, attrs.get("degree", "0"), "degree")
+            != sym.loop_degree
+            or _int(lineno, attrs.get("parity", "0"), "parity") != 0
             or attrs.get("inverse") != sym.inv_name):
         raise FormatError(lineno, "gen %s does not match its catalogue entry"
                           % name)
@@ -285,11 +296,7 @@ def load_bundle(text):
     _, params_text = take("params")
     params = () if params_text == "-" else tuple(params_text.split(","))
     n, bound_text = take("degree-bound")
-    try:
-        degree_bound = int(bound_text)
-    except ValueError:
-        raise FormatError(n, "degree bound %r is not an integer"
-                          % bound_text) from None
+    degree_bound = _int(n, bound_text, "degree bound")
     groups = set(FAMILY_GROUPS[family]) - {"kd"}
     if family in CENTRAL_FAMILIES and any(
             line.split()[:2] in (["gen", "kd+"], ["gen", "kd-"])
@@ -357,7 +364,7 @@ def load_bundle(text):
             fields = rest.split()
             if len(fields) != 2 or not fields[1].startswith("dim="):
                 raise FormatError(n, "malformed rep header %r" % line)
-            current_rep = (fields[0], int(fields[1][4:]), {})
+            current_rep = (fields[0], _int(n, fields[1][4:], "dim"), {})
             continue
         if key == "mat":
             if current_rep is None:

@@ -11,6 +11,7 @@ normal forms under a different strategy, and report bytes pin them.
 """
 
 import random
+from heapq import heappop
 
 import pytest
 
@@ -19,9 +20,13 @@ from loopdeform.freealg import Alphabet, GenSymbol, NCPoly
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
+    CENTRAL_FAMILIES,
+    FAMILY_GROUPS,
     Presentation,
     Relation,
+    alphabet,
     build_classical_sl2,
+    cartan_data,
     get_presentation,
 )
 from loopdeform.ratfunc import rf
@@ -134,6 +139,44 @@ def test_kernel_raises_where_the_reference_raises(name):
             else:
                 _assert_same(p.normal_form(x, bound=bound), want)
     assert raised > 0
+
+
+def _shipped_alphabets():
+    """(family, Cartan datum, alphabet) for every alphabet a presentation
+    over a preset may carry: each family's, and its central-pair twin."""
+    for g in ("sl2", "sl3"):
+        cd = cartan_data(g)
+        for family, groups in sorted(FAMILY_GROUPS.items()):
+            name = "%s-%s" % (family, g)
+            yield pytest.param(family, cd, alphabet(cd, groups), id=name)
+            if family in CENTRAL_FAMILIES:
+                yield pytest.param(family, cd,
+                                   alphabet(cd, set(groups) ^ {"kd"}),
+                                   id=name + "-twin")
+
+
+@pytest.mark.parametrize("family, cd, A", list(_shipped_alphabets()))
+def test_frontier_pops_in_descending_term_order(family, cd, A):
+    # the one term order: the frontier of both rewriting loops pops words by
+    # strictly descending word_key, and its first word is the leading term
+    p = Presentation("frontier", family, cd, A)
+    rng = random.Random(len(A) * len(family))
+    words = list(dict.fromkeys(A.contract(_word(p, rng, 0, 8))
+                               for _ in range(300)))
+    for size in (len(words), 1, 2, 5, 40):
+        sample = rng.sample(words, size)
+        frontier, enter = p._frontier(8)
+        for w in sample:
+            enter(w)
+        popped = [heappop(frontier)[3] for _ in sample]
+        assert not frontier and sorted(popped) == sorted(sample)
+        keys = [p.word_key(w) for w in popped]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        x = NCPoly(A, {w: rf(1) for w in sample})
+        assert p.leading_term(x) == (popped[0], rf(1))
+    with pytest.raises(DegreeBoundExceeded,
+                       match="word of length 9 exceeds bound 8"):
+        enter((0,) * 9)
 
 
 @pytest.mark.parametrize("name", ["yangian-sl2", "twisted-yangian-sl2"])

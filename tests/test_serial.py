@@ -206,13 +206,22 @@ def test_half_a_central_pair_is_a_missing_gen_line():
         load_presentation("\n".join(lines))
 
 
+_HEADER = "presentation x\nfamily uq\ncartan sl2\nparams -\ndegree-bound 12\n"
+
+
 @pytest.mark.parametrize("text, lineno", [
     # the header block ends early: the error names the last line there is
     ("presentation x\nfamily uq", 2),
     ("presentation x\n\nfamily uq\n# no cartan line\n", 3),
     ("presentation x\nfamily uq\ncartan sl2\nparams -\ndegree-bound z\n", 5),
     ("presentation x\nfamily uq\ncartan sl2\nparams -\ndegree-bound 2.5\n", 5),
-], ids=["ends-at-family", "ends-at-comment", "bound-z", "bound-2.5"])
+    # a gen or rep field that must be an integer is not one
+    (_HEADER + "gen e-a1 weight=x degree=0 parity=0\n", 6),
+    (_HEADER + "gen e-a1 weight=-1 degree=x parity=0\n", 6),
+    (_HEADER + "gen e-a1 weight=-1 degree=0 parity=x\n", 6),
+    (_HEADER + "rep r dim=x\n", 6),
+], ids=["ends-at-family", "ends-at-comment", "bound-z", "bound-2.5",
+        "weight-x", "degree-x", "parity-x", "dim-x"])
 def test_malformed_header_is_a_format_error_at_its_line(text, lineno):
     with pytest.raises(FormatError) as info:
         load_bundle(text)
