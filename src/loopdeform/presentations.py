@@ -58,17 +58,17 @@ contributions only from larger words, which are popped first, so each source
 word gets the terms, the term order and the RatFunc products and sums of a
 run of its own, while the words they share are matched and expanded once.
 
-Rules come in through ``Presentation.add_rule`` only (directly, or through
-``add_rule_from_zero_form``), which keeps the memoized word normal forms and
-the lead index current.  Only code that edits ``relations`` in place, as two
-tests do, bumps ``_rules_version`` itself.
+``Presentation.relations`` is a tuple that only ``add_rule`` (directly, or
+through ``add_rule_from_zero_form``) replaces with a longer one.  The lead
+index and the word memo each keep the tuple they were built for, and are
+rebuilt once ``relations`` is another object.
 
 A word's normal form depends only on the alphabet, the ordered rule list and
 the word, and a rewrite that finished under a degree bound b is valid under
-every bound >= b.  So the word memo of ``_word_normal_forms`` belongs to a
-rule system, not to a presentation: presentations alive at the same time
-with equal alphabets and equal ordered ``(lead, replacement)`` lists share
-one memo, found in ``_WORD_MEMOS`` and dropped with the last of them.
+every bound >= b.  So the word memo belongs to a rule system: presentations
+alive at the same time with equal alphabets and equal ordered ``(lead,
+replacement)`` lists share one memo, found in ``_WORD_MEMOS`` and dropped
+with the last of them, and ``alphabet`` gives them one alphabet object.
 Each entry keeps the bound it was computed under, and a lookup under a
 smaller bound rewrites the word again.
 
@@ -224,29 +224,27 @@ class Presentation:
     def __init__(self, name, family, cartan, alphabet,
                  degree_bound=DEFAULT_DEGREE_BOUND, params=(),
                  shift_element=None):
-        """An empty presentation; rules come in through add_rule.
-
-        No word normal form is held per presentation: _word_nf is the memo
-        of the rule system (see _word_normal_forms), looked up at the first
-        word lookup after each rule change, which _rules_version counts."""
+        """An empty presentation; rules come in through add_rule."""
         self.name = name
         self.family = family
         self.cartan = cartan
         self.alphabet = alphabet
-        self.relations = []
+        self.relations = ()
         self.degree_bound = degree_bound
         self.params = tuple(params)
         #: for loop deformations: the weight-homogeneous word whose a-multiple
         #: is subtracted from the loop generator before rule orientation
         self.shift_element = shift_element
-        # word -> (bound, normal form), shared by the live presentations of
-        # the rule system of _word_nf_version
-        self._word_nf = {}
-        self._rules_version = 0
-        self._word_nf_version = -1
-        # the lead index of _first_occurrence, keyed to _rules_version
-        self._index = []
-        self._index_version = -1
+        # (the relations tuple it was built for, cache) for the lead index
+        # of _first_occurrence and the word memo of _word_normal_forms
+        self._index = self._memo = (None, None)
+
+    # read by the benchmark tracer, which counts a word_normal_form call as a
+    # memo hit when the memo of the current relations was fetched here before
+    # (the two ids agree) and holds the word
+    _rules_version = property(lambda self: id(self.relations))
+    _word_nf_version = property(lambda self: id(self._memo[0]))
+    _word_nf = property(lambda self: self._memo[1])
 
     # -- term order ----------------------------------------------------------
 
@@ -283,15 +281,17 @@ class Presentation:
 
         A rule's priority is its position in ``relations``; of two rules
         with one lead only the first can ever fire, so only it is kept.
-        The index is rebuilt whenever _rules_version has moved."""
-        if self._index_version != self._rules_version:
+        The index is rebuilt whenever ``relations`` is not the tuple it was
+        built for."""
+        rules, index = self._index
+        if rules is not self.relations:
             by_length = {}
             for prio, rel in enumerate(self.relations):
                 by_length.setdefault(len(rel.lead), {}).setdefault(
                     rel.lead, (prio, rel))
-            self._index = sorted(by_length.items())
-            self._index_version = self._rules_version
-        return self._index
+            index = sorted(by_length.items())
+            self._index = self.relations, index
+        return index
 
     def _first_occurrence(self, word):
         """(relation, position) for the first rule (in priority order) that
@@ -382,16 +382,12 @@ class Presentation:
         """{word: normal form under bound} for distinct contracted words,
         memoized for the rule system: the one entry to the word memo.
 
-        The memo is shared by every live presentation with an equal alphabet
-        and an equal ordered (lead, replacement) list; it is looked up again
-        whenever _rules_version has moved, which add_rule does (code that
-        edits .relations in place must bump it itself).  An entry computed
-        under bound b serves every bound >= b; the words it does not serve
-        are rewritten together by _rewrite_words and stored.  If that batch
-        exceeds the bound it stores nothing, and the words are rewritten one
-        at a time, in order, each stored before the next, so the call raises
-        as the first over-long word alone does.  A hit filled by another
-        presentation comes back over this presentation's alphabet."""
+        The memo is _word_memo's.  An entry computed under bound b serves
+        every bound >= b and comes back as stored; the words it does not
+        serve are rewritten together by _rewrite_words and stored.  If that
+        batch exceeds the bound it stores nothing, and the words are
+        rewritten one at a time, in order, each stored before the next, so
+        the call raises as the first over-long word alone does."""
         memo = self._word_memo()
         out = {}
         missed = []
@@ -399,15 +395,8 @@ class Presentation:
             hit = memo.get(w)
             if hit is None or hit[0] > bound:
                 missed.append(w)
-                continue
-            nf = hit[1]
-            if nf.alphabet is not self.alphabet:
-                # the same terms over this presentation's (equal) alphabet,
-                # kept for the next hit here
-                nf = nf._new(nf.terms)
-                nf.alphabet = self.alphabet
-                memo[w] = hit[0], nf
-            out[w] = nf
+            else:
+                out[w] = hit[1]
         if missed:
             try:
                 nfs = self._rewrite_words(missed, bound)
@@ -491,15 +480,16 @@ class Presentation:
         return [new({w: c for _, w, c in sorted(f)}) for f in found]
 
     def _word_memo(self):
-        """The word memo of the current rule system, from _WORD_MEMOS (a
-        new one if no live presentation has this rule system)."""
-        if self._word_nf_version != self._rules_version:
-            rules = tuple((rel.lead, tuple(rel.repl.terms.items()))
-                          for rel in self.relations)
-            self._word_nf = _WORD_MEMOS.setdefault((self.alphabet, rules),
-                                                   _WordMemo())
-            self._word_nf_version = self._rules_version
-        return self._word_nf
+        """The word memo of the rule system, from _WORD_MEMOS (a new one if
+        no live presentation has it), found again once ``relations`` is not
+        the tuple it was found for."""
+        rules, memo = self._memo
+        if rules is not self.relations:
+            key = self.alphabet, tuple((rel.lead, tuple(rel.repl.terms.items()))
+                                       for rel in self.relations)
+            memo = _WORD_MEMOS.setdefault(key, _WordMemo())
+            self._memo = self.relations, memo
+        return memo
 
     def normal_form_tensor(self, t: TensorPoly, bound=None) -> TensorPoly:
         """Slotwise normal form of a tensor element: slot by slot, the
@@ -565,12 +555,11 @@ class Presentation:
     def add_rule(self, label, lead, repl, kind, meta=None):
         """Install lead -> repl as the lowest-priority rule and return it.
 
-        The only way a rule comes in: it also retires the memoized word
-        normal forms and the lead index, so rewriting after this call uses
-        the new rule."""
+        ``relations`` becomes a new, longer tuple, so the lead index and
+        the word memo follow it and rewriting after this call uses the new
+        rule."""
         rel = Relation(label, lead, repl, kind, dict(meta or {}))
-        self.relations.append(rel)
-        self._rules_version += 1
+        self.relations = self.relations + (rel,)
         return rel
 
     def relation(self, label) -> Relation:
@@ -660,13 +649,22 @@ FAMILY_GROUPS = {
 CENTRAL_FAMILIES = ("drinfeldian", "yangian")
 
 
+#: (Cartan data, frozenset of group names) -> its one Alphabet
+_ALPHABETS = {}
+
+
 def alphabet(cd: CartanData, groups) -> Alphabet:
     """The letters of cd's catalogue in groups, a collection of group names
-    or a family name (standing for its FAMILY_GROUPS), in catalogue order."""
+    or a family name (standing for its FAMILY_GROUPS), in catalogue order:
+    one object for equal cd and groups."""
     if isinstance(groups, str):
         groups = FAMILY_GROUPS[groups]
-    return Alphabet([s for g, s in _letters(cd) if g in groups],
-                    cd.pairing_matrix)
+    key = cd, frozenset(groups)
+    A = _ALPHABETS.get(key)
+    if A is None:
+        A = _ALPHABETS[key] = Alphabet(
+            [s for g, s in _letters(cd) if g in groups], cd.pairing_matrix)
+    return A
 
 
 def _groups(p: Presentation):

@@ -28,11 +28,13 @@ package builds, shipped or specialized, loads back.  Loading verifies every
 rewrite rules; the structural metadata that drives parameter limits is not part of the text format, so loaded
 presentations verify and rewrite but are not inputs to the limit machinery.
 Hopf maps are re-validated for generator coverage and representations replay
-their full relation check on load.  Every letter is even: dumps write
+their full relation check on load.  A payload line that names a letter the
+alphabet lacks, or whose element or matrix does not parse, is a
+``FormatError`` at its line.  Every letter is even: dumps write
 ``parity=0``, and loading rejects any other value (a missing one reads as 0).
 """
 
-from .errors import UnsupportedAlgebraError
+from .errors import UnknownGeneratorError, UnsupportedAlgebraError
 from .freealg import NCPoly, TensorPoly, add_term
 from .hopf import HopfData
 from .presentations import (
@@ -226,6 +228,18 @@ def _int(lineno, text, what):
                           % (what, text)) from None
 
 
+def _payload(lineno, parse, *args):
+    """parse(*args), or a FormatError at lineno if it rejects its input: a
+    letter the alphabet lacks, or a malformed element or matrix."""
+    try:
+        return parse(*args)
+    except UnknownGeneratorError as exc:
+        raise FormatError(lineno, "letter %s is not part of this family's "
+                          "alphabet" % exc) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(lineno, str(exc)) from None
+
+
 def _expect_fields(lineno, line, key):
     if not line.startswith(key + " "):
         raise FormatError(lineno, "expected %r header, got %r" % (key, line))
@@ -243,11 +257,7 @@ def _parse_gen_line(lineno, rest, letters):
             raise FormatError(lineno, "malformed attribute %r" % f)
         k, v = f.split("=", 1)
         attrs[k] = v
-    try:
-        sym = letters.symbols[letters.id_of(name)]
-    except KeyError:
-        raise FormatError(lineno, "letter %r is not part of this family's "
-                          "alphabet" % name) from None
+    sym = letters.symbols[_payload(lineno, letters.id_of, name)]
     weight = tuple(_int(lineno, x, "weight")
                    for x in attrs.get("weight", "").split(","))
     if (weight != sym.weight
@@ -267,7 +277,8 @@ def load_bundle(text):
     against the alphabet of the family's letter groups over the Cartan type,
     with the central pair when the document has `gen` lines for it; relations,
     Hopf maps, and representation blocks follow in any interleaving after
-    their owners."""
+    their owners.  A malformed line is a FormatError at its line; a matrix
+    image that breaks the relations is a RepValidationError."""
     lines = [(n + 1, raw.strip()) for n, raw in enumerate(text.splitlines())]
     lines = [(n, s) for n, s in lines if s and not s.startswith("#")]
     if not lines:
@@ -307,7 +318,7 @@ def load_bundle(text):
     shift = None
     if pos < len(lines) and lines[pos][1].startswith("shift "):
         n, value = take("shift")
-        shift = parse_ncpoly(value, letters)
+        shift = _payload(n, parse_ncpoly, value, letters)
 
     p = Presentation(name, family, cd, letters,
                      degree_bound=degree_bound, params=params,
@@ -315,6 +326,12 @@ def load_bundle(text):
 
     seen_gens = set()
     delta, antipode, counit = {}, {}, {}
+    # key of a Hopf appendix line -> (its map, the parser of its payload)
+    hopf_lines = {
+        "delta": (delta, lambda body: parse_tensorpoly(body, letters, 2)),
+        "antipode": (antipode, lambda body: parse_ncpoly(body, letters)),
+        "counit": (counit, parse_ratfunc),
+    }
     reps = []
     current_rep = None  # (label, dim, images dict)
 
@@ -340,24 +357,18 @@ def load_bundle(text):
             # a rule lead is a raw pattern: parse it without the inverse-pair
             # contraction that element constructors apply (group-like rules
             # spell out exactly such pairs)
-            lead = tuple(letters.id_of(x)
+            lead = tuple(_payload(n, letters.id_of, x)
                          for x in lead_text.strip().split("."))
-            repl = parse_ncpoly(repl_text, letters)
+            repl = _payload(n, parse_ncpoly, repl_text, letters)
             # keep the written orientation rather than re-orienting, so a
             # dump/load round trip is the identity on rule lists
             p.add_rule(label, lead, repl, "loaded")
             continue
-        if key == "delta":
+        if key in hopf_lines:
             gen, _, body = rest.partition(": ")
-            delta[gen] = parse_tensorpoly(body, letters, 2)
-            continue
-        if key == "antipode":
-            gen, _, body = rest.partition(": ")
-            antipode[gen] = parse_ncpoly(body, letters)
-            continue
-        if key == "counit":
-            gen, _, body = rest.partition(": ")
-            counit[gen] = parse_ratfunc(body)
+            _payload(n, letters.id_of, gen)
+            images, parse = hopf_lines[key]
+            images[gen] = _payload(n, parse, body)
             continue
         if key == "rep":
             close_rep()
@@ -370,7 +381,8 @@ def load_bundle(text):
             if current_rep is None:
                 raise FormatError(n, "mat line outside a rep block")
             gen, _, body = rest.partition(": ")
-            m = _parse_matrix(body)
+            _payload(n, letters.id_of, gen)
+            m = _payload(n, _parse_matrix, body)
             if m.nrows != current_rep[1] or m.ncols != current_rep[1]:
                 raise FormatError(n, "matrix for %s is not %dx%d"
                                   % (gen, current_rep[1], current_rep[1]))

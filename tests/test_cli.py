@@ -128,9 +128,8 @@ def _add_shadow_rule(p):
     shifted by the unit, so its zero form reduces to the nonzero scalar -1
     through the rule listed before it."""
     first = p.relations[0]
-    p.relations.append(Relation("shadow", first.lead, first.repl + p.unit(),
-                                "test"))
-    p._rules_version += 1
+    p.relations += (Relation("shadow", first.lead, first.repl + p.unit(),
+                             "test"),)
     return p
 
 

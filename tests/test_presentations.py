@@ -45,6 +45,7 @@ from loopdeform.presentations import (
     translate,
 )
 from loopdeform.ratfunc import RatFunc, q_power, rf, rf_limit
+from loopdeform.serial import dump_presentation, load_presentation
 
 
 @pytest.fixture(scope="module")
@@ -456,15 +457,53 @@ def test_add_rule_keeps_rewriting_current():
     fe = (p.alphabet.id_of("e-a1"), p.alphabet.id_of("e+a1"))
     t = tensor(f * e, e) + tensor(h, f * e)
     assert p.normal_form_tensor(t) == t  # f e is irreducible
-    assert fe in p._word_nf
+    assert fe in p._word_memo()
     n = len(p.relations)
     rel = p.add_rule("derived:fe", fe, h.scale(rf(2)), "derived", {"n": 1})
-    assert p.relations[n:] == [rel]
+    assert p.relations[n:] == (rel,)
     assert (rel.label, rel.lead, rel.kind, rel.meta) == (
         "derived:fe", fe, "derived", {"n": 1})
     want = tensor(h, e).scale(rf(2)) + tensor(h, h).scale(rf(2))
     assert p.normal_form_tensor(t) == want
     assert p.word_normal_form(fe) == h.scale(rf(2))
+
+
+def test_relations_change_only_by_reassignment_and_every_path_follows():
+    """relations is a tuple: it cannot grow or change in place, and a new
+    tuple reaches the lead index and the word memo, however warm."""
+    p = build_classical_sl2()
+    h = p.gen("ha1")
+    fe = _fe(p)
+    rel = Relation("derived:fe", fe, h.scale(rf(2)), "derived")
+    with pytest.raises(AttributeError):
+        p.relations.append(rel)
+    with pytest.raises(TypeError):
+        p.relations[0] = rel
+    x = NCPoly(p.alphabet, {fe: rf(1)})
+    t = tensor(x, x)
+    # warm every cache on the word f e, irreducible so far
+    assert p._first_occurrence(fe) is None
+    assert p.normal_form(x) == x
+    assert p.word_normal_form(fe) == x
+    assert p.normal_form_tensor(t) == t
+    p.relations = p.relations + (rel,)
+    assert p._first_occurrence(fe) == (rel, 0)
+    assert p.normal_form(x) == h.scale(rf(2))
+    assert p.word_normal_form(fe) == h.scale(rf(2))
+    assert p.normal_form_tensor(t) == tensor(h, h).scale(rf(4))
+
+
+def test_equal_letter_sets_share_one_alphabet_object():
+    yg = get_presentation("yangian-sl2")
+    dr = get_presentation("drinfeldian-sl2")
+    assert specialize(dr, {"q": 1, "kdelta": 1}).alphabet is yg.alphabet
+    assert build_drinfeldian("sl3").alphabet is build_drinfeldian(
+        "sl3").alphabet
+    for p in (yg, dr, specialize(dr, {"kdelta": 1})):
+        assert load_presentation(dump_presentation(p)).alphabet is p.alphabet
+    cd = cartan_data("sl2")
+    assert (presentations.alphabet(cd, "yangian")
+            is presentations.alphabet(cd, {"e", "xi", "h"}))
 
 
 def test_word_memo_honours_a_lowered_degree_bound():
@@ -526,9 +565,10 @@ def test_in_place_rule_swap_rekeys_the_word_memo():
     i = next(i for i, rel in enumerate(p2.relations)
              if rel.label == "cross:e+a1,e-a1")
     rel = p2.relations[i]
-    p2.relations[i] = Relation(rel.label, rel.lead, rel.repl + p2.unit(),
-                               rel.kind, rel.meta)
-    p2._rules_version += 1  # direct rule swap: the memo must follow
+    p2.relations = (p2.relations[:i]
+                    + (Relation(rel.label, rel.lead, rel.repl + p2.unit(),
+                                rel.kind, rel.meta),)
+                    + p2.relations[i + 1:])
     assert p2.word_normal_form(ef) == translate(want, p2.alphabet) + p2.unit()
     assert p1.word_normal_form(ef) == want
 

@@ -273,9 +273,10 @@ def test_no_solution_is_reported():
     idx = next(i for i, r in enumerate(p.relations)
                if r.label == "loop-comm:e-a1")
     bad = p.relations[idx]
-    p.relations[idx] = Relation(bad.label, bad.lead,
-                                bad.repl + p.gen("e+a1"), bad.kind, bad.meta)
-    p._rules_version += 1  # direct rule swap invalidates the rewrite memo
+    p.relations = (p.relations[:idx]
+                   + (Relation(bad.label, bad.lead, bad.repl + p.gen("e+a1"),
+                               bad.kind, bad.meta),)
+                   + p.relations[idx + 1:])
     with pytest.raises(NoSolutionError):
         solve_eval_correction(1, p)
 

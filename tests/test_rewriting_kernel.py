@@ -228,9 +228,8 @@ def test_in_place_rule_swap_reaches_the_index():
     p.add_rule("ab", A.parse_word("a.b"), NCPoly.gen(A, "d"), "test")
     word = A.parse_word("c.b.c")
     assert p._first_occurrence(word) is None
-    p.relations[0] = Relation("bc", A.parse_word("b.c"), NCPoly.gen(A, "a"),
-                              "test")
-    p._rules_version += 1  # direct rule swap: the index must follow
+    p.relations = (Relation("bc", A.parse_word("b.c"), NCPoly.gen(A, "a"),
+                            "test"),)
     assert p._first_occurrence(word) == (p.relations[0], 1)
     assert p.normal_form(NCPoly(A, {word: rf(1)})) == (
         NCPoly.gen(A, "c") * NCPoly.gen(A, "a"))

@@ -8,7 +8,6 @@ import pytest
 from loopdeform.errors import (
     PoleError,
     RepValidationError,
-    UnknownGeneratorError,
     UnsupportedAlgebraError,
 )
 from loopdeform.hopf import build_hopf
@@ -176,7 +175,7 @@ def test_malformed_documents_are_rejected():
     with pytest.raises(FormatError):
         load_presentation("\n".join(lines))
     # an unknown letter inside a relation
-    with pytest.raises(UnknownGeneratorError):
+    with pytest.raises(FormatError):
         load_presentation(good.replace("xi.e-a1", "nope.e-a1"))
     # matrices outside a rep block
     with pytest.raises(FormatError):
@@ -227,6 +226,40 @@ def test_malformed_header_is_a_format_error_at_its_line(text, lineno):
         load_bundle(text)
     assert info.value.lineno == lineno
     assert str(info.value).startswith("line %d: " % lineno)
+
+
+def _yangian_bundle_lines():
+    p = build_yangian_sl2()
+    r = solve_eval_correction(Fraction(1, 2), p)
+    return dump_bundle(p, build_hopf(p), [r]).splitlines()
+
+
+@pytest.mark.parametrize("anchor, line, replace", [
+    ("rel ", "rel x: foo.e-a1 => 0", True),
+    ("degree-bound ", "shift foo", False),
+    ("rel ", "rel x: e-a1 => (q^)*e+a1", True),
+    ("counit xi:", "counit xi: q^^", True),
+    ("counit xi:", "counit xi: 1/0", True),
+    ("delta xi:", "delta xi: 1*(xi)", True),
+    ("delta xi:", "delta nope: 1*(xi @ 1)", True),
+    ("mat xi:", "mat xi: 1,0;0", True),
+    # after the last matrix of a complete rep block
+    ("mat ha1:", "mat foo: 1,0;0,1", False),
+], ids=["rel-letter", "shift-letter", "rel-exponent", "counit-exponent",
+        "counit-pole", "delta-one-slot", "delta-letter", "mat-ragged",
+        "mat-letter"])
+def test_malformed_payload_is_a_format_error_at_its_line(anchor, line,
+                                                         replace):
+    lines = _yangian_bundle_lines()
+    i = next(i for i, l in enumerate(lines) if l.startswith(anchor))
+    if replace:
+        lines[i] = line
+    else:
+        i += 1
+        lines.insert(i, line)
+    with pytest.raises(FormatError) as info:
+        load_bundle("\n".join(lines) + "\n")
+    assert info.value.lineno == i + 1
 
 
 def test_loaded_rep_is_revalidated():

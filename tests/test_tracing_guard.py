@@ -8,6 +8,7 @@ reads 0.  This test turns such a move into a failure.
 
 import importlib.util
 import pathlib
+import re
 
 from loopdeform import presentations, ratfunc, repn
 
@@ -32,3 +33,12 @@ def test_every_traced_name_is_defined_in_its_owner():
     missing = ["%s.%s" % (owner.__name__, attr) for owner, attr in wrapped
                if attr not in vars(owner)]
     assert missing == []
+
+
+def test_every_presentation_attribute_the_tracer_reads_exists():
+    """The word_normal_form counter reads attributes of its presentation p
+    to mirror the memo rule; a missing one would fail every traced job."""
+    names = set(re.findall(r"\bp\.(\w+)", _TRACING.read_text()))
+    p = presentations.build_classical_sl2()
+    p.word_normal_form(())
+    assert names and [n for n in sorted(names) if not hasattr(p, n)] == []
