@@ -1,8 +1,18 @@
 """Exact arithmetic in the field Q(q, eta, zeta, u, v, w).
 
-Polynomials are stored sparsely as {exponent-tuple: coefficient} with terms
-kept in graded-lexicographic order, so equal polynomials have identical
-storage.  A coefficient is stored as an int when it is integral and as a
+Polynomials are stored sparsely as {key: coefficient} in descending key
+order, so equal polynomials have identical storage.  A key packs an
+exponent vector into one int: the total degree on top, then a field per
+variable in VARIABLES order, each _BITS value bits under two guard bits.
+Key order is then graded-lexicographic, and a product of monomials adds
+their keys.  An exponent is at most _EMAX = 2^16 - 1 and never negative
+(RatFunc.var puts a negative power in the denominator): a construction or
+product past _EMAX raises OverflowError, as a sum of up to three keys in
+range sets a guard bit exactly when a field passes _EMAX and carries into
+no other field.  The constructor also takes exponent tuples as keys, and
+monomials() reads them back.
+
+A coefficient is stored as an int when it is integral and as a
 Fraction (denominator > 1) only when it is not: the structure maps of the
 loop deformations have integral coefficients almost everywhere, and int
 arithmetic is far cheaper than Fraction arithmetic.  Every quotient of
@@ -47,12 +57,11 @@ over 1, is reduced once (sum_of_products, which the slotwise normal forms
 use): each product's numerator is lifted to the lcm q^A*(q-1)^B*(q+1)^D of
 the products' unreduced denominators, the lifted numerators are added, and
 one _strip cancels the known factors that sum shares with the lcm.  Each
-lifted product is summed term by term into one exponent dict, so no
-MultiPoly is made per product or per lift.  A
-fraction has one reduced form with monic denominator, and the storage of
-its numerator and denominator is canonical, so this is the RatFunc that
-reducing every product and partial sum gives, with one strip in place of
-one per product and one per sum.
+lifted product is summed term by term into one dict of keys, so no
+MultiPoly is made per product or per lift.  A fraction has one reduced form
+with monic denominator, and the storage of its numerator and denominator is
+canonical, so this is the RatFunc that reducing every product and partial
+sum gives, with one strip in place of one per product and one per sum.
 
 Any other operand goes through mp_gcd, which knows nothing of the factors
 q, q-1, q+1: past the trivial and monomial cases it is the primitive-PRS
@@ -68,15 +77,27 @@ MultiPoly.one().
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, or_, sub
 
 from .errors import PoleError
 
 VARIABLES = ("q", "eta", "zeta", "u", "v", "w")
 NVARS = len(VARIABLES)
 VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
-_ZEXP = (0,) * NVARS
+
+# a key: the total degree above one field per variable, q's the highest;
+# each field is _BITS value bits under two guard bits
+_BITS = 16
+_EMAX = (1 << _BITS) - 1
+_SHIFT = tuple((_BITS + 2) * (NVARS - 1 - i) for i in range(NVARS))
+# the key of each variable to the first power
+_UNIT = tuple((1 << (_BITS + 2) * NVARS) + (1 << sh) for sh in _SHIFT)
+_GUARDS = sum(3 << (sh + _BITS) for sh in _SHIFT)
+# every field but q's
+_NOT_Q = (1 << _SHIFT[0]) - 1
+_ZEXP = 0  # the key of a constant
 
 
 def _coeff(c):
@@ -99,8 +120,30 @@ def _div(a, b):
     return _coeff(Fraction(a, b))
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+def _checked(key):
+    """key, unless a field of it passed _EMAX."""
+    if key & _GUARDS:
+        raise OverflowError("an exponent passed the largest stored, %d" % _EMAX)
+    return key
+
+
+def _power(i, p):
+    """The key of variable i to the power p."""
+    if p < 0:
+        raise ValueError("negative exponent %d in a polynomial" % p)
+    # capped where it sets a guard bit and carries no further
+    return _checked(min(p, _EMAX + 1) * _UNIT[i])
+
+
+def _pack(exp):
+    """The key of an exponent tuple."""
+    if len(exp) != NVARS:
+        raise ValueError("an exponent tuple has %d entries: %r" % (NVARS, exp))
+    return sum(map(_power, range(NVARS), exp))
+
+
+def _unpack(key):
+    return tuple(key >> sh & _EMAX for sh in _SHIFT)
 
 
 class MultiPoly:
@@ -111,10 +154,13 @@ class MultiPoly:
     def __init__(self, terms=None):
         clean = {}
         if terms:
-            for exp, c in sorted(terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
-                c = _coeff(c)
+            if type(next(iter(terms))) is not int:
+                terms = {_pack(e): c for e, c in terms.items()}
+            for e in sorted(terms, reverse=True):
+                c = _coeff(terms[e])
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[e] = c
+            _checked(reduce(or_, clean, 0))
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -134,10 +180,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name, power=1):
-        i = VAR_INDEX[name]
-        exp = [0] * NVARS
-        exp[i] = power
-        return cls({tuple(exp): 1})
+        return _poly({_power(VAR_INDEX[name], power): 1})
 
     # -- predicates / views ------------------------------------------------
 
@@ -156,26 +199,28 @@ class MultiPoly:
         return self.terms.get(_ZEXP, 0)
 
     def vars_used(self):
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return used
+        used = reduce(or_, self.terms, 0)
+        return {i for i, sh in enumerate(_SHIFT) if used >> sh & _EMAX}
 
     def degree(self, i):
         """Largest exponent of variable i (0 for the zero polynomial)."""
-        return max((exp[i] for exp in self.terms), default=0)
+        sh = _SHIFT[i]
+        return max((e >> sh & _EMAX for e in self.terms), default=0)
 
     def min_degree(self, i):
-        return min((exp[i] for exp in self.terms), default=0)
+        sh = _SHIFT[i]
+        return min((e >> sh & _EMAX for e in self.terms), default=0)
+
+    def monomials(self):
+        """(exponent tuple, coefficient) of each term, in storage order."""
+        return ((_unpack(e), c) for e, c in self.terms.items())
 
     def leading(self):
-        """(exponent, coefficient) of the graded-lex leading term."""
+        """(exponent tuple, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = next(iter(self.terms))  # storage is grlex-descending
-        return exp, self.terms[exp]
+        e, c = next(iter(self.terms.items()))  # storage is grlex-descending
+        return _unpack(e), c
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -221,12 +266,13 @@ class MultiPoly:
         # and no two products share an exponent
         if len(t1) == 1:
             (e1, c1), = t1.items()
-            return _poly({tuple(map(add, e1, e2)): _coeff(c1 * c2)
-                          for e2, c2 in t2.items()})
+            out = {e1 + e2: _coeff(c1 * c2) for e2, c2 in t2.items()}
+            _checked(reduce(or_, out, 0))
+            return _poly(out)
         out = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 s = out.get(e)
                 # the constructor drops the sums that cancel
                 out[e] = c1 * c2 if s is None else s + c1 * c2
@@ -257,48 +303,43 @@ class MultiPoly:
     def eval_var(self, i, value):
         """Substitute a rational value for variable i."""
         value = _coeff(value)
+        sh, unit = _SHIFT[i], _UNIT[i]
         out = {}
-        for exp, c in self.terms.items():
-            c2 = c * value ** exp[i]
-            e = exp[:i] + (0,) + exp[i + 1 :]
-            if c2:
-                s = out.get(e, 0) + c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        for e, c in self.terms.items():
+            p = e >> sh & _EMAX
+            e -= p * unit
+            # the constructor drops the sums that cancel
+            out[e] = out.get(e, 0) + c * value ** p
         return MultiPoly(out)
 
     def map_vars(self, mapping):
         """Simultaneously send variable i to variable mapping[i] (exponents add)."""
         out = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.monomials():
             e = [0] * NVARS
             for i, p in enumerate(exp):
                 e[mapping.get(i, i)] += p
-            e = tuple(e)
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            e = _pack(e)
+            out[e] = out.get(e, 0) + c
         return MultiPoly(out)
 
     def to_univariate(self, i):
         """View as a polynomial in variable i: {degree: MultiPoly in the rest}."""
+        sh, unit = _SHIFT[i], _UNIT[i]
         out = {}
-        for exp, c in self.terms.items():
-            d = exp[i]
-            e = exp[:i] + (0,) + exp[i + 1 :]
-            out.setdefault(d, {})[e] = c
-        return {d: MultiPoly(t) for d, t in out.items()}
+        for e, c in self.terms.items():
+            d = e >> sh & _EMAX
+            out.setdefault(d, {})[e - d * unit] = c
+        # each row is translated by one key, which keeps its order
+        return {d: _poly(t) for d, t in out.items()}
 
     @staticmethod
     def from_univariate(i, coeffs):
         out = {}
         for d, p in coeffs.items():
-            for exp, c in p.terms.items():
-                e = exp[:i] + (exp[i] + d,) + exp[i + 1 :]
+            lift = _power(i, d)
+            for e, c in p.terms.items():
+                e += lift
                 out[e] = out.get(e, 0) + c
         return MultiPoly(out)
 
@@ -308,17 +349,17 @@ class MultiPoly:
         if not self.terms:
             return "0"
         pieces = []
-        for exp, c in self.terms.items():
+        for e, c in self.terms.items():
             neg = c < 0
             ac = -c if neg else c
             factors = []
-            if ac != 1 or not any(exp):
+            if ac != 1 or not e:
                 factors.append(_coeff_str(ac))
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(VARIABLES[i])
-                elif e:
-                    factors.append("%s^%d" % (VARIABLES[i], e))
+            for name, p in zip(VARIABLES, _unpack(e)):
+                if p == 1:
+                    factors.append(name)
+                elif p:
+                    factors.append("%s^%d" % (name, p))
             term = "*".join(factors)
             if not pieces:
                 pieces.append(("-" if neg else "") + term)
@@ -355,7 +396,7 @@ def _coeff_str(c):
 def _monic(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
-    _, lc = p.leading()
+    lc = next(iter(p.terms.values()))
     return p if lc == 1 else p.scale(_div(1, lc))
 
 
@@ -365,17 +406,21 @@ def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by zero polynomial")
     q = {}
     r = dict(f.terms)
-    gexp, gc = g.leading()
+    gterms = g.terms.items()
+    gexp, gc = next(iter(gterms))
     while r:
-        rexp = max(r, key=_grlex_key)
-        diff = tuple(map(sub, rexp, gexp))
-        if any(d < 0 for d in diff):
+        rexp = max(r)
+        # a field of rexp past _EMAX, where no exact remainder reaches, or
+        # below gexp's, which borrows from its guard bits
+        diff = (rexp | _GUARDS) - gexp
+        if rexp & _GUARDS or diff & _GUARDS != _GUARDS:
             raise ValueError("non-exact polynomial division")
+        diff -= _GUARDS
         c = _div(r[rexp], gc)
         q[diff] = c
         # r -= c * x^diff * g, which cancels the leading term of r
-        for e, k in g.terms.items():
-            e = tuple(map(add, diff, e))
+        for e, k in gterms:
+            e += diff
             s = r.get(e, 0) - c * k
             if s:
                 r[e] = s
@@ -443,9 +488,10 @@ def _q_split(p: MultiPoly):
     p involves another variable or another factor."""
     terms = p.terms
     for e in terms:
-        if any(e[1:]):
+        if e & _NOT_Q:
             return None
-    return _root_multiplicities({e[0]: c for e, c in terms.items()})
+    return _root_multiplicities({e >> _SHIFT[0] & _EMAX: c
+                                 for e, c in terms.items()})
 
 
 def _root_multiplicities(coeffs):
@@ -493,18 +539,21 @@ def _strip(mult, p: MultiPoly):
 
     q - r divides p exactly when it divides the q-polynomial beside each
     monomial in the other variables (a row), so the multiplicity of each
-    factor in p is the least over the rows.  The quotient is read off the
-    synthetic divisions that find the multiplicities; only a row divided
-    before a later row lowered them is divided again."""
+    factor in p is the least over the rows.  A row is keyed by the key of
+    its monomial without q, and a term of it by q's exponent.  The quotient
+    is read off the synthetic divisions that find the multiplicities; only a
+    row divided before a later row lowered them is divided again."""
     terms = p.terms
     a, b, d = mult
+    sh, unit = _SHIFT[0], _UNIT[0]
     if a:
-        a = min(a, min(e[0] for e in terms))
+        a = min(a, min(e >> sh & _EMAX for e in terms))
     # a monomial has neither 1 nor -1 as a root
     if (b or d) and len(terms) > 1:
         rows = {}
         for e, c in terms.items():
-            rows.setdefault(e[1:], {})[e[0]] = c
+            k = e >> sh & _EMAX
+            rows.setdefault(e - k * unit, {})[k] = c
         done = []
         for rest, row in rows.items():
             # descending coefficients of row / q^a
@@ -522,12 +571,12 @@ def _strip(mult, p: MultiPoly):
                 top = len(quo) - 1
                 for j, c in enumerate(quo):
                     if c:
-                        out[(top - j,) + rest] = c
+                        out[rest + (top - j) * unit] = c
             return MultiPoly(out), (a, b, d)
     if not a:
         return p, _NO_FACTORS
-    # dividing by a power of q translates the exponents: the order holds
-    return _poly({(e[0] - a,) + e[1:]: c for e, c in terms.items()}), (a, 0, 0)
+    # dividing by a power of q translates the keys: the order holds
+    return _poly({e - a * unit: c for e, c in terms.items()}), (a, 0, 0)
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -543,11 +592,9 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if len(f.terms) == 1 or len(g.terms) == 1:
         # a monomial is involved: the gcd is the elementwise-min monomial
         # over every exponent occurring in either polynomial
-        exps = None
-        for p in (f, g):
-            for e in p.terms:
-                exps = e if exps is None else tuple(map(min, exps, e))
-        return MultiPoly({exps: 1})
+        keys = [*f.terms, *g.terms]
+        return _poly({sum(min(e >> sh & _EMAX for e in keys) * u
+                          for sh, u in zip(_SHIFT, _UNIT)): 1})
     fv, gv = f.vars_used(), g.vars_used()
     # prefer a variable that only one of them uses: the gcd then lives in
     # that one's coefficients, and no pseudo-remainder sequence is needed
@@ -615,7 +662,7 @@ class RatFunc:
             self.den = _ONE_POLY
             self.split = _NO_FACTORS
             return
-        _, lc = den.leading()
+        lc = next(iter(den.terms.values()))
         split = _q_split(den)
         if split is not None:
             # den is lc times the product over split
@@ -796,7 +843,7 @@ class RatFunc:
                 c = c1 * c2
                 if type(c) is not int:
                     c = _coeff(c)
-                return _make(_poly({tuple(map(add, e1, e2)): c}), _ONE_POLY,
+                return _make(_poly({_checked(e1 + e2): c}), _ONE_POLY,
                              _NO_FACTORS)
             return _make(n1 * n2, _ONE_POLY, _NO_FACTORS)
         # a nonzero constant shares no factor with a reduced denominator
@@ -963,14 +1010,16 @@ def sum_of_products(pairs):
 def _reduced_once(pairs):
     """sum_of_products for operands that all split (see the module
     docstring).  Every lifted numerator is over the one lcm, so a prefix
-    sum is zero exactly when its lifted numerators cancel."""
+    sum is zero exactly when its lifted numerators cancel.  A key of the
+    sum adds a key of each numerator and of the lift, three keys in range,
+    so the constructor's guard check is exact."""
     lifted = []
-    top = _NO_FACTORS
     for a, b in pairs:
         sa, sb = a.split, b.split
-        s = (sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])
-        lifted.append((a.num, b.num, s))
-        top = tuple(map(max, top, s))
+        lifted.append((a.num, b.num,
+                       (sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])))
+    # there are two pairs at least
+    top = tuple(map(max, *[s for _, _, s in lifted]))
     out, start = {}, 0
     for n, (n1, n2, s) in enumerate(lifted):
         if not out:
@@ -981,11 +1030,10 @@ def _reduced_once(pairs):
         t2 = n2.terms.items()
         if s != top:
             lift = _q_product(tuple(map(sub, top, s))).terms.items()
-            t2 = [(tuple(map(add, e2, e3)), c2 * c3)
-                  for e2, c2 in t2 for e3, c3 in lift]
+            t2 = [(e2 + e3, c2 * c3) for e2, c2 in t2 for e3, c3 in lift]
         for e1, c1 in n1.terms.items():
             for e2, c2 in t2:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 c = c1 * c2 + out.get(e, 0)
                 if c:
                     out[e] = c
@@ -1073,16 +1121,17 @@ def laurent_coeffs(f: RatFunc, name: str, point, upto: int):
 
 def _shift_to(p: MultiPoly, i: int, point) -> MultiPoly:
     """Substitute x_i -> x_i + point (exact binomial expansion)."""
+    sh, unit = _SHIFT[i], _UNIT[i]
     out = MultiPoly()
-    for exp, c in p.terms.items():
-        n = exp[i]
-        base = exp[:i] + (0,) + exp[i + 1 :]
+    for e, c in p.terms.items():
+        n = e >> sh & _EMAX
+        base = e - n * unit
         row = {}
         b = 1  # binom(n, m), updated incrementally
         for m in range(n + 1):
             cc = c * b * point ** (n - m)
             if cc:
-                e = base[:i] + (m,) + base[i + 1 :]
+                e = base + m * unit
                 row[e] = row.get(e, 0) + cc
             b = b * (n - m) // (m + 1)
         out = out + MultiPoly(row)

@@ -30,7 +30,9 @@ presentations verify and rewrite but are not inputs to the limit machinery.
 Hopf maps are re-validated for generator coverage and representations replay
 their full relation check on load.  A payload line that names a letter the
 alphabet lacks, or whose element or matrix does not parse, is a
-``FormatError`` at its line.  Every letter is even: dumps write
+``FormatError`` at its line, and so is a second ``delta``, ``antipode`` or
+``counit`` line for one letter, or a second ``mat`` line for one letter in
+a rep block.  Every letter is even: dumps write
 ``parity=0``, and loading rejects any other value (a missing one reads as 0).
 """
 
@@ -368,6 +370,8 @@ def load_bundle(text):
             gen, _, body = rest.partition(": ")
             _payload(n, letters.id_of, gen)
             images, parse = hopf_lines[key]
+            if gen in images:
+                raise FormatError(n, "second %s line for %s" % (key, gen))
             images[gen] = _payload(n, parse, body)
             continue
         if key == "rep":
@@ -382,6 +386,9 @@ def load_bundle(text):
                 raise FormatError(n, "mat line outside a rep block")
             gen, _, body = rest.partition(": ")
             _payload(n, letters.id_of, gen)
+            if gen in current_rep[2]:
+                raise FormatError(n, "second mat line for %s in rep %s"
+                                  % (gen, current_rep[0]))
             m = _payload(n, _parse_matrix, body)
             if m.nrows != current_rep[1] or m.ncols != current_rep[1]:
                 raise FormatError(n, "matrix for %s is not %dx%d"

@@ -180,7 +180,7 @@ _SYMS = sympy.symbols(" ".join(VARIABLES))
 
 def _to_sympy(p: MultiPoly):
     acc = sympy.Integer(0)
-    for exp, c in p.terms.items():
+    for exp, c in p.monomials():
         term = sympy.Rational(c.numerator, c.denominator)
         for s, e in zip(_SYMS, exp):
             term *= s**e
@@ -290,7 +290,7 @@ def test_series_of_polynomial_is_its_coefficient(p, k):
     if not p.den.is_const():
         return
     expect = RatFunc(
-        MultiPoly({(0,) + e[1:]: c for e, c in p.num.terms.items() if e[0] == k}),
+        MultiPoly({(0,) + e[1:]: c for e, c in p.num.monomials() if e[0] == k}),
         p.den,
     )
     assert rf_series_coeff(p, "q", k) == expect
@@ -370,7 +370,7 @@ def test_integral_fraction_and_int_build_the_same_poly():
     from_int = MultiPoly({exp: 3})
     assert from_fraction == from_int
     assert hash(from_fraction) == hash(from_int)
-    assert type(from_fraction.terms[exp]) is int
+    assert type(dict(from_fraction.monomials())[exp]) is int
     assert str(from_fraction) == str(from_int) == "3*q*u^2"
     assert rf(Fraction(6, 3)) == rf(2)
 
@@ -691,26 +691,26 @@ def test_a_denominator_one_is_the_shared_constant():
 def _sorting_mul(f, g):
     """The product through the sorting constructor."""
     out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.monomials():
+        for e2, c2 in g.monomials():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return MultiPoly(out)
 
 
 def _sorting_add(f, g):
-    out = dict(f.terms)
-    for e, c in g.terms.items():
+    out = dict(f.monomials())
+    for e, c in g.monomials():
         out[e] = out.get(e, 0) + c
     return MultiPoly(out)
 
 
 def _sorting_neg(f):
-    return MultiPoly({e: -c for e, c in f.terms.items()})
+    return MultiPoly({e: -c for e, c in f.monomials()})
 
 
 def _sorting_scale(f, c):
-    return MultiPoly({e: k * c for e, k in f.terms.items()})
+    return MultiPoly({e: k * c for e, k in f.monomials()})
 
 
 def _divexact_strip(mult, p):
@@ -727,12 +727,12 @@ def _divexact_strip(mult, p):
                 break
             caps = trial
     quotient = divexact(p, _known_product(caps))
-    return MultiPoly(dict(quotient.terms)), tuple(caps)
+    return MultiPoly(dict(quotient.monomials())), tuple(caps)
 
 
 def _assert_same_poly(ours, theirs):
     """Equal terms in storage order, coefficient types and hash."""
-    assert list(ours.terms.items()) == list(theirs.terms.items())
+    assert list(ours.monomials()) == list(theirs.monomials())
     assert [type(c) for c in ours.terms.values()] == \
         [type(c) for c in theirs.terms.values()]
     assert hash(ours) == hash(theirs)
@@ -938,3 +938,97 @@ def test_sum_of_products_matches_the_eager_fold(pairs, unsplit, shape,
     assert start == want_start
     if shape == "negated":
         assert got is RatFunc.zero()
+
+
+# ---------------------------------------------------------------------------
+# packed exponent keys: grlex order, the largest exponent and its guard bits
+# ---------------------------------------------------------------------------
+
+_EMAX = ratfunc._EMAX
+
+# in-range exponent tuples, the smallest and the largest entries among them
+_any_exponent = st.tuples(*[st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([_EMAX - 1, _EMAX]),
+    st.integers(min_value=0, max_value=_EMAX))] * len(VARIABLES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_any_exponent, unique=True, max_size=8))
+def test_keys_are_in_grlex_order_and_unpack_to_their_exponents(exps):
+    p = MultiPoly({e: 1 for e in exps})
+    assert [e for e, _ in p.monomials()] == sorted(
+        exps, key=lambda e: (sum(e), e), reverse=True)
+    for e in exps:
+        assert ratfunc._unpack(ratfunc._pack(e)) == e
+
+
+def test_the_largest_exponent_round_trips():
+    exp = (_EMAX, 0, 1, 0, 0, _EMAX)
+    p = MultiPoly({exp: 3})
+    assert list(p.monomials()) == [(exp, 3)]
+    assert str(p) == "3*q^65535*zeta*w^65535"
+    assert rf(str(p)).num == p
+    assert p.degree(0) == p.degree(5) == _EMAX
+    assert p.vars_used() == {0, 2, 5}
+    top = MultiPoly.var("eta", _EMAX)
+    assert str(top * MultiPoly.var("q")) == "q*eta^65535"
+    assert divexact(top * MultiPoly.var("q"), top) == MultiPoly.var("q")
+
+
+_TOP_Q = RatFunc.var("q", _EMAX)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiPoly.var("q", _EMAX + 1),
+    lambda: MultiPoly({(0, 0, _EMAX + 1, 0, 0, 0): 1}),
+    lambda: MultiPoly({(0, 0, 0, 1 << 40, 0, 0): 1}),
+    # a monomial times a polynomial, and the general product
+    lambda: MultiPoly.var("eta", _EMAX) * MultiPoly.var("eta"),
+    lambda: (MultiPoly.var("q", _EMAX) + MultiPoly.var("u"))
+    * (MultiPoly.var("q") + MultiPoly.var("v")),
+    # two monomials over the shared denominator 1
+    lambda: RatFunc.var("w", _EMAX) * RatFunc.var("w"),
+    lambda: RatFunc.var("u", 40000) * RatFunc.var("u", 30000),
+    # the lift of a product to the lcm of the denominators (behind one guard
+    # bit, q^65535 times q^65535*q^3 would carry out of q's field), and the
+    # product of two numerators
+    lambda: ratfunc.sum_of_products(
+        [(_TOP_Q, _TOP_Q), (rf("q^-3"), rf(1))]),
+    lambda: ratfunc.sum_of_products(
+        [(_TOP_Q / rf("q - 1"), rf("q")), (rf("1/(q + 1)"), rf(1))]),
+], ids=["var", "tuple", "tuple-huge", "monomial-mul", "mul", "ratfunc-monomial",
+        "ratfunc-monomial-halves", "reduced-once-lift", "reduced-once-product"])
+def test_exponents_past_the_largest_raise(build):
+    # and never alias a neighbouring field
+    with pytest.raises(OverflowError):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiPoly.var("q", -1),
+    lambda: MultiPoly({(0, -1, 0, 0, 0, 0): 1}),
+    lambda: MultiPoly({(1, 0): 1}),
+])
+def test_negative_exponents_and_short_tuples_are_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_negative_powers_live_in_the_denominator():
+    assert RatFunc.var("q", -1) == rf("q^-1")
+    assert str(RatFunc.var("q", -1)) == "(1)/(q)"
+
+
+@pytest.mark.parametrize("f, g", [
+    (MultiPoly.var("q"), MultiPoly.var("eta")),
+    (MultiPoly.var("eta", _EMAX), MultiPoly.var("q")),
+    (rf("q^3*w").num, rf("q*v").num),
+    # a remainder past the largest exponent, where no exact quotient
+    # reaches, and which the divisor's leading term divides
+    (MultiPoly.var("eta", 4) * MultiPoly.var("q", _EMAX), rf("eta^2 + q").num),
+], ids=["q/eta", "eta^max/q", "q^3*w/(q*v)", "remainder-past-max"])
+def test_divexact_borrow_check_refuses_non_exact_division(f, g):
+    # a field below the divisor's borrows from no neighbouring field
+    with pytest.raises(ValueError):
+        divexact(f, g)

@@ -262,6 +262,23 @@ def test_malformed_payload_is_a_format_error_at_its_line(anchor, line,
     assert info.value.lineno == i + 1
 
 
+@pytest.mark.parametrize("anchor, line", [
+    ("delta xi:", "delta xi: 2*(xi @ 1)"),
+    ("antipode xi:", "antipode xi: -xi"),
+    ("counit xi:", "counit xi: 0"),
+    ("mat xi:", "mat xi: 0,0;0,0"),
+], ids=["delta", "antipode", "counit", "mat"])
+def test_second_line_for_one_letter_is_a_format_error_at_it(anchor, line):
+    # the second line parses; it is refused, not kept over the first
+    lines = _yangian_bundle_lines()
+    i = next(i for i, l in enumerate(lines) if l.startswith(anchor)) + 1
+    lines.insert(i, line)
+    with pytest.raises(FormatError) as info:
+        load_bundle("\n".join(lines) + "\n")
+    assert info.value.lineno == i + 1
+    assert "second" in str(info.value)
+
+
 def test_loaded_rep_is_revalidated():
     p = build_yangian_sl2()
     r = solve_eval_correction(Fraction(1, 2), p)
