@@ -29,6 +29,8 @@ names; presentations._limit_tensor_zero_form sends the central letter to 1.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import UnknownGeneratorError, UnsupportedAlgebraError
 from .freealg import (
     NCPoly,
@@ -78,13 +80,18 @@ DEFAULT_CONVENTION = "raise-left"
 
 
 class HopfData:
-    """Coproduct, counit and antipode on every generator of a presentation."""
+    """Coproduct, counit and antipode on every generator of a presentation.
+
+    ``delta``, ``epsilon`` and ``antipode`` are read-only views of copies
+    of the given maps, so the letter-id maps the structure maps read, and
+    anything cached per HopfData, cannot fall out of step with them; a
+    variant is a new HopfData built from ``dict(H.delta)`` and the like."""
 
     def __init__(self, presentation: Presentation, delta, epsilon, antipode):
         self.presentation = presentation
-        self.delta = dict(delta)
-        self.epsilon = dict(epsilon)
-        self.antipode = dict(antipode)
+        self.delta = MappingProxyType(dict(delta))
+        self.epsilon = MappingProxyType(dict(epsilon))
+        self.antipode = MappingProxyType(dict(antipode))
         A = presentation.alphabet
         for s in A.symbols:
             if (s.name not in self.delta or s.name not in self.epsilon

@@ -892,10 +892,16 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return RatFunc.one() / self ** (-n)
+        # square and multiply, with no square after the top bit
         out = RatFunc.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        base = self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     # -- substitution and limits ----------------------------------------------
 

@@ -10,16 +10,31 @@ antipode by them, and verifies the structural identities (cocycle,
 coassociativity, homomorphism on relations, antipode axiom, counit
 normalization) order by order.  The twisted checks apply the twisted maps
 inside a tensor slot through hopf's slot maps, one order of the word map at
-a time.  A zero verdict is a rewriting proof; a normal form that stays
+a time.
+
+The twisted structure of a HopfData at an order is built once and shared
+by the twisted maps and checks: F and F^{-1} on first use, u and u^{-1}
+on first antipode use, and the twisted coproduct and antipode of
+each single word (a generator is the word of one letter) when first met.
+It dies with its HopfData, whose maps are read-only, and is built anew once
+the presentation's ``relations`` is another tuple or its ``degree_bound``
+has changed.  The cocycle and counit checks build their own F.
+
+A zero verdict is a rewriting proof; a normal form that stays
 nonzero is unknown, because the rule system is not confluent.  Matrix
 evaluations are independent witnesses: a nonzero matrix disproves, a zero
 one proves nothing.
 """
 
+import weakref
 from fractions import Fraction
 from math import factorial
 
-from .errors import ArityMismatchError, NotUnitLeadingError
+from .errors import (
+    ArityMismatchError,
+    NotUnitLeadingError,
+    UnsupportedAlgebraError,
+)
 from .freealg import NCPoly, TensorPoly, tensor
 from .hopf import (
     HopfData,
@@ -178,9 +193,15 @@ def twist_F(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
 
     The order-k coefficient is (zeta^k / k!) * ladder_k (x) f^k, where
     ladder_k is the falling Cartan product h(h+2)...(h+2(k-1)) and f the
-    lowering generator."""
+    lowering generator.  A presentation without the letters ha1 and e-a1
+    raises UnsupportedAlgebraError."""
     if p is None:
         p = build_yangian_sl2()
+    missing = [n for n in ("ha1", "e-a1") if n not in p.alphabet.index]
+    if missing:
+        raise UnsupportedAlgebraError(
+            "the twist is built on the rank-1 letters ha1 and e-a1; "
+            "%s has no %s" % (p.name, " or ".join(missing)))
     f = p.gen("e-a1")
     zeta = rf("zeta")
     terms = []
@@ -248,14 +269,89 @@ def _twisted_S(H, u, ui, x, N):
     return [t.as_ncpoly() for t in _conjugate(p, u, ui, mid, N)]
 
 
+def _per_word(memo, twisted, H, left, right, N):
+    """word -> twisted(H, left, right, word, N) on single words, kept in
+    memo."""
+    A = H.presentation.alphabet
+
+    def of_word(word):
+        if word not in memo:
+            memo[word] = twisted(H, left, right, NCPoly(A, {word: rf(1)}), N)
+        return memo[word]
+
+    return of_word
+
+
+class _Twisted:
+    """The twisted structure of one HopfData at order N: F and F^{-1}, u
+    and u^{-1} once an antipode needs them, and the memos of the twisted
+    coproduct and antipode on single words.
+
+    It keeps the rule tuple and degree bound it was built under, and no
+    reference to its HopfData, so that the HopfData can drop it."""
+
+    def __init__(self, H: HopfData, N: int):
+        p = H.presentation
+        self.rules, self.bound, self.order = p.relations, p.degree_bound, N
+        self.F = twist_F(N, p)
+        self.Fi = series_inverse(self.F)
+        self.u = self.ui = None
+        self.deltas, self.antipodes = {}, {}
+
+    def delta_of(self, H: HopfData):
+        """word -> graded coefficients of F Delta(word) F^{-1}."""
+        return _per_word(self.deltas, _twisted_delta, H, self.F, self.Fi,
+                         self.order)
+
+    def antipode_of(self, H: HopfData):
+        """word -> graded coefficients of u S(word) u^{-1}; u and u^{-1}
+        are built on the first call."""
+        if self.u is None:
+            u = _partner(self.F, H)
+            self.ui = series_inverse(u)
+            self.u = u
+        return _per_word(self.antipodes, _twisted_S, H, self.u, self.ui,
+                         self.order)
+
+
+#: HopfData -> {order: _Twisted}; the entry of a HopfData dies with it
+_TWISTED = weakref.WeakKeyDictionary()
+
+
+def _twisted(H: HopfData, N: int) -> _Twisted:
+    """The twisted structure of H at order N, built anew when the rule
+    tuple or degree bound of H's presentation is not the one it was built
+    under."""
+    p = H.presentation
+    by_order = _TWISTED.setdefault(H, {})
+    tw = by_order.get(N)
+    if (tw is None or tw.rules is not p.relations
+            or tw.bound != p.degree_bound):
+        tw = by_order[N] = _Twisted(H, N)
+    return tw
+
+
+def _word_of(x: NCPoly, H: HopfData):
+    """x's word when x is one word over H's alphabet with coefficient 1,
+    else None."""
+    if x.alphabet is H.presentation.alphabet and len(x.terms) == 1:
+        (word, c), = x.terms.items()
+        if c == 1:
+            return word
+    return None
+
+
 def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
     """Coproduct of x conjugated by the twisting element, truncated at N.
 
     Returns the list of graded coefficients of F Delta(x) F^{-1}; entry k is
     a two-slot tensor element carrying exactly zeta^k, entry 0 is the
     untwisted coproduct in normal form."""
-    F = twist_F(N, H.presentation)
-    return _twisted_delta(H, F, series_inverse(F), x, N)
+    tw = _twisted(H, N)
+    word = _word_of(x, H)
+    if word is None:
+        return _twisted_delta(H, tw.F, tw.Fi, x, N)
+    return list(tw.delta_of(H)(word))
 
 
 def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
@@ -264,8 +360,12 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
     Returns the list of graded coefficients of u S(x) u^{-1} as plain
     algebra elements, u = m(id (x) S)F; entry 0 is the untwisted antipode in
     normal form."""
-    u = _partner(twist_F(N, H.presentation), H)
-    return _twisted_S(H, u, series_inverse(u), x, N)
+    tw = _twisted(H, N)
+    antipode_of = tw.antipode_of(H)
+    word = _word_of(x, H)
+    if word is None:
+        return _twisted_S(H, tw.u, tw.ui, x, N)
+    return list(antipode_of(word))
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +441,6 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
     return rows
 
 
-def _per_word(twisted, H, left, right, N):
-    """word -> twisted(H, left, right, word, N) on single words, memoized."""
-    memo = {}
-    A = H.presentation.alphabet
-
-    def of_word(word):
-        if word not in memo:
-            memo[word] = twisted(H, left, right, NCPoly(A, {word: rf(1)}), N)
-        return memo[word]
-
-    return of_word
-
-
 def _in_slot(slot_map, series, slot, graded_of):
     """A hopf slot map with a graded word map (graded_of) on a graded list:
     order k is the sum over j of slot_map(series[j], slot, order k - j)."""
@@ -381,12 +468,11 @@ def check_twisted_coassoc(H: HopfData, N: int = DEFAULT_ORDER):
     coproduct are compared order by order; the verdict is zero only if every
     order reduces to zero symbolically."""
     p = H.presentation
-    F = twist_F(N, p)
-    Fi = series_inverse(F)
-    delta_of = _per_word(_twisted_delta, H, F, Fi, N)
+    delta_of = _twisted(H, N).delta_of(H)
     rows = []
     for name in H.delta:
-        d = _twisted_delta(H, F, Fi, p.gen(name), N)
+        (word,) = p.gen(name).terms
+        d = delta_of(word)
         left, right = (_in_slot(apply_in_slot, d, s, delta_of) for s in (0, 1))
         rows.append(_orders_row(name, [p.normal_form_tensor(a - b)
                                        for a, b in zip(left, right)]))
@@ -400,10 +486,9 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     relation's zero form, so the rewriting system has to do the cancellation
     order by order rather than inherit it from the untwisted check."""
     p = H.presentation
-    F = twist_F(N, p)
-    Fi = series_inverse(F)
-    return [_orders_row(rel.label,
-                        _twisted_delta(H, F, Fi, rel.zero_form(p.alphabet), N))
+    tw = _twisted(H, N)
+    return [_orders_row(rel.label, _twisted_delta(
+                H, tw.F, tw.Fi, rel.zero_form(p.alphabet), N))
             for rel in p.relations]
 
 
@@ -415,14 +500,13 @@ def check_twisted_antipode(H: HopfData, N: int = DEFAULT_ORDER):
     reproduce the counit: m(S'(x)id)Delta'(x) == eps(x) 1 == m(id(x)S')
     Delta'(x).  One row per generator and side."""
     p = H.presentation
-    F = twist_F(N, p)
-    Fi = series_inverse(F)
-    u = _partner(F, H)
-    antipode_of = _per_word(_twisted_S, H, u, series_inverse(u), N)
+    tw = _twisted(H, N)
+    delta_of, antipode_of = tw.delta_of(H), tw.antipode_of(H)
     rows = []
     for name in H.delta:
         x = p.gen(name)
-        d = _twisted_delta(H, F, Fi, x, N)
+        (word,) = x.terms
+        d = delta_of(word)
         for side, label in ((0, "antipode-left"), (1, "antipode-right")):
             acc = _in_slot(_mult_with_map, d, side, antipode_of)
             acc[0] = acc[0] - p.unit().scale(H.counit(x))

@@ -1,9 +1,10 @@
 """Guard for what the benchmark in perfbench/ takes from loopdeform.
 
-perfbench/workloads.py imports its entry points by name, and the tracer in
-perfbench/tracing.py calls two methods with positional arguments.  Deleting
-or reshaping one of them would only break a benchmark run; these tests make
-it fail in the test suite.
+perfbench/workloads.py imports its entry points by name and calls the twist
+maps and checks in fixed shapes, and the tracer in perfbench/tracing.py
+calls two methods with positional arguments.  Deleting or reshaping one of
+them would only break a benchmark run; these tests make it fail in the test
+suite.
 """
 
 import importlib.util
@@ -39,3 +40,15 @@ def test_tracer_calls_bind_to_the_traced_methods():
         "p", "word", "bound")
     inspect.signature(Presentation.is_zero_mod).bind(
         "p", "x", "reps", "bound")
+
+
+def test_twist_calls_bind_to_the_workload_entry_points():
+    # the calls of twist-series, on the names workloads.py imports
+    w = _load_workloads()
+    for fn in (w.twisted_coproduct, w.twisted_antipode):
+        inspect.signature(fn).bind("x", "H", "order")
+    inspect.signature(w.check_cocycle).bind("order", reps="reps", p="p")
+    inspect.signature(w.check_twist_counit).bind("order", p="p")
+    for fn in (w.check_twisted_coassoc, w.check_twisted_homomorphism,
+               w.check_twisted_antipode):
+        inspect.signature(fn).bind("H", "order")

@@ -44,6 +44,7 @@ from loopdeform.presentations import (
 )
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor
+from loopdeform.serial import dump_bundle
 from loopdeform.twist import check_twisted_homomorphism
 
 
@@ -108,6 +109,29 @@ def test_default_convention_frozen_images(uq2, uq2_hopf):
     assert H.antipode["k+a1"] == ki
     assert H.epsilon["e+a1"] == rf(0)
     assert H.epsilon["k+a1"] == rf(1)
+
+
+def test_structure_maps_are_read_only(yang):
+    # H.coproduct reads the letter-id map built from delta at construction,
+    # so a write to delta would reach dump_bundle but not the coproduct
+    H = build_hopf(yang)
+    text = dump_bundle(yang, H)
+    xi, one = yang.gen("xi"), yang.unit()
+    for name, value in (("delta", tensor(xi, one)), ("antipode", xi),
+                        ("epsilon", rf(1))):
+        with pytest.raises(TypeError):
+            getattr(H, name)["xi"] = value
+    assert dump_bundle(yang, H) == text
+    # a variant is a new HopfData built from copies of the maps
+    delta = dict(H.delta)
+    delta["xi"] = tensor(xi, one)
+    H2 = HopfData(yang, delta, H.epsilon, H.antipode)
+    assert H2.delta == delta != dict(H.delta)
+    assert H2.coproduct(xi) == tensor(xi, one)
+    assert dump_bundle(yang, H) == text
+    H3 = HopfData(yang, H.delta, H.epsilon, H.antipode)
+    assert H3.delta == dict(H.delta) and H3.delta is not H.delta
+    assert dump_bundle(yang, H3) == text
 
 
 def test_coproduct_is_multiplicative(uq2, uq2_hopf):

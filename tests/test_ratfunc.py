@@ -1032,3 +1032,54 @@ def test_divexact_borrow_check_refuses_non_exact_division(f, g):
     # a field below the divisor's borrows from no neighbouring field
     with pytest.raises(ValueError):
         divexact(f, g)
+
+
+# ---------------------------------------------------------------------------
+# powers: square and multiply, against the repeated product
+# ---------------------------------------------------------------------------
+
+
+def _repeated_power(a, n):
+    out = RatFunc.one()
+    for _ in range(abs(n)):
+        out = out * a
+    return out if n >= 0 else RatFunc.one() / out
+
+
+def _stored(x):
+    """Everything a product leaves behind: terms in storage order with
+    their coefficient types, the split, the shared denominator 1, str()."""
+    return ([(e, c, type(c)) for e, c in x.num.terms.items()],
+            list(x.den.terms.items()), x.split,
+            x.den is ratfunc._ONE_POLY, str(x))
+
+
+@pytest.mark.parametrize("text", [
+    # the denominator splits
+    "(q^2 + eta)/(q*(q + 1)^2)", "(eta - q)/(q^2 - 1)",
+    # it does not
+    "(u + v)/(u - v)", "(q^2 + u)/(q^2 + v + 1)",
+    # it is 1
+    "2/3*q + eta*u - 1/2", "zeta", "-3",
+])
+@pytest.mark.parametrize("n", list(range(9)) + [-1, -2, -3, -5])
+def test_power_matches_the_repeated_product(text, n):
+    a = rf(text)
+    assert _stored(a ** n) == _stored(_repeated_power(a, n))
+
+
+def test_power_squares(monkeypatch):
+    # the repeated product made 20,000 products; rf("q^20000") parses
+    # through the same power
+    counts = {"mul": 0}
+    mul = RatFunc.__mul__
+
+    def counting_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    x = Q ** 20000
+    monkeypatch.undo()
+    assert x == RatFunc.var("q", 20000)
+    assert counts["mul"] <= 2 * (20000 - 1).bit_length()

@@ -1,16 +1,23 @@
 """Order-truncated twist series: frozen low-order values, exact inversion,
 conjugated structure maps, and the order-by-order structural checks."""
 
+import gc
 import hashlib
+import weakref
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from loopdeform.errors import ArityMismatchError, NotUnitLeadingError
+from loopdeform import twist
+from loopdeform.errors import (
+    ArityMismatchError,
+    NotUnitLeadingError,
+    UnsupportedAlgebraError,
+)
 from loopdeform.freealg import TensorPoly, tensor
 from loopdeform.hopf import HopfData, apply_in_slot, build_hopf
-from loopdeform.presentations import build_yangian_sl2
+from loopdeform.presentations import build_yangian_sl2, get_presentation
 from loopdeform.ratfunc import rf
 from loopdeform.repn import evaluate_tensor, solve_eval_correction
 from loopdeform.twist import (
@@ -54,6 +61,17 @@ def two_dim_rep(eta_pres):
 
 def all_zero(rows):
     return all(v == "zero" for _, v, _ in rows)
+
+
+def flipped_eta_pairing(p, H):
+    """The criterion-6 mutant: the sign of the eta pairing in Delta(xi)
+    flipped, with the antipode and counit of the real structure."""
+    xi, f, h = p.gen("xi"), p.gen("e-a1"), p.gen("ha1")
+    one = p.unit()
+    delta = dict(H.delta)
+    delta["xi"] = (tensor(xi, one) + tensor(one, xi)
+                   - tensor(f, h).scale(rf("eta")))
+    return HopfData(p, delta, H.epsilon, H.antipode)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +301,8 @@ def test_twisted_antipode_axiom_both_sides(eta_hopf):
 
 
 def test_twisted_checks_flag_a_flipped_eta_pairing(eta_pres, eta_hopf):
-    # the criterion-6 mutant: the sign of the eta pairing in Delta(xi)
-    # flipped, with the antipode and counit of the real structure
-    p, H = eta_pres, eta_hopf
-    xi, f, h = p.gen("xi"), p.gen("e-a1"), p.gen("ha1")
-    one = p.unit()
-    delta = dict(H.delta)
-    delta["xi"] = (tensor(xi, one) + tensor(one, xi)
-                   - tensor(f, h).scale(rf("eta")))
-    mutant = HopfData(p, delta, H.epsilon, H.antipode)
+    H = eta_hopf
+    mutant = flipped_eta_pairing(eta_pres, H)
     expected = {
         check_twisted_coassoc: {"xi": [1, 2, 3]},
         check_twisted_antipode: {"xi:antipode-left": [0, 1],
@@ -336,3 +347,112 @@ def test_cocycle_rep_rows_agree_across_orders(eta_pres, two_dim_rep):
         rows = dict((label, v)
                     for label, v, _ in check_cocycle(N, reps=reps, p=eta_pres))
         assert rows["eval-2dim-cube"] == "zero"
+
+
+# ---------------------------------------------------------------------------
+# one twisted structure per HopfData and order
+# ---------------------------------------------------------------------------
+
+
+def _suite_items(H, N):
+    """Every twisted check and map of H at order N, as (label, run) with
+    run(H) giving strings."""
+    items = [(check.__name__, lambda G, check=check: [
+        str(row) for row in check(G, N)])
+        for check in (check_twisted_coassoc, check_twisted_homomorphism,
+                      check_twisted_antipode)]
+    p = H.presentation
+    # the generators are single words, 2*e-a1 is not
+    elements = [(name, p.gen(name)) for name in H.delta]
+    elements.append(("2*e-a1", p.gen("e-a1").scale(rf(2))))
+    for name, x in elements:
+        for twisted in (twisted_coproduct, twisted_antipode):
+            items.append(("%s:%s" % (twisted.__name__, name),
+                          lambda G, twisted=twisted, x=x: [
+                              str(t) for t in twisted(x, G, N)]))
+    return items
+
+
+def _outcome(run, H):
+    try:
+        return run(H)
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+@pytest.mark.parametrize("mutate", [None, flipped_eta_pairing],
+                         ids=["shipped", "flipped-eta"])
+def test_shared_twisted_structure_matches_a_fresh_one(mutate):
+    p = build_yangian_sl2()
+    p.degree_bound = 16  # order 4 needs 13
+
+    def fresh():
+        H = build_hopf(p)
+        return H if mutate is None else mutate(p, H)
+
+    shared = fresh()
+    for N in range(5):
+        for _, run in _suite_items(shared, N):
+            run(shared)
+    # each item again, now after every other one ran on the shared H
+    for N in range(5):
+        for label, run in _suite_items(shared, N):
+            assert run(shared) == run(fresh()), (N, label)
+
+
+def test_twisted_maps_are_linear_past_the_word_memo(eta_pres, eta_hopf):
+    # a generator's images come from the memo of its word; twice it does not
+    x = eta_pres.gen("xi")
+    for twisted in (twisted_coproduct, twisted_antipode):
+        once = twisted(x, eta_hopf, 2)
+        assert twisted(x.scale(rf(2)), eta_hopf, 2) == [
+            t.scale(rf(2)) for t in once]
+
+
+def test_lowered_degree_bound_rebuilds_the_twisted_structure():
+    p = build_yangian_sl2()
+    H = build_hopf(p)
+    for _, run in _suite_items(H, 3):
+        assert "Exceeded" not in str(_outcome(run, H))
+    p.degree_bound = 5  # order 3 needs 7
+    raised = []
+    for label, run in _suite_items(H, 3):
+        got = _outcome(run, H)
+        assert got == _outcome(run, build_hopf(p)), label
+        if "DegreeBoundExceeded" in str(got):
+            raised.append(label)
+    # every check, and the maps of the longer generators
+    assert raised[:3] == ["check_twisted_coassoc",
+                          "check_twisted_homomorphism",
+                          "check_twisted_antipode"]
+    assert len(raised) > 3
+
+
+def test_twisted_structure_is_shared_and_dies_with_its_hopf_data():
+    p = build_yangian_sl2()
+    H = build_hopf(p)
+    tw = twist._twisted(H, 2)
+    assert twist._twisted(H, 2) is tw
+    assert twist._twisted(H, 3) is not tw
+    p.relations = p.relations[:-1] + p.relations[-1:]  # same rules, new tuple
+    assert twist._twisted(H, 2) is not tw
+    tw = twist._twisted(H, 2)
+    p.degree_bound += 1
+    assert twist._twisted(H, 2) is not tw
+    check_twisted_antipode(H, 2)
+    dead = weakref.ref(twist._twisted(H, 2))
+    del H, tw
+    gc.collect()
+    assert dead() is None
+
+
+@pytest.mark.parametrize("name", ["uq-sl2", "drinfeldian-sl2"])
+@pytest.mark.parametrize("run", [
+    lambda p: twist_F(1, p),
+    lambda p: check_twisted_homomorphism(build_hopf(p), 1),
+    lambda p: twisted_antipode(p.gen("e-a1"), build_hopf(p), 1),
+    lambda p: check_cocycle(1, p=p),
+], ids=["twist_F", "homomorphism", "antipode", "cocycle"])
+def test_twist_outside_rank_one_yangians_is_unsupported(name, run):
+    with pytest.raises(UnsupportedAlgebraError, match="has no ha1"):
+        run(get_presentation(name))

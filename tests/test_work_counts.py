@@ -33,7 +33,9 @@ system, so each counted check starts from a cold memo (_cold): otherwise a
 presentation another test module keeps alive would hand it warm normal
 forms, and its counts would depend on which tests ran first.  The order-4
 twist check of twist-series reuses the normal forms the order-3 check made
-on a second presentation of yangian-sl2.  Every word normal form comes
+on a second presentation of yangian-sl2, and each order of the twist suite
+builds its series, and the twisted image of each word, once for all its
+checks and twisted maps.  Every word normal form comes
 through one memo entry, Presentation._word_normal_forms, which a tensor
 slot calls once with its distinct words; the words of the slot that miss
 the memo are rewritten in one shared _frontier, so a word that several of
@@ -47,7 +49,7 @@ from functools import partial
 
 import pytest
 
-from loopdeform import hopf, ratfunc, repn, rmatrix
+from loopdeform import hopf, ratfunc, repn, rmatrix, twist
 from loopdeform.hopf import build_hopf, check_homomorphism
 from loopdeform.freealg import NCPoly
 from loopdeform.presentations import (
@@ -418,3 +420,47 @@ def test_eval_correction_builds_four_candidate_reps(monkeypatch):
     monkeypatch.undo()
     assert labels == ["eval-spin(1/2)", "eval-spin(1)", "eval-spin(3/2)"]
     assert counts == {"candidate": 12, "validated": 3}
+
+
+# twist-series runs the twist suite on yangian-sl2 at order 3 and at order 4
+# (degree bound 16), each on one HopfData, with the zeta = 0 round trip of
+# the twisted maps on the generators at order 3.  Each check and map built
+# F, F^-1, u and u^-1 afresh, and the twisted images of its own words: 18
+# twist_F, 16 series_inverse, 6 _partner, and 44 single-word twisted
+# coproducts (24 distinct) and 28 antipodes.  The twisted structure of a
+# HopfData at an order now builds each once; the cocycle and counit checks
+# still build their own F
+def test_twist_suite_builds_each_series_once_per_order(monkeypatch):
+    counts = dict.fromkeys(("twist_F", "series_inverse", "_partner",
+                            "delta", "antipode"), 0)
+    for name in ("twist_F", "series_inverse", "_partner"):
+        monkeypatch.setattr(twist, name,
+                            _counting(counts, name, getattr(twist, name)))
+    for name, key in (("_twisted_delta", "delta"),
+                      ("_twisted_S", "antipode")):
+        fn = getattr(twist, name)
+
+        def single_word(H, left, right, x, N, fn=fn, key=key):
+            counts[key] += len(x.terms) == 1
+            return fn(H, left, right, x, N)
+
+        monkeypatch.setattr(twist, name, single_word)
+    for order, bound in ((3, 12), (4, 16)):
+        p = build_yangian_sl2()
+        p.degree_bound = bound
+        H = build_hopf(p)
+        r = repn.solve_eval_correction(Fraction(1, 2), p)
+        rows = (twist.check_cocycle(order, reps=(r, r, r), p=p)
+                + twist.check_twisted_coassoc(H, order)
+                + twist.check_twisted_homomorphism(H, order)
+                + twist.check_twisted_antipode(H, order)
+                + twist.check_twist_counit(order, p=p))
+        assert {verdict for _, verdict, _ in rows} == {"zero"}
+        if order == 3:
+            for name in H.delta:
+                x = p.gen(name)
+                twist.twisted_coproduct(x, H, order)
+                twist.twisted_antipode(x, H, order)
+    monkeypatch.undo()
+    assert counts == {"twist_F": 6, "series_inverse": 4, "_partner": 2,
+                      "delta": 24, "antipode": 24}
