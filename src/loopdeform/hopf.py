@@ -30,6 +30,7 @@ names; presentations._limit_tensor_zero_form sends the central letter to 1.
 from __future__ import annotations
 
 from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 from .errors import UnknownGeneratorError, UnsupportedAlgebraError
 from .freealg import (
@@ -222,6 +223,11 @@ def _convention_exponents(convention):
 def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
     """Hopf data for any presentation of a known family.
 
+    p holds the HopfData of each convention weakly: while the one built
+    last is alive, a call returns it, until ``relations`` is another tuple.
+    So the checks that take only p share the maps, and what hangs on them,
+    with a caller that holds the HopfData of p.
+
     A letter with an inverse is group-like, as g * g^-1 = 1 requires, and
     every other letter primitive.  Then the uq and drinfeldian e/f letters
     take the convention's Cartan factors, the drinfeldian xi the loop
@@ -229,6 +235,17 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
     eta), and the yangian xi with eta the rank-1 formula.  Refused
     (UnsupportedAlgebraError): a drinfeldian presentation without its shift
     element, and a yangian xi with eta above rank 1."""
+    rules, built = p._hopf
+    if rules is not p.relations:
+        built = WeakValueDictionary()
+        p._hopf = p.relations, built
+    H = built.get(convention)
+    if H is None:
+        H = built[convention] = _hopf_data(p, convention)
+    return H
+
+
+def _hopf_data(p: Presentation, convention) -> HopfData:
     family = p.family
     if family not in FAMILY_GROUPS:
         raise UnsupportedAlgebraError("no Hopf data for family %r" % family)

@@ -236,8 +236,9 @@ class Presentation:
         #: is subtracted from the loop generator before rule orientation
         self.shift_element = shift_element
         # (the relations tuple it was built for, cache) for the lead index
-        # of _first_occurrence and the word memo of _word_normal_forms
-        self._index = self._memo = (None, None)
+        # of _first_occurrence, the word memo of _word_normal_forms and the
+        # HopfData that hopf.build_hopf keeps weakly per convention
+        self._index = self._memo = self._hopf = (None, None)
 
     # read by the benchmark tracer, which counts a word_normal_form call as a
     # memo hit when the memo of the current relations was fetched here before
@@ -744,12 +745,14 @@ def _install_ef_rules(p: Presentation):
 
 
 def _install_serre_rules(p: Presentation):
+    """ad_q(x_i)^(1 - a_ij) x_j = 0 for each ordered pair i != j of raising
+    (and of lowering) letters; where a_ij = 0 that is x_i x_j = x_j x_i."""
     A = p.alphabet
     cd = p.cartan
     for sign in ("+", "-"):
         for i in range(cd.rank):
             for j in range(cd.rank):
-                if i == j or cd.matrix[i][j] == 0:
+                if i == j:
                     continue
                 n = 1 - cd.matrix[i][j]
                 xi_ = NCPoly.gen(A, "e%s%s" % (sign, cd.labels[i]))

@@ -68,6 +68,12 @@ q, q-1, q+1: past the trivial and monomial cases it is the primitive-PRS
 Euclid algorithm, each of whose remainders is freed of its content in the
 other variables and of its rational content.
 
+A caller that multiplies many coefficients can clear them first
+(clear_denominators): one scalar d, the lcm of their denominators with its
+integer content, and the polynomials d*c with integer coefficients.  Their
+products then take neither a gcd nor a Fraction; the Yang-Baxter residual
+and the twist suite's graded products divide by d once, at the end.
+
 Nothing mutates a MultiPoly or a RatFunc after construction, so the
 constants zero and one are shared instances (MultiPoly.zero/one,
 RatFunc.zero/one, and rf(0), rf(1)), and every denominator 1 is
@@ -1050,6 +1056,34 @@ def _reduced_once(pairs):
     t, caps = _strip(top, MultiPoly(out))
     split = tuple(map(sub, top, caps))
     return _make(t, _q_product(split), split), start
+
+
+def clear_denominators(coeffs):
+    """(d, cleared) for a dict of RatFunc coefficients: d = m*D, where D is
+    the lcm of their denominators and m the least positive integer that
+    makes D and every D*c have integer coefficients, and cleared maps each
+    key to d*c, a polynomial with integer coefficients.  d is a polynomial
+    too, over the denominator 1.
+
+    The lcm takes one mp_gcd per distinct denominator other than 1 after
+    the first, so none when every denominator is the shared 1.  When d is
+    1, cleared is coeffs itself."""
+    den = _ONE_POLY
+    for d in dict.fromkeys(c.den for c in coeffs.values()
+                           if c.den is not _ONE_POLY):
+        den = d if den is _ONE_POLY else den * divexact(d, mp_gcd(den, d))
+    nums = {k: c.num if c.den is den or c.den == den
+            else c.num * divexact(den, c.den) for k, c in coeffs.items()}
+    m = 1
+    for n in (den, *nums.values()):
+        for x in n.terms.values():
+            if type(x) is not int:
+                m = lcm(m, x.denominator)
+    if m == 1 and den is _ONE_POLY:
+        return _ONE, coeffs
+    return (_make(den.scale(m), _ONE_POLY, _NO_FACTORS),
+            {k: _make(n.scale(m), _ONE_POLY, _NO_FACTORS)
+             for k, n in nums.items()})
 
 
 def _paren_poly(p: MultiPoly):

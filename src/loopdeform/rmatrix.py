@@ -9,9 +9,11 @@ two-dimensional fundamental representation: r is translated into the
 representation's alphabet by letter name, placed in two of three slots, and
 evaluated to an exact 8x8 matrix over the rational-function field; spectral
 dependence enters through the variables u, v, w.  The denominators of r are
-cleared before the placement, so the three commutators are products of
-matrices with polynomial entries, and cybe_residual divides a nonzero
-residual by the renamed common denominators once, at the end.
+cleared before the placement by ratfunc.clear_denominators, the helper the
+twist suite's graded products share, so the three commutators are products
+of matrices whose entries are polynomials with integer coefficients, and
+cybe_residual divides a nonzero residual by the renamed common denominators
+once, at the end.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from fractions import Fraction
 from .errors import ArityMismatchError
 from .freealg import NCPoly, TensorPoly, tensor
 from .presentations import alphabet, cartan_data, translate
-from .ratfunc import MultiPoly, RatFunc, divexact, mp_gcd, rf
+from .ratfunc import clear_denominators, rf
 from .repn import MatrixRF, evaluate_tensor, spin_rep
 
 #: Basis letters h, e, f and the classical sl2 letters they name.
@@ -104,12 +106,13 @@ def cybe_residual(r: TensorPoly) -> MatrixRF:
     rational functions, not a numerical check.  The fundamental
     representation is built once and acts in all three slots.
 
-    With d the lcm of r's coefficient denominators and P = d*r, each placed
-    r_ij is P_ij/d_ij, where d_ij is d renamed like slot pair ij.  The
-    commutators are taken of the P_ij, whose coefficients are polynomials,
-    and summed as [P12,P13] d23 + [P12,P23] d13 + [P13,P23] d12, so no
-    coefficient is reduced until the end: a nonzero sum is the only place
-    where the residual is divided, entrywise by d12, d13 and d23 in turn."""
+    With (d, P) from clear_denominators of r's coefficients, P = d*r has
+    coefficients that are polynomials with integer coefficients, and each
+    placed r_ij is P_ij/d_ij, where d_ij is d renamed like slot pair ij.
+    The commutators are taken of the P_ij and summed as
+    [P12,P13] d23 + [P12,P23] d13 + [P13,P23] d12, so no coefficient is
+    reduced until the end: a nonzero sum is the only place where the
+    residual is divided, entrywise by d12, d13 and d23 in turn."""
     if r.arity != 2:
         raise ArityMismatchError(
             "an r-matrix has two slots, got arity %d" % r.arity)
@@ -118,12 +121,8 @@ def cybe_residual(r: TensorPoly) -> MatrixRF:
     if isinstance(pair, str):
         raise ValueError("r-matrix letter %s is not in %s"
                          % (pair, rep.presentation.name))
-    lcm = MultiPoly.one()
-    for den in dict.fromkeys(c.den for c in pair.terms.values()):
-        lcm = lcm * divexact(den, mp_gcd(lcm, den))
-    cleared = pair.map_coeffs(
-        lambda c: RatFunc(c.num * divexact(lcm, c.den)))
-    d = RatFunc(lcm)
+    d, terms = clear_denominators(pair.terms)
+    cleared = TensorPoly(pair.alphabet, 2, terms)
 
     def placed(slots, spectral):
         d_ij = d.map_vars(spectral)

@@ -12,13 +12,24 @@ normalization) order by order.  The twisted checks apply the twisted maps
 inside a tensor slot through hopf's slot maps, one order of the word map at
 a time.
 
+Graded products run on cleared coefficients.  Each term is held as the
+pair (1/d, P) for the pair (d, P) of ratfunc.clear_denominators: P = d *
+term has coefficients that are polynomials with integer coefficients, so
+the 1/k! of F, and the rationals it spawns in F^{-1}, u and u^{-1}, never
+enter the slotwise normal forms.  Each order of a product is brought to
+the lcm of its scalars' denominators, reduced once, and divided once, when
+the caller needs the terms themselves; a conjugation stays cleared between
+its two products.  A series is cleared once, on its first product.
+
 The twisted structure of a HopfData at an order is built once and shared
-by the twisted maps and checks: F and F^{-1} on first use, u and u^{-1}
+by the twisted maps and checks: F and F^{-1} when it is made, u and u^{-1}
 on first antipode use, and the twisted coproduct and antipode of
 each single word (a generator is the word of one letter) when first met.
 It dies with its HopfData, whose maps are read-only, and is built anew once
 the presentation's ``relations`` is another tuple or its ``degree_bound``
-has changed.  The cocycle and counit checks build their own F.
+has changed.  The cocycle and counit checks and twist_u, which take a
+presentation, find its HopfData through build_hopf, so they share the
+structure of the HopfData a caller holds.
 
 A zero verdict is a rewriting proof; a normal form that stays
 nonzero is unknown, because the rule system is not confluent.  Matrix
@@ -49,7 +60,7 @@ from .presentations import (
     check_row,
     rewrite_row,
 )
-from .ratfunc import rf
+from .ratfunc import RatFunc, clear_denominators, rf
 from .repn import evaluate_tensor, solve_eval_correction
 
 #: Truncation order used when callers do not ask for one.  High enough that
@@ -80,7 +91,7 @@ class TwistSeries:
     are handled as plain lists of graded coefficients, not as this type.
     """
 
-    __slots__ = ("presentation", "terms", "order", "arity")
+    __slots__ = ("presentation", "terms", "order", "arity", "_cleared_terms")
 
     def __init__(self, presentation: Presentation, terms):
         terms = tuple(terms)
@@ -103,6 +114,14 @@ class TwistSeries:
         self.terms = terms
         self.order = len(terms) - 1
         self.arity = arity
+        self._cleared_terms = None
+
+    @property
+    def cleared(self):
+        """The terms as a cleared graded list (_cleared), made on first use."""
+        if self._cleared_terms is None:
+            self._cleared_terms = _cleared(self.terms)
+        return self._cleared_terms
 
     def value(self) -> TensorPoly:
         """The series as a single tensor element (sum of the graded terms)."""
@@ -123,8 +142,8 @@ class TwistSeries:
         if other.presentation is not self.presentation:
             raise ValueError("series over different presentations")
         N = min(self.order, other.order)
-        prod = _graded_mul(self.presentation, self.terms, other.terms, N)
-        return TwistSeries(self.presentation, prod)
+        prod = _graded_mul(self.presentation, self.cleared, other.cleared, N)
+        return TwistSeries(self.presentation, _divided(prod))
 
     def __eq__(self, other):
         return (isinstance(other, TwistSeries)
@@ -144,34 +163,63 @@ class TwistSeries:
 # ---------------------------------------------------------------------------
 
 
+def _cleared(terms):
+    """A graded list as a cleared graded list: entry k is the pair (1/d, P)
+    for the pair (d, P) of clear_denominators, so P = d * terms[k] is a
+    tensor element whose coefficients are polynomials with integer
+    coefficients, and terms[k] is P scaled by the entry's scalar 1/d."""
+    out = []
+    for t in terms:
+        d, c = clear_denominators(t.terms)
+        out.append((RatFunc(d.den, d.num), t if c is t.terms else t._new(c)))
+    return out
+
+
+def _divided(graded):
+    """The graded list of a cleared graded list: each P times its scalar."""
+    return [P if r == 1 else P.scale(r) for r, P in graded]
+
+
 def _graded_mul(p: Presentation, A, B, N):
-    """Product of two graded coefficient lists, truncated at order N.
+    """Product of two cleared graded lists, truncated at order N, as a
+    cleared graded list.
 
-    Each output order is reduced slotwise through the presentation, so the
-    result is a list of normal-form tensor elements."""
-    arity = A[0].arity
-    out = [TensorPoly.zero(p.alphabet, arity) for _ in range(N + 1)]
-    for i, a in enumerate(A):
-        if i > N or a.is_zero():
-            continue
-        for j, b in enumerate(B):
-            if i + j > N:
-                break
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return [p.normal_form_tensor(t) for t in out]
+    Order k is the sum of (r_i P_i)(s_j Q_j) over i + j = k.  With L the
+    lcm of the denominators of the scalars r_i*s_j, that is (1/L) times the
+    sum of c_ij*P_i*Q_j, whose cofactors c_ij = L*r_i*s_j are polynomials
+    with integer coefficients (k! over i!j! for a 1/k! series).  The
+    integer-coefficient sum is reduced slotwise, once per order, zero orders
+    included, and keeps 1/L as its scalar.  A normal form commutes with a
+    nonzero scalar, so it is L times the normal form of the sum of the
+    products r_i P_i * s_j Q_j, with its terms in the same order."""
+    arity = A[0][1].arity
+    out = []
+    for k in range(N + 1):
+        products = []
+        for i, (r, P) in enumerate(A[:k + 1]):
+            if k - i < len(B):
+                s, Q = B[k - i]
+                if P and Q:
+                    products.append((r * s, P, Q))
+        L, cofactors = clear_denominators(
+            {n: rs for n, (rs, _, _) in enumerate(products)})
+        acc = TensorPoly.zero(p.alphabet, arity)
+        for n, (_, P, Q) in enumerate(products):
+            c = cofactors[n]
+            acc = acc + (P if c == 1 else P.scale(c)) * Q
+        out.append((RatFunc(L.den, L.num), p.normal_form_tensor(acc)))
+    return out
 
 
-def _conjugate(p: Presentation, left: TwistSeries, right: TwistSeries,
-               mid, N: int):
-    """left * mid * right on graded lists; mid is a coefficient list."""
-    return _graded_mul(p, _graded_mul(p, left.terms, mid, N), right.terms, N)
-
-
-def _order_zero_list(t, N: int):
-    """A graded list whose only entry is t at order 0."""
-    return [t] + [TensorPoly.zero(t.alphabet, t.arity)] * N
+def _conjugate(p: Presentation, left: "TwistSeries", right: "TwistSeries",
+               t: TensorPoly, N: int):
+    """Graded coefficients of left * t * right, truncated at N, for a tensor
+    element t of order 0; the product stays cleared until its one
+    division."""
+    zero = RatFunc.one(), TensorPoly.zero(t.alphabet, t.arity)
+    mid = _cleared([t]) + [zero] * N
+    return _divided(_graded_mul(
+        p, _graded_mul(p, left.cleared, mid, N), right.cleared, N))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +277,8 @@ def twist_u(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
     Cartan ladder on the left, since S(f) = -f."""
     if p is None:
         p = build_yangian_sl2()
-    return _partner(twist_F(N, p), build_hopf(p))
+    H = build_hopf(p)
+    return _twisted(H, N).partner(H)[0]
 
 
 def series_inverse(X: TwistSeries) -> TwistSeries:
@@ -258,15 +307,13 @@ def series_inverse(X: TwistSeries) -> TwistSeries:
 
 def _twisted_delta(H, F, Fi, x, N):
     """Graded coefficients of F Delta(x) Fi, truncated at N."""
-    p = H.presentation
-    return _conjugate(p, F, Fi, _order_zero_list(H.coproduct(x), N), N)
+    return _conjugate(H.presentation, F, Fi, H.coproduct(x), N)
 
 
 def _twisted_S(H, u, ui, x, N):
     """Graded coefficients of u S(x) ui as algebra elements, truncated at N."""
-    p = H.presentation
-    mid = _order_zero_list(H.antipode_of(x).tensor(), N)
-    return [t.as_ncpoly() for t in _conjugate(p, u, ui, mid, N)]
+    return [t.as_ncpoly() for t in _conjugate(
+        H.presentation, u, ui, H.antipode_of(x).tensor(), N)]
 
 
 def _per_word(memo, twisted, H, left, right, N):
@@ -284,8 +331,9 @@ def _per_word(memo, twisted, H, left, right, N):
 
 class _Twisted:
     """The twisted structure of one HopfData at order N: F and F^{-1}, u
-    and u^{-1} once an antipode needs them, and the memos of the twisted
-    coproduct and antipode on single words.
+    and u^{-1} once an antipode needs them, each cleared on its first
+    product, and the memos of the twisted coproduct and antipode on single
+    words.
 
     It keeps the rule tuple and degree bound it was built under, and no
     reference to its HopfData, so that the HopfData can drop it."""
@@ -303,15 +351,18 @@ class _Twisted:
         return _per_word(self.deltas, _twisted_delta, H, self.F, self.Fi,
                          self.order)
 
-    def antipode_of(self, H: HopfData):
-        """word -> graded coefficients of u S(word) u^{-1}; u and u^{-1}
-        are built on the first call."""
+    def partner(self, H: HopfData):
+        """(u, u^{-1}), built on the first call."""
         if self.u is None:
             u = _partner(self.F, H)
             self.ui = series_inverse(u)
             self.u = u
-        return _per_word(self.antipodes, _twisted_S, H, self.u, self.ui,
-                         self.order)
+        return self.u, self.ui
+
+    def antipode_of(self, H: HopfData):
+        """word -> graded coefficients of u S(word) u^{-1}."""
+        u, ui = self.partner(H)
+        return _per_word(self.antipodes, _twisted_S, H, u, ui, self.order)
 
 
 #: HopfData -> {order: _Twisted}; the entry of a HopfData dies with it
@@ -386,15 +437,18 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     if p is None:
         p = twist.presentation if twist is not None else build_yangian_sl2()
     H = build_hopf(p)
-    F = twist if twist is not None else twist_F(N, p)
-    padded_right = [t.embed((0, 1), 3) for t in F.terms]
-    padded_left = [t.embed((1, 2), 3) for t in F.terms]
-    delta_first = [p.normal_form_tensor(apply_in_slot(t, 0, H.word_coproduct))
-                   for t in F.terms]
-    delta_second = [p.normal_form_tensor(apply_in_slot(t, 1, H.word_coproduct))
-                    for t in F.terms]
-    lhs = _graded_mul(p, padded_right, delta_first, N)
-    rhs = _graded_mul(p, padded_left, delta_second, N)
+    F = twist if twist is not None else _twisted(H, N).F
+
+    def padded(slots):
+        return [(r, P.embed(slots, 3)) for r, P in F.cleared]
+
+    def delta_in(slot):
+        return [(r, p.normal_form_tensor(
+                    apply_in_slot(P, slot, H.word_coproduct)))
+                for r, P in F.cleared]
+
+    lhs = _divided(_graded_mul(p, padded((0, 1)), delta_in(0), N))
+    rhs = _divided(_graded_mul(p, padded((1, 2)), delta_in(1), N))
     rows = []
     total = TensorPoly.zero(p.alphabet, 3)
     for k in range(N + 1):
@@ -430,7 +484,7 @@ def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
     if p is None:
         p = build_yangian_sl2()
     H = build_hopf(p)
-    F = twist_F(N, p)
+    F = _twisted(H, N).F
     rows = []
     for slot, label in ((0, "eps-left"), (1, "eps-right")):
         pieces = [counit_in_slot(t, slot, H.word_counit) for t in F.terms]

@@ -154,6 +154,21 @@ def test_uq_sl3_serre_rule(uq3):
     assert len(uq3.relations) == 30
 
 
+def test_orthogonal_simple_roots_get_a_commuting_serre_rule(monkeypatch):
+    # A3 = sl4: a_13 = a_31 = 0, so e_1 and e_3 commute (Serre order 1)
+    a3 = CartanData(
+        "sl4", ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1),
+        ("a1", "a2", "a3"), (1, 1, 1))
+    monkeypatch.setitem(presentations._PRESETS, "sl4", a3)
+    p = build_uq("sl4")
+    for sign in "+-":
+        x, y = p.gen("e%sa1" % sign), p.gen("e%sa3" % sign)
+        rule = p.relation("serre:e%sa1,e%sa3" % (sign, sign))
+        assert rule.meta["order"] == 1
+        assert p.normal_form(commutator(x, y)).is_zero()
+        assert p.is_zero_mod(commutator(x, y)) == "zero"
+
+
 def test_cartan_cross_commutator_is_zero_mod(uq2):
     e, f, k, ki = (uq2.gen(n) for n in ("e+a1", "e-a1", "k+a1", "k-a1"))
     c = (k - ki) * (rf(1) / (rf("q") - q_power(-1)))

@@ -5,6 +5,7 @@ forms, and against sympy as a second implementation for gcd/cancellation).
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -20,6 +21,7 @@ from loopdeform.ratfunc import (
     MultiPoly,
     RatFunc,
     VARIABLES,
+    clear_denominators,
     divexact,
     laurent_coeffs,
     mp_gcd,
@@ -1083,3 +1085,62 @@ def test_power_squares(monkeypatch):
     monkeypatch.undo()
     assert x == RatFunc.var("q", 20000)
     assert counts["mul"] <= 2 * (20000 - 1).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# one common denominator, integer content included
+# ---------------------------------------------------------------------------
+
+
+def _integer_polynomial(x: RatFunc):
+    return (x.den == MultiPoly.one()
+            and all(type(c) is int for c in x.num.terms.values()))
+
+
+_scaled_ratfunc = st.builds(lambda f, c: f * rf(c), _small_ratfunc,
+                            _coefficient)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=5), _scaled_ratfunc,
+                       max_size=4))
+def test_cleared_coefficients_are_integer_polynomials(coeffs):
+    d, cleared = clear_denominators(coeffs)
+    assert _integer_polynomial(d) and next(iter(d.num.terms.values())) > 0
+    assert list(cleared) == list(coeffs)
+    for k, c in coeffs.items():
+        assert _integer_polynomial(cleared[k])
+        assert d * c == cleared[k]
+        assert cleared[k] / d == c
+    # no smaller integer multiple clears them
+    content = 0
+    for x in (d, *cleared.values()):
+        for c in x.num.terms.values():
+            content = gcd(content, c)
+    assert content == 1
+
+
+@pytest.mark.parametrize("texts", [
+    ["1/2", "q/3", "zeta^2/6"],
+    ["eta/(u - v)", "eta/(2*u - 2*v) + 1"],
+    ["1/(2*q + 1)", "(q + 1)/(q^2 - 1)", "zeta/6"],
+    ["(u + v)/(u^2 - v^2)", "3/(4*u + 4*v)", "eta"],
+    ["1/(1 + eta)", "zeta/(2 + 2*eta)^2"],
+])
+def test_cleared_denominator_matches_sympy(texts):
+    coeffs = {t: rf(t) for t in texts}
+    d, cleared = clear_denominators(coeffs)
+    exprs = [sympy.cancel(_rf_to_sympy(c)) for c in coeffs.values()]
+    # the least common multiple over the integers of the reduced
+    # denominators, up to sign
+    want = sympy.lcm_list([sympy.fraction(e)[1] for e in exprs])
+    ours = _to_sympy(d.num)
+    assert sympy.expand(ours - want) == 0 or sympy.expand(ours + want) == 0
+    for e, k in zip(exprs, coeffs):
+        assert sympy.cancel(_to_sympy(cleared[k].num) - ours * e) == 0
+
+
+def test_integer_polynomial_coefficients_clear_to_themselves():
+    coeffs = {0: rf("2*q - eta"), 1: rf(3)}
+    d, cleared = clear_denominators(coeffs)
+    assert d == 1 and cleared is coeffs

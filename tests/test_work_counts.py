@@ -26,7 +26,9 @@ Yang-Baxter residual builds its fundamental representation once, not once
 per slot pair, and it clears the spectral denominators u-v, u-w, v-w before
 the commutators: reducing every entry product and sum of the three 8x8
 commutators through mp_gcd instead costs hundreds of gcds, so an exact
-gcd count pins the cleared path.
+gcd count pins the cleared path.  The graded products of the twist suite
+clear the 1/k! of the twisting element the same way, so an exact count
+of Fraction operations pins them.
 
 The word-normal-form memo is shared by every live presentation of a rule
 system, so each counted check starts from a cold memo (_cold): otherwise a
@@ -240,7 +242,9 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
 # multiplied by the shared one, and rule coefficients equal to 1 were not
 # all that shared one.  apply_hom made 9,949 while it started each word's
 # image from the unit and scaled the finished product by the coefficient;
-# scaling the image of the word's first letter instead takes 9,638
+# scaling the image of the word's first letter instead took 9,638.  The
+# graded products now multiply the scalars of each pair of nonzero cleared
+# terms apart, 28 products of constants more: 9,666
 def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     p = _cold(get_presentation("yangian-sl2"))
     H = build_hopf(p)
@@ -256,7 +260,33 @@ def test_twisted_homomorphism_monomials_skip_multipoly(monkeypatch):
     assert rows == [(rel.label, "zero", None) for rel in p.relations]
     assert len(rows) == 7
     assert counts == {"poly_mul": 0, "poly_add": 0,
-                      "mul": 9_638, "add": 6_118}
+                      "mul": 9_666, "add": 6_118}
+
+
+#: the arithmetic dunders of Fraction
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+                 "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__")
+
+
+# the 1/k! of the twisting element made the graded products of this check
+# run on Fraction coefficients: 2,960 Fraction operations.  Cleared once,
+# F and F^-1 carry integer coefficients, each order's products are brought
+# to the lcm of their scalars and divided once, at the end, and the zero
+# residuals of this check divide nothing
+def test_twisted_homomorphism_runs_on_cleared_coefficients(monkeypatch):
+    p = _cold(get_presentation("yangian-sl2"))
+    H = build_hopf(p)
+    counts = {"fraction_ops": 0}
+    for name in _FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, _counting(
+            counts, "fraction_ops", getattr(Fraction, name)))
+    rows = check_twisted_homomorphism(H, 3)
+    monkeypatch.undo()
+    assert rows == [(rel.label, "zero", None) for rel in p.relations]
+    assert counts == {"fraction_ops": 50}
 
 
 # rewriting each slot word that missed the memo in a frontier of its own,
@@ -361,16 +391,17 @@ def test_cybe_residual_builds_one_witness_rep(monkeypatch, kind):
 # with r_12, r_13, r_23 carrying their denominators, every entry product and
 # sum of the commutators cancelled through mp_gcd: 1,255 calls (recursive
 # ones included) for twisted_yangian and 1,005 for sum:rational+dj_constant.
-# Cleared, the lcm takes the gcds of twisted_yangian's two denominators, and
-# only a nonzero residual pays for the final division by d12, d13 and d23
-@pytest.mark.parametrize("kind, gcds", [("twisted_yangian", 2),
-                                        ("sum:rational+dj_constant", 196)])
+# Cleared, the lcm took one gcd per distinct denominator, 1 included (2 and
+# 196); ratfunc.clear_denominators starts from the first denominator that is
+# not 1, so twisted_yangian's one such denominator costs none, and only a
+# nonzero residual pays for the final division by d12, d13 and d23
+@pytest.mark.parametrize("kind, gcds", [("twisted_yangian", 0),
+                                        ("sum:rational+dj_constant", 195)])
 def test_cybe_residual_clears_denominators_once(monkeypatch, kind, gcds):
     r = rmatrix.build_r(kind)
     counts = {"mp_gcd": 0}
     counting = _counting(counts, "mp_gcd", ratfunc.mp_gcd)
     monkeypatch.setattr(ratfunc, "mp_gcd", counting)
-    monkeypatch.setattr(rmatrix, "mp_gcd", counting)
     residual = rmatrix.cybe_residual(r)
     monkeypatch.undo()
     assert residual.is_zero() == (kind == "twisted_yangian")
@@ -428,8 +459,9 @@ def test_eval_correction_builds_four_candidate_reps(monkeypatch):
 # F, F^-1, u and u^-1 afresh, and the twisted images of its own words: 18
 # twist_F, 16 series_inverse, 6 _partner, and 44 single-word twisted
 # coproducts (24 distinct) and 28 antipodes.  The twisted structure of a
-# HopfData at an order now builds each once; the cocycle and counit checks
-# still build their own F
+# HopfData at an order now builds each once.  The cocycle and counit checks
+# built their own F (6 twist_F calls); build_hopf(p) now returns the
+# HopfData the workload holds, so they take F from its twisted structure
 def test_twist_suite_builds_each_series_once_per_order(monkeypatch):
     counts = dict.fromkeys(("twist_F", "series_inverse", "_partner",
                             "delta", "antipode"), 0)
@@ -462,5 +494,5 @@ def test_twist_suite_builds_each_series_once_per_order(monkeypatch):
                 twist.twisted_coproduct(x, H, order)
                 twist.twisted_antipode(x, H, order)
     monkeypatch.undo()
-    assert counts == {"twist_F": 6, "series_inverse": 4, "_partner": 2,
+    assert counts == {"twist_F": 2, "series_inverse": 4, "_partner": 2,
                       "delta": 24, "antipode": 24}
