@@ -7,21 +7,19 @@ what it deforms.
 The q-deformed coproduct placement on raising/lowering generators is not
 forced by the relations alone: four placements of the Cartan factor give
 valid bialgebra structures on the finite part.  They are all constructible
-here, and convention_search rules out those that a default representation
-witnesses not to extend to the loop deformation.  The shipped default is the
-one that extends.
+here, and convention_search witnesses which placements are homomorphisms on
+the finite part and on the loop deformation.
 
-The loop generator's coproduct and antipode follow the deformation pattern
+The loop generator is the affine Chevalley generator e_0 of U_q(g^) in
+disguise: in the shifted loop generator xi~ = xi - a*s, with s the
+presentation's shift element and a = eta/(q - q^-1) (0 without eta), the
+Drinfeldian's relations are those of e_0 with k_0 = kappa, the group-like
+word pairing the central letter against the inverse Cartan letters of the
+highest root (those letters alone without the central pair).  So xi~ takes
+the convention's Drinfeld-Jimbo coproduct and antipode with Cartan factor
+kappa, like any raising letter, and
 
-    delta(xi) = xi (x) 1 + kappa^{-1} (x) xi
-                + a*(delta(s) - s (x) 1 - kappa^{-1} (x) s)
-    S(xi)     = -kappa xi + a*(S(s) + kappa s)
-
-where s is the presentation's shift element, a = eta/(q - q^-1) the shift
-coefficient (0 without eta), and kappa the group-like word pairing the
-central letter against the Cartan letters of the highest root (those
-letters alone without the central pair).  One formula so serves every
-drinfeldian-family presentation.
+    delta(xi) = delta_DJ(xi~) + a*delta(s),    S(xi) = S_DJ(xi~) + a*S(s).
 
 loop_hopf_limit degenerates them to the algebra presentations.Q1_LIMITS
 names; presentations._limit_tensor_zero_form sends the central letter to 1.
@@ -177,24 +175,23 @@ def _mult_with_map(t: TensorPoly, antipode_slot: int, antipode_of) -> NCPoly:
 # ---------------------------------------------------------------------------
 
 
+def _dj_maps(x: NCPoly, k: NCPoly, k_inv: NCPoly, right, left):
+    """(delta x, S x) = (x (x) k^right + k^left (x) x, -k^-left x k^-right):
+    the Drinfeld-Jimbo placement of the Cartan factor k on the letter x."""
+    def kpow(n):
+        return (k if n > 0 else k_inv) ** abs(n)
+    return (tensor(x, kpow(right)) + tensor(kpow(left), x),
+            -(kpow(-left) * x * kpow(-right)))
+
+
 def _finite_part_maps(p: Presentation, exponents, delta, antipode):
     """Write delta and antipode of the e/f letters of a q-deformed
     presentation, with the Cartan factors the convention's exponents place."""
     er, el, fr, fl = exponents
-    one = p.unit()
     for lab in p.cartan.labels:
-        e, f = p.gen("e+%s" % lab), p.gen("e-%s" % lab)
         k, ki = p.gen("k+%s" % lab), p.gen("k-%s" % lab)
-
-        def kpow(n):
-            if n == 0:
-                return one
-            return (k if n > 0 else ki) ** abs(n)
-
-        delta["e+%s" % lab] = tensor(e, kpow(er)) + tensor(kpow(el), e)
-        delta["e-%s" % lab] = tensor(f, kpow(fr)) + tensor(kpow(fl), f)
-        antipode["e+%s" % lab] = -(kpow(-el) * e * kpow(-er))
-        antipode["e-%s" % lab] = -(kpow(-fl) * f * kpow(-fr))
+        for x, r, l in (("e+" + lab, er, el), ("e-" + lab, fr, fl)):
+            delta[x], antipode[x] = _dj_maps(p.gen(x), k, ki, r, l)
 
 
 def _kappa_words(p: Presentation):
@@ -230,9 +227,10 @@ def build_hopf(p: Presentation, convention=DEFAULT_CONVENTION) -> HopfData:
 
     A letter with an inverse is group-like, as g * g^-1 = 1 requires, and
     every other letter primitive.  Then the uq and drinfeldian e/f letters
-    take the convention's Cartan factors, the drinfeldian xi the loop
-    formula (kappa without the central pair when p lacks it, a = 0 without
-    eta), and the yangian xi with eta the rank-1 formula.  Refused
+    take the convention's Cartan factors, the drinfeldian xi~ = xi - a*s
+    those of a raising letter with Cartan factor kappa (kappa without the
+    central pair when p lacks it, a = 0 without eta), and the yangian xi
+    with eta the rank-1 formula.  Refused
     (UnsupportedAlgebraError): a drinfeldian presentation without its shift
     element, and a yangian xi with eta above rank 1."""
     rules, built = p._hopf
@@ -262,25 +260,23 @@ def _hopf_data(p: Presentation, convention) -> HopfData:
             epsilon[sym.name] = rf(0)
             antipode[sym.name] = -x
     if family in ("uq", "drinfeldian"):
-        _finite_part_maps(p, _convention_exponents(convention),
-                          delta, antipode)
+        exponents = _convention_exponents(convention)
+        _finite_part_maps(p, exponents, delta, antipode)
     if family == "drinfeldian":
         s = p.shift_element
         if s is None:
             raise UnsupportedAlgebraError(
                 "no Hopf data for %s: the loop coproduct needs the shift "
                 "element" % p.name)
-        kappa, kappa_inv = _kappa_words(p)
-        xi = p.gen("xi")
         a = loop_shift_coefficient() if "eta" in p.params else rf(0)
         # xi is still primitive here, and s contains no xi
         H = HopfData(p, delta, epsilon, antipode)
-        d_xi = (tensor(xi, one) + tensor(kappa_inv, xi)
-                + (H.coproduct(s) - tensor(s, one)
-                   - tensor(kappa_inv, s)).scale(a))
-        delta["xi"] = p.normal_form_tensor(d_xi)
-        antipode["xi"] = p.normal_form(
-            -(kappa * xi) + (H.antipode_of(s) + kappa * s).scale(a))
+        # xi~ = xi - a*s is the raising letter e_0, with Cartan factor kappa
+        kappa, kappa_inv = _kappa_words(p)
+        d_xi, s_xi = _dj_maps(p.gen("xi") - s.scale(a), kappa, kappa_inv,
+                              *exponents[:2])
+        delta["xi"] = p.normal_form_tensor(d_xi + H.coproduct(s).scale(a))
+        antipode["xi"] = p.normal_form(s_xi + H.antipode_of(s).scale(a))
     elif "xi" in p.alphabet.index and "eta" in p.params:
         # without eta, xi stays primitive, as in U(g[u])
         if p.cartan.rank != 1:
@@ -405,23 +401,20 @@ def convention_search(p: Presentation, loop_builder=None):
 
     Enumerates the four opposite-side placements (both exponent signs) plus
     the two same-side placements.  Each row records whether the coproduct is
-    an algebra homomorphism on the finite relations, where the inverse factor
-    sits (the printed loop formula pairs the inverse central-Cartan word with
-    the left slot), and -- when a loop extension builder is supplied and the
-    finite part is one -- whether the two-parameter extension stays a
-    homomorphism.  Each verdict is True, False (witnessed) or None."""
+    an algebra homomorphism on the finite relations and -- when a loop
+    extension builder is supplied and the finite part is one -- whether the
+    two-parameter extension stays a homomorphism.  Each verdict is True,
+    False (witnessed) or None."""
     if p.family != "uq":
         raise UnsupportedAlgebraError(
             "convention search expects a q-deformed finite presentation")
     results = []
-    for name, (er, el, fr, fl) in {**CONVENTIONS, **_SEARCH_ONLY}.items():
+    for name, (er, _, fr, _) in {**CONVENTIONS, **_SEARCH_ONLY}.items():
         finite_ok = _homomorphism_verdict(build_hopf(p, name))
         row = {
             "convention": name,
             "opposite_sides": (er == 0) != (fr == 0),
             "finite_homomorphism": finite_ok,
-            "kinv_left_on_raising": el == -1,
-            "kinv_left_on_lowering": fl == -1,
             "loop_homomorphism": None,
         }
         if loop_builder is not None and finite_ok:

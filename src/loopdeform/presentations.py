@@ -153,22 +153,22 @@ class CartanData(namedtuple("CartanData",
             for i in range(self.rank)
         )
 
-    def theta_pairing(self, i):
-        """(alpha_i, theta) for the highest root theta."""
-        return sum(self.pairing_matrix[i][j] * self.highest_root[j] for j in range(self.rank))
 
-    def loop_serre_order_on_e(self, i):
-        """Number of e_i brackets annihilating the loop generator."""
-        return 1 + 2 * self.theta_pairing(i) // self.pairing_matrix[i][i]
-
-    def loop_serre_order_on_xi(self, i):
-        """Number of loop-generator brackets annihilating e_i."""
-        theta_norm = sum(
-            self.highest_root[i] * self.pairing_matrix[i][j] * self.highest_root[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        return 1 + 2 * self.theta_pairing(i) // theta_norm
+def affine(cd: CartanData) -> CartanData:
+    """The Cartan data of the untwisted affine algebra over cd: index 0 is
+    alpha_0 = delta - theta (label a0), with a_i0 = -2(alpha_i, theta) /
+    (alpha_i, alpha_i), a_0i = -2(theta, alpha_i) / (theta, theta) and
+    d_0 = (theta, theta) / 2.  An affine algebra has no highest root, so
+    that field is all zeros."""
+    B, theta, n = cd.pairing_matrix, cd.highest_root, cd.rank
+    t = [sum(B[i][j] * theta[j] for j in range(n)) for i in range(n)]
+    tt = sum(theta[i] * t[i] for i in range(n))
+    row0 = (2,) + tuple(-2 * t[i] // tt for i in range(n))
+    rows = tuple((-2 * t[i] // B[i][i],) + tuple(cd.matrix[i])
+                 for i in range(n))
+    return CartanData("%s^(1)" % cd.name, (row0,) + rows,
+                      (tt // 2,) + tuple(cd.symmetrizers),
+                      ("a0",) + tuple(cd.labels), (0,) * (n + 1))
 
 
 _PRESETS = {
@@ -864,9 +864,11 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
             "mixed_comm",
             {"i": i},
         )
-    # iterated raising brackets annihilate the shifted loop generator
+    # xt is e_0 of the affine algebra: iterated raising brackets annihilate
+    # it, and its iterated brackets annihilate each raising generator
+    aff = affine(cd).matrix
     for i in range(cd.rank):
-        n = cd.loop_serre_order_on_e(i)
+        n = 1 - aff[i + 1][0]
         e = p.gen("e+%s" % cd.labels[i])
         p.add_rule_from_zero_form(
             ad_q_power(e, xt, n),
@@ -874,11 +876,8 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
             "mixed_serre_e",
             {"i": i, "order": n},
         )
-    # iterated loop brackets annihilate each raising generator
     for i in range(cd.rank):
-        if cd.theta_pairing(i) == 0:
-            continue
-        m = cd.loop_serre_order_on_xi(i)
+        m = 1 - aff[0][i + 1]
         e = p.gen("e+%s" % cd.labels[i])
         p.add_rule_from_zero_form(
             ad_q_power(xt, e, m),

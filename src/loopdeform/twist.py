@@ -330,10 +330,10 @@ def _per_word(memo, twisted, H, left, right, N):
 
 
 class _Twisted:
-    """The twisted structure of one HopfData at order N: F and F^{-1}, u
-    and u^{-1} once an antipode needs them, each cleared on its first
-    product, and the memos of the twisted coproduct and antipode on single
-    words.
+    """The twisted structure of one HopfData at order N: F, F^{-1} once a
+    twisted coproduct needs it, u and u^{-1} once an antipode needs them,
+    each cleared on its first product, and the memos of the twisted
+    coproduct and antipode on single words.
 
     It keeps the rule tuple and degree bound it was built under, and no
     reference to its HopfData, so that the HopfData can drop it."""
@@ -342,14 +342,19 @@ class _Twisted:
         p = H.presentation
         self.rules, self.bound, self.order = p.relations, p.degree_bound, N
         self.F = twist_F(N, p)
-        self.Fi = series_inverse(self.F)
-        self.u = self.ui = None
+        self.Fi = self.u = self.ui = None
         self.deltas, self.antipodes = {}, {}
+
+    def inverse(self):
+        """F^{-1}, built on the first call."""
+        if self.Fi is None:
+            self.Fi = series_inverse(self.F)
+        return self.Fi
 
     def delta_of(self, H: HopfData):
         """word -> graded coefficients of F Delta(word) F^{-1}."""
-        return _per_word(self.deltas, _twisted_delta, H, self.F, self.Fi,
-                         self.order)
+        return _per_word(self.deltas, _twisted_delta, H, self.F,
+                         self.inverse(), self.order)
 
     def partner(self, H: HopfData):
         """(u, u^{-1}), built on the first call."""
@@ -401,7 +406,7 @@ def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
     tw = _twisted(H, N)
     word = _word_of(x, H)
     if word is None:
-        return _twisted_delta(H, tw.F, tw.Fi, x, N)
+        return _twisted_delta(H, tw.F, tw.inverse(), x, N)
     return list(tw.delta_of(H)(word))
 
 
@@ -542,7 +547,7 @@ def check_twisted_homomorphism(H: HopfData, N: int = DEFAULT_ORDER):
     p = H.presentation
     tw = _twisted(H, N)
     return [_orders_row(rel.label, _twisted_delta(
-                H, tw.F, tw.Fi, rel.zero_form(p.alphabet), N))
+                H, tw.F, tw.inverse(), rel.zero_form(p.alphabet), N))
             for rel in p.relations]
 
 

@@ -16,10 +16,12 @@ from loopdeform.errors import (
     PoleError,
     UnsupportedAlgebraError,
 )
-from loopdeform.freealg import NCPoly, TensorPoly, add_term, tensor
+from loopdeform import presentations
+from loopdeform.freealg import NCPoly, TensorPoly, add_term, apply_hom, tensor
 from loopdeform.hopf import (
     CONVENTIONS,
     HopfData,
+    _kappa_words,
     _mult_with_map,
     _pullback_rep,
     apply_in_slot,
@@ -35,12 +37,16 @@ from loopdeform.hopf import (
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
     Presentation,
+    affine,
     build_classical_sl2,
     build_drinfeldian,
+    build_uq,
     build_yangian_sl2,
+    cartan_data,
     get_presentation,
     loop_shift_coefficient,
     specialize,
+    translate,
 )
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor
@@ -256,6 +262,69 @@ def test_loop_rank_two_axioms_and_homomorphism():
     assert all_zero(rows)
 
 
+@pytest.mark.parametrize("name", ["drinfeldian-sl2", "drinfeldian-sl3"])
+@pytest.mark.parametrize("convention", list(CONVENTIONS))
+def test_loop_deformation_is_hopf_under_every_convention(name, convention):
+    p = get_presentation(name)
+    H = build_hopf(p, convention)
+    rows = (check_coassoc(H) + check_counit(H) + check_antipode(H)
+            + check_homomorphism(H, reps=default_reps(p)))
+    assert len(rows) == 3 * len(p.alphabet.symbols) + len(p.relations)
+    assert all_zero(rows), [r for r in rows if r[1] != "zero"]
+
+
+@pytest.mark.parametrize("g, rules, affine_rules", [
+    ("sl2", 21, 30), ("sl3", 58, 72)])
+def test_drinfeldian_embeds_in_the_affine_quantum_group(monkeypatch, g, rules,
+                                                        affine_rules):
+    # phi: xi -> e_0 + a*s, kd+- -> (k_0 k_theta)^+-1, every other letter to
+    # its namesake, maps the relations to zero and commutes with delta, S
+    # and eps under every convention
+    cd = cartan_data(g)
+    aff = affine(cd)
+    monkeypatch.setitem(presentations._PRESETS, aff.name, aff)
+    U, D = build_uq(aff.name), get_presentation("drinfeldian-%s" % g)
+    assert (len(D.relations), len(U.relations)) == (rules, affine_rules)
+    kd_images = {}
+    for sign in "+-":
+        k = U.gen("k%sa0" % sign)
+        for lab, n in zip(cd.labels, cd.highest_root):
+            k = k * U.gen("k%s%s" % (sign, lab)) ** n
+        kd_images["kd" + sign] = k
+    images = {}
+    for sym in D.alphabet.symbols:
+        if sym.name == "xi":
+            x = U.gen("e+a0") + translate(D.shift_element, U.alphabet).scale(
+                loop_shift_coefficient())
+        else:
+            x = kd_images.get(sym.name) or U.gen(sym.name)
+        images[D.alphabet.id_of(sym.name)] = x
+
+    def phi(x):
+        return apply_hom(x, images)
+
+    def phi2(t):
+        out = TensorPoly.zero(U.alphabet, 2)
+        for (w0, w1), c in t.terms.items():
+            out = out + tensor(phi(NCPoly(D.alphabet, {w0: c})),
+                               phi(NCPoly(D.alphabet, {w1: rf(1)})))
+        return out
+
+    for rel in D.relations:
+        assert U.normal_form(phi(rel.zero_form(D.alphabet))).is_zero(), \
+            rel.label
+    for convention in CONVENTIONS:
+        HD, HU = build_hopf(D, convention), build_hopf(U, convention)
+        for sym in D.alphabet.symbols:
+            x = D.gen(sym.name)
+            tag = convention, sym.name
+            assert U.normal_form_tensor(
+                phi2(HD.coproduct(x)) - HU.coproduct(phi(x))).is_zero(), tag
+            assert U.normal_form(
+                phi(HD.antipode_of(x)) - HU.antipode_of(phi(x))).is_zero(), tag
+            assert HD.counit(x) == HU.counit(phi(x)), tag
+
+
 def test_plain_shift_is_also_a_homomorphism():
     dp = build_drinfeldian("sl2", shift_style="plain")
     H = build_hopf(dp)
@@ -314,24 +383,60 @@ def test_convention_survey(uq2):
     rows = convention_search(uq2, loop_builder=lambda: build_drinfeldian("sl2"))
     by_name = {r["convention"]: r for r in rows}
     assert len(rows) == 6
-    # every opposite-side placement is a valid bialgebra on the finite part
+    # every opposite-side placement is a valid bialgebra on the finite part,
+    # and xi~, placed like a raising letter, extends each to the loop
     for name in CONVENTIONS:
         assert by_name[name]["opposite_sides"]
         assert by_name[name]["finite_homomorphism"]
+        assert by_name[name]["loop_homomorphism"] is True
     # same-side placements never are, and the default witness shows it
-    assert by_name["both-right"]["finite_homomorphism"] is False
-    assert by_name["both-left"]["finite_homomorphism"] is False
-    # exactly one convention extends to the loop deformation
-    loop_ok = [r["convention"] for r in rows if r["loop_homomorphism"]]
-    assert loop_ok == ["raise-left"]
-    # the convention placing the inverse factor left of the lowering
-    # generator (mirroring the printed loop pairing) does not extend
-    assert by_name["raise-right"]["kinv_left_on_lowering"]
-    assert by_name["raise-right"]["loop_homomorphism"] is False
-    assert by_name["raise-left-inv"]["loop_homomorphism"] is False
-    # Delta^op of raise-left: its (r (x) r) o Delta witness with one spectral
-    # parameter vanishes on the three loop rows it leaves unreduced
-    assert by_name["raise-right-inv"]["loop_homomorphism"] is None
+    for name in ("both-right", "both-left"):
+        assert not by_name[name]["opposite_sides"]
+        assert by_name[name]["finite_homomorphism"] is False
+        assert by_name[name]["loop_homomorphism"] is None
+
+
+def _fixed_loop_formula(p, convention):
+    """The convention's finite part with the loop generator's maps fixed at
+    the raise-left placement, whatever the convention:
+    delta(xi) = xi (x) 1 + kappa^-1 (x) xi + a*(delta(s) - s (x) 1
+    - kappa^-1 (x) s) and S(xi) = -kappa xi + a*(S(s) + kappa s)."""
+    H = build_hopf(p, convention)
+    xi, s, one = p.gen("xi"), p.shift_element, p.unit()
+    kappa, kappa_inv = _kappa_words(p)
+    a = loop_shift_coefficient()
+    delta, antipode = dict(H.delta), dict(H.antipode)
+    delta["xi"] = p.normal_form_tensor(
+        tensor(xi, one) + tensor(kappa_inv, xi)
+        + (H.coproduct(s) - tensor(s, one) - tensor(kappa_inv, s)).scale(a))
+    antipode["xi"] = p.normal_form(
+        -(kappa * xi) + (H.antipode_of(s) + kappa * s).scale(a))
+    return HopfData(p, delta, H.epsilon, antipode)
+
+
+@pytest.mark.parametrize("name", ["drinfeldian-sl2", "drinfeldian-sl3"])
+def test_fixed_loop_formula_fails_off_the_default_convention(name):
+    # the loop rows that a loop formula ignoring the convention leaves
+    # behind; raise-right-inv's stay unknown on sl2 because both slots of
+    # the (r (x) r) o delta witness share the spectral parameter
+    p = get_presentation(name)
+    reps = default_reps(p)
+    labels = ["%s:%s%s" % (rule, sign, lab) for rule, sign in (
+        ("loop-comm", "e-"), ("loop-serre-e", "e+"), ("loop-serre-xi", "e+"))
+        for lab in p.cartan.labels]
+    right_inv = "unknown" if name == "drinfeldian-sl2" else "nonzero"
+    for convention, verdict in (("raise-right", "nonzero"),
+                                ("raise-left-inv", "nonzero"),
+                                ("raise-right-inv", right_inv)):
+        H = _fixed_loop_formula(p, convention)
+        rows = check_homomorphism(H, reps=reps)
+        assert sorted((l, v) for l, v, _ in rows if v != "zero") == sorted(
+            (l, verdict) for l in labels), convention
+        for check in (check_coassoc, check_counit, check_antipode):
+            assert all_zero(check(H)), (convention, check.__name__)
+    # under the default convention the two loop formulas agree
+    fixed, H = _fixed_loop_formula(p, "raise-left"), build_hopf(p)
+    assert (fixed.delta, fixed.antipode) == (H.delta, H.antipode)
 
 
 def test_unknown_convention_rejected(uq2):
@@ -727,8 +832,9 @@ def test_inverse_pairs_are_group_like_in_every_limit():
         "sl3-eta", "sl3-kdelta", "sl3-kdelta-eta"])
 def test_loop_coproduct_serves_every_drinfeldian_limit(name, assignments,
                                                        rows):
-    # the limit keeps its shift element, so the one loop formula applies:
-    # kappa without the central pair after kdelta -> 1, a = 0 after eta -> 0
+    # the limit keeps its shift element, so xi~ = xi - a*s takes the
+    # Drinfeld-Jimbo maps of e_0: kappa without the central pair after
+    # kdelta -> 1, a = 0 after eta -> 0
     sp = specialize(get_presentation(name), assignments)
     assert sp.family == "drinfeldian" and sp.shift_element is not None
     H = build_hopf(sp)

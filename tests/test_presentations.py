@@ -28,6 +28,7 @@ from loopdeform.presentations import (
     Q1_LIMITS,
     CartanData,
     Relation,
+    affine,
     build_classical_sl2,
     build_drinfeldian,
     build_twisted_yangian_sl2,
@@ -83,13 +84,21 @@ def test_cartan_presets():
     assert c2.rank == 1 and c3.rank == 2
     assert c2.pairing_matrix == ((2,),)
     assert c3.pairing_matrix == ((2, -1), (-1, 2))
-    assert c2.theta_pairing(0) == 2
-    assert c3.theta_pairing(0) == 1 and c3.theta_pairing(1) == 1
-    # bracket orders annihilating across the loop direction
-    assert c2.loop_serre_order_on_e(0) == 3
-    assert c2.loop_serre_order_on_xi(0) == 3
-    assert c3.loop_serre_order_on_e(0) == 2
-    assert c3.loop_serre_order_on_xi(1) == 2
+    # the affine extension: index 0 is alpha_0 = delta - theta, and
+    # 1 - a_i0 and 1 - a_0i are the bracket orders annihilating across the
+    # loop direction
+    a1 = affine(c2)
+    assert a1.matrix == ((2, -2), (-2, 2))
+    assert a1.labels == ("a0", "a1") and a1.symmetrizers == (1, 1)
+    a2 = affine(c3)
+    assert a2.matrix == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    assert a2.highest_root == (0, 0, 0)
+    # B2, theta = alpha_1 + 2 alpha_2: alpha_0 is orthogonal to alpha_1
+    b2 = CartanData("B2", ((2, -1), (-2, 2)), (2, 1), ("a1", "a2"), (1, 2))
+    b2_aff = affine(b2)
+    assert b2_aff.matrix == ((2, 0, -1), (0, 2, -1), (-2, -2, 2))
+    assert b2_aff.symmetrizers == (2, 2, 1)
+    assert b2_aff.pairing_matrix == ((4, 0, -2), (0, 4, -2), (-2, -2, 2))
 
 
 def test_cartan_validation():

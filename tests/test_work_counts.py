@@ -496,3 +496,17 @@ def test_twist_suite_builds_each_series_once_per_order(monkeypatch):
     monkeypatch.undo()
     assert counts == {"twist_F": 2, "series_inverse": 4, "_partner": 2,
                       "delta": 24, "antipode": 24}
+
+
+# The cocycle and counit checks read F alone: the twisted structure builds
+# F^-1 on its first twisted coproduct, not with F
+def test_cocycle_check_inverts_no_series(monkeypatch):
+    counts = {"series_inverse": 0}
+    monkeypatch.setattr(twist, "series_inverse", _counting(
+        counts, "series_inverse", twist.series_inverse))
+    p = build_yangian_sl2()
+    rows = twist.check_cocycle(3, p=p) + twist.check_twist_counit(3, p=p)
+    assert {verdict for _, verdict, _ in rows} == {"zero"}
+    assert counts == {"series_inverse": 0}
+    twist.check_twisted_coassoc(build_hopf(p), 3)
+    assert counts == {"series_inverse": 1}
