@@ -192,15 +192,17 @@ def cartan_data(name) -> CartanData:
 
 
 class Relation:
-    """Oriented monic rewrite rule lead -> repl, with structural metadata
-    (a fresh dict unless one is given)."""
+    """Oriented monic rewrite rule lead -> repl, named by its label.
 
-    def __init__(self, label, lead, repl, kind, meta=None):
+    The lead is what the limits read: a rule whose lead holds a group-like
+    letter is a commutation or conjugation rule of that letter.  A plain
+    class, not a namedtuple, because rewriting reads lead and repl on every
+    step and attribute reads on a plain instance are faster."""
+
+    def __init__(self, label, lead, repl):
         self.label = label
         self.lead = lead
         self.repl = repl
-        self.kind = kind
-        self.meta = {} if meta is None else meta
 
     def zero_form(self, alphabet) -> NCPoly:
         return NCPoly(alphabet, {self.lead: rf(1)}) - self.repl
@@ -541,8 +543,9 @@ class Presentation:
     def unit(self) -> NCPoly:
         return NCPoly.unit(self.alphabet)
 
-    def add_rule_from_zero_form(self, z: NCPoly, label, kind, meta=None):
-        """Reduce z against the installed rules, orient monically, install.
+    def add_rule_from_zero_form(self, z: NCPoly, label):
+        """Reduce z against the installed rules, orient it monically by its
+        leading word and install it under label (see add_rule).
 
         Returns the added Relation, or None when z reduces to zero (the
         relation is implied by earlier ones)."""
@@ -551,15 +554,16 @@ class Presentation:
             return None
         lead, c = self.leading_term(z)
         repl = -(z - NCPoly(self.alphabet, {lead: c})).scale(rf(1) / c)
-        return self.add_rule(label, lead, repl, kind, meta)
+        return self.add_rule(label, lead, repl)
 
-    def add_rule(self, label, lead, repl, kind, meta=None):
+    def add_rule(self, label, lead, repl):
         """Install lead -> repl as the lowest-priority rule and return it.
+        The label names the rule in rows, reports and dumps.
 
         ``relations`` becomes a new, longer tuple, so the lead index and
         the word memo follow it and rewriting after this call uses the new
         rule."""
-        rel = Relation(label, lead, repl, kind, dict(meta or {}))
+        rel = Relation(label, lead, repl)
         self.relations = self.relations + (rel,)
         return rel
 
@@ -687,16 +691,13 @@ def _install_comm_rules(p: Presentation, names):
         for b in ids:
             if a <= b:
                 continue
-            meta = {"a": A.name_of(a), "b": A.name_of(b)}
             if A.inverse.get(a) == b:
                 # adjacent inverse pairs contract inside NCPoly already, but a
                 # reversed pair needs one swap to meet and cancel
-                meta["inverse_pair"] = True
                 repl = NCPoly.unit(A)
             else:
                 repl = NCPoly(A, {(b, a): rf(1)})
-            p.add_rule("kk:%s,%s" % (meta["a"], meta["b"]), (a, b), repl,
-                       "k_comm", meta)
+            p.add_rule("kk:%s,%s" % (A.name_of(a), A.name_of(b)), (a, b), repl)
 
 
 def _install_k_rules(p: Presentation, k_labels, conj_targets):
@@ -717,8 +718,6 @@ def _install_k_rules(p: Presentation, k_labels, conj_targets):
                 "conj:%s,%s" % (kname, xname),
                 (kid, xid),
                 NCPoly(A, {(xid, kid): q_power(c)}),
-                "k_conj",
-                {"k": kname, "x": xname, "root": i, "sign": sign, "exponent": c},
             )
 
 
@@ -735,13 +734,8 @@ def _install_ef_rules(p: Presentation):
                 k = A.id_of("k+%s" % cd.labels[i])
                 ki = A.id_of("k-%s" % cd.labels[i])
                 repl = repl + NCPoly(A, {(k,): rf(1) / qq, (ki,): -rf(1) / qq})
-            p.add_rule(
-                "cross:%s,%s" % (A.name_of(e), A.name_of(f)),
-                (e, f),
-                repl,
-                "ef_cartan",
-                {"i": i, "j": j},
-            )
+            p.add_rule("cross:%s,%s" % (A.name_of(e), A.name_of(f)), (e, f),
+                       repl)
 
 
 def _install_serre_rules(p: Presentation):
@@ -761,8 +755,6 @@ def _install_serre_rules(p: Presentation):
                 p.add_rule_from_zero_form(
                     z,
                     "serre:e%s%s,e%s%s" % (sign, cd.labels[i], sign, cd.labels[j]),
-                    "serre",
-                    {"i": i, "j": j, "sign": sign, "order": n},
                 )
 
 
@@ -778,8 +770,6 @@ def _install_central_rules(p: Presentation):
                 "central:%s,%s" % (cname, xname),
                 (cid, xid),
                 NCPoly(A, {(xid, cid): rf(1)}),
-                "k_central",
-                {"k": cname, "x": xname},
             )
 
 
@@ -858,33 +848,21 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
     # loop generator commutes with every lowering generator
     for i in range(cd.rank):
         f = p.gen("e-%s" % cd.labels[i])
-        p.add_rule_from_zero_form(
-            commutator(f, xt),
-            "loop-comm:e-%s" % cd.labels[i],
-            "mixed_comm",
-            {"i": i},
-        )
+        p.add_rule_from_zero_form(commutator(f, xt),
+                                  "loop-comm:e-%s" % cd.labels[i])
     # xt is e_0 of the affine algebra: iterated raising brackets annihilate
     # it, and its iterated brackets annihilate each raising generator
     aff = affine(cd).matrix
     for i in range(cd.rank):
         n = 1 - aff[i + 1][0]
         e = p.gen("e+%s" % cd.labels[i])
-        p.add_rule_from_zero_form(
-            ad_q_power(e, xt, n),
-            "loop-serre-e:e+%s" % cd.labels[i],
-            "mixed_serre_e",
-            {"i": i, "order": n},
-        )
+        p.add_rule_from_zero_form(ad_q_power(e, xt, n),
+                                  "loop-serre-e:e+%s" % cd.labels[i])
     for i in range(cd.rank):
         m = 1 - aff[0][i + 1]
         e = p.gen("e+%s" % cd.labels[i])
-        p.add_rule_from_zero_form(
-            ad_q_power(xt, e, m),
-            "loop-serre-xi:e+%s" % cd.labels[i],
-            "mixed_serre_xi",
-            {"i": i, "order": m},
-        )
+        p.add_rule_from_zero_form(ad_q_power(xt, e, m),
+                                  "loop-serre-xi:e+%s" % cd.labels[i])
     return p
 
 
@@ -896,16 +874,13 @@ def build_yangian_sl2() -> Presentation:
     h, e, f, xi_ = p.gen("ha1"), p.gen("e+a1"), p.gen("e-a1"), p.gen("xi")
     eta = rf("eta")
     _install_h_conj(p)
-    p.add_rule_from_zero_form(commutator(e, f) - h, "cross:e+a1,e-a1",
-                              "classical_ef", {"i": 0, "j": 0})
+    p.add_rule_from_zero_form(commutator(e, f) - h, "cross:e+a1,e-a1")
     p.add_rule_from_zero_form(commutator(f, xi_) - eta * f * f,
-                              "loop-comm:e-a1", "mixed_comm", {"i": 0})
+                              "loop-comm:e-a1")
     ad3 = commutator(e, commutator(e, commutator(e, xi_)))
-    p.add_rule_from_zero_form(ad3 - 6 * eta * e * e,
-                              "loop-serre-e:e+a1", "mixed_serre_e", {"i": 0, "order": 3})
+    p.add_rule_from_zero_form(ad3 - 6 * eta * e * e, "loop-serre-e:e+a1")
     ad3x = commutator(commutator(commutator(e, xi_), xi_), xi_)
-    p.add_rule_from_zero_form(ad3x - 6 * eta * xi_ * xi_,
-                              "loop-serre-xi:e+a1", "mixed_serre_xi", {"i": 0, "order": 3})
+    p.add_rule_from_zero_form(ad3x - 6 * eta * xi_ * xi_, "loop-serre-xi:e+a1")
     return p
 
 
@@ -926,7 +901,7 @@ def build_classical_sl2() -> Presentation:
     _install_h_conj(p)
     p.add_rule_from_zero_form(
         commutator(p.gen("e+a1"), p.gen("e-a1")) - p.gen("ha1"),
-        "cross:e+a1,e-a1", "classical_ef", {"i": 0, "j": 0})
+        "cross:e+a1,e-a1")
     return p
 
 
@@ -946,8 +921,6 @@ def _install_h_conj(p: Presentation):
                 "conj:%s,%s" % (hname, sym.name),
                 (hid, xid),
                 NCPoly(A, {(xid, hid): rf(1), (xid,): rf(c)}),
-                "h_conj",
-                {"h": hname, "x": sym.name, "root": i, "exponent": c},
             )
 
 
@@ -1043,7 +1016,7 @@ def _substitute_coefficients(p: Presentation, var, value, new_name) -> Presentat
             repl = rel.repl.map_coeffs(lambda c: c.eval_var(var, value))
         except PoleError as exc:
             raise PoleError("relation %s: %s" % (rel.label, exc)) from None
-        out.add_rule(rel.label, rel.lead, repl, rel.kind, rel.meta)
+        out.add_rule(rel.label, rel.lead, repl)
     return out
 
 
@@ -1060,13 +1033,11 @@ def _drop_central_letters(p: Presentation) -> Presentation:
                        p.degree_bound, p.params,
                        shift if shift is None else translate(shift, newA))
     for rel in p.relations:
-        if rel.kind == "k_central":
-            continue
         lead = map_word(rel.lead)
         repl = NCPoly(newA, {map_word(w): c for w, c in rel.repl.terms.items()})
         if NCPoly(newA, {lead: rf(1)}) == repl:
             continue
-        out.add_rule(rel.label, lead, repl, rel.kind, rel.meta)
+        out.add_rule(rel.label, lead, repl)
     return out
 
 
@@ -1138,12 +1109,14 @@ def _structural_q1_limit(p: Presentation) -> Presentation:
     # the conjugation relations k_i x k_i^-1 = q^c x become h-brackets
     _install_h_conj(out)
 
-    # cross and Serre and mixed relations via the exact limit of zero forms
+    # cross and Serre and mixed relations via the exact limit of zero forms;
+    # the rules of the group-like letters, whose leads hold one, are replaced
+    # by the rules above
     for rel in p.relations:
-        if rel.kind in ("k_comm", "k_conj", "k_central"):
+        if any(i in A.inverse for i in rel.lead):
             continue
         z_lim = _limit_zero_form(rel.zero_form(A), p, out)
-        out.add_rule_from_zero_form(z_lim, rel.label, rel.kind, rel.meta)
+        out.add_rule_from_zero_form(z_lim, rel.label)
     return out
 
 

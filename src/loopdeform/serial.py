@@ -24,9 +24,10 @@ family fixes its letter groups, and the central pair ``kd+``, ``kd-`` is
 part of it when the document has ``gen`` lines for it, which only a
 drinfeldian or yangian document may have.  So every presentation the
 package builds, shipped or specialized, loads back.  Loading verifies every
-``gen`` line against that alphabet and reconstructs relations as plain
-rewrite rules; the structural metadata that drives parameter limits is not part of the text format, so loaded
-presentations verify and rewrite but are not inputs to the limit machinery.
+``gen`` line against that alphabet and rebuilds each rule whole from its
+``rel`` line, since a rule is its label, lead and replacement.  So a loaded
+presentation verifies, rewrites and takes ``specialize`` limits like the
+one that was dumped.
 Hopf maps are re-validated for generator coverage and representations replay
 their full relation check on load.  A payload line that names a letter the
 alphabet lacks, or whose element or matrix does not parse, is a
@@ -364,7 +365,7 @@ def load_bundle(text):
             repl = _payload(n, parse_ncpoly, repl_text, letters)
             # keep the written orientation rather than re-orienting, so a
             # dump/load round trip is the identity on rule lists
-            p.add_rule(label, lead, repl, "loaded")
+            p.add_rule(label, lead, repl)
             continue
         if key in hopf_lines:
             gen, _, body = rest.partition(": ")

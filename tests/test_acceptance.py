@@ -104,10 +104,9 @@ def test_criterion_02_nonsingular_coefficients_at_q_one(dr2):
         # every relation the two-parameter construction adds on top of the
         # one-parameter backbone is coefficientwise finite at q=1, with the
         # shift coefficient expanded as eta/(q - q^-1)
-        backbone = {"ef_cartan"}
         saw_expanded_shift = set()
         for rel in dr2.relations:
-            if rel.kind in backbone:
+            if rel.label.startswith("cross:"):
                 continue
             for c in rel.repl.terms.values():
                 rf_limit(c, "q", 1)  # PoleError here fails the criterion
@@ -115,7 +114,7 @@ def test_criterion_02_nonsingular_coefficients_at_q_one(dr2):
                     saw_expanded_shift.add(rel.label)
         # non-vacuity: each mixed relation really carries expanded
         # eta-corrections that went through the limit
-        mixed = {r.label for r in dr2.relations if r.kind.startswith("mixed")}
+        mixed = {r.label for r in dr2.relations if r.label.startswith("loop-")}
         assert mixed and mixed <= saw_expanded_shift
         # the shift coefficient itself is singular alone ...
         with pytest.raises(PoleError):
@@ -150,7 +149,7 @@ def test_criterion_04_eta_zero_kills_the_corrections(dr2):
     with gate(4, "at eta=0 every mixed-relation deformation correction "
                  "vanishes identically"):
         d0 = specialize(dr2, {"eta": 0})
-        mixed = [r for r in dr2.relations if r.kind.startswith("mixed")]
+        mixed = [r for r in dr2.relations if r.label.startswith("loop-")]
         assert mixed
         for rel in mixed:
             undeformed = {w: c for w, c in rel.repl.terms.items()

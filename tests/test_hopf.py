@@ -239,29 +239,6 @@ def test_loop_antipode_frozen_value(d2, d2_hopf):
     assert (d2_hopf.antipode["xi"] - expected).is_zero()
 
 
-def test_loop_axioms(d2_hopf):
-    assert all_zero(check_coassoc(d2_hopf))
-    assert all_zero(check_counit(d2_hopf))
-    assert all_zero(check_antipode(d2_hopf))
-
-
-def test_loop_homomorphism_with_witness(d2, d2_hopf, d2_reps):
-    rows = check_homomorphism(d2_hopf, reps=d2_reps)
-    assert len(rows) == len(d2.relations)
-    assert all_zero(rows)
-
-
-def test_loop_rank_two_axioms_and_homomorphism():
-    d3 = build_drinfeldian("sl3")
-    H = build_hopf(d3)
-    assert all_zero(check_coassoc(H))
-    assert all_zero(check_counit(H))
-    assert all_zero(check_antipode(H))
-    rows = check_homomorphism(H)
-    assert len(rows) == len(d3.relations)
-    assert all_zero(rows)
-
-
 @pytest.mark.parametrize("name", ["drinfeldian-sl2", "drinfeldian-sl3"])
 @pytest.mark.parametrize("convention", list(CONVENTIONS))
 def test_loop_deformation_is_hopf_under_every_convention(name, convention):

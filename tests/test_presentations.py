@@ -132,8 +132,9 @@ def test_cartan_data_is_an_immutable_record():
 
 def test_uq_sl2_relation_inventory(uq2):
     assert len(uq2.relations) == 6
-    kinds = sorted(r.kind for r in uq2.relations)
-    assert kinds == ["ef_cartan", "k_comm", "k_conj", "k_conj", "k_conj", "k_conj"]
+    labels = sorted(r.label for r in uq2.relations)
+    assert labels == ["conj:k+a1,e+a1", "conj:k+a1,e-a1", "conj:k-a1,e+a1",
+                      "conj:k-a1,e-a1", "cross:e+a1,e-a1", "kk:k-a1,k+a1"]
 
 
 def test_uq_cartan_cross_relation(uq2):
@@ -146,12 +147,12 @@ def test_uq_cartan_cross_relation(uq2):
 
 
 def test_uq_conjugation_exponents(uq2):
-    r = uq2.relation("conj:k+a1,e+a1")
-    assert r.meta["exponent"] == 2
-    r = uq2.relation("conj:k-a1,e+a1")
-    assert r.meta["exponent"] == -2
-    r = uq2.relation("conj:k+a1,e-a1")
-    assert r.meta["exponent"] == -2
+    # k x k^-1 = q^c x: the rule k x -> q^c x k carries the exponent c
+    A = uq2.alphabet
+    for k, x, c in (("k+a1", "e+a1", 2), ("k-a1", "e+a1", -2),
+                    ("k+a1", "e-a1", -2)):
+        r = uq2.relation("conj:%s,%s" % (k, x))
+        assert r.repl == NCPoly(A, {A.parse_word("%s.%s" % (x, k)): q_power(c)})
 
 
 def test_uq_sl3_serre_rule(uq3):
@@ -173,7 +174,9 @@ def test_orthogonal_simple_roots_get_a_commuting_serre_rule(monkeypatch):
     for sign in "+-":
         x, y = p.gen("e%sa1" % sign), p.gen("e%sa3" % sign)
         rule = p.relation("serre:e%sa1,e%sa3" % (sign, sign))
-        assert rule.meta["order"] == 1
+        assert len(rule.lead) == 1 + 1
+        assert rule.zero_form(p.alphabet) in (commutator(x, y),
+                                              commutator(y, x))
         assert p.normal_form(commutator(x, y)).is_zero()
         assert p.is_zero_mod(commutator(x, y)) == "zero"
 
@@ -257,7 +260,7 @@ def test_drinfeldian_coefficients_are_regular_at_one(dr2):
     # (k - k^-1)/(q - q^-1) has no coefficientwise limit; its degeneration is
     # structural (k = q^h), exercised by the specialize tests below.
     for rel in dr2.relations:
-        if rel.kind == "ef_cartan":
+        if rel.label.startswith("cross:"):
             continue
         for w, c in rel.repl.terms.items():
             rf_limit(c, "q", 1)  # must not raise
@@ -290,8 +293,16 @@ def test_drinfeldian_sl3_loop_serre_rules(dr3):
         A.parse_word("e+a2.e+a2.xi"),
         A.parse_word("e+a2.xi.e+a2"),
     }
+    # each loop Serre rule's lead is one word of its zero form ad^n, of
+    # length 1 + n with the order n read from the affine Cartan matrix
+    aff = affine(dr3.cartan).matrix
+    for i, label in enumerate(dr3.cartan.labels):
+        on_e = dr3.relation("loop-serre-e:e+%s" % label)
+        on_xi = dr3.relation("loop-serre-xi:e+%s" % label)
+        assert len(on_e.lead) == 1 + (1 - aff[i + 1][0])
+        assert len(on_xi.lead) == 1 + (1 - aff[0][i + 1])
     for rel in dr3.relations:
-        if rel.kind == "ef_cartan":
+        if rel.label.startswith("cross:"):
             continue
         for w, c in rel.repl.terms.items():
             rf_limit(c, "q", 1)
@@ -483,10 +494,9 @@ def test_add_rule_keeps_rewriting_current():
     assert p.normal_form_tensor(t) == t  # f e is irreducible
     assert fe in p._word_memo()
     n = len(p.relations)
-    rel = p.add_rule("derived:fe", fe, h.scale(rf(2)), "derived", {"n": 1})
+    rel = p.add_rule("derived:fe", fe, h.scale(rf(2)))
     assert p.relations[n:] == (rel,)
-    assert (rel.label, rel.lead, rel.kind, rel.meta) == (
-        "derived:fe", fe, "derived", {"n": 1})
+    assert (rel.label, rel.lead, rel.repl) == ("derived:fe", fe, h.scale(rf(2)))
     want = tensor(h, e).scale(rf(2)) + tensor(h, h).scale(rf(2))
     assert p.normal_form_tensor(t) == want
     assert p.word_normal_form(fe) == h.scale(rf(2))
@@ -498,7 +508,7 @@ def test_relations_change_only_by_reassignment_and_every_path_follows():
     p = build_classical_sl2()
     h = p.gen("ha1")
     fe = _fe(p)
-    rel = Relation("derived:fe", fe, h.scale(rf(2)), "derived")
+    rel = Relation("derived:fe", fe, h.scale(rf(2)))
     with pytest.raises(AttributeError):
         p.relations.append(rel)
     with pytest.raises(TypeError):
@@ -574,7 +584,7 @@ def test_add_rule_leaves_a_sharing_presentation_unchanged():
     assert p1.word_normal_form(fe) == plain  # f e is irreducible
     assert p2._word_memo() is p1._word_memo()
     h2 = p2.gen("ha1").scale(rf(2))
-    p2.add_rule("derived:fe", fe, h2, "derived")
+    p2.add_rule("derived:fe", fe, h2)
     assert p2._word_memo() is not p1._word_memo()
     assert p2.word_normal_form(fe) == h2
     assert p1.word_normal_form(fe) == plain
@@ -590,8 +600,7 @@ def test_in_place_rule_swap_rekeys_the_word_memo():
              if rel.label == "cross:e+a1,e-a1")
     rel = p2.relations[i]
     p2.relations = (p2.relations[:i]
-                    + (Relation(rel.label, rel.lead, rel.repl + p2.unit(),
-                                rel.kind, rel.meta),)
+                    + (Relation(rel.label, rel.lead, rel.repl + p2.unit()),)
                     + p2.relations[i + 1:])
     assert p2.word_normal_form(ef) == translate(want, p2.alphabet) + p2.unit()
     assert p1.word_normal_form(ef) == want
@@ -602,8 +611,7 @@ def test_word_memo_goes_with_its_last_presentation():
     once both are gone its memo leaves the registry."""
     def build():
         p = build_classical_sl2()
-        p.add_rule("derived:fe", _fe(p), p.gen("ha1").scale(rf(11)),
-                   "derived")
+        p.add_rule("derived:fe", _fe(p), p.gen("ha1").scale(rf(11)))
         return p
 
     p1, p2 = build(), build()
@@ -631,24 +639,6 @@ def test_rule_coefficients_equal_to_one_are_the_shared_one(name):
             if c == 1]
     assert ones
     assert all(c is RatFunc.one() for c in ones)
-
-
-def test_add_rule_copies_meta():
-    p = build_classical_sl2()
-    meta = {"source": "test"}
-    rel = p.add_rule("x", (p.alphabet.id_of("e+a1"),), p.unit(), "derived",
-                     meta)
-    meta["source"] = "changed"
-    assert rel.meta == {"source": "test"}
-    lead = (p.alphabet.id_of("e-a1"),)
-    assert p.add_rule("y", lead, p.unit(), "derived").meta == {}
-
-
-def test_relations_without_meta_get_their_own_dicts():
-    p = build_classical_sl2()
-    a = Relation("a", (0,), p.unit(), "derived")
-    b = Relation("b", (1,), p.unit(), "derived")
-    assert a.meta == b.meta == {} and a.meta is not b.meta
 
 
 def test_check_row_shapes():

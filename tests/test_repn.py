@@ -274,8 +274,7 @@ def test_no_solution_is_reported():
                if r.label == "loop-comm:e-a1")
     bad = p.relations[idx]
     p.relations = (p.relations[:idx]
-                   + (Relation(bad.label, bad.lead, bad.repl + p.gen("e+a1"),
-                               bad.kind, bad.meta),)
+                   + (Relation(bad.label, bad.lead, bad.repl + p.gen("e+a1")),)
                    + p.relations[idx + 1:])
     with pytest.raises(NoSolutionError):
         solve_eval_correction(1, p)

@@ -206,8 +206,8 @@ def test_higher_priority_rule_fires_at_its_own_position():
     # left of the earlier rule's lead b.c in a.b.c
     A, p = _abc()
     a, b, c, d = (NCPoly.gen(A, n) for n in "abcd")
-    bc = p.add_rule("bc", A.parse_word("b.c"), d, "test")
-    p.add_rule("ab", A.parse_word("a.b"), d.scale(rf(2)), "test")
+    bc = p.add_rule("bc", A.parse_word("b.c"), d)
+    p.add_rule("ab", A.parse_word("a.b"), d.scale(rf(2)))
     word = A.parse_word("a.b.c")
     assert p._first_occurrence(word) == (bc, 1)
     assert p._first_occurrence(A.parse_word("b.c.a.b.c")) == (bc, 0)
@@ -218,18 +218,17 @@ def test_higher_priority_rule_fires_at_its_own_position():
 
 def test_first_of_two_rules_with_one_lead_fires():
     A, p = _abc()
-    first = p.add_rule("first", A.parse_word("a.b"), NCPoly.gen(A, "c"), "t")
-    p.add_rule("second", A.parse_word("a.b"), NCPoly.gen(A, "d"), "t")
+    first = p.add_rule("first", A.parse_word("a.b"), NCPoly.gen(A, "c"))
+    p.add_rule("second", A.parse_word("a.b"), NCPoly.gen(A, "d"))
     assert p._first_occurrence(A.parse_word("c.a.b")) == (first, 1)
 
 
 def test_in_place_rule_swap_reaches_the_index():
     A, p = _abc()
-    p.add_rule("ab", A.parse_word("a.b"), NCPoly.gen(A, "d"), "test")
+    p.add_rule("ab", A.parse_word("a.b"), NCPoly.gen(A, "d"))
     word = A.parse_word("c.b.c")
     assert p._first_occurrence(word) is None
-    p.relations = (Relation("bc", A.parse_word("b.c"), NCPoly.gen(A, "a"),
-                            "test"),)
+    p.relations = (Relation("bc", A.parse_word("b.c"), NCPoly.gen(A, "a")),)
     assert p._first_occurrence(word) == (p.relations[0], 1)
     assert p.normal_form(NCPoly(A, {word: rf(1)})) == (
         NCPoly.gen(A, "c") * NCPoly.gen(A, "a"))
@@ -326,9 +325,9 @@ def test_one_frontier_keeps_each_words_order_through_cancellation():
     word = A.parse_word
     aa, bb, ca, cc = (NCPoly(A, {word(w): rf(1)})
                       for w in ("a.a", "b.b", "c.a", "c.c"))
-    p.add_rule("dd", word("d.d"), cc + bb + aa, "test")
-    p.add_rule("cc", word("c.c"), ca - bb, "test")
-    p.add_rule("ca", word("c.a"), bb.scale(rf("q")), "test")
+    p.add_rule("dd", word("d.d"), cc + bb + aa)
+    p.add_rule("cc", word("c.c"), ca - bb)
+    p.add_rule("ca", word("c.a"), bb.scale(rf("q")))
     for batch in (("b.b", "d.d", "c.c", "a.d.d", "d.d.b"), ("d.d", "a.d.d")):
         words = tuple(word(w) for w in batch)
         got = p._rewrite_words(words, 4)

@@ -56,16 +56,17 @@ def test_presentation_round_trip(build):
     assert dump_presentation(q) == text
 
 
-def _specializations():
-    """(label, presentation) for each shipped algebra under each subset of
-    {kdelta=1, eta=0, q=1} that specialize accepts, the empty one included."""
+def _specializations(source=get_presentation):
+    """(label, presentation) for each shipped algebra, as source(name) gives
+    it, under each subset of {kdelta=1, eta=0, q=1} that specialize accepts,
+    the empty one included."""
     values = {"kdelta": 1, "eta": 0, "q": 1}
     out = []
     for name in ALGEBRA_BUILDERS:
         for n in range(len(values) + 1):
             for keys in itertools.combinations(values, n):
                 try:
-                    p = specialize(get_presentation(name),
+                    p = specialize(source(name),
                                    {k: values[k] for k in keys})
                 except (ValueError, PoleError):
                     continue
@@ -78,8 +79,16 @@ def test_every_specialization_round_trips():
     # 6 shipped algebras and 22 limits of them
     assert len(cases) == 28
     assert sum(p.name in ALGEBRA_BUILDERS for _, p in cases) == 6
-    for label, p in cases:
+    # a loaded shipped algebra takes every limit the built one takes, and
+    # each limit dumps like the built one's
+    loaded = _specializations(
+        lambda name: load_presentation(dump_presentation(get_presentation(name))))
+    assert [label for label, _ in loaded] == [label for label, _ in cases]
+    for (label, p), (_, lp) in zip(cases, loaded):
         text = dump_presentation(p)
+        assert dump_presentation(lp) == text, label
+        # the label is a rule's only name
+        assert len({r.label for r in p.relations}) == len(p.relations), label
         q = load_presentation(text)
         assert dump_presentation(q) == text, label
         assert ((q.family, q.params, q.degree_bound, q.shift_element)
