@@ -50,7 +50,7 @@ from .presentations import (
     get_presentation,
     specialize,
 )
-from .repn import default_reps, solve_eval_correction, spin_rep
+from .repn import default_reps, solve_eval_correction
 from .rmatrix import R_KINDS, build_r, cybe_residual
 from .serial import dump_presentation
 from .twist import (
@@ -335,8 +335,8 @@ def cmd_cybe(kind):
 
 
 def _named_rep(spec, p):
-    """Build a representation from a `spin:<j>` selector for families that
-    support spin ladders; usage error otherwise."""
+    """Build a representation from a `spin:<j>` selector for the
+    eta-deformed family; usage error otherwise."""
     if not spec.startswith("spin:"):
         raise UsageError("unknown rep selector %r (expected spin:<j>)" % spec)
     try:
@@ -346,12 +346,10 @@ def _named_rep(spec, p):
     if j < 0 or j.denominator > 2:
         raise UsageError("spin in %r is not a non-negative half-integer"
                          % spec)
-    if p.family == "classical":
-        return spin_rep(j, p)
     if p.family == "yangian":
         return solve_eval_correction(j, p)
-    raise UsageError("spin:<j> reps exist for the classical and "
-                     "eta-deformed families, not %r" % p.family)
+    raise UsageError("spin:<j> reps exist for the eta-deformed family, "
+                     "not %r" % p.family)
 
 
 def _config_keys(settings):

@@ -47,8 +47,8 @@ from .presentations import (
     _limit_zero_form,
     check_row,
     get_presentation,
-    loop_shift_coefficient,
     rewrite_row,
+    shifted_loop_generator,
 )
 from .ratfunc import RatFunc, rf
 from .repn import Rep, default_reps, evaluate_tensor
@@ -263,20 +263,16 @@ def _hopf_data(p: Presentation, convention) -> HopfData:
         exponents = _convention_exponents(convention)
         _finite_part_maps(p, exponents, delta, antipode)
     if family == "drinfeldian":
-        s = p.shift_element
-        if s is None:
-            raise UnsupportedAlgebraError(
-                "no Hopf data for %s: the loop coproduct needs the shift "
-                "element" % p.name)
-        a = loop_shift_coefficient() if "eta" in p.params else rf(0)
-        # xi is still primitive here, and s contains no xi
+        xt = shifted_loop_generator(p)
+        # xi is still primitive here, and the shift s contains no xi
         H = HopfData(p, delta, epsilon, antipode)
-        # xi~ = xi - a*s is the raising letter e_0, with Cartan factor kappa
+        # xi = xi~ + a*s: xi~ is the raising letter e_0 with Cartan factor
+        # kappa, and a*s takes the maps H gives s
+        a_s = p.gen("xi") - xt
         kappa, kappa_inv = _kappa_words(p)
-        d_xi, s_xi = _dj_maps(p.gen("xi") - s.scale(a), kappa, kappa_inv,
-                              *exponents[:2])
-        delta["xi"] = p.normal_form_tensor(d_xi + H.coproduct(s).scale(a))
-        antipode["xi"] = p.normal_form(s_xi + H.antipode_of(s).scale(a))
+        d_xi, s_xi = _dj_maps(xt, kappa, kappa_inv, *exponents[:2])
+        delta["xi"] = p.normal_form_tensor(d_xi + H.coproduct(a_s))
+        antipode["xi"] = p.normal_form(s_xi + H.antipode_of(a_s))
     elif "xi" in p.alphabet.index and "eta" in p.params:
         # without eta, xi stays primitive, as in U(g[u])
         if p.cartan.rank != 1:

@@ -825,9 +825,15 @@ def loop_shift_coefficient() -> RatFunc:
     return rf("eta") / (rf("q") - q_power(-1))
 
 
-def shifted_loop_generator(p: Presentation, style="dressed") -> NCPoly:
-    """xi - a * (lowest-root element); weight-homogeneous."""
-    return p.gen("xi") - loop_shift_coefficient() * lower_root_vector(p, style)
+def shifted_loop_generator(p: Presentation) -> NCPoly:
+    """xi - a * s for the shift element s of p (a = 0 without eta);
+    weight-homogeneous.  UnsupportedAlgebraError if p has no shift element."""
+    if p.shift_element is None:
+        raise UnsupportedAlgebraError(
+            "no shifted loop generator for %s: it has no shift element"
+            % p.name)
+    a = loop_shift_coefficient() if "eta" in p.params else rf(0)
+    return p.gen("xi") - p.shift_element.scale(a)
 
 
 def build_drinfeldian(g, shift_style="dressed") -> Presentation:
@@ -844,7 +850,7 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
     _install_serre_rules(p)
 
     p.shift_element = lower_root_vector(p, shift_style)
-    xt = shifted_loop_generator(p, shift_style)
+    xt = shifted_loop_generator(p)
     # loop generator commutes with every lowering generator
     for i in range(cd.rank):
         f = p.gen("e-%s" % cd.labels[i])

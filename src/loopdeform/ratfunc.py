@@ -82,6 +82,7 @@ MultiPoly.one().
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -1192,32 +1193,20 @@ def rf_series_coeff(f: RatFunc, name: str, k: int) -> RatFunc:
 # -- text format --------------------------------------------------------------
 
 
+# one token per match: an integer, a name, an operator, or any other
+# non-space character (refused); the spaces before each are skipped
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|([-+*/^()])|(\S))")
+
+
 class _Tok:
     def __init__(self, text):
         self.text = text
         self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j]))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError("bad character %r in %r" % (ch, text))
+        for num, name, op, bad in _TOKEN.findall(text):
+            if bad:
+                raise ValueError("bad character %r in %r" % (bad, text))
+            self.toks.append(("int", num) if num else
+                             ("name", name) if name else (op, op))
         self.pos = 0
 
     def peek(self):

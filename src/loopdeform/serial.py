@@ -18,24 +18,28 @@ The format is deliberately plain so diffs stay reviewable:
 
 Elements serialize through their canonical string forms (sorted terms,
 reduced monic-denominator coefficients), so dumping is deterministic and a
-load/dump round trip is byte-identical.  Loading builds the alphabet from
-the letter catalogue of the Cartan type (``presentations.alphabet``): the
-family fixes its letter groups, and the central pair ``kd+``, ``kd-`` is
-part of it when the document has ``gen`` lines for it, which only a
-drinfeldian or yangian document may have.  So every presentation the
-package builds, shipped or specialized, loads back.  Loading verifies every
-``gen`` line against that alphabet and rebuilds each rule whole from its
-``rel`` line, since a rule is its label, lead and replacement.  So a loaded
-presentation verifies, rewrites and takes ``specialize`` limits like the
-one that was dumped.
+load/dump round trip is byte-identical.  ``parse_ncpoly`` and
+``parse_tensorpoly`` read them through one term scanner.  Loading builds the
+alphabet from the letter catalogue of the Cartan type
+(``presentations.alphabet``): the family fixes its letter groups, and the
+central pair ``kd+``, ``kd-`` is part of it when the document has ``gen``
+lines for it, which only a drinfeldian or yangian document may have.  So
+every presentation the package builds, shipped or specialized, loads back.
+Loading verifies every ``gen`` line against that alphabet and rebuilds each
+rule whole from its ``rel`` line, since a rule is its label, lead and
+replacement.  So a loaded presentation verifies, rewrites and takes
+``specialize`` limits like the one that was dumped.
 Hopf maps are re-validated for generator coverage and representations replay
 their full relation check on load.  A payload line that names a letter the
-alphabet lacks, or whose element or matrix does not parse, is a
-``FormatError`` at its line, and so is a second ``delta``, ``antipode`` or
-``counit`` line for one letter, or a second ``mat`` line for one letter in
-a rep block.  Every letter is even: dumps write
-``parity=0``, and loading rejects any other value (a missing one reads as 0).
+alphabet lacks, or whose element or matrix does not parse (an exponent past
+65,535 and parentheses nested too deeply included), is a ``FormatError`` at
+its line, and so is a second ``delta``, ``antipode`` or ``counit`` line for
+one letter, or a second ``mat`` line for one letter in a rep block.  Every
+letter is even: dumps write ``parity=0``, and loading rejects any other
+value (a missing one reads as 0).
 """
+
+import re
 
 from .errors import UnknownGeneratorError, UnsupportedAlgebraError
 from .freealg import NCPoly, TensorPoly, add_term
@@ -47,7 +51,7 @@ from .presentations import (
     alphabet,
     cartan_data,
 )
-from .ratfunc import RatFunc, parse_ratfunc, rf
+from .ratfunc import parse_ratfunc, rf
 from .repn import MatrixRF, Rep
 
 
@@ -64,81 +68,58 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _split_sum(text):
-    """Split on top-level ' + ' (plus signs inside parentheses stay put)."""
-    parts, depth, start, i = [], 0, 0, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(" + ", i):
-            parts.append(text[start:i])
-            i += 3
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
+# a parenthesis, a '*', a ' + ' between terms (the spaces around its '+'
+# included) or the end of the text
+_MARKS = re.compile(r"[()*]| +\+ +|$")
 
 
-def _split_coeff(part):
-    """Split 'coeff*payload' at the last top-level '*'; None if there is no
-    separator (bare word with unit coefficient)."""
-    depth, pos = 0, None
-    for i, ch in enumerate(part):
-        if ch == "(":
+def _terms(text):
+    """Yield (coefficient text or None, payload) for each ' + '-separated
+    term of text (none for "0"), split at the term's last depth-0 '*': one
+    paren-depth pass over the _MARKS, and a ')' that closes nothing is a
+    ValueError."""
+    text = text.strip()
+    if text == "0":
+        return
+    depth, start, star = 0, 0, None
+    for m in _MARKS.finditer(text):
+        mark = m.group()
+        if mark == "(":
             depth += 1
-        elif ch == ")":
+        elif mark == ")":
             depth -= 1
-        elif ch == "*" and depth == 0:
-            pos = i
-    if pos is None:
-        return None, part
-    return part[:pos], part[pos + 1:]
+            if depth < 0:
+                raise ValueError("unbalanced parentheses in %r" % text[start:])
+        elif depth == 0 and mark == "*":
+            star = m.start()
+        elif depth == 0 or not mark:
+            end = m.start()
+            yield ((None, text[start:end]) if star is None
+                   else (text[start:star], text[star + 1:end]))
+            start, star = m.end(), None
 
 
 def parse_ncpoly(text, alphabet) -> NCPoly:
     """Parse the canonical NCPoly text form over the given alphabet."""
-    text = text.strip()
-    if text == "0":
-        return NCPoly.zero(alphabet)
     terms = {}
-    for part in _split_sum(text):
-        coeff_text, word_text = _split_coeff(part.strip())
+    for coeff_text, word_text in _terms(text):
         c = rf(1) if coeff_text is None else parse_ratfunc(coeff_text)
         add_term(terms, alphabet.parse_word(word_text), c)
     return NCPoly(alphabet, terms)
 
 
-def _trailing_group(part):
-    """Split 'coeff*( ... )' at the parenthesized payload that ends the term."""
-    if not part.endswith(")"):
-        raise ValueError("tensor term %r does not end in a slot group" % part)
-    depth = 0
-    for i in range(len(part) - 1, -1, -1):
-        if part[i] == ")":
-            depth += 1
-        elif part[i] == "(":
-            depth -= 1
-            if depth == 0:
-                if i == 0 or part[i - 1] != "*":
-                    raise ValueError("tensor term %r lacks a coefficient" % part)
-                return part[:i - 1], part[i + 1:-1]
-    raise ValueError("unbalanced parentheses in %r" % part)
-
-
 def parse_tensorpoly(text, alphabet, arity) -> TensorPoly:
     """Parse the canonical TensorPoly text form over the given alphabet."""
-    text = text.strip()
-    if text == "0":
-        return TensorPoly.zero(alphabet, arity)
     terms = {}
-    for part in _split_sum(text):
-        coeff_text, slots_text = _trailing_group(part.strip())
+    for coeff_text, group in _terms(text):
+        part = group if coeff_text is None else coeff_text + "*" + group
+        if not group.endswith(")"):
+            raise ValueError("tensor term %r does not end in a slot group"
+                             % part)
+        if coeff_text is None or not group.startswith("("):
+            raise ValueError("tensor term %r lacks a coefficient" % part)
         c = parse_ratfunc(coeff_text)
-        slots = slots_text.split(" @ ")
+        slots = group[1:-1].split(" @ ")
         if len(slots) != arity:
             raise ValueError("expected %d slots, got %d in %r"
                              % (arity, len(slots), part))
@@ -185,15 +166,12 @@ def dump_presentation(p: Presentation) -> str:
 
 def dump_hopf(H: HopfData) -> str:
     """The Hopf appendix (generator maps in alphabet order)."""
-    lines = []
     names = [s.name for s in H.presentation.alphabet.symbols]
-    for name in names:
-        lines.append("delta %s: %s" % (name, H.delta[name]))
-    for name in names:
-        lines.append("antipode %s: %s" % (name, H.antipode[name]))
-    for name in names:
-        lines.append("counit %s: %s" % (name, H.epsilon[name]))
-    return "\n".join(lines) + "\n"
+    return "".join("%s %s: %s\n" % (key, name, images[name])
+                   for key, images in (("delta", H.delta),
+                                       ("antipode", H.antipode),
+                                       ("counit", H.epsilon))
+                   for name in names)
 
 
 def dump_rep(r: Rep) -> str:
@@ -233,14 +211,16 @@ def _int(lineno, text, what):
 
 def _payload(lineno, parse, *args):
     """parse(*args), or a FormatError at lineno if it rejects its input: a
-    letter the alphabet lacks, or a malformed element or matrix."""
+    letter the alphabet lacks, or a malformed or out-of-range payload."""
     try:
         return parse(*args)
     except UnknownGeneratorError as exc:
         raise FormatError(lineno, "letter %s is not part of this family's "
                           "alphabet" % exc) from None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(lineno, str(exc)) from None
+    except RecursionError:
+        raise FormatError(lineno, "payload nested too deeply") from None
 
 
 def _expect_fields(lineno, line, key):

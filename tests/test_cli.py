@@ -103,7 +103,8 @@ def test_verify_rep_selector():
     rep = cmd_verify("yangian-sl2", "relations", reps=["spin:1/2", "spin:1"])
     assert rep.status == "pass"
     assert rep.config["reps"] == ["eval-spin(1/2)", "eval-spin(1)"]
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="for the eta-deformed family, "
+                                         "not 'uq'$"):
         cmd_verify("uq-sl2", "relations", reps=["spin:1/2"])
     with pytest.raises(UsageError):
         cmd_verify("yangian-sl2", "relations", reps=["dim:2"])

@@ -217,6 +217,19 @@ def test_shifted_loop_generator_is_weight_homogeneous(dr2, dr3):
     assert shifted_loop_generator(dr3).weight() == (-1, -1)
 
 
+def test_shifted_loop_generator_reads_the_stored_shift(dr2):
+    plain = build_drinfeldian("sl2", shift_style="plain")
+    a = loop_shift_coefficient()
+    assert shifted_loop_generator(plain) \
+        == plain.gen("xi") - a * plain.gen("e-a1")
+    # without eta the coefficient a is 0
+    flat = specialize(dr2, {"eta": 0})
+    assert flat.shift_element is not None
+    assert shifted_loop_generator(flat) == flat.gen("xi")
+    with pytest.raises(UnsupportedAlgebraError, match="no shift element"):
+        shifted_loop_generator(build_yangian_sl2())
+
+
 def test_drinfeldian_sl2_loop_comm_rule(dr2):
     A = dr2.alphabet
     r = dr2.relation("loop-comm:e-a1")

@@ -149,6 +149,22 @@ def test_truncated_text_is_a_value_error_naming_it(text):
     assert str(info.value) == "unexpected end of input in %r" % text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("q$", "bad character '$' in 'q$'"),
+    ("q q", "trailing input in 'q q'"),
+    ("nope", "unknown variable 'nope'"),
+    ("q^x", "exponent must be an integer"),
+    ("q^(2)", "exponent must be an integer"),
+    ("(q q", "missing closing parenthesis"),
+    (")", "unexpected token ')'"),
+], ids=["bad-character", "trailing", "unknown-variable", "name-exponent",
+        "group-exponent", "unclosed", "unexpected-token"])
+def test_malformed_text_is_a_value_error_naming_its_fault(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_ratfunc(text)
+    assert str(info.value) == message
+
+
 def test_constants_hash_like_their_values():
     # equal objects must hash equal, so a constant and its value are one key
     assert rf(3) == 3 and hash(rf(3)) == hash(3)

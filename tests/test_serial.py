@@ -271,6 +271,47 @@ def test_malformed_payload_is_a_format_error_at_its_line(anchor, line,
     assert info.value.lineno == i + 1
 
 
+def _format_error(anchor, line):
+    """(line number, FormatError) of the yangian bundle whose line starting
+    with anchor is replaced by line."""
+    lines = _yangian_bundle_lines()
+    i = next(i for i, l in enumerate(lines) if l.startswith(anchor))
+    lines[i] = line
+    with pytest.raises(FormatError) as info:
+        load_bundle("\n".join(lines) + "\n")
+    return i + 1, info.value
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("1*(1 @ xi", "tensor term '1*(1 @ xi' does not end in a slot group"),
+    ("(1 @ xi)", "tensor term '(1 @ xi)' lacks a coefficient"),
+    ("1*(1 @ xi))", "unbalanced parentheses in '1*(1 @ xi))'"),
+    ("1*(1 @ xi @ xi)", "expected 2 slots, got 3 in '1*(1 @ xi @ xi)'"),
+], ids=["no-slot-group", "no-coefficient", "unbalanced", "three-slots"])
+def test_malformed_tensor_term_is_a_format_error_naming_it(payload, message):
+    lineno, exc = _format_error("delta xi:", "delta xi: " + payload)
+    assert str(exc) == "line %d: %s" % (lineno, message)
+
+
+@pytest.mark.parametrize("anchor, line", [
+    ("rel ", "rel x: e-a1 => q^70000*e+a1"),
+    ("delta xi:", "delta xi: q^70000*(1 @ xi)"),
+], ids=["rel", "delta"])
+def test_exponent_past_the_largest_stored_is_a_format_error(anchor, line):
+    lineno, exc = _format_error(anchor, line)
+    assert exc.lineno == lineno
+    assert "65535" in str(exc)
+
+
+@pytest.mark.parametrize("anchor, line", [
+    ("counit xi:", "counit xi: %s1%s" % ("(" * 200, ")" * 200)),
+    ("delta xi:", "delta xi: %s1%s*(1 @ xi)" % ("(" * 200, ")" * 200)),
+], ids=["counit", "delta"])
+def test_payload_nested_too_deeply_is_a_format_error(anchor, line):
+    lineno, exc = _format_error(anchor, line)
+    assert str(exc) == "line %d: payload nested too deeply" % lineno
+
+
 @pytest.mark.parametrize("anchor, line", [
     ("delta xi:", "delta xi: 2*(xi @ 1)"),
     ("antipode xi:", "antipode xi: -xi"),
