@@ -21,8 +21,6 @@ from .ratfunc import (
     parse_ratfunc,
     q_power,
     rf,
-    rf_limit,
-    rf_series_coeff,
 )
 from .freealg import (
     Alphabet,
@@ -53,7 +51,6 @@ from .presentations import (
 from .repn import (
     MatrixRF,
     Rep,
-    check_relations_in_rep,
     default_reps,
     evaluate_tensor,
     solve_eval_correction,

@@ -508,16 +508,11 @@ def _apply_wordwise(x, images, reverse):
 # -- q-commutators --------------------------------------------------------------
 
 
-def q_commutator(x: NCPoly, y: NCPoly, power: RatFunc = None):
-    """[x, y]_q = x y - q^(wt x, wt y) y x.
-
-    When power is omitted it is derived from the weights of x and y (both must
-    be weight-homogeneous).  Pass power explicitly to override.
-    """
-    if power is None:
-        n = x.alphabet.pairing(x.weight(), y.weight())
-        power = RatFunc.var("q", n)
-    return x * y - power * (y * x)
+def q_commutator(x: NCPoly, y: NCPoly):
+    """[x, y]_q = x y - q^(wt x, wt y) y x; x and y must be
+    weight-homogeneous."""
+    n = x.alphabet.pairing(x.weight(), y.weight())
+    return x * y - RatFunc.var("q", n) * (y * x)
 
 
 def commutator(x: NCPoly, y: NCPoly):

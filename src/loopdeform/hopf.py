@@ -45,6 +45,7 @@ from .presentations import (
     Presentation,
     _limit_tensor_zero_form,
     _limit_zero_form,
+    build_drinfeldian,
     check_row,
     get_presentation,
     rewrite_row,
@@ -392,18 +393,19 @@ def _homomorphism_verdict(hopf: HopfData):
     return True if verdicts <= {"zero"} else None
 
 
-def convention_search(p: Presentation, loop_builder=None):
+def convention_search(p: Presentation):
     """Survey Cartan-factor placements on a q-deformed presentation.
 
     Enumerates the four opposite-side placements (both exponent signs) plus
     the two same-side placements.  Each row records whether the coproduct is
-    an algebra homomorphism on the finite relations and -- when a loop
-    extension builder is supplied and the finite part is one -- whether the
-    two-parameter extension stays a homomorphism.  Each verdict is True,
-    False (witnessed) or None."""
+    an algebra homomorphism on the finite relations and, when it is, whether
+    the two-parameter extension build_drinfeldian of the same Cartan preset
+    stays one under that placement.  Each verdict is True, False
+    (witnessed) or None."""
     if p.family != "uq":
         raise UnsupportedAlgebraError(
             "convention search expects a q-deformed finite presentation")
+    loop = build_drinfeldian(p.cartan.name)
     results = []
     for name, (er, _, fr, _) in {**CONVENTIONS, **_SEARCH_ONLY}.items():
         finite_ok = _homomorphism_verdict(build_hopf(p, name))
@@ -413,9 +415,9 @@ def convention_search(p: Presentation, loop_builder=None):
             "finite_homomorphism": finite_ok,
             "loop_homomorphism": None,
         }
-        if loop_builder is not None and finite_ok:
+        if finite_ok:
             row["loop_homomorphism"] = _homomorphism_verdict(
-                build_hopf(loop_builder(), name))
+                build_hopf(loop, name))
         results.append(row)
     return results
 

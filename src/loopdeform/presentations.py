@@ -573,14 +573,6 @@ class Presentation:
                 return rel
         raise KeyError(label)
 
-    def self_reduction(self):
-        """[(label, residual NCPoly)] of each relation's zero form reduced by
-        the full rule set; all residuals must vanish in a coherent system."""
-        out = []
-        for rel in self.relations:
-            out.append((rel.label, self.normal_form(rel.zero_form(self.alphabet))))
-        return out
-
     def __repr__(self):
         return "Presentation(%s: %d generators, %d relations)" % (
             self.name,
@@ -791,33 +783,24 @@ def build_uq(g) -> Presentation:
     return p
 
 
-def lower_root_vector(p: Presentation, style="dressed") -> NCPoly:
-    """A weight -theta element with nonzero classical limit, used to shift
-    the loop generator.  Any such element is admissible; the builders default
-    to the Cartan-dressed one.
+def lower_root_vector(p: Presentation) -> NCPoly:
+    """The shift element s = [[...[f_1, f_2]_q ...]_q, f_n]_q k_1^t_1 ...
+    k_n^t_n of weight -theta, theta = sum t_i alpha_i the highest root.
 
-    style="dressed": rank 1 gives f k; rank 2 gives [f_1, f_2]_q k_1 k_2.
-    style="plain":   the same words without the trailing Cartan letters.
-
-    The dressing is what makes the shifted loop generator compatible with the
-    group-like letters: with the plain choice the cross-relation right-hand
-    sides collapse to zero and the q -> 1 degeneration loses its eta terms
-    (the "plain" builder variant exists so that collapse can be demonstrated).
-    """
+    The bracket runs over the chain of lowering letters f_i = e-<label i>
+    that takes label i t_i times, in label order, and the dressing k_i =
+    k+<label i> is raised to the same t_i: f k on sl2, [f_1, f_2]_q k_1 k_2
+    on sl3, [[f_1, f_2]_q, f_2]_q k_1 k_2^2 on B2.  The Cartan dressing is
+    what makes the shifted loop generator compatible with the group-like
+    letters, so that the q -> 1 degeneration keeps its eta terms."""
     cd = p.cartan
-    if cd.rank == 1:
-        bare = p.gen("e-a1")
-        dress = p.gen("k+a1")
-    elif cd.rank == 2:
-        bare = q_commutator(p.gen("e-a1"), p.gen("e-a2"))
-        dress = p.gen("k+a1") * p.gen("k+a2")
-    else:
-        raise UnsupportedAlgebraError("no lowest-root element for rank > 2")
-    if style == "plain":
-        return bare
-    if style == "dressed":
-        return bare * dress
-    raise ValueError("unknown lowest-root style %r" % (style,))
+    chain = [l for l, t in zip(cd.labels, cd.highest_root) for _ in range(t)]
+    s = p.gen("e-" + chain[0])
+    for label in chain[1:]:
+        s = q_commutator(s, p.gen("e-" + label))
+    for label in chain:
+        s = s * p.gen("k+" + label)
+    return s
 
 
 def loop_shift_coefficient() -> RatFunc:
@@ -836,7 +819,7 @@ def shifted_loop_generator(p: Presentation) -> NCPoly:
     return p.gen("xi") - p.shift_element.scale(a)
 
 
-def build_drinfeldian(g, shift_style="dressed") -> Presentation:
+def build_drinfeldian(g) -> Presentation:
     """Two-parameter deformation on the loop extension of the preset g."""
     cd = cartan_data(g)
     A = alphabet(cd, "drinfeldian")
@@ -849,7 +832,7 @@ def build_drinfeldian(g, shift_style="dressed") -> Presentation:
     _install_ef_rules(p)
     _install_serre_rules(p)
 
-    p.shift_element = lower_root_vector(p, shift_style)
+    p.shift_element = lower_root_vector(p)
     xt = shifted_loop_generator(p)
     # loop generator commutes with every lowering generator
     for i in range(cd.rank):

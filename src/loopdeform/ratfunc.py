@@ -730,9 +730,6 @@ class RatFunc:
     def const_value(self):
         return _div(self.num.const_value(), self.den.const_value())
 
-    def vars_used(self):
-        return self.num.vars_used() | self.den.vars_used()
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -945,13 +942,6 @@ class RatFunc:
             raise ValueError("denominator is not homogeneous in %s" % name)
         return (self.num.min_degree(i) - dmin, self.num.degree(i) - dmin)
 
-    def extract_power(self, name, k):
-        """Divide by name^k exactly; ValueError if the result still involves name."""
-        out = self / RatFunc.var(name, k)
-        if VAR_INDEX[name] in out.vars_used():
-            raise ValueError("%s is not exactly %s^%d * (free part)" % (self, name, k))
-        return out
-
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:
             return _paren_poly(self.num)
@@ -1117,12 +1107,7 @@ def q_power(n: int) -> RatFunc:
     return RatFunc.var("q", n)
 
 
-# -- limits and series -------------------------------------------------------
-
-
-def rf_limit(f: RatFunc, name: str, value) -> RatFunc:
-    """Exact limit of f as name -> value (a rational number)."""
-    return f.eval_var(name, value)
+# -- series -------------------------------------------------------------------
 
 
 def laurent_coeffs(f: RatFunc, name: str, point, upto: int):
@@ -1179,17 +1164,6 @@ def _shift_to(p: MultiPoly, i: int, point) -> MultiPoly:
     return out
 
 
-def rf_series_coeff(f: RatFunc, name: str, k: int) -> RatFunc:
-    """Taylor coefficient of name^k at name=0; PoleError if den(0) vanishes."""
-    i = VAR_INDEX[name]
-    if f.den.min_degree(i) > 0 or RatFunc(f.den).eval_var(name, 0).is_zero():
-        raise PoleError("reduced denominator of %s vanishes at %s=0" % (f, name))
-    ord0, coeffs = laurent_coeffs(f, name, 0, k)
-    if k < ord0 or k - ord0 >= len(coeffs):
-        return RatFunc.zero()
-    return coeffs[k - ord0]
-
-
 # -- text format --------------------------------------------------------------
 
 
@@ -1221,9 +1195,16 @@ class _Tok:
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    """Parse infix +-*/^ with integer (possibly negative) exponents."""
+    """Parse infix +-*/^ with integer (possibly negative) exponents.  Any
+    text it refuses, also one nested too deeply or with an exponent past
+    _EMAX, is a ValueError naming the text."""
     tk = _Tok(text)
-    out = _parse_expr(tk)
+    try:
+        out = _parse_expr(tk)
+    except RecursionError:
+        raise ValueError("nested too deeply in %r" % text) from None
+    except OverflowError as exc:
+        raise ValueError("%s in %r" % (exc, text)) from None
     if tk.peek() is not None:
         raise ValueError("trailing input in %r" % text)
     return out

@@ -43,7 +43,6 @@ from .presentations import (
     Presentation,
     build_classical_sl2,
     build_yangian_sl2,
-    check_row,
     loop_shift_coefficient,
 )
 from .ratfunc import RatFunc, rf
@@ -316,15 +315,6 @@ def _add_scaled(acc, c, entries):
                 acc[key] = s
             else:
                 del acc[key]
-
-
-def check_relations_in_rep(p: Presentation, r: Rep):
-    """(label, verdict, payload) per relation; verdict 'zero'/'nonzero'."""
-    out = []
-    for rel in p.relations:
-        res = r.evaluate(rel.zero_form(p.alphabet))
-        out.append(check_row(rel.label, None if res.is_zero() else str(res)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,6 @@ def _payload(lineno, parse, *args):
                           "alphabet" % exc) from None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(lineno, str(exc)) from None
-    except RecursionError:
-        raise FormatError(lineno, "payload nested too deeply") from None
 
 
 def _expect_fields(lineno, line, key):

@@ -29,7 +29,9 @@ It dies with its HopfData, whose maps are read-only, and is built anew once
 the presentation's ``relations`` is another tuple or its ``degree_bound``
 has changed.  The cocycle and counit checks and twist_u, which take a
 presentation, find its HopfData through build_hopf, so they share the
-structure of the HopfData a caller holds.
+structure of the HopfData a caller holds.  Every element's twisted image
+is the sum of its words' memoized images, each scaled by the word's
+coefficient.
 
 A zero verdict is a rewriting proof; a normal form that stays
 nonzero is unknown, because the rule system is not confluent.  Matrix
@@ -46,7 +48,7 @@ from .errors import (
     NotUnitLeadingError,
     UnsupportedAlgebraError,
 )
-from .freealg import NCPoly, TensorPoly, tensor
+from .freealg import NCPoly, TensorPoly, _check_same_alphabet, tensor
 from .hopf import (
     HopfData,
     _mult_with_map,
@@ -387,14 +389,14 @@ def _twisted(H: HopfData, N: int) -> _Twisted:
     return tw
 
 
-def _word_of(x: NCPoly, H: HopfData):
-    """x's word when x is one word over H's alphabet with coefficient 1,
-    else None."""
-    if x.alphabet is H.presentation.alphabet and len(x.terms) == 1:
-        (word, c), = x.terms.items()
-        if c == 1:
-            return word
-    return None
+def _by_words(image_of, x: NCPoly, H: HopfData, zero, N: int):
+    """Graded coefficients of sum c * image_of(w) over the terms c * w of x,
+    which must be over H's alphabet; N + 1 zeros when x is 0."""
+    _check_same_alphabet(x.alphabet, H.presentation.alphabet)
+    out = [zero] * (N + 1)
+    for word, c in x.terms.items():
+        out = [acc + t.scale(c) for acc, t in zip(out, image_of(word))]
+    return out
 
 
 def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
@@ -402,12 +404,10 @@ def twisted_coproduct(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
 
     Returns the list of graded coefficients of F Delta(x) F^{-1}; entry k is
     a two-slot tensor element carrying exactly zeta^k, entry 0 is the
-    untwisted coproduct in normal form."""
-    tw = _twisted(H, N)
-    word = _word_of(x, H)
-    if word is None:
-        return _twisted_delta(H, tw.F, tw.inverse(), x, N)
-    return list(tw.delta_of(H)(word))
+    untwisted coproduct in normal form.  AlphabetMismatchError if x is not
+    over H's alphabet."""
+    return _by_words(_twisted(H, N).delta_of(H), x, H,
+                     TensorPoly.zero(x.alphabet, 2), N)
 
 
 def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
@@ -415,13 +415,9 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
 
     Returns the list of graded coefficients of u S(x) u^{-1} as plain
     algebra elements, u = m(id (x) S)F; entry 0 is the untwisted antipode in
-    normal form."""
-    tw = _twisted(H, N)
-    antipode_of = tw.antipode_of(H)
-    word = _word_of(x, H)
-    if word is None:
-        return _twisted_S(H, tw.u, tw.ui, x, N)
-    return list(antipode_of(word))
+    normal form.  AlphabetMismatchError if x is not over H's alphabet."""
+    return _by_words(_twisted(H, N).antipode_of(H), x, H,
+                     NCPoly.zero(x.alphabet), N)
 
 
 # ---------------------------------------------------------------------------

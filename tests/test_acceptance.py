@@ -31,7 +31,7 @@ from loopdeform.presentations import (
     specialize,
     translate,
 )
-from loopdeform.ratfunc import rf, rf_limit
+from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor, solve_eval_correction
 from loopdeform.rmatrix import build_r, cybe_residual, wedge
 from loopdeform.twist import (
@@ -109,7 +109,7 @@ def test_criterion_02_nonsingular_coefficients_at_q_one(dr2):
             if rel.label.startswith("cross:"):
                 continue
             for c in rel.repl.terms.values():
-                rf_limit(c, "q", 1)  # PoleError here fails the criterion
+                c.eval_var("q", 1)  # PoleError here fails the criterion
                 if c.var_degree_range("eta") == (1, 1):
                     saw_expanded_shift.add(rel.label)
         # non-vacuity: each mixed relation really carries expanded
@@ -118,13 +118,13 @@ def test_criterion_02_nonsingular_coefficients_at_q_one(dr2):
         assert mixed and mixed <= saw_expanded_shift
         # the shift coefficient itself is singular alone ...
         with pytest.raises(PoleError):
-            rf_limit(loop_shift_coefficient(), "q", 1)
+            loop_shift_coefficient().eval_var("q", 1)
         # ... and so is the inherited one-parameter backbone, whose q->1
         # limit is structural (letter expansion), not coefficientwise
         cross = dr2.relation("cross:e+a1,e-a1")
         with pytest.raises(PoleError):
             for c in cross.repl.terms.values():
-                rf_limit(c, "q", 1)
+                c.eval_var("q", 1)
         specialize(dr2, {"kdelta": 1, "q": 1})  # the structural path exists
         # the loop generator's coproduct/antipode right sides are jointly
         # finite at q=1 even though single terms are not

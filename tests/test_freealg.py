@@ -123,9 +123,8 @@ def test_q_commutator_weight_power():
     c = q_commutator(E, F)
     assert c.coeff(A.parse_word("e+a1.e-a1")) == rf(1)
     assert c.coeff(A.parse_word("e-a1.e+a1")) == -q_power(-2)
-    # explicit power overrides the weight rule
-    c2 = q_commutator(E, F, power=rf(1))
-    assert c2 == commutator(E, F)
+    # at q = 1 the q-bracket is the plain one
+    assert c.map_coeffs(lambda x: x.eval_var("q", 1)) == commutator(E, F)
 
 
 def test_iterated_q_bracket_on_dressed_lowering_letter():

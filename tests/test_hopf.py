@@ -302,15 +302,6 @@ def test_drinfeldian_embeds_in_the_affine_quantum_group(monkeypatch, g, rules,
             assert HD.counit(x) == HU.counit(phi(x)), tag
 
 
-def test_plain_shift_is_also_a_homomorphism():
-    dp = build_drinfeldian("sl2", shift_style="plain")
-    H = build_hopf(dp)
-    assert all_zero(check_coassoc(H))
-    assert all_zero(check_counit(H))
-    assert all_zero(check_antipode(H))
-    assert all_zero(check_homomorphism(H))
-
-
 # ---------------------------------------------------------------------------
 # eta-deformed family
 # ---------------------------------------------------------------------------
@@ -357,7 +348,7 @@ def test_coassociativity_triple_frozen(yang, yang_hopf):
 
 
 def test_convention_survey(uq2):
-    rows = convention_search(uq2, loop_builder=lambda: build_drinfeldian("sl2"))
+    rows = convention_search(uq2)
     by_name = {r["convention"]: r for r in rows}
     assert len(rows) == 6
     # every opposite-side placement is a valid bialgebra on the finite part,
@@ -689,21 +680,6 @@ def test_loop_hopf_limit_matches_eta_deformation(d2_hopf, yang, yang_hopf):
     dlim, slim = loop_hopf_limit(d2_hopf, yang)
     assert (dlim - yang_hopf.delta["xi"]).is_zero()
     assert (slim - yang_hopf.antipode["xi"]).is_zero()
-
-
-def test_loop_hopf_limit_plain_shift_differs(yang, yang_hopf):
-    dp = build_drinfeldian("sl2", shift_style="plain")
-    H = build_hopf(dp)
-    dlim, slim = loop_hopf_limit(H, yang)
-    xi, f, h = yang.gen("xi"), yang.gen("e-a1"), yang.gen("ha1")
-    one = yang.unit()
-    half_eta = rf("eta") / rf(2)
-    # the undressed shift degenerates to the antisymmetrized pairing
-    expected_d = (tensor(xi, one) + tensor(one, xi)
-                  + (tensor(f, h) - tensor(h, f)).scale(half_eta))
-    assert (dlim - expected_d).is_zero()
-    assert (slim - (-xi + f.scale(rf("eta")))).is_zero()
-    assert not (dlim - yang_hopf.delta["xi"]).is_zero()
 
 
 def test_loop_hopf_limit_rejects_other_families(yang_hopf):

@@ -21,14 +21,22 @@ from loopdeform.errors import (
     PoleError,
     UnsupportedAlgebraError,
 )
-from loopdeform.freealg import NCPoly, TensorPoly, commutator, tensor
+from loopdeform.freealg import (
+    NCPoly,
+    TensorPoly,
+    commutator,
+    q_commutator,
+    tensor,
+)
 from loopdeform.hopf import build_hopf
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
     Q1_LIMITS,
     CartanData,
+    Presentation,
     Relation,
     affine,
+    alphabet,
     build_classical_sl2,
     build_drinfeldian,
     build_twisted_yangian_sl2,
@@ -45,7 +53,7 @@ from loopdeform.presentations import (
     specialize,
     translate,
 )
-from loopdeform.ratfunc import RatFunc, q_power, rf, rf_limit
+from loopdeform.ratfunc import RatFunc, q_power, rf
 from loopdeform.serial import dump_presentation, load_presentation
 
 
@@ -218,16 +226,42 @@ def test_shifted_loop_generator_is_weight_homogeneous(dr2, dr3):
 
 
 def test_shifted_loop_generator_reads_the_stored_shift(dr2):
-    plain = build_drinfeldian("sl2", shift_style="plain")
+    p = build_drinfeldian("sl2")
+    p.shift_element = p.gen("e-a1")
     a = loop_shift_coefficient()
-    assert shifted_loop_generator(plain) \
-        == plain.gen("xi") - a * plain.gen("e-a1")
+    assert shifted_loop_generator(p) == p.gen("xi") - a * p.gen("e-a1")
     # without eta the coefficient a is 0
     flat = specialize(dr2, {"eta": 0})
     assert flat.shift_element is not None
     assert shifted_loop_generator(flat) == flat.gen("xi")
     with pytest.raises(UnsupportedAlgebraError, match="no shift element"):
         shifted_loop_generator(build_yangian_sl2())
+
+
+def _uq_over(cd):
+    return Presentation("uq-%s" % cd.name, "uq", cd, alphabet(cd, "uq"),
+                        params=("q",))
+
+
+def test_shift_element_is_the_highest_root_chain(dr2, dr3):
+    f, k = dr2.gen("e-a1"), dr2.gen("k+a1")
+    assert dr2.shift_element == f * k
+    f1, f2, k1, k2 = (dr3.gen(n) for n in ("e-a1", "e-a2", "k+a1", "k+a2"))
+    assert dr3.shift_element == q_commutator(f1, f2) * k1 * k2
+    # theta = alpha_1 + 2 alpha_2 on B2: the chain takes a2 twice
+    b2 = _uq_over(CartanData("B2", ((2, -1), (-2, 2)), (2, 1), ("a1", "a2"),
+                             (1, 2)))
+    f1, f2, k1, k2 = (b2.gen(n) for n in ("e-a1", "e-a2", "k+a1", "k+a2"))
+    s = lower_root_vector(b2)
+    assert s.weight() == (-1, -2)
+    assert s == q_commutator(q_commutator(f1, f2), f2) * k1 * k2 * k2
+    sl4 = _uq_over(CartanData("sl4", ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+                              (1, 1, 1), ("a1", "a2", "a3"), (1, 1, 1)))
+    f1, f2, f3 = (sl4.gen("e-a%d" % i) for i in (1, 2, 3))
+    k1, k2, k3 = (sl4.gen("k+a%d" % i) for i in (1, 2, 3))
+    s = lower_root_vector(sl4)
+    assert s.weight() == (-1, -1, -1)
+    assert s == q_commutator(q_commutator(f1, f2), f3) * k1 * k2 * k3
 
 
 def test_drinfeldian_sl2_loop_comm_rule(dr2):
@@ -249,7 +283,7 @@ def test_drinfeldian_sl2_loop_serre_e_rule(dr2):
     assert r.repl.coeff(A.parse_word("e+a1.xi.e+a1.e+a1")) == three
     corr = r.repl.coeff(A.parse_word("e+a1.e+a1.k+a1.k+a1"))
     assert corr == -rf("eta") * rf("q^8 + 2*q^6 + 2*q^4 + q^2")
-    assert rf_limit(corr, "q", 1) == rf(-6) * rf("eta")
+    assert corr.eval_var("q", 1) == rf(-6) * rf("eta")
     assert len(r.repl.terms) == 4
 
 
@@ -263,7 +297,7 @@ def test_drinfeldian_sl2_loop_serre_xi_rule(dr2):
     assert r.repl.coeff(A.parse_word("xi.xi.e+a1.xi")) == three
     corr = r.repl.coeff(A.parse_word("xi.xi.k+a1.k+a1"))
     assert corr == -rf("eta") * rf("(q^6 + 2*q^4 + 2*q^2 + 1)/q^6")
-    assert rf_limit(corr, "q", 1) == rf(-6) * rf("eta")
+    assert corr.eval_var("q", 1) == rf(-6) * rf("eta")
 
 
 def test_drinfeldian_coefficients_are_regular_at_one(dr2):
@@ -276,7 +310,7 @@ def test_drinfeldian_coefficients_are_regular_at_one(dr2):
         if rel.label.startswith("cross:"):
             continue
         for w, c in rel.repl.terms.items():
-            rf_limit(c, "q", 1)  # must not raise
+            c.eval_var("q", 1)  # must not raise
 
 
 def test_drinfeldian_sl3_loop_comm_rules(dr3):
@@ -299,7 +333,7 @@ def test_drinfeldian_sl3_loop_serre_rules(dr3):
     assert r.repl.coeff(A.parse_word("e+a1.e+a1.xi")) == rf(-1)
     corr = r.repl.coeff(A.parse_word("e-a2.e+a1.k+a1.k+a1.k+a2"))
     assert corr == -rf("eta") * (rf("q") ** 3 + rf("q"))
-    assert rf_limit(corr, "q", 1) == -2 * rf("eta")
+    assert corr.eval_var("q", 1) == -2 * rf("eta")
     # the mirror rule on the second node carries no correction at all
     r2 = dr3.relation("loop-serre-e:e+a2")
     assert set(r2.repl.terms) == {
@@ -318,15 +352,16 @@ def test_drinfeldian_sl3_loop_serre_rules(dr3):
         if rel.label.startswith("cross:"):
             continue
         for w, c in rel.repl.terms.items():
-            rf_limit(c, "q", 1)
+            c.eval_var("q", 1)
 
 
 def test_self_reduction_everywhere():
     for name in ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
                  "yangian-sl2", "twisted-yangian-sl2"):
         p = get_presentation(name)
-        for label, residual in p.self_reduction():
-            assert residual.is_zero(), (name, label, str(residual))
+        for rel in p.relations:
+            residual = p.normal_form(rel.zero_form(p.alphabet))
+            assert residual.is_zero(), (name, rel.label, str(residual))
 
 
 def test_registry_rejects_unknown():
@@ -398,8 +433,9 @@ def test_sl3_limit_exists_and_self_reduces(dr3):
     lim = specialize(dr3, {"kdelta": 1, "q": 1})
     assert [s.name for s in lim.alphabet.symbols] == [
         "e-a1", "e-a2", "e+a1", "e+a2", "xi", "ha1", "ha2"]
-    for label, residual in lim.self_reduction():
-        assert residual.is_zero(), (label, str(residual))
+    for rel in lim.relations:
+        residual = lim.normal_form(rel.zero_form(lim.alphabet))
+        assert residual.is_zero(), (rel.label, str(residual))
     A = lim.alphabet
     r = lim.relation("loop-comm:e-a1")
     eta = rf("eta")

@@ -28,14 +28,11 @@ from loopdeform.ratfunc import (
     parse_ratfunc,
     q_power,
     rf,
-    rf_limit,
-    rf_series_coeff,
 )
 from loopdeform.repn import default_reps
 
 Q = rf("q")
 ETA = rf("eta")
-ZETA = rf("zeta")
 
 
 # ---------------------------------------------------------------------------
@@ -52,38 +49,39 @@ def test_deformation_coefficient_reduces():
 
 def test_limit_of_deformation_coefficient():
     val = ETA * (1 - Q**2) / (Q - Q**-1)
-    assert rf_limit(val, "q", 1) == -ETA
+    assert val.eval_var("q", 1) == -ETA
 
 
 def test_limit_cancels_removable_singularity():
-    assert rf_limit(rf("(q^2-1)/(q-1)"), "q", 1) == rf(2)
+    assert rf("(q^2-1)/(q-1)").eval_var("q", 1) == rf(2)
 
 
 def test_limit_raises_on_true_pole():
     with pytest.raises(PoleError):
-        rf_limit(rf("1/(q-1)"), "q", 1)
+        rf("1/(q-1)").eval_var("q", 1)
 
 
 def test_limit_of_zero_through_vanishing_denominator():
     # 0/(q-1) is the zero function; its limit exists and is 0
     f = RatFunc(MultiPoly.zero(), MultiPoly.var("q") - MultiPoly.one())
-    assert rf_limit(f, "q", 1).is_zero()
+    assert f.eval_var("q", 1).is_zero()
+
+
+def _taylor(f, name, k):
+    """The coefficient of name^k in the expansion of f at name = 0."""
+    ord0, coeffs = laurent_coeffs(f, name, 0, k)
+    return coeffs[k - ord0] if k >= ord0 else rf(0)
 
 
 def test_geometric_series_coefficients():
     f = rf("1/(1-q)")
     for k in range(6):
-        assert rf_series_coeff(f, "q", k) == rf(1)
+        assert _taylor(f, "q", k) == rf(1)
 
 
 def test_series_coefficient_with_shift():
-    assert rf_series_coeff(rf("q^2/(1-q)"), "q", 1) == rf(0)
-    assert rf_series_coeff(rf("q^2/(1-q)"), "q", 3) == rf(1)
-
-
-def test_series_raises_at_pole():
-    with pytest.raises(PoleError):
-        rf_series_coeff(rf("1/q"), "q", 0)
+    assert _taylor(rf("q^2/(1-q)"), "q", 1) == rf(0)
+    assert _taylor(rf("q^2/(1-q)"), "q", 3) == rf(1)
 
 
 def test_laurent_expansion_at_one():
@@ -121,13 +119,6 @@ def test_multivariate_cancellation():
     assert rf("(q*eta+eta)/(q^2-1)") == ETA / (Q - 1)
 
 
-def test_extract_power():
-    f = ZETA**2 * ETA / 2
-    assert f.extract_power("zeta", 2) == ETA / 2
-    with pytest.raises(ValueError):
-        f.extract_power("zeta", 1)
-
-
 def test_denominator_is_monic():
     f = rf("1/(2*q-2)")
     assert str(f.den) == "q - 1"
@@ -163,6 +154,20 @@ def test_malformed_text_is_a_value_error_naming_its_fault(text, message):
     with pytest.raises(ValueError) as info:
         parse_ratfunc(text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(" * 200 + "1" + ")" * 200, "nested too deeply"),
+    ("-" * 1200 + "q", "nested too deeply"),
+    ("q^70000", "an exponent passed the largest stored, 65535"),
+], ids=["parentheses", "signs", "exponent"])
+def test_text_past_the_parser_limits_is_a_value_error_naming_it(text, message):
+    # rf on a string is parse_ratfunc; neither lets a RecursionError or an
+    # OverflowError escape
+    for parse in (parse_ratfunc, rf):
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert str(info.value) == "%s in %r" % (message, text)
 
 
 def test_constants_hash_like_their_values():
@@ -311,7 +316,7 @@ def test_series_of_polynomial_is_its_coefficient(p, k):
         MultiPoly({(0,) + e[1:]: c for e, c in p.num.monomials() if e[0] == k}),
         p.den,
     )
-    assert rf_series_coeff(p, "q", k) == expect
+    assert _taylor(p, "q", k) == expect
 
 
 # ---------------------------------------------------------------------------

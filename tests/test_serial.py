@@ -308,8 +308,11 @@ def test_exponent_past_the_largest_stored_is_a_format_error(anchor, line):
     ("delta xi:", "delta xi: %s1%s*(1 @ xi)" % ("(" * 200, ")" * 200)),
 ], ids=["counit", "delta"])
 def test_payload_nested_too_deeply_is_a_format_error(anchor, line):
+    # the coefficient text is what the parser refuses, and its message
+    # names it
     lineno, exc = _format_error(anchor, line)
-    assert str(exc) == "line %d: payload nested too deeply" % lineno
+    assert str(exc) == "line %d: nested too deeply in %r" % (
+        lineno, "(" * 200 + "1" + ")" * 200)
 
 
 @pytest.mark.parametrize("anchor, line", [

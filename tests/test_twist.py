@@ -11,11 +11,12 @@ import pytest
 
 from loopdeform import twist
 from loopdeform.errors import (
+    AlphabetMismatchError,
     ArityMismatchError,
     NotUnitLeadingError,
     UnsupportedAlgebraError,
 )
-from loopdeform.freealg import TensorPoly, tensor
+from loopdeform.freealg import NCPoly, TensorPoly, tensor
 from loopdeform.hopf import HopfData, apply_in_slot, build_hopf
 from loopdeform.presentations import build_yangian_sl2, get_presentation
 from loopdeform.ratfunc import rf
@@ -414,6 +415,32 @@ def test_twisted_maps_are_linear_past_the_word_memo(eta_pres, eta_hopf):
         once = twisted(x, eta_hopf, 2)
         assert twisted(x.scale(rf(2)), eta_hopf, 2) == [
             t.scale(rf(2)) for t in once]
+
+
+def test_twisted_maps_of_a_sum_conjugate_the_whole_element(eta_pres,
+                                                            eta_hopf):
+    # the images of x's words, scaled and summed, are the conjugation of x
+    p, H, N = eta_pres, eta_hopf, 2
+    x = ((p.gen("xi") * p.gen("e-a1")).scale(rf("eta") + 2)
+         - p.gen("ha1").scale(rf(3)))
+    F, u = twist_F(N, p), twist_u(N, p)
+    assert twisted_coproduct(x, H, N) == twist._twisted_delta(
+        H, F, series_inverse(F), x, N)
+    assert twisted_antipode(x, H, N) == twist._twisted_S(
+        H, u, series_inverse(u), x, N)
+    for twisted in (twisted_coproduct, twisted_antipode):
+        zeros = twisted(NCPoly.zero(p.alphabet), H, N)
+        assert len(zeros) == N + 1 and not any(zeros)
+
+
+def test_twisted_maps_refuse_another_alphabet(eta_hopf):
+    # uq-sl2's k+a1 has the letter id of the yangian's xi, so reading its
+    # word against the yangian's memo would give xi's image
+    for name in ("e-a1", "k+a1"):
+        x = get_presentation("uq-sl2").gen(name)
+        for twisted in (twisted_coproduct, twisted_antipode):
+            with pytest.raises(AlphabetMismatchError):
+                twisted(x, eta_hopf, 2)
 
 
 def test_lowered_degree_bound_rebuilds_the_twisted_structure():
