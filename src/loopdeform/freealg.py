@@ -12,13 +12,14 @@ TensorPoly is the same over n-fold tensor words.  Both keep a sparse dict of
 nonzero coefficients and share one private base for their linear arithmetic
 (sums, negation, scaling, coefficient maps); each adds its key normalisation
 and its product.  Multiplication of tensor elements is slotwise; every letter
-is even, so no sign arises.
+is even, so no sign arises.  An element's terms form a set: equality, the
+NCPoly hash and every printed form ignore their order, and no routine keeps
+an insertion order for its result.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import count
 
 from .errors import (
     AlphabetMismatchError,
@@ -413,15 +414,12 @@ class TensorPoly(_Linear):
         """Replace slot i of every term by word_fn(word) (an NCPoly); linear.
 
         When a coefficient of this element has a denominator, the (c, c2)
-        pairs that land on one output key are collected first, each with
-        its place in the sequence of all pairs, and each output coefficient
-        is made by one sum_of_products: the known factors are stripped once
-        per key, not once per product and partial sum.  A key comes out at
-        the place of its first pair after the last prefix of its pairs that
-        sums to zero, which is where adding the products one by one
-        (add_term) puts it.  An element with polynomial coefficients only,
-        as in the twist suite, adds them one by one: collecting the pairs
-        costs more there than it saves."""
+        pairs that land on one output key are collected first, and each
+        output coefficient is made by one sum_of_products: the known factors
+        are stripped once per key, not once per product and partial sum.  An
+        element with polynomial coefficients only, as in the twist suite,
+        adds them one by one: collecting the pairs costs more there than it
+        saves."""
         one = MultiPoly.one()
         if all(c.den is one for c in self.terms.values()):
             out = {}
@@ -430,23 +428,20 @@ class TensorPoly(_Linear):
                     add_term(out, k[:i] + (w,) + k[i + 1 :], c * c2)
             return self._new(out)
         pairs = {}
-        place = count()
         for k, c in self.terms.items():
             for w, c2 in word_fn(k[i]).terms.items():
                 key = k[:i] + (w,) + k[i + 1 :]
                 hit = pairs.get(key)
                 if hit is None:
-                    pairs[key] = [(next(place), c, c2)]
+                    pairs[key] = [(c, c2)]
                 else:
-                    hit.append((next(place), c, c2))
+                    hit.append((c, c2))
         out = {}
-        while pairs:
-            # popped, so that each key's pairs are freed once summed
-            key, ps = pairs.popitem()
-            s, start = sum_of_products([(c, c2) for _, c, c2 in ps])
+        for key, ps in pairs.items():
+            s = sum_of_products(ps)
             if s.num.terms:
-                out[ps[start][0]] = key, s
-        return self._new(dict(out[n] for n in sorted(out)))
+                out[key] = s
+        return self._new(out)
 
     def __str__(self):
         if not self.terms:

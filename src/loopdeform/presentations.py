@@ -55,8 +55,8 @@ matches it anywhere, at that rule's leftmost match.  The yangian-sl2 and
 twisted-yangian-sl2 rule systems are not confluent, so another strategy
 could reach another normal form.  A batch is exact: a word gets
 contributions only from larger words, which are popped first, so each source
-word gets the terms, the term order and the RatFunc products and sums of a
-run of its own, while the words they share are matched and expanded once.
+word gets the terms and the RatFunc products and sums of a run of its own,
+while the words they share are matched and expanded once.
 
 ``Presentation.relations`` is a tuple that only ``add_rule`` (directly, or
 through ``add_rule_from_zero_form``) replaces with a longer one.  The lead
@@ -331,10 +331,8 @@ class Presentation:
         other factor).  The words still to visit sit on a _frontier, so no
         step rescans the terms; a word found irreducible is never looked at
         again.  A new word is checked against the bound as it enters the
-        frontier and is added at the end of the dict, in replacement order:
-        the terms come out in the order that rebuilding the whole sum at
-        every step gives, and the word the bound stops at is the first
-        over-long one in that order."""
+        frontier, so the word the bound stops at is the first over-long one
+        that rebuilding the whole sum at every step would meet."""
         bound = self.degree_bound if bound is None else bound
         join = self.alphabet.join
         frontier, enter = self._frontier(bound)
@@ -417,24 +415,18 @@ class Presentation:
         that has it ({source: RatFunc}).  A word is popped, matched and
         expanded once for all of them, by the strategy of normal_form, and
         enters the frontier through the same bound check.  A popped word is
-        final, so each source gets the products and sums of a run of its
-        own, and its terms come out in that run's order: by the step that
-        last brought the word into the source (born, or late for a source
-        new to a word already there).  The batch raises DegreeBoundExceeded
+        final, so each source gets the terms and the RatFunc products and
+        sums of a run of its own.  The batch raises DegreeBoundExceeded
         exactly when one of its words alone would, at the batch's first
         over-long word."""
         join = self.alphabet.join
         one = RatFunc.one()
         frontier, enter = self._frontier(bound)
         terms = {}
-        born = {}
-        late = {}
         for s, w in enumerate(words):
             enter(w)
             terms[w] = {s: one}
-            born[w] = s
-        step = len(words)
-        found = [[] for _ in words]
+        found = [{} for _ in words]
         get = terms.get
         while frontier:
             best = heappop(frontier)[3]
@@ -443,15 +435,12 @@ class Presentation:
                 continue  # a stale entry: the word was rewritten or cancelled
             occ = self._first_occurrence(best)
             if occ is None:
-                b, since = born[best], late.get(best)
                 for s, c in vec.items():
-                    found[s].append((b if since is None else
-                                     max(b, since.get(s, b)), best, c))
+                    found[s][best] = c
                 continue
             rel, pos = occ
             prefix, suffix = best[:pos], best[pos + len(rel.lead):]
             for w2, c2 in rel.repl.terms.items():
-                step += 1
                 w = w2
                 if prefix:
                     w = join(prefix, w)
@@ -463,14 +452,12 @@ class Presentation:
                     terms[w] = (dict(vec) if c2 is one else
                                 {s: c2 if c is one else c2 * c
                                  for s, c in vec.items()})
-                    born[w] = step
                     continue
                 for s, c in vec.items():
                     t = c if c2 is one else c2 if c is one else c2 * c
                     old = tgt.get(s)
                     if old is None:
                         tgt[s] = t
-                        late.setdefault(w, {})[s] = step
                     else:
                         old = old + t
                         if old.num.terms:
@@ -480,7 +467,7 @@ class Presentation:
                 if not tgt:
                     del terms[w]
         new = NCPoly(self.alphabet)._new
-        return [new({w: c for _, w, c in sorted(f)}) for f in found]
+        return [new(f) for f in found]
 
     def _word_memo(self):
         """The word memo of the rule system, from _WORD_MEMOS (a new one if
@@ -714,10 +701,13 @@ def _install_k_rules(p: Presentation, k_labels, conj_targets):
 
 
 def _install_ef_rules(p: Presentation):
+    """[e_i, f_j] = delta_ij (k_i - k_i^-1) / (q_i - q_i^-1), with
+    q_i = q^d_i, as the rules e_i f_j -> f_j e_i + ..."""
     A = p.alphabet
     cd = p.cartan
-    qq = rf("q") - q_power(-1)
     for i in range(cd.rank):
+        d = cd.symmetrizers[i]
+        qq = q_power(d) - q_power(-d)
         for j in range(cd.rank):
             e = A.id_of("e+%s" % cd.labels[i])
             f = A.id_of("e-%s" % cd.labels[j])
@@ -783,23 +773,51 @@ def build_uq(g) -> Presentation:
     return p
 
 
+def _positive_roots(cd: CartanData):
+    """The positive roots of cd, as coordinate tuples over the simple
+    roots, found height by height by the string rule: beta + alpha_j is a
+    root exactly when p > <beta, alpha_j^v> = sum_i a_ji beta_i, where p
+    counts the k >= 1 with beta - k alpha_j a root."""
+    n = cd.rank
+    roots = layer = {_basis_weight(n, j) for j in range(n)}
+    while layer:
+        layer = {_shifted(b, j, 1) for b in layer for j in range(n)
+                 if sum(_shifted(b, j, -k) in roots for k in range(1, b[j] + 1))
+                 > sum(a * x for a, x in zip(cd.matrix[j], b))}
+        roots |= layer
+    return roots
+
+
+def _shifted(beta, j, n):
+    """beta + n alpha_j."""
+    return beta[:j] + (beta[j] + n,) + beta[j + 1:]
+
+
 def lower_root_vector(p: Presentation) -> NCPoly:
-    """The shift element s = [[...[f_1, f_2]_q ...]_q, f_n]_q k_1^t_1 ...
+    """The shift element s = [[...[f_i1, f_i2]_q ...]_q, f_im]_q k_1^t_1 ...
     k_n^t_n of weight -theta, theta = sum t_i alpha_i the highest root.
 
-    The bracket runs over the chain of lowering letters f_i = e-<label i>
-    that takes label i t_i times, in label order, and the dressing k_i =
-    k+<label i> is raised to the same t_i: f k on sl2, [f_1, f_2]_q k_1 k_2
-    on sl3, [[f_1, f_2]_q, f_2]_q k_1 k_2^2 on B2.  The Cartan dressing is
-    what makes the shifted loop generator compatible with the group-like
-    letters, so that the q -> 1 degeneration keeps its eta terms."""
+    The bracket runs over lowering letters f_i = e-<label i> along a chain
+    of simple roots whose every partial sum is a root, so that s survives
+    at q = 1.  The chain is found greedily: each step takes the lowest
+    label whose simple root keeps the partial sum a root below theta.  The
+    dressing k_i = k+<label i> is raised to t_i: f k on sl2, [f_1, f_2]_q
+    k_1 k_2 on sl3, [[f_1, f_2]_q, f_2]_q k_1 k_2^2 on B2.  The Cartan
+    dressing is what makes the shifted loop generator compatible with the
+    group-like letters, so that the q -> 1 degeneration keeps its eta
+    terms."""
     cd = p.cartan
-    chain = [l for l, t in zip(cd.labels, cd.highest_root) for _ in range(t)]
-    s = p.gen("e-" + chain[0])
-    for label in chain[1:]:
-        s = q_commutator(s, p.gen("e-" + label))
-    for label in chain:
-        s = s * p.gen("k+" + label)
+    roots = _positive_roots(cd)
+    theta = tuple(cd.highest_root)
+    beta, s = (0,) * cd.rank, None
+    while beta != theta:
+        j = next(j for j in range(cd.rank)
+                 if beta[j] < theta[j] and _shifted(beta, j, 1) in roots)
+        beta = _shifted(beta, j, 1)
+        f = p.gen("e-" + cd.labels[j])
+        s = f if s is None else q_commutator(s, f)
+    for label, t in zip(cd.labels, theta):
+        s = s * p.gen("k+" + label) ** t
     return s
 
 

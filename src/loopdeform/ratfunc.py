@@ -976,19 +976,17 @@ def _make_reduced(num: MultiPoly, den: MultiPoly) -> RatFunc:
 
 
 def sum_of_products(pairs):
-    """(s, start) for the (a, b) pairs of RatFuncs: s is the sum of the
-    products a * b, and start is the last n < len(pairs) at which the sum
-    of the first n products is zero (0 when only the empty sum is).
+    """The sum of the products a * b over the (a, b) pairs of RatFuncs.
 
     When every operand's denominator splits over q, q-1, q+1 and not all of
-    them are 1, s is reduced once (_reduced_once).  Otherwise (a single
-    pair, an operand that does not split, or every denominator 1) s is the
-    eager fold of products and sums, which starts afresh after a partial
-    sum cancels."""
+    them are 1, the sum is reduced once (_reduced_once).  Otherwise (a
+    single pair, an operand that does not split, or every denominator 1) it
+    is the eager fold of products and sums, which starts afresh after a
+    partial sum cancels."""
     if len(pairs) == 1:
         (a, b), = pairs
         t = a * b
-        return (t if t.num.terms else _ZERO), 0
+        return t if t.num.terms else _ZERO
     reduce_once = False
     for a, b in pairs:
         if a.split is None or b.split is None:
@@ -998,24 +996,20 @@ def sum_of_products(pairs):
             reduce_once = True
     if reduce_once:
         return _reduced_once(pairs)
-    total, start = None, 0
-    for n, (a, b) in enumerate(pairs):
+    total = None
+    for a, b in pairs:
         t = a * b
-        if total is None:
-            total, start = t, n
-        else:
-            total = total + t
+        total = t if total is None else total + t
         if not total.num.terms:
             total = None
-    return (_ZERO, start) if total is None else (total, start)
+    return _ZERO if total is None else total
 
 
 def _reduced_once(pairs):
     """sum_of_products for operands that all split (see the module
-    docstring).  Every lifted numerator is over the one lcm, so a prefix
-    sum is zero exactly when its lifted numerators cancel.  A key of the
-    sum adds a key of each numerator and of the lift, three keys in range,
-    so the constructor's guard check is exact."""
+    docstring).  A key of the sum adds a key of each numerator and of the
+    lift, three keys in range, so the constructor's guard check is
+    exact."""
     lifted = []
     for a, b in pairs:
         sa, sb = a.split, b.split
@@ -1023,10 +1017,8 @@ def _reduced_once(pairs):
                        (sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2])))
     # there are two pairs at least
     top = tuple(map(max, *[s for _, _, s in lifted]))
-    out, start = {}, 0
-    for n, (n1, n2, s) in enumerate(lifted):
-        if not out:
-            start = n
+    out = {}
+    for n1, n2, s in lifted:
         # each product c1*c2*c3 is added into out as it is made: c3 is a
         # term of the lift to the lcm, left out when s is the lcm already,
         # and n2, mostly a monomial, is the factor lifted
@@ -1043,10 +1035,10 @@ def _reduced_once(pairs):
                 else:
                     del out[e]
     if not out:
-        return _ZERO, start
+        return _ZERO
     t, caps = _strip(top, MultiPoly(out))
     split = tuple(map(sub, top, caps))
-    return _make(t, _q_product(split), split), start
+    return _make(t, _q_product(split), split)
 
 
 def clear_denominators(coeffs):

@@ -42,7 +42,6 @@ from .freealg import NCPoly, TensorPoly, add_term
 from .presentations import (
     Presentation,
     build_classical_sl2,
-    build_yangian_sl2,
     loop_shift_coefficient,
 )
 from .ratfunc import RatFunc, rf
@@ -350,7 +349,7 @@ def spin_rep(j, p: Presentation = None) -> Rep:
     return Rep(p, {"ha1": h, "e+a1": e, "e-a1": f}, "spin(%s)" % Fraction(j))
 
 
-def solve_eval_correction(j, p: Presentation = None) -> Rep:
+def solve_eval_correction(j, p: Presentation) -> Rep:
     """Extend the spin-j ladder to the loop presentation by an evaluation
     image of the loop generator.
 
@@ -364,8 +363,6 @@ def solve_eval_correction(j, p: Presentation = None) -> Rep:
     three unit vectors, each built once and shared, with its memoized word
     matrices, by every linear relation.
     """
-    if p is None:
-        p = build_yangian_sl2()
     h, e, f = _ladder_images(j)
     v, eta = rf("v"), rf("eta")
     basis = [f * h, h * f, f]

@@ -58,7 +58,6 @@ from .hopf import (
 )
 from .presentations import (
     Presentation,
-    build_yangian_sl2,
     check_row,
     rewrite_row,
 )
@@ -193,7 +192,7 @@ def _graded_mul(p: Presentation, A, B, N):
     integer-coefficient sum is reduced slotwise, once per order, zero orders
     included, and keeps 1/L as its scalar.  A normal form commutes with a
     nonzero scalar, so it is L times the normal form of the sum of the
-    products r_i P_i * s_j Q_j, with its terms in the same order."""
+    products r_i P_i * s_j Q_j."""
     arity = A[0][1].arity
     out = []
     for k in range(N + 1):
@@ -238,15 +237,13 @@ def _cartan_ladder(p: Presentation, k: int) -> NCPoly:
     return p.normal_form(out)
 
 
-def twist_F(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
+def twist_F(N: int, p: Presentation) -> TwistSeries:
     """Two-slot twisting element of order N.
 
     The order-k coefficient is (zeta^k / k!) * ladder_k (x) f^k, where
     ladder_k is the falling Cartan product h(h+2)...(h+2(k-1)) and f the
     lowering generator.  A presentation without the letters ha1 and e-a1
     raises UnsupportedAlgebraError."""
-    if p is None:
-        p = build_yangian_sl2()
     missing = [n for n in ("ha1", "e-a1") if n not in p.alphabet.index]
     if missing:
         raise UnsupportedAlgebraError(
@@ -272,13 +269,11 @@ def _partner(F: TwistSeries, H: HopfData) -> TwistSeries:
         for t in F.terms])
 
 
-def twist_u(N: int = DEFAULT_ORDER, p: Presentation = None) -> TwistSeries:
+def twist_u(N: int, p: Presentation) -> TwistSeries:
     """One-slot partner series u = m(id (x) S)F of order N.
 
     Its order-k coefficient is ((-zeta)^k / k!) * ladder_k * f^k, the
     Cartan ladder on the left, since S(f) = -f."""
-    if p is None:
-        p = build_yangian_sl2()
     H = build_hopf(p)
     return _twisted(H, N).partner(H)[0]
 
@@ -434,9 +429,10 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     slotwise normal forms; a final row evaluates the total residual on a
     triple of two-dimensional evaluation representations as an independent
     witness.  Passing ``twist`` (a two-slot series) overrides the series
-    under test, which lets callers probe deliberately broken variants."""
+    under test, which lets callers probe deliberately broken variants; p
+    defaults to its presentation."""
     if p is None:
-        p = twist.presentation if twist is not None else build_yangian_sl2()
+        p = twist.presentation
     H = build_hopf(p)
     F = twist if twist is not None else _twisted(H, N).F
 
@@ -464,26 +460,22 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     return rows
 
 
-def first_order_antisymmetry(p: Presentation = None) -> TensorPoly:
+def first_order_antisymmetry(p: Presentation) -> TensorPoly:
     """Order-zeta coefficient of F minus its slot flip.
 
     The order-0 parts cancel exactly (both are the unit tensor), so the
     leading deviation from symmetry is this first-order coefficient; it
     equals zeta times the wedge of the Cartan and lowering generators."""
-    if p is None:
-        p = build_yangian_sl2()
     F = twist_F(1, p)
     diff = [a - b for a, b in zip(F.terms, F.swap_slots().terms)]
     return p.normal_form_tensor(diff[1])
 
 
-def check_twist_counit(N: int = DEFAULT_ORDER, p: Presentation = None):
+def check_twist_counit(N: int, p: Presentation):
     """Counit normalization (eps (x) id)F == 1 == (id (x) eps)F.
 
     The order-0 term contributes the unit; every higher term must be killed
     by the counit in either slot."""
-    if p is None:
-        p = build_yangian_sl2()
     H = build_hopf(p)
     F = _twisted(H, N).F
     rows = []

@@ -572,7 +572,7 @@ def _eager_map_slot(t, i, word_fn):
 
 def _assert_slotwise_agree(p, t, bound=None):
     """normal_form_tensor against the eager sums: after every slot equal
-    terms in the same order, and equal str(); or the same
+    terms and coefficients, and equal str(); or the same
     DegreeBoundExceeded message."""
     def word_fn(w):
         return p.word_normal_form(w, bound)
@@ -589,7 +589,8 @@ def _assert_slotwise_agree(p, t, bound=None):
     got = t
     for i, want in enumerate(wants[1:]):
         got = got.map_slot(i, word_fn)
-        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.terms == want.terms
+        assert str(got) == str(want)
     assert p.normal_form_tensor(t, bound) == got
     assert str(got) == str(wants[-1])
 

@@ -264,6 +264,51 @@ def test_shift_element_is_the_highest_root_chain(dr2, dr3):
     assert s == q_commutator(q_commutator(f1, f2), f3) * k1 * k2 * k3
 
 
+def test_ef_rules_divide_by_q_i_minus_its_inverse():
+    # [e_i, f_i] = (k_i - k_i^-1) / (q_i - q_i^-1) with q_i = q^d_i.  With
+    # k_i = q^h_i, h_i is d_i times the coroot (the conjugation limit reads
+    # [h_a1, e+a2] = -2 e+a2 on B2), so the q -> 1 limit is h_i / d_i
+    b2 = CartanData("B2", ((2, -1), (-2, 2)), (2, 1), ("a1", "a2"), (1, 2))
+    p = _uq_over(b2)
+    A = p.alphabet
+    presentations._install_k_rules(
+        p, [s.name for s in A.symbols if s.name.startswith("k")],
+        [s.name for s in A.symbols if s.name.startswith("e")])
+    presentations._install_ef_rules(p)
+    presentations._install_serre_rules(p)
+    lim = presentations._structural_q1_limit(p)
+    assert lim.relation("conj:ha1,e+a2").repl == (
+        lim.gen("e+a2") * lim.gen("ha1") - lim.gen("e+a2").scale(rf(2)))
+    for label, d in zip(b2.labels, b2.symmetrizers):
+        rel = lim.relation("cross:e+%s,e-%s" % (label, label))
+        assert rel.repl == (lim.gen("e-" + label) * lim.gen("e+" + label)
+                            + lim.gen("h" + label).scale(rf(1) / d))
+
+
+@pytest.mark.parametrize("cd, chain", [
+    # C2 labelled short root first: theta = 2 alpha_1 + alpha_2
+    (CartanData("C2", ((2, -2), (-1, 2)), (1, 2), ("a1", "a2"), (2, 1)),
+     "a1 a2 a1"),
+    (CartanData("G2", ((2, -1), (-3, 2)), (3, 1), ("a1", "a2"), (2, 3)),
+     "a1 a2 a2 a2 a1"),
+], ids=["C2", "G2"])
+def test_shift_element_chain_follows_the_roots(cd, chain):
+    # in label order the chain would open with [f_1, f_1]_q, which is
+    # (1 - q^(2 d_1)) f_1^2 and vanishes at q = 1
+    p = _uq_over(cd)
+    s = lower_root_vector(p)
+    assert s.weight() == tuple(-t for t in cd.highest_root)
+    assert any(not c.eval_var("q", 1).is_zero() for c in s.terms.values())
+    labels = chain.split()
+    want = p.gen("e-" + labels[0])
+    for label in labels[1:]:
+        want = q_commutator(want, p.gen("e-" + label))
+    for label, t in zip(cd.labels, cd.highest_root):
+        for _ in range(t):
+            want = want * p.gen("k+" + label)
+    assert s == want
+
+
 def test_drinfeldian_sl2_loop_comm_rule(dr2):
     A = dr2.alphabet
     r = dr2.relation("loop-comm:e-a1")

@@ -868,14 +868,12 @@ def test_den_one_monomial_arithmetic_matches_sorting_references(f, g, c):
 
 
 def _eager_sum_of_products(pairs):
-    """(sum, start) as adding the products one by one into a term dict
-    gives them: start is the pair the last partial sum began at."""
-    acc, start = {}, 0
-    for n, (a, b) in enumerate(pairs):
-        if 0 not in acc:
-            start = n
+    """The sum as adding the products one by one into a term dict gives
+    it."""
+    acc = {}
+    for a, b in pairs:
         add_term(acc, 0, a * b)
-    return acc.get(0, RatFunc.zero()), start
+    return acc.get(0, RatFunc.zero())
 
 
 def _no_divexact(*args):
@@ -912,7 +910,7 @@ _known_operand = st.one_of(_split_operand, _split_operand,
 @example(pairs=[(rf("(q^2 + eta*q + 3)/q"), rf("eta - 1")),
                 (rf("1/((q - 1)*(q + 1))"), rf("eta"))],
          unsplit=None, shape="plain", target=rf(1))
-# a prefix that cancels, so the sum starts at a lifted pair
+# a prefix that cancels, then a lifted pair
 @example(pairs=[(rf("1/q"), rf("eta")), (rf("-1/q"), rf("eta")),
                 (rf("(q + eta + 1)/(q - 1)"), rf("1/(q + 1)")),
                 (rf("eta/q"), rf(1))],
@@ -944,21 +942,20 @@ def test_sum_of_products_matches_the_eager_fold(pairs, unsplit, shape,
     elif shape == "absorbed":
         # the last product makes the sum the target, whose denominator
         # lacks factors the other products' denominators carry
-        pairs = pairs + [(target - _eager_sum_of_products(pairs)[0], rf(1))]
-    want, want_start = _eager_sum_of_products(pairs)
+        pairs = pairs + [(target - _eager_sum_of_products(pairs), rf(1))]
+    want = _eager_sum_of_products(pairs)
     operands = [x for pair in pairs for x in pair]
     all_split = all(x.split is not None for x in operands)
     with pytest.MonkeyPatch.context() as mp:
         if all_split:
             mp.setattr(ratfunc, "mp_gcd", _no_gcd)
             mp.setattr(ratfunc, "divexact", _no_divexact)
-        got, start = ratfunc.sum_of_products(pairs)
+        got = ratfunc.sum_of_products(pairs)
     _assert_same(got, want)
     assert got.split == want.split
     assert (got is RatFunc.zero()) == (want is RatFunc.zero())
     assert (got.den is MultiPoly.one()) == (want.den.terms
                                             == MultiPoly.one().terms)
-    assert start == want_start
     if shape == "negated":
         assert got is RatFunc.zero()
 

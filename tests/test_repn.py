@@ -216,14 +216,14 @@ def test_spin_rejects_bad_j():
 def test_eval_correction_spin_half():
     # at j=1/2 both squares e^2 and f^2 vanish, so every constraint on the
     # correction constants is vacuous and the free directions are set to 0
-    r = solve_eval_correction(Fraction(1, 2))
+    r = solve_eval_correction(Fraction(1, 2), build_yangian_sl2())
     assert r.images["xi"] == MatrixRF([[0, 0], ["v", 0]])
 
 
 def test_eval_correction_spin_one_frozen():
     # hand value: xi -> v*f + (eta/2)*f*h with h = diag(2,0,-2) gives
     # subdiagonal (v + eta, v)
-    r = solve_eval_correction(1)
+    r = solve_eval_correction(1, build_yangian_sl2())
     xi = r.images["xi"]
     assert xi.entry(1, 0) == rf("v") + rf("eta")
     assert xi.entry(2, 1) == rf("v")
@@ -232,7 +232,7 @@ def test_eval_correction_spin_one_frozen():
 
 def test_eval_correction_spin_three_half_frozen():
     # h = diag(3,1,-1): subdiagonal v + eta*h_ii/2
-    r = solve_eval_correction(Fraction(3, 2))
+    r = solve_eval_correction(Fraction(3, 2), build_yangian_sl2())
     xi = r.images["xi"]
     eta, v = rf("eta"), rf("v")
     assert xi.entry(1, 0) == v + eta * Fraction(3, 2)

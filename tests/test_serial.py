@@ -10,9 +10,10 @@ from loopdeform.errors import (
     RepValidationError,
     UnsupportedAlgebraError,
 )
-from loopdeform.hopf import build_hopf
+from loopdeform.hopf import HopfData, build_hopf
 from loopdeform.presentations import (
     ALGEBRA_BUILDERS,
+    Relation,
     build_classical_sl2,
     build_drinfeldian,
     build_uq,
@@ -377,3 +378,41 @@ def test_gen_line_without_parity_loads():
     assert "parity" not in bare
     q = load_presentation(bare)
     assert dump_presentation(q) == text
+
+
+def _reversed(x):
+    """x with its terms in reversed dict order."""
+    return x._new(dict(reversed(list(x.terms.items()))))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_BUILDERS))
+def test_term_order_is_not_part_of_a_result(name):
+    # an element's terms form a set: a copy whose every rule replacement
+    # and Hopf map holds its terms in reversed dict order dumps the same
+    # bytes, and its rewriting reaches equal normal forms
+    p = get_presentation(name)
+    H = build_hopf(p)
+    q = get_presentation(name)
+    q.relations = tuple(Relation(rel.label, rel.lead, _reversed(rel.repl))
+                        for rel in q.relations)
+    if q.shift_element is not None:
+        q.shift_element = _reversed(q.shift_element)
+    G = HopfData(q, {n: _reversed(t) for n, t in H.delta.items()},
+                 H.epsilon, {n: _reversed(x) for n, x in H.antipode.items()})
+    moved = 0
+    for a, b in zip(p.relations, q.relations):
+        assert b.repl == a.repl and hash(b.repl) == hash(a.repl)
+        moved += list(b.repl.terms) != list(a.repl.terms)
+    for n in H.delta:
+        assert G.delta[n] == H.delta[n]
+        assert G.antipode[n] == H.antipode[n]
+        assert hash(G.antipode[n]) == hash(H.antipode[n])
+        moved += list(G.delta[n].terms) != list(H.delta[n].terms)
+    assert moved > 0
+    assert (dump_bundle(q, G, default_reps(q))
+            == dump_bundle(p, H, default_reps(p)))
+    for a, b in zip(p.relations, q.relations):
+        za, zb = a.zero_form(p.alphabet), b.zero_form(q.alphabet)
+        assert q.normal_form(zb) == p.normal_form(za)
+        assert (q.normal_form_tensor(G.coproduct(zb))
+                == p.normal_form_tensor(H.coproduct(za)))

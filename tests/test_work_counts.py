@@ -367,9 +367,9 @@ def test_sum_of_products_makes_no_multipoly_product(monkeypatch):
     counts = {"poly_mul": 0}
     monkeypatch.setattr(MultiPoly, "__mul__",
                         _counting(counts, "poly_mul", MultiPoly.__mul__))
-    got, start = ratfunc.sum_of_products(pairs)
+    got = ratfunc.sum_of_products(pairs)
     monkeypatch.undo()
-    assert (got, start) == (want, 0)
+    assert got == want
     assert counts == {"poly_mul": 0}
 
 
