@@ -5,7 +5,8 @@ loop degree, and optionally the name of an inverse letter.  Words are tuples
 of letter ids; adjacent inverse pairs contract automatically, so group-like
 generators and their inverses never pile up.  Every stored word is
 contracted, and so is every slice of one: a product of two words can only
-contract where they meet (Alphabet.join).
+contract where they meet (Alphabet.join).  An alphabet with no inverse
+letter has nothing to contract, so its words meet by concatenation.
 
 NCPoly is a finite linear combination of words with RatFunc coefficients;
 TensorPoly is the same over n-fold tensor words.  Both keep a sparse dict of
@@ -20,6 +21,7 @@ an insertion order for its result.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import concat
 
 from .errors import (
     AlphabetMismatchError,
@@ -68,6 +70,10 @@ class Alphabet:
                     "letters %r/%r are not mutually inverse"
                     % (self.symbols[i].name, self.symbols[j].name)
                 )
+        if not self.inverse:
+            # nothing can cancel: every word is contracted, and words meet
+            # by concatenation
+            self.contract, self.join = tuple, concat
 
     def __len__(self):
         return len(self.symbols)
@@ -112,7 +118,8 @@ class Alphabet:
         return sum(map(self.loop_degrees.__getitem__, word))
 
     def contract(self, word):
-        """Cancel adjacent mutually-inverse letters (stack pass)."""
+        """Cancel adjacent mutually-inverse letters (stack pass); over an
+        alphabet with no inverse letter, the word as a tuple."""
         out = []
         for i in word:
             if out and self.inverse.get(out[-1]) == i:
@@ -123,7 +130,8 @@ class Alphabet:
 
     def join(self, a, b):
         """contract(a + b) for two contracted words: inverse pairs can
-        only cancel where a ends and b begins."""
+        only cancel where a ends and b begins, and over an alphabet with no
+        inverse letter, a + b."""
         inverse = self.inverse
         k, n = 0, min(len(a), len(b))
         while k < n and inverse.get(a[-1 - k]) == b[k]:
@@ -370,7 +378,9 @@ class TensorPoly(_Linear):
         if self.arity != 1:
             raise ArityMismatchError("expected a one-slot element, got arity %d"
                                      % self.arity)
-        return NCPoly(self.alphabet, {w: c for (w,), c in self.terms.items()})
+        out = NCPoly(self.alphabet)
+        out.terms = {w: c for (w,), c in self.terms.items()}
+        return out
 
     def __eq__(self, other):
         return (
@@ -387,6 +397,14 @@ class TensorPoly(_Linear):
             except TypeError:
                 return NotImplemented
         self._check_compat(other)
+        # a product by the unit tensor is a copy of the other factor, as a
+        # RatFunc product by one is the other factor
+        one = RatFunc.one()
+        for unit, factor in ((self, other), (other, self)):
+            if len(unit.terms) == 1:
+                (key, c), = unit.terms.items()
+                if c is one and not any(key):
+                    return self._new(dict(factor.terms))
         join = self.alphabet.join
         out = {}
         for k1, c1 in self.terms.items():

@@ -142,22 +142,21 @@ class HopfData:
 def apply_in_slot(t: TensorPoly, slot: int, delta_of) -> TensorPoly:
     """Replace slot `slot` of every term by delta_of(word), a two-slot
     element; arity grows by 1."""
-    out = {}
+    out = TensorPoly(t.alphabet, t.arity + 1)
     for words, c in t.terms.items():
         for pair, c2 in delta_of(words[slot]).terms.items():
-            add_term(out, words[:slot] + pair + words[slot + 1:], c * c2)
-    return TensorPoly(t.alphabet, t.arity + 1, out)
+            add_term(out.terms, words[:slot] + pair + words[slot + 1:], c * c2)
+    return out
 
 
 def counit_in_slot(t: TensorPoly, slot: int, eps_of):
     """Scale each term by eps_of(word) of one slot and drop that slot; arity
     shrinks by 1 (NCPoly at arity 2)."""
-    out = {}
+    out = TensorPoly(t.alphabet, t.arity - 1)
     for words, c in t.terms.items():
         eps = eps_of(words[slot])
         if not eps.is_zero():
-            add_term(out, words[:slot] + words[slot + 1:], c * eps)
-    out = TensorPoly(t.alphabet, t.arity - 1, out)
+            add_term(out.terms, words[:slot] + words[slot + 1:], c * eps)
     return out.as_ncpoly() if out.arity == 1 else out
 
 
@@ -165,10 +164,10 @@ def _mult_with_map(t: TensorPoly, antipode_slot: int, antipode_of) -> NCPoly:
     """m((S(x)id) t) / m((id(x)S) t) for an arity-2 t: replace the word in
     one slot by antipode_of(word), then multiply the slots together."""
     join = t.alphabet.join
-    out = {}
+    out = NCPoly(t.alphabet)
     for (w0, w1), c in t.map_slot(antipode_slot, antipode_of).terms.items():
-        add_term(out, join(w0, w1), c)
-    return NCPoly(t.alphabet, out)
+        add_term(out.terms, join(w0, w1), c)
+    return out
 
 
 # ---------------------------------------------------------------------------

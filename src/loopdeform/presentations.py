@@ -68,7 +68,8 @@ the word, and a rewrite that finished under a degree bound b is valid under
 every bound >= b.  So the word memo belongs to a rule system: presentations
 alive at the same time with equal alphabets and equal ordered ``(lead,
 replacement)`` lists share one memo, found in ``_WORD_MEMOS`` and dropped
-with the last of them, and ``alphabet`` gives them one alphabet object.
+with the last of them, and ``alphabet`` gives them one alphabet object.  A
+replacement's terms form a set, so their dict order is not part of the key.
 Each entry keeps the bound it was computed under, and a lookup under a
 smaller bound rewrites the word again.
 
@@ -215,8 +216,8 @@ class _WordMemo(dict):
     __slots__ = ("__weakref__",)
 
 
-#: (alphabet, ((lead, replacement terms), ...)) -> the _WordMemo of the live
-#: presentations with that rule system
+#: (alphabet, ((lead, set of replacement terms), ...)) -> the _WordMemo of
+#: the live presentations with that rule system
 _WORD_MEMOS = WeakValueDictionary()
 
 
@@ -475,8 +476,9 @@ class Presentation:
         the tuple it was found for."""
         rules, memo = self._memo
         if rules is not self.relations:
-            key = self.alphabet, tuple((rel.lead, tuple(rel.repl.terms.items()))
-                                       for rel in self.relations)
+            key = self.alphabet, tuple(
+                (rel.lead, frozenset(rel.repl.terms.items()))
+                for rel in self.relations)
             memo = _WORD_MEMOS.setdefault(key, _WordMemo())
             self._memo = self.relations, memo
         return memo

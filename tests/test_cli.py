@@ -549,6 +549,25 @@ def test_cli_start_up_imports_nothing_per_command(tmp_path):
     assert imported == []
 
 
+def test_the_package_imports_the_standard_library_only():
+    # the package and its command line run on the standard library alone:
+    # every top-level module the import adds, but the package, is in it
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import loopdeform, loopdeform.cli\n"
+        "print(json.dumps(sorted({m.partition('.')[0]\n"
+        "                         for m in set(sys.modules) - before})))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, check=True)
+    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "loopdeform" in added and "fractions" in added
+    assert added - {"loopdeform"} <= sys.stdlib_module_names
+
+
 @pytest.mark.parametrize("algebra", ["uq-sl2", "uq-sl3", "yangian-sl2",
                                      "twisted-yangian-sl2"])
 def test_limit_kdelta_without_central_letter_is_usage_error(algebra, capsys):

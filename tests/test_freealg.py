@@ -5,6 +5,7 @@ no relations); coefficients follow the q-binomial pattern with the bracket
 power read off the weight pairing at each step.
 """
 
+import functools
 import random
 
 import pytest
@@ -29,7 +30,12 @@ from loopdeform.freealg import (
     q_commutator,
     tensor,
 )
-from loopdeform.presentations import get_presentation
+from loopdeform.presentations import (
+    ALGEBRA_BUILDERS,
+    build_classical_sl2,
+    get_presentation,
+    specialize,
+)
 from loopdeform.ratfunc import RatFunc, q_power, rf
 
 
@@ -85,6 +91,43 @@ def test_join_contracts_at_the_junction(algebra):
     cut = {len(a) + len(b) - len(A.join(a, b)) for a, b in cases}
     assert 0 in cut and len(cut) > 4
     assert sum(1 for a, b in cases if a and b and not A.join(a, b)) > 100
+
+
+#: every alphabet the package builds: the shipped algebras, classical-sl2
+#: and the q -> 1, kdelta -> 1 limit of drinfeldian-sl2
+_BUILT_ALPHABETS = {
+    **{name: lambda name=name: get_presentation(name).alphabet
+       for name in ALGEBRA_BUILDERS},
+    "classical-sl2": lambda: build_classical_sl2().alphabet,
+    "drinfeldian-sl2[kdelta->1][q->1]": lambda: specialize(
+        get_presentation("drinfeldian-sl2"), {"kdelta": 1, "q": 1}).alphabet,
+}
+
+
+@functools.cache
+def _built_alphabet(name):
+    return _BUILT_ALPHABETS[name]()
+
+
+def test_only_the_q_deformed_alphabets_have_inverse_letters():
+    assert sorted(n for n in _BUILT_ALPHABETS
+                  if not _built_alphabet(n).inverse) == [
+        "classical-sl2", "drinfeldian-sl2[kdelta->1][q->1]",
+        "twisted-yangian-sl2", "yangian-sl2"]
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_ALPHABETS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_join_is_the_contracted_concatenation(name, data):
+    A = _built_alphabet(name)
+    # the group-like letters drawn often, so that words meet at inverse pairs
+    letters = list(range(len(A))) + sorted(A.inverse) * 3
+    words = st.lists(st.sampled_from(letters), max_size=8).map(A.contract)
+    a, b = data.draw(words), data.draw(words)
+    assert A.join(a, b) == A.contract(a + b)
+    if not A.inverse:
+        assert A.join(a, b) == a + b == A.contract(a + b)
 
 
 def test_alphabet_validation():
@@ -286,3 +329,15 @@ def test_tensor_respects_multiplication(x, y):
     # (x (x) 1)(1 (x) y) = x (x) y  [all parities are 0]
     assert x.tensor(one) * one.tensor(y) == x.tensor(y)
     assert one.tensor(y) * x.tensor(one) == x.tensor(y)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_ncpolys, _ncpolys)
+def test_product_by_the_unit_tensor_is_a_copy_of_the_other_factor(x, y):
+    t = x.tensor(y)
+    unit = TensorPoly.unit(A, 2)
+    for got in (t * unit, unit * t):
+        assert got == t and got.terms is not t.terms
+        assert list(got.terms) == list(t.terms)
+    # a scaled unit is no unit
+    assert t * unit.scale(rf(2)) == t.scale(rf(2)) == unit.scale(rf(2)) * t

@@ -51,7 +51,7 @@ from loopdeform.presentations import (
 from loopdeform.ratfunc import rf
 from loopdeform.repn import default_reps, evaluate_tensor
 from loopdeform.serial import dump_bundle
-from loopdeform.twist import check_twisted_homomorphism
+from loopdeform.twist import check_twisted_homomorphism, twist_F
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +168,38 @@ def test_slot_expansion_grows_arity(yang, yang_hopf):
     assert t.arity == 3
     back = counit_in_slot(d, 0, yang_hopf.word_counit)
     assert (yang.normal_form(back) - yang.gen("xi")).is_zero()
+
+
+def _assert_as_constructed(x):
+    """The slot maps build their results from contracted keys and nonzero
+    coefficients directly; the public constructor, which normalises every
+    key again, must give the same terms in the same order."""
+    if isinstance(x, NCPoly):
+        want = NCPoly(x.alphabet, x.terms)
+    else:
+        want = TensorPoly(x.alphabet, x.arity, x.terms)
+    assert x == want
+    assert list(x.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_BUILDERS) + ["twist-F"])
+def test_slot_maps_build_what_the_constructor_gives(name):
+    if name == "twist-F":
+        p = get_presentation("yangian-sl2")
+        images = list(twist_F(3, p).terms)
+    else:
+        p = get_presentation(name)
+        images = list(build_hopf(p).delta.values())
+    H = build_hopf(p)
+    for d in images:
+        for slot in (0, 1):
+            t = apply_in_slot(d, slot, H.word_coproduct)
+            _assert_as_constructed(t)
+            _assert_as_constructed(counit_in_slot(t, slot, H.word_counit))
+            _assert_as_constructed(counit_in_slot(d, slot, H.word_counit))
+            m = _mult_with_map(d, slot, H.word_antipode)
+            _assert_as_constructed(m)
+            _assert_as_constructed(m.tensor().as_ncpoly())
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +685,9 @@ def _eager_wordwise(x, images, unit, reverse):
 @pytest.mark.parametrize("name", ["uq-sl3", "drinfeldian-sl2",
                                   "drinfeldian-sl3"])
 def test_structure_maps_match_the_unit_fold_in_order(name):
-    # term order feeds the serialized bytes and the word that
-    # DegreeBoundExceeded names, so it is compared, not only the values
+    # dumps sort their terms, so term order does not reach the serialized
+    # bytes; it only picks the word that DegreeBoundExceeded names.  It is
+    # compared all the same, not only the values
     p = get_presentation(name)
     H = build_hopf(p)
     A = p.alphabet

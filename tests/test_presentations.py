@@ -722,6 +722,17 @@ def test_word_memo_goes_with_its_last_presentation():
     assert keys[0] not in presentations._WORD_MEMOS
 
 
+def test_a_loaded_dump_shares_the_word_memo():
+    """A dump sorts each replacement's terms, so 3 of the 21 loaded
+    replacements hold their terms in another dict order than the built
+    ones; the memo key takes them as sets, so both share one memo."""
+    p = build_drinfeldian("sl2")
+    q = load_presentation(dump_presentation(p))
+    assert sum(list(a.repl.terms) != list(b.repl.terms)
+               for a, b in zip(p.relations, q.relations)) == 3
+    assert q._word_memo() is p._word_memo()
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRA_BUILDERS) + ["classical-sl2"])
 def test_rule_coefficients_equal_to_one_are_the_shared_one(name):
     """Rewriting skips the product of a rule coefficient that *is*
