@@ -296,7 +296,7 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", degree_bound=None):
         raise UsageError("twist order %d outside [0, %d]"
                          % (order, MAX_TWIST_ORDER))
     p = build_yangian_sl2()
-    # twisted words grow with the order: orders 0-4 need bounds 4, 5, 7, 10, 13
+    # twisted words grow with the order: orders 0-4 need bounds 4, 5, 6, 8, 10
     p.degree_bound = (max(DEFAULT_DEGREE_BOUND, 4 * order)
                       if degree_bound is None else degree_bound)
     H = build_hopf(p)

@@ -24,7 +24,14 @@ its two products.  A series is cleared once, on its first product.
 The twisted structure of a HopfData at an order is built once and shared
 by the twisted maps and checks: F and F^{-1} when it is made, u and u^{-1}
 on first antipode use, and the twisted coproduct and antipode of
-each single word (a generator is the word of one letter) when first met.
+each single word when first met.  Only the empty word and the one-letter
+words (a generator is the word of one letter) are conjugated; a longer word
+w'a gets the graded product of the memoized images of w' and a, or of a and
+w' for the antipode.  Both twisted maps are multiplicative (the antipode
+anti-multiplicative) modulo zeta^{N+1}, because F^{-1} F and u^{-1} u are 1
+modulo zeta^{N+1} and the ideal, so the product represents the same
+element as the conjugation of the word's raw image, with shorter words on
+the way.
 It dies with its HopfData, whose maps are read-only, and is built anew once
 the presentation's ``relations`` is another tuple or its ``degree_bound``
 has changed.  The cocycle and counit checks and twist_u, which take a
@@ -313,24 +320,45 @@ def _twisted_S(H, u, ui, x, N):
         H.presentation, u, ui, H.antipode_of(x).tensor(), N)]
 
 
-def _per_word(memo, twisted, H, left, right, N):
+def _per_word(memo, twisted, times, H, left, right, N):
     """word -> twisted(H, left, right, word, N) on single words, kept in
-    memo."""
+    memo.
+
+    Only the empty word and the one-letter words are conjugated.  A longer
+    word w = w'a gets times(image of w', image of a), both images from the
+    memo.  That is sound because the twisted maps are multiplicative (the
+    antipode anti-multiplicative) modulo zeta^{N+1}: F^{-1} F and u^{-1} u
+    are 1 modulo zeta^{N+1} and the ideal, so F Delta(w') F^{-1} F Delta(a)
+    F^{-1} and u S(a) u^{-1} u S(w') u^{-1} represent the same elements as
+    the conjugations of Delta(w) and S(w)."""
     A = H.presentation.alphabet
 
     def of_word(word):
-        if word not in memo:
-            memo[word] = twisted(H, left, right, NCPoly(A, {word: rf(1)}), N)
-        return memo[word]
+        image = memo.get(word)
+        if image is None:
+            if len(word) < 2:
+                image = twisted(H, left, right, NCPoly(A, {word: rf(1)}), N)
+            else:
+                image = times(of_word(word[:-1]), of_word(word[-1:]))
+            memo[word] = image
+        return image
 
     return of_word
+
+
+def _times(p: Presentation, A, B, N):
+    """Graded product of two graded lists of tensor elements, truncated at
+    N, each order in normal form."""
+    return _divided(_graded_mul(p, _cleared(A), _cleared(B), N))
 
 
 class _Twisted:
     """The twisted structure of one HopfData at order N: F, F^{-1} once a
     twisted coproduct needs it, u and u^{-1} once an antipode needs them,
     each cleared on its first product, and the memos of the twisted
-    coproduct and antipode on single words.
+    coproduct and antipode on single words, where a word longer than one
+    letter holds the product of its prefix's and its last letter's entries
+    (see _per_word).
 
     It keeps the rule tuple and degree bound it was built under, and no
     reference to its HopfData, so that the HopfData can drop it."""
@@ -350,8 +378,13 @@ class _Twisted:
 
     def delta_of(self, H: HopfData):
         """word -> graded coefficients of F Delta(word) F^{-1}."""
-        return _per_word(self.deltas, _twisted_delta, H, self.F,
-                         self.inverse(), self.order)
+        p, N = H.presentation, self.order
+
+        def times(prefix, letter):
+            return _times(p, prefix, letter, N)
+
+        return _per_word(self.deltas, _twisted_delta, times, H, self.F,
+                         self.inverse(), N)
 
     def partner(self, H: HopfData):
         """(u, u^{-1}), built on the first call."""
@@ -363,8 +396,15 @@ class _Twisted:
 
     def antipode_of(self, H: HopfData):
         """word -> graded coefficients of u S(word) u^{-1}."""
+        p, N = H.presentation, self.order
         u, ui = self.partner(H)
-        return _per_word(self.antipodes, _twisted_S, H, u, ui, self.order)
+
+        def times(prefix, letter):
+            return [t.as_ncpoly() for t in _times(
+                p, [x.tensor() for x in letter], [x.tensor() for x in prefix],
+                N)]
+
+        return _per_word(self.antipodes, _twisted_S, times, H, u, ui, N)
 
 
 #: HopfData -> {order: _Twisted}; the entry of a HopfData dies with it
@@ -432,6 +472,9 @@ def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
     under test, which lets callers probe deliberately broken variants; p
     defaults to its presentation."""
     if p is None:
+        if twist is None:
+            raise TypeError("check_cocycle() needs a presentation p or a "
+                            "twist series; got neither")
         p = twist.presentation
     H = build_hopf(p)
     F = twist if twist is not None else _twisted(H, N).F

@@ -692,22 +692,39 @@ def test_twist_order_four_passes(tmp_path, capsys):
                              "degree_bound": 16}
 
 
+def test_twist_order_four_passes_at_bound_ten(tmp_path, capsys):
+    # a longer word's twisted image is the product of memoized images, so
+    # its words stay shorter than in the conjugation of its raw coproduct,
+    # which needed bound 13 at order 4
+    out = tmp_path / "r.json"
+    assert main(["twist", "--order", "4", "--degree-bound", "10",
+                 "--json", str(out)]) == EXIT_PASS
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["config"]["degree_bound"] == 10
+    assert len(doc["items"]) == 27
+    assert all(i["verdict"] == "pass" for i in doc["items"])
+
+
 def test_twist_honours_degree_bound(tmp_path, capsys):
     out = tmp_path / "r.json"
-    code = main(["twist", "--order", "3", "--degree-bound", "8",
+    # order 3 passes from bound 8; at 7 only the antipode check's longest
+    # words overflow, now that a longer word's twisted image is a product
+    # of memoized images rather than a conjugation of its raw coproduct
+    code = main(["twist", "--order", "3", "--degree-bound", "7",
                  "--json", str(out)])
     capsys.readouterr()
     assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out.read_text())
-    assert doc["config"]["degree_bound"] == 8
+    assert doc["config"]["degree_bound"] == 7
     unknown = [i for i in doc["items"] if i["verdict"] == "unknown"]
     # one item for the whole check, naming the check and the bound
     assert [i["label"] for i in unknown] == ["antipode"]
     assert unknown[0]["residual"].startswith("DegreeBoundExceeded: ")
-    assert "bound 8" in unknown[0]["residual"]
+    assert "bound 7" in unknown[0]["residual"]
     # the config key reaches twist too
     cfg = tmp_path / "twist.cfg"
-    cfg.write_text("order=3\ndegree-bound=8\n")
+    cfg.write_text("order=3\ndegree-bound=7\n")
     assert main(["twist", "--config", str(cfg)]) == EXIT_INCONCLUSIVE
     capsys.readouterr()
 

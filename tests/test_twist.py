@@ -247,6 +247,11 @@ def test_cocycle_holds_to_order_three(eta_pres):
     assert all_zero(rows)
 
 
+def test_cocycle_needs_a_presentation_or_a_twist():
+    with pytest.raises(TypeError, match="presentation p or a twist"):
+        check_cocycle(2)
+
+
 def test_cocycle_detects_dropped_normalization(eta_pres):
     # forgetting the 1/k! in the series terms must surface at order 2: the
     # normal form stays nonzero there (unknown, as the rules are not
@@ -392,7 +397,7 @@ def _outcome(run, H):
                          ids=["shipped", "flipped-eta"])
 def test_shared_twisted_structure_matches_a_fresh_one(mutate):
     p = build_yangian_sl2()
-    p.degree_bound = 16  # order 4 needs 13
+    p.degree_bound = 16  # order 4 needs 10
 
     def fresh():
         H = _unshared(build_hopf(p))
@@ -433,6 +438,28 @@ def test_twisted_maps_of_a_sum_conjugate_the_whole_element(eta_pres,
         assert len(zeros) == N + 1 and not any(zeros)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_word_products_match_the_conjugated_words(N):
+    # a word longer than one letter gets the product of its prefix's and its
+    # last letter's memoized images; each must be the normal form that the
+    # conjugation of the word's raw coproduct or antipode gives
+    p = build_yangian_sl2()
+    p.degree_bound = 16  # the conjugations of order 4 need 13
+    H = build_hopf(p)
+    rows = check_twisted_coassoc(H, N) + check_twisted_antipode(H, N)
+    assert {verdict for _, verdict, _ in rows} == {"zero"}
+    tw = twist._twisted(H, N)
+    u, ui = tw.partner(H)
+    for memo, conjugated, left, right in (
+            (tw.deltas, twist._twisted_delta, tw.F, tw.inverse()),
+            (tw.antipodes, twist._twisted_S, u, ui)):
+        assert max(map(len, memo)) > 2
+        for word, image in memo.items():
+            want = conjugated(H, left, right,
+                              NCPoly(p.alphabet, {word: rf(1)}), N)
+            assert [str(t) for t in image] == [str(t) for t in want], word
+
+
 def test_twisted_maps_refuse_another_alphabet(eta_hopf):
     # uq-sl2's k+a1 has the letter id of the yangian's xi, so reading its
     # word against the yangian's memo would give xi's image
@@ -448,7 +475,9 @@ def test_lowered_degree_bound_rebuilds_the_twisted_structure():
     H = build_hopf(p)
     for _, run in _suite_items(H, 3):
         assert "Exceeded" not in str(_outcome(run, H))
-    p.degree_bound = 5  # order 3 needs 7
+    # order 3 needs 8; at 5 the coassociativity check no longer overflows,
+    # since a longer word's image is a product of memoized images
+    p.degree_bound = 4
     raised = []
     for label, run in _suite_items(H, 3):
         got = _outcome(run, H)
@@ -579,7 +608,7 @@ def test_cleared_products_match_the_eager_reference(monkeypatch, two_dim_rep,
     verdicts = set()
     for N in range(top + 1):
         p = build_yangian_sl2()
-        p.degree_bound = 16  # order 4 needs 13
+        p.degree_bound = 16  # order 4 needs 10
         H = build_hopf(p)
         G = flipped_eta_pairing(p, H) if variant == "flipped-eta" else H
         rows = (check_cocycle(N, reps=(r, r, r), p=p)
