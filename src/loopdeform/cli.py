@@ -42,11 +42,10 @@ from .hopf import (
 )
 from .presentations import (
     ALGEBRA_BUILDERS,
-    DEFAULT_DEGREE_BOUND,
     Q1_LIMITS,
     build_yangian_sl2,
     check_row,
-    comparison_cases,
+    compare_presentations,
     get_presentation,
     specialize,
 )
@@ -163,28 +162,19 @@ def _check_items(prefix, run_check):
         return [_item(prefix, "unknown", exc)]
 
 
-def _zero_item(label, p, z, witnesses=()):
-    """Item for 'z vanishes in p', decided by Presentation.decide_zero."""
-    verdict, evidence = p.decide_zero(z, witnesses)
+def _zero_item(label, verdict, evidence):
+    """Item for a verdict and evidence of Presentation.decide_zero; a
+    nonzero names its witness."""
     if verdict == "nonzero":
         evidence = "nonzero in %s" % evidence.label
     return _item(label, verdict, evidence)
 
 
 def _compare_items(p, target):
-    """Items for the relations of p decided in target and back, with the
-    target's shipped witnesses; a relation using a letter the other side
-    lacks is unknown and names it."""
-    items = []
-    for direction, label, other, z, reps in comparison_cases(
-            p, target, reps2=default_reps(target)):
-        label = "compare-%s:%s" % (direction, label)
-        if isinstance(z, str):
-            items.append(_item(label, "unknown", "missing generator %s in %s"
-                               % (z, other.name)))
-        else:
-            items.append(_zero_item(label, other, z, reps))
-    return items
+    """Items for the rows of compare_presentations(p, target), with the
+    target's shipped witnesses."""
+    rows = compare_presentations(p, target, reps2=default_reps(target))
+    return [_zero_item("compare-%s:%s" % row[:2], *row[2:]) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +194,8 @@ def cmd_verify(algebra, suite="all", degree_bound=None, reps=None):
         _named_rep(spec, p) for spec in reps]
     items = []
     if suite in ("relations", "all"):
-        items.extend(_zero_item("relation:%s" % rel.label, p,
-                                rel.zero_form(p.alphabet), witnesses)
+        items.extend(_zero_item("relation:%s" % rel.label, *p.decide_zero(
+                         rel.zero_form(p.alphabet), witnesses))
                      for rel in p.relations)
     if suite in ("hopf", "all"):
         try:
@@ -273,8 +263,8 @@ def cmd_limit(algebra, assignments, degree_bound=None):
             target = specialize(target, {"eta": parsed["eta"]})
         items.extend(_compare_items(sp, target))
     else:
-        items.extend(_zero_item("self-check:%s" % rel.label, sp,
-                                rel.zero_form(sp.alphabet))
+        items.extend(_zero_item("self-check:%s" % rel.label,
+                                *sp.decide_zero(rel.zero_form(sp.alphabet)))
                      for rel in sp.relations)
         if parsed.get("eta") == 0:
             for rel in sp.relations:
@@ -296,9 +286,9 @@ def cmd_twist(order=DEFAULT_ORDER, check="all", degree_bound=None):
         raise UsageError("twist order %d outside [0, %d]"
                          % (order, MAX_TWIST_ORDER))
     p = build_yangian_sl2()
-    # twisted words grow with the order: orders 0-4 need bounds 4, 5, 6, 8, 10
-    p.degree_bound = (max(DEFAULT_DEGREE_BOUND, 4 * order)
-                      if degree_bound is None else degree_bound)
+    # orders 0-4 need bounds 4, 5, 6, 8 and 10: the default 12 covers them
+    if degree_bound is not None:
+        p.degree_bound = degree_bound
     H = build_hopf(p)
     suites = (("cocycle", lambda: check_cocycle(order, p=p)),
               ("coassoc", lambda: check_twisted_coassoc(H, order)),

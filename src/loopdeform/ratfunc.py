@@ -222,13 +222,6 @@ class MultiPoly:
         """(exponent tuple, coefficient) of each term, in storage order."""
         return ((_unpack(e), c) for e, c in self.terms.items())
 
-    def leading(self):
-        """(exponent tuple, coefficient) of the graded-lex leading term."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e, c = next(iter(self.terms.items()))  # storage is grlex-descending
-        return _unpack(e), c
-
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other):

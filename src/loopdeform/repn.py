@@ -141,18 +141,6 @@ class MatrixRF:
         return MatrixRF._sparse({key: a * c for key, a in self.entries.items()},
                                 self.nrows, self.ncols)
 
-    def __pow__(self, n):
-        if n < 0 or self.nrows != self.ncols:
-            raise ValueError("matrix power needs a square matrix and n >= 0")
-        acc = MatrixRF.identity(self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     def kron(self, other):
         p, q = other.nrows, other.ncols
         return MatrixRF._sparse(

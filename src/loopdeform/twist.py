@@ -3,8 +3,10 @@
 A series of order N is stored as N + 1 graded coefficients, the k-th a
 tensor element whose rational-function coefficients all carry the second
 deformation parameter (``zeta``) to the exact power k; the series as an
-algebra element is simply the sum of its stored terms.  This module builds
-the two-slot twisting element F and derives its one-slot partner
+algebra element is simply the sum of its stored terms.  A series has no
+product of its own: series are multiplied as cleared graded lists
+(_graded_mul, below), truncated at the order the caller needs.  This module
+builds the two-slot twisting element F and derives its one-slot partner
 u = m(id (x) S)F, inverts series exactly, conjugates the coproduct and
 antipode by them, and verifies the structural identities (cocycle,
 coassociativity, homomorphism on relations, antipode axiom, counit
@@ -36,7 +38,8 @@ It dies with its HopfData, whose maps are read-only, and is built anew once
 the presentation's ``relations`` is another tuple or its ``degree_bound``
 has changed.  The cocycle and counit checks and twist_u, which take a
 presentation, find its HopfData through build_hopf, so they share the
-structure of the HopfData a caller holds.  Every element's twisted image
+structure of the HopfData a caller holds; the series they check is always
+the one twist_F builds for that presentation.  Every element's twisted image
 is the sum of its words' memoized images, each scaled by the word's
 coefficient.
 
@@ -131,27 +134,11 @@ class TwistSeries:
             self._cleared_terms = _cleared(self.terms)
         return self._cleared_terms
 
-    def value(self) -> TensorPoly:
-        """The series as a single tensor element (sum of the graded terms)."""
-        acc = self.terms[0]
-        for t in self.terms[1:]:
-            acc = acc + t
-        return acc
-
     def swap_slots(self) -> "TwistSeries":
         """Flip the two tensor slots of every term (two-slot series only;
         ``embed`` raises ``ArityMismatchError`` otherwise)."""
         return TwistSeries(self.presentation,
                            [t.embed((1, 0), 2) for t in self.terms])
-
-    def __mul__(self, other: "TwistSeries") -> "TwistSeries":
-        if not isinstance(other, TwistSeries):
-            return NotImplemented
-        if other.presentation is not self.presentation:
-            raise ValueError("series over different presentations")
-        N = min(self.order, other.order)
-        prod = _graded_mul(self.presentation, self.cleared, other.cleared, N)
-        return TwistSeries(self.presentation, _divided(prod))
 
     def __eq__(self, other):
         return (isinstance(other, TwistSeries)
@@ -460,24 +447,16 @@ def twisted_antipode(x: NCPoly, H: HopfData, N: int = DEFAULT_ORDER):
 # ---------------------------------------------------------------------------
 
 
-def check_cocycle(N: int = DEFAULT_ORDER, reps=None, p: Presentation = None,
-                  twist: TwistSeries = None):
-    """Order-by-order cocycle identity of the twisting element.
+def check_cocycle(N: int = DEFAULT_ORDER, reps=None, *, p: Presentation):
+    """Order-by-order cocycle identity of the twisting element of p.
 
     Compares (F (x) 1) * ((Delta (x) id)F) with (1 (x) F) * ((id (x) Delta)F)
     modulo zeta^{N+1}.  One row per order carries the symbolic verdict from
     slotwise normal forms; a final row evaluates the total residual on a
     triple of two-dimensional evaluation representations as an independent
-    witness.  Passing ``twist`` (a two-slot series) overrides the series
-    under test, which lets callers probe deliberately broken variants; p
-    defaults to its presentation."""
-    if p is None:
-        if twist is None:
-            raise TypeError("check_cocycle() needs a presentation p or a "
-                            "twist series; got neither")
-        p = twist.presentation
+    witness."""
     H = build_hopf(p)
-    F = twist if twist is not None else _twisted(H, N).F
+    F = _twisted(H, N).F
 
     def padded(slots):
         return [(r, P.embed(slots, 3)) for r, P in F.cleared]

@@ -141,7 +141,7 @@ def test_criterion_03_q_one_degeneration_is_the_eta_algebra(dr2, yang):
         backward = [r for r in rows if r[0] == "backward"]
         assert len(forward) == len(sp.relations)
         assert len(backward) == len(yang.relations)
-        bad = [(d, l, v) for d, l, v in rows if v != "zero"]
+        bad = [(d, l, v) for d, l, v, _ in rows if v != "zero"]
         assert not bad, bad
 
 

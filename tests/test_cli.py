@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from loopdeform import cli
+from loopdeform import cli, presentations
 from loopdeform.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -253,6 +253,27 @@ def test_compare_item_names_the_missing_generator():
             "missing generator k+a1 in yangian-sl2") in items
     assert ("compare-backward:loop-comm:e-a1", "unknown",
             "missing generator xi in uq-sl2") in items
+
+
+def test_limit_runs_the_traced_comparison(monkeypatch):
+    # the benchmark tracer times presentations.compare_presentations by
+    # rebinding it wherever a loopdeform module holds it; limit must reach
+    # the comparison through it, once
+    real = presentations.compare_presentations
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "loopdeform" or name.startswith("loopdeform."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+    rep = cmd_limit("drinfeldian-sl2", ["q->1", "kdelta=1"])
+    assert len(calls) == 1
+    assert rep.exit_code == EXIT_PASS
 
 
 def test_limit_rejects_bad_assignments():
@@ -687,9 +708,9 @@ def test_twist_order_four_passes(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["items"]) == 27
     assert all(i["verdict"] == "pass" for i in doc["items"])
-    # the bound is derived from the order and recorded in the config
+    # the default bound, as for the other commands, recorded in the config
     assert doc["config"] == {"order": 4, "check": "all", "max_order": 4,
-                             "degree_bound": 16}
+                             "degree_bound": 12}
 
 
 def test_twist_order_four_passes_at_bound_ten(tmp_path, capsys):

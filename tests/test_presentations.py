@@ -444,7 +444,27 @@ def test_limit_reproduces_degenerate_presentation(dr2, yg):
     assert lim.family == "yangian"
     assert lim.alphabet == yg.alphabet
     results = compare_presentations(lim, yg)
-    assert results and all(v == "zero" for _, _, v in results)
+    assert results and all(v == "zero" and e is None
+                           for _, _, v, e in results)
+    # the limit is the hand-written presentation, rule for rule, byte for
+    # byte, apart from the name line
+    got = dump_presentation(lim).splitlines()
+    want = dump_presentation(yg).splitlines()
+    assert got[0].startswith("presentation ") and got[0] != want[0]
+    assert got[1:] == want[1:]
+
+
+def test_dropping_the_central_letter_sums_terms_that_meet():
+    # e+a1 kd+ and e+a1 share a word once kd+ -> 1, so their coefficients
+    # add up: 1 + 2 = 3
+    p = build_drinfeldian("sl2")
+    A = p.alphabet
+    e = NCPoly.word(A, ["e+a1"])
+    p.add_rule("probe", (A.id_of("xi"),) * 5,
+               NCPoly.word(A, ["e+a1", "kd+"]) + e.scale(rf(2)))
+    sp = specialize(p, {"kdelta": 1})
+    e = NCPoly.word(sp.alphabet, ["e+a1"])
+    assert sp.relation("probe").repl == e.scale(rf(3))
 
 
 def test_q1_limits_name_shipped_algebras():

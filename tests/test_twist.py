@@ -147,8 +147,6 @@ def test_series_validation(eta_pres):
         TwistSeries(p, [unit2.scale(ZETA)])
     with pytest.raises(ArityMismatchError):
         twist_u(1, p).swap_slots()
-    with pytest.raises(ArityMismatchError):
-        check_cocycle(1, p=p, twist=twist_u(1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +174,16 @@ def test_inverse_roundtrip(eta_pres):
     p = eta_pres
     F = twist_F(3, p)
     Fi = series_inverse(F)
-    unit_series = TwistSeries(
-        p, [TensorPoly.unit(p.alphabet, 2)]
-        + [TensorPoly.zero(p.alphabet, 2)] * 3)
-    assert F * Fi == unit_series
-    assert Fi * F == unit_series
+    unit_series = ([TensorPoly.unit(p.alphabet, 2)]
+                   + [TensorPoly.zero(p.alphabet, 2)] * 3)
+    assert _eager_graded_mul(p, F.terms, Fi.terms, 3) == unit_series
+    assert _eager_graded_mul(p, Fi.terms, F.terms, 3) == unit_series
     assert series_inverse(Fi) == F
 
     u = twist_u(3, p)
     ui = series_inverse(u)
-    assert all(t.is_zero() for t in (u * ui).terms[1:])
+    uui = _eager_graded_mul(p, u.terms, ui.terms, 3)
+    assert all(t.is_zero() for t in uui[1:])
     assert series_inverse(ui) == u
 
 
@@ -247,22 +245,25 @@ def test_cocycle_holds_to_order_three(eta_pres):
     assert all_zero(rows)
 
 
-def test_cocycle_needs_a_presentation_or_a_twist():
-    with pytest.raises(TypeError, match="presentation p or a twist"):
+def test_cocycle_needs_a_presentation():
+    with pytest.raises(TypeError, match="'p'"):
         check_cocycle(2)
 
 
-def test_cocycle_detects_dropped_normalization(eta_pres):
+def test_cocycle_detects_dropped_normalization(monkeypatch):
     # forgetting the 1/k! in the series terms must surface at order 2: the
     # normal form stays nonzero there (unknown, as the rules are not
     # confluent) and the evaluation witness disproves the identity
-    p = eta_pres
-    h, f = p.gen("ha1"), p.gen("e-a1")
-    ladder = [p.unit(), h, h * h + h.scale(rf(2)),
-              (h * h + h.scale(rf(2))) * (h + p.unit().scale(rf(4)))]
-    bad = TwistSeries(
-        p, [tensor(ladder[k], f ** k).scale(ZETA ** k) for k in range(4)])
-    rows = dict((label, v) for label, v, _ in check_cocycle(3, p=p, twist=bad))
+    def unnormalized(N, p):
+        h, f = p.gen("ha1"), p.gen("e-a1")
+        ladder = [p.unit(), h, h * h + h.scale(rf(2)),
+                  (h * h + h.scale(rf(2))) * (h + p.unit().scale(rf(4)))]
+        return TwistSeries(p, [tensor(ladder[k], f ** k).scale(ZETA ** k)
+                               for k in range(N + 1)])
+
+    monkeypatch.setattr(twist, "twist_F", unnormalized)
+    rows = dict((label, v) for label, v, _
+                in check_cocycle(3, p=build_yangian_sl2()))
     assert rows["order-0"] == "zero"
     assert rows["order-1"] == "zero"
     assert rows["order-2"] == "unknown"
@@ -341,10 +342,14 @@ def test_two_dim_evaluation_is_exact(eta_pres, two_dim_rep):
     # f acts nilpotently in two dimensions, so the series terminates and the
     # truncation order stops mattering
     p, r = eta_pres, two_dim_rep
-    assert (evaluate_tensor(twist_F(1, p).value(), [r, r])
-            == evaluate_tensor(twist_F(3, p).value(), [r, r]))
-    assert (evaluate_tensor(twist_u(1, p).value(), [r])
-            == evaluate_tensor(twist_u(3, p).value(), [r]))
+
+    def value(series):
+        return sum(series.terms[1:], series.terms[0])
+
+    assert (evaluate_tensor(value(twist_F(1, p)), [r, r])
+            == evaluate_tensor(value(twist_F(3, p)), [r, r]))
+    assert (evaluate_tensor(value(twist_u(1, p)), [r])
+            == evaluate_tensor(value(twist_u(3, p)), [r]))
 
 
 def test_cocycle_rep_rows_agree_across_orders(eta_pres, two_dim_rep):
