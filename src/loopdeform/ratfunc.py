@@ -482,6 +482,9 @@ _NO_FACTORS = (0, 0, 0)
 # multiplicities over _ROOTS -> the monic q-only polynomial they make
 _Q_PRODUCT = {_NO_FACTORS: _ONE_POLY}
 
+# q - 1 and q + 1
+_Q_FACTORS = tuple(MultiPoly({_UNIT[0]: 1, _ZEXP: -r}) for r in _ROOTS[1:])
+
 
 def _q_split(p: MultiPoly):
     """Multiplicities (a, b, d) with p = c*q^a*(q-1)^b*(q+1)^d, or None when
@@ -523,13 +526,23 @@ def _divide_root(desc, r, cap):
 
 
 def _q_product(mult) -> MultiPoly:
-    """The monic q^a*(q-1)^b*(q+1)^d, (a, b, d) = mult."""
+    """The monic q^a*(q-1)^b*(q+1)^d, (a, b, d) = mult.
+
+    A miss steps d, then b, down to the nearest memoized (0, b, d) and
+    multiplies back up by one factor q+1 or q-1 a step, memoizing each; q^a
+    then shifts the keys.  Loops, not recursion: no exponent costs stack."""
     out = _Q_PRODUCT.get(mult)
     if out is None:
-        out = _ONE_POLY
-        for r, m in zip(_ROOTS, mult):
-            out = out * (MultiPoly.var("q") + MultiPoly.const(-r)) ** m
-        _Q_PRODUCT[mult] = out
+        a, b, d = mult
+        missing = []
+        while (0, b, d) not in _Q_PRODUCT:
+            missing.append((b, d))
+            b, d = (b, d - 1) if d else (b - 1, 0)
+        out = _Q_PRODUCT[0, b, d]
+        for b, d in reversed(missing):
+            out = _Q_PRODUCT[0, b, d] = out * _Q_FACTORS[1 if d else 0]
+        if a:
+            out = _Q_PRODUCT[mult] = out * MultiPoly.var("q", a)
     return out
 
 

@@ -24,6 +24,7 @@ from loopdeform.errors import (
 from loopdeform.freealg import (
     NCPoly,
     TensorPoly,
+    ad_q_power,
     commutator,
     q_commutator,
     tensor,
@@ -400,6 +401,60 @@ def test_drinfeldian_sl3_loop_serre_rules(dr3):
             c.eval_var("q", 1)
 
 
+class _Bound16(Presentation):
+    """A Presentation under degree bound 16: B2 and sl4 need more than the
+    default to reduce their loop Serre brackets."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.degree_bound = 16
+
+
+@pytest.mark.parametrize("cd", [
+    cartan_data("sl2"), cartan_data("sl3"),
+    CartanData("B2", ((2, -1), (-2, 2)), (2, 1), ("a1", "a2"), (1, 2)),
+    CartanData("sl4", ((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1),
+               ("a1", "a2", "a3"), (1, 1, 1)),
+], ids=lambda cd: cd.name)
+def test_loop_serre_rules_match_the_expanded_brackets(monkeypatch, cd):
+    """build_drinfeldian reduces each q-bracket of a loop Serre rule as it
+    is formed; the rule it installs is the one the fully expanded
+    ad_q_power gives against the rules installed before it, and none is
+    installed where that reduces to zero."""
+    monkeypatch.setitem(presentations._PRESETS, cd.name, cd)
+    monkeypatch.setattr(presentations, "Presentation", _Bound16)
+    p = build_drinfeldian(cd.name)
+    xt = shifted_loop_generator(p)
+    aff = affine(cd).matrix
+    # the loop Serre rules come last
+    k = sum(not rel.label.startswith("loop-serre-") for rel in p.relations)
+    implied = []
+    for kind in ("e", "xi"):
+        for i, label in enumerate(cd.labels, 1):
+            e = p.gen("e+" + label)
+            z = (ad_q_power(e, xt, 1 - aff[i][0]) if kind == "e"
+                 else ad_q_power(xt, e, 1 - aff[0][i]))
+            before = _Bound16(p.name, p.family, cd, p.alphabet,
+                              params=p.params)
+            before.relations = p.relations[:k]
+            rel = before.add_rule_from_zero_form(
+                z, "loop-serre-%s:e+%s" % (kind, label))
+            if rel is None:
+                implied.append((kind, label))
+                continue
+            installed = p.relations[k]
+            assert (installed.label, installed.lead, installed.repl) == (
+                rel.label, rel.lead, rel.repl)
+            k += 1
+    assert k == len(p.relations)
+    # where alpha_0 is orthogonal to alpha_i (on B2 and sl4), both loop
+    # Serre rules of e_i say that it commutes with xt, and the second is
+    # implied by the first
+    assert implied == [("xi", label) for i, label in enumerate(cd.labels, 1)
+                       if aff[0][i] == 0]
+    assert len(implied) == (cd.name in ("B2", "sl4"))
+
+
 def test_self_reduction_everywhere():
     for name in ("uq-sl2", "uq-sl3", "drinfeldian-sl2", "drinfeldian-sl3",
                  "yangian-sl2", "twisted-yangian-sl2"):
@@ -743,13 +798,14 @@ def test_word_memo_goes_with_its_last_presentation():
 
 
 def test_a_loaded_dump_shares_the_word_memo():
-    """A dump sorts each replacement's terms, so 3 of the 21 loaded
-    replacements hold their terms in another dict order than the built
-    ones; the memo key takes them as sets, so both share one memo."""
+    """A dump sorts each replacement's terms, so some loaded replacements
+    hold their terms in another dict order than the built ones (how many is
+    incidental: term order is no part of a result); the memo key takes them
+    as sets, so both share one memo."""
     p = build_drinfeldian("sl2")
     q = load_presentation(dump_presentation(p))
-    assert sum(list(a.repl.terms) != list(b.repl.terms)
-               for a, b in zip(p.relations, q.relations)) == 3
+    assert any(list(a.repl.terms) != list(b.repl.terms)
+               for a, b in zip(p.relations, q.relations))
     assert q._word_memo() is p._word_memo()
 
 

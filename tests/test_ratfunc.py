@@ -4,6 +4,9 @@ Expected values were computed independently (by hand for the small closed
 forms, and against sympy as a second implementation for gcd/cancellation).
 """
 
+import itertools
+import sys
+import traceback
 from fractions import Fraction
 from math import gcd
 
@@ -452,6 +455,45 @@ def test_known_factor_gcd_matches_generic_path(c, mult, cofactor, g_terms,
     theirs = sympy.gcd(_to_sympy(f), _to_sympy(g))
     ratio = sympy.cancel(_to_sympy(ours) / theirs)
     assert ratio.is_Rational, (ours, theirs)
+
+
+def test_q_product_grows_one_factor_at_a_time(monkeypatch):
+    """From an empty memo, largest first, every (a, b, d) <= (4, 4, 4) is
+    the product of powers, storage order included, and each memo entry
+    costs one MultiPoly product: a factor q-1 or q+1 on a memoized
+    neighbour, or the shift by q^a."""
+    q = MultiPoly.var("q")
+    qm, qp = q + MultiPoly.const(-1), q + MultiPoly.const(1)
+    refs = {m: q ** m[0] * qm ** m[1] * qp ** m[2]
+            for m in itertools.product(range(5), repeat=3)}
+    memo = {(0, 0, 0): MultiPoly.one()}
+    monkeypatch.setattr(ratfunc, "_Q_PRODUCT", memo)
+    counts = {"mul": 0}
+    mul = MultiPoly.__mul__
+
+    def counting_mul(x, y):
+        counts["mul"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    for m in sorted(refs, reverse=True):
+        assert list(ratfunc._q_product(m).terms.items()) == list(
+            refs[m].terms.items()), m
+    monkeypatch.undo()
+    assert len(memo) == 125 and counts["mul"] == 124
+
+
+def test_q_product_of_a_large_power_takes_no_deep_recursion(monkeypatch):
+    # a recursion one level per factor would need 5,000 levels; q^a is a
+    # shift of the keys, and the rest is built in a loop
+    monkeypatch.setattr(ratfunc, "_Q_PRODUCT", {(0, 0, 0): MultiPoly.one()})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+    try:
+        out = ratfunc._q_product((5_000, 1, 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == MultiPoly({(5_002,) + (0,) * 5: 1, (5_000,) + (0,) * 5: -1})
 
 
 @pytest.mark.parametrize("text", ["q - 2", "q^2 + 1", "u + v", "q*(u + v)",

@@ -28,7 +28,10 @@ the commutators: reducing every entry product and sum of the three 8x8
 commutators through mp_gcd instead costs hundreds of gcds, so an exact
 gcd count pins the cleared path.  The graded products of the twist suite
 clear the 1/k! of the twisting element the same way, so an exact count
-of Fraction operations pins them.
+of Fraction operations pins them.  build_drinfeldian reduces each q-bracket
+of a loop Serre rule as it is formed, not the bracket expanded in the free
+algebra: the RatFunc product count of a build of drinfeldian-sl3
+(test_drinfeldian_build_reduces_each_bracket) pins it.
 
 The word-normal-form memo is shared by every live presentation of a rule
 system, so each counted check starts from a cold memo (_cold): otherwise a
@@ -56,6 +59,7 @@ from loopdeform.hopf import build_hopf, check_homomorphism
 from loopdeform.freealg import NCPoly
 from loopdeform.presentations import (
     Presentation,
+    build_drinfeldian,
     build_yangian_sl2,
     get_presentation,
 )
@@ -233,6 +237,20 @@ def test_rewriting_makes_one_product_per_replacement_term(monkeypatch):
     assert counts["terms"] == 590
     assert 0 < counts["by_one"] < counts["terms"]
     assert counts["mul"] == counts["terms"] - counts["by_one"]
+
+
+# expanding each loop Serre bracket ad_q(x)^n(y) in the free algebra and
+# reducing it once, this build made 686 RatFunc products; reducing each
+# bracket as it is formed makes 532.  The build reads no memo that changes
+# this count, so a fresh build is a cold one
+def test_drinfeldian_build_reduces_each_bracket(monkeypatch):
+    counts = {"mul": 0}
+    monkeypatch.setattr(RatFunc, "__mul__",
+                        _counting(counts, "mul", RatFunc.__mul__))
+    p = build_drinfeldian("sl3")
+    monkeypatch.undo()
+    assert len(p.relations) == 58
+    assert counts == {"mul": 532}
 
 
 # every coefficient of the yangian-sl2 twist suite has denominator 1, and
